@@ -1,5 +1,7 @@
 """Sequential subspace optimization for nonlinear inverse problems in Lp spaces."""
 
+import logging
+
 from .bregman_geometry import (
     ConvergenceError,
     GeometryError,
@@ -64,3 +66,7 @@ from .sesop_solver import (
 )
 
 __version__ = '0.1.0'
+
+# Quiet by default: records reach a handler only where the application
+# configured logging (they still propagate to the root logger).
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -13,11 +13,10 @@ and q is the gauge of the space. The gradient of h is
 
     dh/dt_j = alpha_j - <u_j*, x_new(t)>,
 
-so the first-order condition is exactly feasibility of x_new. One plane is
-solved by bracketing plus Brent root finding on the monotone derivative;
-several planes by damped Newton with a finite-difference Hessian and Armijo
-backtracking. Halfspace and stripe projections reduce to at most two
-hyperplane problems.
+so the first-order condition is exactly feasibility of x_new. Any number of
+planes is solved by one safeguarded Newton iteration with the analytic
+Hessian of h and Armijo backtracking. Halfspace and stripe projections
+reduce to at most two hyperplane problems.
 """
 
 import logging
@@ -25,11 +24,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .lp_spaces import (
     GridFunction,
-    conjugate_exponent,
     dual_pairing,
     duality_map,
     inverse_duality_map,
@@ -45,8 +42,6 @@ __all__ = [
     'ConvergenceError',
     'GeometryError',
     'classify',
-    'objective_value',
-    'objective_gradient',
     'project_hyperplane',
     'project_intersection',
     'project_stripe',
@@ -129,19 +124,16 @@ class Halfspace:
 
 @dataclass(frozen=True)
 class MinimizerSettings:
-    """Tolerances of the inner dual minimization."""
+    """Tolerances of the inner Newton iteration."""
 
     grad_tol: float = 1e-12
     max_iters: int = 200
-    bracket_growth: float = 2.0
 
     def __post_init__(self):
         if not self.grad_tol > 0:
             raise ValueError('grad_tol must be positive')
         if self.max_iters < 1:
             raise ValueError('max_iters must be >= 1')
-        if not self.bracket_growth > 1:
-            raise ValueError('bracket_growth must exceed 1')
 
 
 @dataclass(frozen=True)
@@ -183,33 +175,6 @@ def classify(x, stripe, space):
     return StripeSide.INSIDE
 
 
-def _shifted_dual(jx, planes, t):
-    values = jx.values.copy()
-    for coeff, (u_star, _) in zip(t, planes):
-        if coeff != 0.0:
-            values -= coeff * u_star.values
-    return GridFunction(values)
-
-
-def objective_value(x, planes, t, space):
-    """Dual objective h(t) of the intersection projection problem."""
-    jx = duality_map(x, space)
-    q_conj = conjugate_exponent(space.gauge_exponent)
-    shifted = _shifted_dual(jx, planes, t)
-    value = weighted_norm(shifted, space.dual()) ** q_conj / q_conj
-    for coeff, (_, alpha) in zip(t, planes):
-        value += coeff * alpha
-    return value
-
-
-def objective_gradient(x, planes, t, space):
-    """Gradient of h: component j is alpha_j - <u_j*, x_new(t)>."""
-    jx = duality_map(x, space)
-    x_t = inverse_duality_map(_shifted_dual(jx, planes, t), space)
-    return np.array([alpha - dual_pairing(u_star, x_t, space)
-                     for u_star, alpha in planes])
-
-
 def _problem_scale(x, planes, space):
     norm_x = weighted_norm(x, space)
     dual = space.dual()
@@ -217,6 +182,95 @@ def _problem_scale(x, planes, space):
     for u_star, alpha in planes:
         scale = max(scale, 1.0 + abs(alpha) + weighted_norm(u_star, dual) * norm_x)
     return scale
+
+
+def _dual_objective(x, jx, planes, t, space):
+    """h(t), its gradient and Hessian, and x_t = J_inv(J(x) - sum_k t_k u_k*).
+
+    One inverse duality evaluation gives all four (none at t = 0, where
+    x_t = x). With g = J(x) - sum_k t_k u_k*, r* and q* the dual norm and
+    gauge exponents and J_inv(g) = ||g||_*^(q*-r*) |g|^(r*-1) sign(g),
+
+        H_jk = <u_j*, DJ_inv(g) u_k*>,
+        DJ_inv(g) = diag((r* - 1) x_t / g) + (q* - r*) x_t x_t^T / ||g||_*^q*,
+
+    the rank-one term vanishing when the gauge equals the norm exponent.
+    The Hessian is None where it is unbounded: r* < 2 with g = 0 at an entry
+    some u_k* touches, g = 0 altogether, or an overflow.
+    """
+    dual = space.dual()
+    r_conj, q_conj = dual.norm_exponent, dual.gauge_exponent
+    u = np.array([u_star.values.ravel() for u_star, _ in planes])
+    alphas = np.array([alpha for _, alpha in planes])
+    g = jx.values.ravel() - t @ u
+    x_t = x if not np.any(t) else inverse_duality_map(
+        GridFunction(g.reshape(x.values.shape)), space)
+    x_flat = x_t.values.ravel()
+    pairs = space.weight * (u @ x_flat)
+    power = space.weight * float(g @ x_flat)  # ||g||_*^q*
+    value = power / q_conj + float(t @ alphas)
+    zero = g == 0.0
+    if power == 0.0 or (r_conj < 2.0 and np.any(u[:, zero])):
+        return value, alphas - pairs, None, x_t
+    fill = power ** (1.0 - 2.0 / q_conj) if r_conj == 2.0 else 0.0
+    weights = (r_conj - 1.0) * np.divide(x_flat, g, out=np.full_like(g, fill),
+                                         where=~zero)
+    hessian = space.weight * (u * weights) @ u.T
+    if q_conj != r_conj:
+        hessian += (q_conj - r_conj) * np.outer(pairs, pairs) / power
+    return value, alphas - pairs, hessian if np.all(np.isfinite(hessian)) else None, x_t
+
+
+def _minimize(x, planes, space, settings, t_init=None):
+    """Safeguarded Newton iteration for the coefficients t minimizing h.
+
+    A gradient step replaces the Newton step where the Hessian is unbounded
+    or numerically singular. Backtracking accepts a step by the Armijo rule
+    on h, and only if the slope along the step has not overshot to more
+    than half its initial size: where an entry of g crosses zero and r* < 2,
+    the Hessian blows up and full Newton steps would oscillate. Once the
+    gradient meets the tolerance, one more full step takes t to rounding
+    accuracy. When no step improves h or the gradient any more, a point
+    feasible to FEAS_TOL is accepted. A point already on every plane is
+    returned itself with t = 0.
+    """
+    scale = _problem_scale(x, planes, space)
+    gaps = [dual_pairing(u_star, x, space) - alpha for u_star, alpha in planes]
+    if np.linalg.norm(gaps) <= settings.grad_tol * scale:
+        return x, np.zeros(len(planes))
+    jx = duality_map(x, space)
+    t = np.zeros(len(planes)) if t_init is None else np.array(t_init, dtype=float)
+    value, grad, hessian, x_t = _dual_objective(x, jx, planes, t, space)
+    for _ in range(settings.max_iters):
+        direction = -grad
+        if hessian is not None and np.linalg.cond(hessian) < 1.0 / np.finfo(float).eps:
+            newton = np.linalg.solve(hessian, -grad)
+            if float(newton @ grad) < 0.0:
+                direction = newton
+        grad_norm = np.linalg.norm(grad)
+        if grad_norm <= settings.grad_tol * scale:
+            polished = _dual_objective(x, jx, planes, t + direction, space)
+            if np.linalg.norm(polished[1]) <= grad_norm:
+                return polished[3], t + direction
+            return x_t, t
+        slope = float(grad @ direction)
+        # Near the minimum the predicted decrease drops below the rounding
+        # noise of h; the allowance keeps the backtracking from stalling.
+        noise = 1e-14 * (1.0 + abs(value))
+        for step in 0.5 ** np.arange(60):
+            trial = _dual_objective(x, jx, planes, t + step * direction, space)
+            if (trial[0] <= value + 1e-4 * step * slope + noise
+                    and float(trial[1] @ direction) <= -0.5 * slope):
+                break
+        if trial[0] > value - noise and np.linalg.norm(trial[1]) >= grad_norm:
+            # Neither h nor the gradient improves: t is at the rounding limit.
+            if grad_norm <= FEAS_TOL * scale:
+                return x_t, t
+            break
+        t = t + step * direction
+        value, grad, hessian, x_t = trial
+    raise ConvergenceError('Bregman projection did not converge',
+                           last_t=t, grad_norm=float(np.linalg.norm(grad)))
 
 
 def project_hyperplane(x, u_star, alpha, space, settings=None):
@@ -237,55 +291,10 @@ def project_hyperplane(x, u_star, alpha, space, settings=None):
         The projected point and the coefficient t with
         x_new = J_inv(J(x) - t * u_star).
     """
-    settings = settings or MinimizerSettings()
     if not np.any(u_star.values):
         raise ValueError('hyperplane requires a nonzero dual vector')
-    gap = dual_pairing(u_star, x, space) - alpha
-    scale = _problem_scale(x, [(u_star, alpha)], space)
-    if abs(gap) <= settings.grad_tol * scale:
-        return x, 0.0
-
-    jx = duality_map(x, space)
-    q = space.gauge_exponent
-    q_conj = conjugate_exponent(q)
-    dual_space = space.dual()
-
-    def derivative(t):
-        x_t = inverse_duality_map(GridFunction(jx.values - t * u_star.values), space)
-        return alpha - dual_pairing(u_star, x_t, space)
-
-    # h'(0) = -gap; h' is nondecreasing, so the root has the sign of gap.
-    # Start from the value that is exact in the Hilbert case and grow.
-    dual_norm_u = weighted_norm(u_star, dual_space)
-    t0 = np.sign(gap) * (abs(gap) / dual_norm_u ** q_conj) ** (q - 1.0)
-    lo, hi = (0.0, t0) if gap > 0 else (t0, 0.0)
-    outer = t0
-    for _ in range(settings.max_iters):
-        value = derivative(outer)
-        if (gap > 0 and value >= 0.0) or (gap < 0 and value <= 0.0):
-            if gap > 0:
-                hi = outer
-            else:
-                lo = outer
-            break
-        if gap > 0:
-            lo = outer
-        else:
-            hi = outer
-        outer *= settings.bracket_growth
-    else:
-        raise ConvergenceError('could not bracket the hyperplane coefficient',
-                               last_t=outer, grad_norm=abs(derivative(outer)))
-
-    # brentq enforces rtol >= 4 * machine epsilon.
-    t = brentq(derivative, lo, hi, xtol=1e-30, rtol=1e-15,
-               maxiter=max(100, settings.max_iters))
-    residual = abs(derivative(t))
-    if residual > FEAS_TOL * scale:
-        raise ConvergenceError('hyperplane projection did not reach feasibility',
-                               last_t=t, grad_norm=residual)
-    x_new = inverse_duality_map(GridFunction(jx.values - t * u_star.values), space)
-    return x_new, float(t)
+    x_new, t = _minimize(x, [(u_star, alpha)], space, settings or MinimizerSettings())
+    return x_new, float(t[0])
 
 
 def _parallel_pair(planes):
@@ -324,73 +333,14 @@ def project_intersection(x, planes, space, settings=None, t_init=None):
     planes = list(planes)
     if not planes:
         raise ValueError('at least one plane is required')
-    if len(planes) == 1:
-        x_new, t = project_hyperplane(x, planes[0][0], planes[0][1], space, settings)
-        return x_new, np.array([t])
+    if not all(np.any(u_star.values) for u_star, _ in planes):
+        raise ValueError('hyperplane requires a nonzero dual vector')
     if _parallel_pair(planes) is not None:
         logger.warning('numerically parallel dual directions in intersection '
                        'projection; falling back to the first plane')
-        x_new, t = project_hyperplane(x, planes[0][0], planes[0][1], space, settings)
-        coeffs = np.zeros(len(planes))
-        coeffs[0] = t
-        return x_new, coeffs
-
-    jx = duality_map(x, space)
-    q_conj = conjugate_exponent(space.gauge_exponent)
-    dual_space = space.dual()
-    alphas = np.array([alpha for _, alpha in planes])
-
-    def point(t):
-        return inverse_duality_map(_shifted_dual(jx, planes, t), space)
-
-    def gradient(t):
-        x_t = point(t)
-        return np.array([alpha - dual_pairing(u_star, x_t, space)
-                         for u_star, alpha in planes])
-
-    def value(t):
-        shifted = _shifted_dual(jx, planes, t)
-        return (weighted_norm(shifted, dual_space) ** q_conj / q_conj
-                + float(np.dot(t, alphas)))
-
-    scale = _problem_scale(x, planes, space)
-    t = np.zeros(len(planes)) if t_init is None else np.array(t_init, dtype=float)
-    grad = gradient(t)
-    for _ in range(settings.max_iters):
-        if np.linalg.norm(grad) <= settings.grad_tol * scale:
-            break
-        # Forward-difference Hessian of h, symmetrized; h is smooth in t.
-        dim = len(t)
-        hessian = np.empty((dim, dim))
-        for k in range(dim):
-            eps = 1e-7 * (1.0 + abs(t[k]))
-            shifted_t = t.copy()
-            shifted_t[k] += eps
-            hessian[:, k] = (gradient(shifted_t) - grad) / eps
-        hessian = 0.5 * (hessian + hessian.T)
-        try:
-            direction = np.linalg.solve(hessian, -grad)
-        except np.linalg.LinAlgError:
-            direction = -grad
-        if np.dot(direction, grad) >= 0.0:  # not a descent direction
-            direction = -grad
-        base = value(t)
-        slope = float(np.dot(grad, direction))
-        # Near the minimum the predicted decrease drops below the rounding
-        # noise of h; the allowance keeps the backtracking from stalling.
-        noise = 1e-14 * (1.0 + abs(base))
-        step = 1.0
-        for _ in range(60):
-            candidate = t + step * direction
-            if value(candidate) <= base + 1e-4 * step * slope + noise:
-                break
-            step *= 0.5
-        t = t + step * direction
-        grad = gradient(t)
-    else:
-        raise ConvergenceError('intersection projection did not converge',
-                               last_t=t, grad_norm=float(np.linalg.norm(grad)))
-    return point(t), t
+        x_new, t = _minimize(x, planes[:1], space, settings)
+        return x_new, np.append(t, np.zeros(len(planes) - 1))
+    return _minimize(x, planes, space, settings, t_init)
 
 
 def project_stripe(x, stripe, space, settings=None):
@@ -435,40 +385,30 @@ def project_two_halfspaces(x, first, second, space, settings=None):
     """
     settings = settings or MinimizerSettings()
     canon = (first.canonical(), second.canonical())
-    scale = _problem_scale(x, [(h.u_star, h.alpha) for h in canon], space)
-    slack = FEAS_TOL * scale
+    planes = [(h.u_star, h.alpha) for h in canon]
+    slack = FEAS_TOL * _problem_scale(x, planes, space)
     violations = [h.violation(x, space) for h in canon]
     if violations[0] <= slack and violations[1] <= slack:
         report = KktReport(stage='feasible', t=(0.0, 0.0), active=(False, False),
                            multipliers_nonnegative=True)
         return x, 0.0, 0.0, report
 
-    # The unique KKT point has one of the active sets {lead}, {other} or
-    # both. A single constraint is only a valid candidate when it is
-    # violated at x (its multiplier is then positive) and its plane
-    # projection satisfies the other constraint.
-    lead = 0 if violations[0] > slack else 1
-    t_lead = 0.0
-    for k in (lead, 1 - lead):
+    # The unique KKT point has the active set {first}, {second} or both. A
+    # single constraint is only a valid candidate when it is violated at x
+    # (its multiplier is then positive) and its plane projection satisfies
+    # the other constraint.
+    for k in (0, 1):
         if violations[k] <= slack:
             continue
-        x_single, t_single = project_hyperplane(
-            x, canon[k].u_star, canon[k].alpha, space, settings)
-        if k == lead:
-            t_lead = t_single
+        x_single, t_single = project_hyperplane(x, *planes[k], space, settings)
         if canon[1 - k].violation(x_single, space) <= slack:
             t = [0.0, 0.0]
             t[k] = t_single
-            active = [False, False]
-            active[k] = True
-            report = KktReport(stage='single', t=tuple(t), active=tuple(active),
+            report = KktReport(stage='single', t=tuple(t), active=(k == 0, k == 1),
                                multipliers_nonnegative=t_single >= -slack)
             return x_single, t[0], t[1], report
 
-    t_init = [0.0, 0.0]
-    t_init[lead] = t_lead
-    x_pair, t_pair = project_intersection(
-        x, [(h.u_star, h.alpha) for h in canon], space, settings, t_init=t_init)
+    x_pair, t_pair = project_intersection(x, planes, space, settings)
     if max(h.violation(x_pair, space) for h in canon) > slack:
         raise GeometryError('halfspace intersection appears to be empty')
     report = KktReport(stage='pair', t=(float(t_pair[0]), float(t_pair[1])),

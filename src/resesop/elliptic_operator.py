@@ -33,8 +33,12 @@ __all__ = [
     'operator_norm_estimate',
 ]
 
-# Accepted relative residual of the interior linear solves.
-LIN_TOL = 1e-12
+# An interior solve is accepted when its normwise backward error
+# ||A x - b|| / (||A|| ||x|| + ||b||) is at most BACKWARD_TOL and the lower
+# bound ||A|| ||x|| / ||b|| on the condition number of A stays below
+# COND_LIMIT; beyond that the system counts as numerically singular.
+BACKWARD_TOL = 100.0 * np.finfo(float).eps
+COND_LIMIT = 1.0 / (1e3 * np.finfo(float).eps)
 
 
 class LinearSolveError(RuntimeError):
@@ -72,13 +76,16 @@ class BvpData:
 
 @dataclass(frozen=True, eq=False)
 class OperatorState:
-    """Parameter c with the cached solution u = F(c) and factorization of L(c)."""
+    """Parameter c with the cached solution u = F(c), the factorization of
+    L(c) and the infinity norm of L(c), a bound on its 2-norm because L(c)
+    is symmetric."""
 
     c: GridFunction
     u: GridFunction
     data: BvpData
     matrix: object = field(repr=False)
     lu: object = field(repr=False)
+    matrix_norm: float = field(repr=False)
 
 
 def assemble(c, n_interior=None):
@@ -108,7 +115,7 @@ def assemble(c, n_interior=None):
     return (laplace + sparse.diags(c.interior.ravel())).tocsc()
 
 
-def _interior_solve(lu, matrix, rhs_flat, parameter):
+def _interior_solve(lu, matrix, matrix_norm, rhs_flat, parameter):
     try:
         solution = lu.solve(rhs_flat)
     except RuntimeError as exc:
@@ -117,11 +124,15 @@ def _interior_solve(lu, matrix, rhs_flat, parameter):
                 parameter.values.min(), parameter.values.max(), exc),
             parameter=parameter)
     residual = np.linalg.norm(matrix @ solution - rhs_flat)
-    if not np.all(np.isfinite(solution)) or residual > LIN_TOL * (1.0 + np.linalg.norm(rhs_flat)):
+    scale = matrix_norm * np.linalg.norm(solution)
+    rhs_norm = np.linalg.norm(rhs_flat)
+    if (not np.all(np.isfinite(solution)) or residual > BACKWARD_TOL * (scale + rhs_norm)
+            or scale > COND_LIMIT * rhs_norm):
         raise LinearSolveError(
             'linear system is singular or severely ill-conditioned for parameter '
-            'with range [{:.6g}, {:.6g}] (residual {:.3g})'.format(
-                parameter.values.min(), parameter.values.max(), residual),
+            'with range [{:.6g}, {:.6g}] (residual {:.3g}, ||A|| ||x|| / ||b|| '
+            '{:.3g})'.format(parameter.values.min(), parameter.values.max(),
+                             residual, scale / rhs_norm),
             parameter=parameter)
     return solution
 
@@ -153,8 +164,8 @@ def solve_forward(c, data):
     """Evaluate F(c): solve the boundary value problem for the parameter c.
 
     Returns the full grid function with the Dirichlet ring taken from the
-    data. Raises :class:`LinearSolveError` when L(c) is singular or the
-    solve misses the relative residual tolerance.
+    data. Raises :class:`LinearSolveError` when L(c) is numerically
+    singular or the solve is not backward stable.
     """
     state = _make_state(c, data)
     return state.u
@@ -166,10 +177,12 @@ def _make_state(c, data):
             c.values.shape, data.f.values.shape))
     matrix = assemble(c)
     lu = _factorize(matrix, c)
-    interior = _interior_solve(lu, matrix, _boundary_rhs(data).ravel(), c)
+    matrix_norm = float(abs(matrix).sum(axis=1).max())
+    interior = _interior_solve(lu, matrix, matrix_norm, _boundary_rhs(data).ravel(), c)
     values = data.g.values.copy()
     values[1:-1, 1:-1] = interior.reshape(c.n_interior, c.n_interior)
-    return OperatorState(c=c, u=GridFunction(values), data=data, matrix=matrix, lu=lu)
+    return OperatorState(c=c, u=GridFunction(values), data=data, matrix=matrix, lu=lu,
+                         matrix_norm=matrix_norm)
 
 
 def apply_derivative(state, direction):
@@ -179,7 +192,8 @@ def apply_derivative(state, direction):
     reusing the cached factorization.
     """
     rhs = -(direction.values * state.u.values)[1:-1, 1:-1]
-    interior = _interior_solve(state.lu, state.matrix, rhs.ravel(), state.c)
+    interior = _interior_solve(state.lu, state.matrix, state.matrix_norm, rhs.ravel(),
+                               state.c)
     n = state.c.n_interior
     return GridFunction.from_interior(interior.reshape(n, n))
 
@@ -190,7 +204,8 @@ def apply_adjoint(state, w):
     Evaluates -u * L(c)^{-1} w with a zero-boundary interior solve; the
     result is a dual vector over the parameter space.
     """
-    interior = _interior_solve(state.lu, state.matrix, w.interior.ravel(), state.c)
+    interior = _interior_solve(state.lu, state.matrix, state.matrix_norm,
+                               w.interior.ravel(), state.c)
     n = state.c.n_interior
     lifted = GridFunction.from_interior(interior.reshape(n, n))
     return GridFunction(-state.u.values * lifted.values)

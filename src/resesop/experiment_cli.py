@@ -350,12 +350,11 @@ def read_grid(path):
     return GridFunction(values.reshape(n + 2, n + 2))
 
 
-_CONFIG_CASTS = {
-    'method': str, 'delta': float, 'n_data': int, 'n_recon': int,
-    'r': float, 's': float, 'cone_constant': float, 'tau_factor': float,
-    'residual_tol': float, 'seed': int, 'max_outer': int, 'p_gauge': float,
-    'restriction': str, 'output_path': str,
-}
+# Configuration-file keys and their types: the ExperimentConfig fields.
+_CONFIG_CASTS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+# Command-line flags whose destination differs from the field name.
+_FLAG_NAMES = {'cone_constant': 'ctc', 'residual_tol': 'ty', 'p_gauge': 'gauge',
+               'output_path': 'out'}
 
 
 def read_config_file(path):
@@ -384,14 +383,8 @@ def _config_from_args(args):
     settings = {}
     if getattr(args, 'config', None):
         settings.update(read_config_file(args.config))
-    for field, flag in [
-            ('method', 'method'), ('delta', 'delta'), ('n_data', 'n_data'),
-            ('n_recon', 'n_recon'), ('r', 'r'), ('s', 's'),
-            ('cone_constant', 'ctc'), ('tau_factor', 'tau_factor'),
-            ('residual_tol', 'ty'), ('seed', 'seed'),
-            ('max_outer', 'max_outer'), ('p_gauge', 'gauge'),
-            ('restriction', 'restriction'), ('output_path', 'out')]:
-        value = getattr(args, flag, None)
+    for field in _CONFIG_CASTS:
+        value = getattr(args, _FLAG_NAMES.get(field, field), None)
         if value is not None:
             settings[field] = value
     return ExperimentConfig(**settings)

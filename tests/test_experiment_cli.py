@@ -2,11 +2,17 @@
 noise calibration, grid restriction, file formats, configuration precedence
 and the command line surface."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import resesop
 from resesop.elliptic_operator import BvpData, solve_forward
 from resesop.experiment_cli import (
     ExperimentConfig,
@@ -265,6 +271,32 @@ class TestConfigFile:
         assert payload['config']['method'] == 'B'
         assert payload['config']['n_recon'] == 12
 
+    def test_every_field_is_settable_from_file_and_flag(self, tmp_path):
+        values = {'method': 'B', 'delta': 1e-3, 'n_data': 14, 'n_recon': 12,
+                  'r': 1.8, 's': 4.0, 'cone_constant': 0.02, 'tau_factor': 1.2,
+                  'residual_tol': 2e-3, 'seed': 5, 'max_outer': 3, 'p_gauge': 2.5,
+                  'restriction': 'bilinear', 'output_path': None}
+        fields = dataclasses.fields(ExperimentConfig)
+        assert set(values) == {f.name for f in fields}
+        assert all(values[f.name] != f.default for f in fields if f.name != 'output_path')
+        renamed = {'cone_constant': '--ctc', 'residual_tol': '--ty', 'p_gauge': '--gauge',
+                   'output_path': '--out'}
+        file_out = tmp_path / 'from_file.json'
+        config_file = tmp_path / 'all.cfg'
+        config_file.write_text(''.join(
+            '{} = {}\n'.format(name, file_out if value is None else value)
+            for name, value in values.items()))
+        flag_out = tmp_path / 'from_flags.json'
+        flags = ['run']
+        for name, value in values.items():
+            flags += [renamed.get(name, '--' + name.replace('_', '-')),
+                      str(flag_out if value is None else value)]
+        for argv, out in ((['run', '--config', str(config_file)], file_out),
+                          (flags, flag_out)):
+            main(argv)
+            config = json.loads(out.read_text())['config']
+            assert config == dict(values, output_path=str(out))
+
 
 class TestCommandLine:
     def test_run_writes_report_and_csv(self, tmp_path, capsys):
@@ -304,3 +336,17 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert 'error: tau factor must exceed 1' in err
         assert 'Traceback' not in err
+
+
+class TestLogging:
+    def test_library_is_quiet_without_logging_setup(self):
+        # The default method-A run logs a warning per stripe that misses the
+        # truth; a process that configured no logging must not print them.
+        code = ('from resesop import ExperimentConfig, run_experiment\n'
+                'report = run_experiment(ExperimentConfig(method="A"))\n'
+                'assert any(rec.truth_inside is False for rec in report.records)\n')
+        env = dict(os.environ, PYTHONPATH=str(Path(resesop.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, '-c', code], capture_output=True,
+                              text=True, env=env, timeout=300, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ''

@@ -1,0 +1,106 @@
+"""Property tests of the Bregman projections over random exponents and grids.
+
+Norm and gauge exponents range over [1.2, 6], so both singular (r* < 2) and
+degenerate (r* > 2) weights of the dual Hessian occur, with and without its
+rank-one term. Each example projects a random point onto one or two random
+hyperplanes. Hypothesis runs derandomized, so the examples are the same on
+every run.
+"""
+
+import logging
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from resesop.bregman_geometry import project_hyperplane, project_intersection
+from resesop.lp_spaces import GridFunction, SpaceSpec, bregman_distance, dual_pairing, weighted_norm
+
+EXPONENT = st.floats(min_value=1.2, max_value=6.0)
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40,
+                             database=None)
+
+
+def _instance(r, q, k, n, seed):
+    rng = np.random.default_rng(seed)
+    space = SpaceSpec(r, q, 1.0 / (n + 1))
+    x = GridFunction(rng.uniform(0.3, 3.0) * rng.standard_normal((n + 2, n + 2)))
+    planes = [(GridFunction(rng.standard_normal((n + 2, n + 2))), float(rng.normal()))
+              for _ in range(k)]
+    return rng, space, x, planes
+
+
+def _feasibility_slack(x, u, alpha, space):
+    return 1e-8 * (1.0 + abs(alpha) + weighted_norm(u, space.dual()) * weighted_norm(x, space))
+
+
+def _member(rng, planes, space):
+    """A random point on every plane."""
+    shape = planes[0][0].values.shape
+    base = rng.standard_normal(shape)
+    directions = [rng.standard_normal(shape) for _ in planes]
+    matrix = np.array([[dual_pairing(u, GridFunction(d), space) for d in directions]
+                       for u, _ in planes])
+    rhs = np.array([alpha - dual_pairing(u, GridFunction(base), space) for u, alpha in planes])
+    coeffs = np.linalg.solve(matrix, rhs)
+    return GridFunction(base + sum(c * d for c, d in zip(coeffs, directions)))
+
+
+@PROPERTY_SETTINGS
+@given(r=EXPONENT, q=EXPONENT, k=st.sampled_from([1, 2]), n=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+# An entry of g crosses zero at the minimizer (r* = 1.25): unsafeguarded
+# Newton steps overshoot and oscillate there.
+@example(r=5.0, q=2.0, k=1, n=1, seed=753184)
+def test_projection_is_feasible_and_satisfies_the_descent_inequality(r, q, k, n, seed):
+    rng, space, x, planes = _instance(r, q, k, n, seed)
+    x_new, _ = project_intersection(x, planes, space)
+    for u, alpha in planes:
+        assert abs(dual_pairing(u, x_new, space) - alpha) <= _feasibility_slack(x, u, alpha, space)
+    # D(x_new, z) <= D(x, z) - D(x, x_new) for every z on all planes.
+    z = _member(rng, planes, space)
+    before = bregman_distance(x, z, space)
+    after = bregman_distance(x_new, z, space)
+    assert after <= before - bregman_distance(x, x_new, space) + 1e-9 * (1.0 + before)
+
+
+@PROPERTY_SETTINGS
+@given(r=EXPONENT, q=EXPONENT, k=st.sampled_from([1, 2]), n=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_feasible_point_is_returned_with_zero_coefficients(r, q, k, n, seed):
+    _, space, x, planes = _instance(r, q, k, n, seed)
+    on_planes = [(u, dual_pairing(u, x, space)) for u, _ in planes]
+    x_new, t = project_intersection(x, on_planes, space)
+    assert x_new is x
+    assert np.all(t == 0.0)
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+@PROPERTY_SETTINGS
+@given(r=EXPONENT, q=EXPONENT, n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       factor=st.floats(min_value=-3.0, max_value=3.0).filter(lambda v: abs(v) > 0.1))
+def test_near_parallel_pair_falls_back_to_the_first_plane(r, q, n, seed, factor):
+    rng, space, x, planes = _instance(r, q, 1, n, seed)
+    u, alpha = planes[0]
+    # A relative perturbation of 1e-8 leaves the cosine within 1e-12 of 1.
+    tilt = rng.standard_normal(u.values.shape)
+    tilt *= 1e-8 * abs(factor) * np.linalg.norm(u.values) / np.linalg.norm(tilt)
+    pair = [(u, alpha), (GridFunction(factor * u.values + tilt), float(rng.normal()))]
+    handler = _Records()
+    logger = logging.getLogger('resesop.bregman_geometry')
+    logger.addHandler(handler)
+    try:
+        x_new, t = project_intersection(x, pair, space)
+    finally:
+        logger.removeHandler(handler)
+    assert any('parallel' in message for message in handler.messages)
+    x_one, t_one = project_hyperplane(x, u, alpha, space)
+    np.testing.assert_array_equal(x_new.values, x_one.values)
+    assert t[0] == t_one and t[1] == 0.0

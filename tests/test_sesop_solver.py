@@ -16,6 +16,7 @@ import pytest
 
 from resesop.bregman_geometry import Stripe
 from resesop.elliptic_operator import BvpData, EllipticOperator, LinearSolveError
+from resesop.experiment_cli import ExperimentConfig, run_experiment
 from resesop.lp_spaces import (
     GridFunction,
     SpaceSpec,
@@ -433,3 +434,12 @@ def test_run_on_small_elliptic_instance():
     assert result.records[-1].rel_error < result.records[0].rel_error
     assert all(rec.above_margin > 0.0 for rec in result.records[:-1])
     assert descent_monitor(result.records) == []
+
+
+def test_two_direction_run_with_singular_dual_weights():
+    # At r = 3 the dual exponent r* = 1.5 makes the Hessian weight
+    # |g|^(r*-2) of the projection problem singular where g = 0; the first
+    # two-plane projection of this noise draw has an entry of g near 0.
+    report = run_experiment(ExperimentConfig(method='B', delta=5e-4, r=3.0, seed=2400880))
+    assert report.stop_reason == StopReason.DISCREPANCY
+    assert report.final_rel_error <= 0.15
