@@ -23,7 +23,7 @@ from .elliptic_operator import (
     OperatorState,
     apply_adjoint,
     apply_derivative,
-    assemble,
+    apply_stencil,
     operator_norm_estimate,
     solve_forward,
 )

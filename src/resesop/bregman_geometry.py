@@ -184,12 +184,15 @@ def _problem_scale(x, planes, space):
     return scale
 
 
-def _dual_objective(x, jx, planes, t, space):
-    """h(t), its gradient and Hessian, and x_t = J_inv(J(x) - sum_k t_k u_k*).
+def _dual_objective(x, jx, planes, space):
+    """The map t -> (h(t), grad h(t), Hessian, x_t) with
+    x_t = J_inv(J(x) - sum_k t_k u_k*).
 
-    One inverse duality evaluation gives all four (none at t = 0, where
-    x_t = x). With g = J(x) - sum_k t_k u_k*, r* and q* the dual norm and
-    gauge exponents and J_inv(g) = ||g||_*^(q*-r*) |g|^(r*-1) sign(g),
+    The stacked dual vectors, the offsets and the dual exponents are set up
+    once per projection. One inverse duality evaluation gives all four
+    values (none at t = 0, where x_t = x). With
+    g = J(x) - sum_k t_k u_k*, r* and q* the dual norm and gauge exponents
+    and J_inv(g) = ||g||_*^(q*-r*) |g|^(r*-1) sign(g),
 
         H_jk = <u_j*, DJ_inv(g) u_k*>,
         DJ_inv(g) = diag((r* - 1) x_t / g) + (q* - r*) x_t x_t^T / ||g||_*^q*,
@@ -202,23 +205,29 @@ def _dual_objective(x, jx, planes, t, space):
     r_conj, q_conj = dual.norm_exponent, dual.gauge_exponent
     u = np.array([u_star.values.ravel() for u_star, _ in planes])
     alphas = np.array([alpha for _, alpha in planes])
-    g = jx.values.ravel() - t @ u
-    x_t = x if not np.any(t) else inverse_duality_map(
-        GridFunction(g.reshape(x.values.shape)), space)
-    x_flat = x_t.values.ravel()
-    pairs = space.weight * (u @ x_flat)
-    power = space.weight * float(g @ x_flat)  # ||g||_*^q*
-    value = power / q_conj + float(t @ alphas)
-    zero = g == 0.0
-    if power == 0.0 or (r_conj < 2.0 and np.any(u[:, zero])):
-        return value, alphas - pairs, None, x_t
-    fill = power ** (1.0 - 2.0 / q_conj) if r_conj == 2.0 else 0.0
-    weights = (r_conj - 1.0) * np.divide(x_flat, g, out=np.full_like(g, fill),
-                                         where=~zero)
-    hessian = space.weight * (u * weights) @ u.T
-    if q_conj != r_conj:
-        hessian += (q_conj - r_conj) * np.outer(pairs, pairs) / power
-    return value, alphas - pairs, hessian if np.all(np.isfinite(hessian)) else None, x_t
+    jx_flat = jx.values.ravel()
+
+    def objective(t):
+        g = jx_flat - t @ u
+        x_t = x if not np.any(t) else inverse_duality_map(
+            GridFunction(g.reshape(x.values.shape)), space)
+        x_flat = x_t.values.ravel()
+        pairs = space.weight * (u @ x_flat)
+        power = space.weight * float(g @ x_flat)  # ||g||_*^q*
+        value = power / q_conj + float(t @ alphas)
+        zero = g == 0.0
+        if power == 0.0 or (r_conj < 2.0 and np.any(u[:, zero])):
+            return value, alphas - pairs, None, x_t
+        fill = power ** (1.0 - 2.0 / q_conj) if r_conj == 2.0 else 0.0
+        weights = (r_conj - 1.0) * np.divide(x_flat, g, out=np.full_like(g, fill),
+                                             where=~zero)
+        hessian = space.weight * (u * weights) @ u.T
+        if q_conj != r_conj:
+            hessian += (q_conj - r_conj) * np.outer(pairs, pairs) / power
+        return (value, alphas - pairs,
+                hessian if np.all(np.isfinite(hessian)) else None, x_t)
+
+    return objective
 
 
 def _minimize(x, planes, space, settings, t_init=None):
@@ -239,8 +248,9 @@ def _minimize(x, planes, space, settings, t_init=None):
     if np.linalg.norm(gaps) <= settings.grad_tol * scale:
         return x, np.zeros(len(planes))
     jx = duality_map(x, space)
+    objective = _dual_objective(x, jx, planes, space)
     t = np.zeros(len(planes)) if t_init is None else np.array(t_init, dtype=float)
-    value, grad, hessian, x_t = _dual_objective(x, jx, planes, t, space)
+    value, grad, hessian, x_t = objective(t)
     for _ in range(settings.max_iters):
         direction = -grad
         if hessian is not None and np.linalg.cond(hessian) < 1.0 / np.finfo(float).eps:
@@ -249,7 +259,7 @@ def _minimize(x, planes, space, settings, t_init=None):
                 direction = newton
         grad_norm = np.linalg.norm(grad)
         if grad_norm <= settings.grad_tol * scale:
-            polished = _dual_objective(x, jx, planes, t + direction, space)
+            polished = objective(t + direction)
             if np.linalg.norm(polished[1]) <= grad_norm:
                 return polished[3], t + direction
             return x_t, t
@@ -258,7 +268,7 @@ def _minimize(x, planes, space, settings, t_init=None):
         # noise of h; the allowance keeps the backtracking from stalling.
         noise = 1e-14 * (1.0 + abs(value))
         for step in 0.5 ** np.arange(60):
-            trial = _dual_objective(x, jx, planes, t + step * direction, space)
+            trial = objective(t + step * direction)
             if (trial[0] <= value + 1e-4 * step * slope + noise
                     and float(trial[1] @ direction) <= -0.5 * slope):
                 break

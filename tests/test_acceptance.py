@@ -308,6 +308,21 @@ def test_criterion_6_exact_data_benchmark(exact_report_a, exact_report_b):
             exact_report_b.n_star, exact_report_b.final_rel_error))
 
 
+@pytest.mark.parametrize('n_recon', [80, 160, 320])
+def test_criterion_6_grid_scaling(n_recon, exact_report_b):
+    # Refining the grid keeps method B's stopping index of n_recon 40 and
+    # the error band; the data grid stays 1.25 times finer.
+    report = run_experiment(ExperimentConfig(method='B', n_recon=n_recon,
+                                             n_data=5 * n_recon // 4))
+    ok = (report.stop_reason == StopReason.RESIDUAL_TOLERANCE
+          and report.n_star == exact_report_b.n_star
+          and report.final_rel_error <= 0.15)
+    assert _verdict(
+        'criterion 6: exact-data B at n_recon {}'.format(n_recon), ok,
+        '{} it / {:.2%}, {:.2f}s'.format(report.n_star, report.final_rel_error,
+                                         report.wall_time))
+
+
 def test_criterion_7_noisy_data_benchmark(noisy_report_a, noisy_report_b):
     threshold = noisy_report_a.config.tau * noisy_report_a.config.delta
 

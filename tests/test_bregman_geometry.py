@@ -191,7 +191,8 @@ def test_objective_gradient_matches_finite_differences():
             jx = duality_map(x, space)
             planes = [(random_grid(rng, n), float(rng.normal())) for _ in range(2)]
             t = rng.normal(size=2) * 0.3
-            _, grad, hessian, _ = _dual_objective(x, jx, planes, t, space)
+            objective = _dual_objective(x, jx, planes, space)
+            _, grad, hessian, _ = objective(t)
             np.testing.assert_allclose(hessian, hessian.T, rtol=1e-12, atol=1e-14)
             for j in range(2):
                 step = 1e-6 * (1.0 + abs(t[j]))
@@ -199,8 +200,8 @@ def test_objective_gradient_matches_finite_differences():
                 t_hi[j] += step
                 t_lo = t.copy()
                 t_lo[j] -= step
-                value_hi, grad_hi, _, _ = _dual_objective(x, jx, planes, t_hi, space)
-                value_lo, grad_lo, _, _ = _dual_objective(x, jx, planes, t_lo, space)
+                value_hi, grad_hi, _, _ = objective(t_hi)
+                value_lo, grad_lo, _, _ = objective(t_lo)
                 fd = (value_hi - value_lo) / (2.0 * step)
                 assert grad[j] == pytest.approx(fd, rel=1e-4, abs=1e-7)
                 np.testing.assert_allclose(hessian[:, j], (grad_hi - grad_lo) / (2.0 * step),

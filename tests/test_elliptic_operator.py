@@ -1,6 +1,7 @@
 """Tests for the elliptic forward operator, its derivative and adjoint.
 
-Small systems are checked against hand-assembled matrices; the derivative
+Small systems are checked against hand-assembled matrices, built column by
+column from the stencil apply; CG solves against dense solves; the derivative
 against a Taylor-remainder order fit; the adjoint against the pairing
 identity; and the discretization against two manufactured solutions, one
 that the stencil reproduces exactly (quadratic per variable) and one with
@@ -12,13 +13,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from resesop import elliptic_operator
 from resesop.elliptic_operator import (
     BvpData,
     EllipticOperator,
     LinearSolveError,
     apply_adjoint,
     apply_derivative,
-    assemble,
+    apply_stencil,
     operator_norm_estimate,
     solve_forward,
 )
@@ -37,10 +39,22 @@ def random_interior(rng, n, scale=1.0):
     return GridFunction.from_interior(scale * rng.standard_normal((n, n)))
 
 
+def dense_matrix(c):
+    """L(c) as a dense (N^2, N^2) array, column k the stencil applied to the
+    k-th unit vector (interior nodes ordered row-major)."""
+    n = c.n_interior
+    columns = []
+    for k in range(n * n):
+        unit = np.zeros(n * n)
+        unit[k] = 1.0
+        columns.append(apply_stencil(c, unit.reshape(n, n)).ravel())
+    return np.array(columns).T
+
+
 def test_assemble_one_interior_node():
     # N=1, h=1/2: single equation with diagonal 4/h^2 = 16.
-    matrix = assemble(GridFunction.zeros(1))
-    np.testing.assert_array_equal(matrix.toarray(), [[16.0]])
+    matrix = dense_matrix(GridFunction.zeros(1))
+    np.testing.assert_array_equal(matrix, [[16.0]])
 
 
 def test_assemble_two_by_two_pattern():
@@ -51,19 +65,54 @@ def test_assemble_two_by_two_pattern():
         [-9.0, 0.0, 36.0, -9.0],
         [0.0, -9.0, -9.0, 36.0],
     ])
-    matrix = assemble(GridFunction.zeros(2))
-    np.testing.assert_array_equal(matrix.toarray(), expected)
+    matrix = dense_matrix(GridFunction.zeros(2))
+    np.testing.assert_array_equal(matrix, expected)
 
 
 def test_assemble_constant_shift():
-    base = assemble(GridFunction.zeros(3)).toarray()
-    shifted = assemble(GridFunction.full(3, 2.5)).toarray()
+    base = dense_matrix(GridFunction.zeros(3))
+    shifted = dense_matrix(GridFunction.full(3, 2.5))
     np.testing.assert_array_equal(shifted, base + 2.5 * np.eye(9))
 
 
 def test_assemble_grid_mismatch():
     with pytest.raises(ValueError):
-        assemble(GridFunction.zeros(3), n_interior=4)
+        apply_stencil(GridFunction.zeros(3), np.zeros((4, 4)))
+
+
+def test_cg_solve_matches_dense_solve():
+    # Each solve meets the backward-error gate on its own residual and
+    # agrees with a dense direct solve of the same system.
+    rng = np.random.default_rng(36)
+    for n in (1, 7, 40):
+        c = GridFunction(rng.uniform(0.5, 4.0, (n + 2, n + 2)))
+        data = BvpData(f=GridFunction(rng.standard_normal((n + 2, n + 2))),
+                       g=GridFunction(rng.standard_normal((n + 2, n + 2))))
+        state = EllipticOperator(data).linearize(c)
+        rhs = rng.standard_normal((n, n))
+        solution = elliptic_operator._state_solve(state, rhs).ravel()
+        matrix = dense_matrix(c)
+        residual = np.linalg.norm(matrix @ solution - rhs.ravel())
+        bound = elliptic_operator.BACKWARD_TOL * (
+            np.abs(matrix).sum(axis=1).max() * np.linalg.norm(solution)
+            + np.linalg.norm(rhs))
+        assert residual <= bound
+        reference = np.linalg.solve(matrix, rhs.ravel())
+        assert np.linalg.norm(solution - reference) <= 1e-10 * np.linalg.norm(reference)
+
+
+def test_indefinite_parameter_raises():
+    # c = -3 lambda_min makes L(c) nonsingular but indefinite, outside what
+    # conjugate gradients can solve.
+    n = 9
+    h = 1.0 / (n + 1)
+    lam = 2.0 * (4.0 / h ** 2) * np.sin(np.pi * h / 2.0) ** 2
+    c = GridFunction.full(n, -3.0 * lam)
+    data = BvpData(f=GridFunction.full(n, 1.0), g=GridFunction.zeros(n))
+    with pytest.raises(LinearSolveError) as info:
+        solve_forward(c, data)
+    assert 'parameter' in str(info.value)
+    assert info.value.parameter is c
 
 
 def test_solve_forward_constant_one():
