@@ -2,68 +2,17 @@
 
 import logging
 
-from .bregman_geometry import (
-    ConvergenceError,
-    GeometryError,
-    Halfspace,
-    KktReport,
-    MinimizerSettings,
-    Stripe,
-    StripeSide,
-    classify,
-    project_hyperplane,
-    project_intersection,
-    project_stripe,
-    project_two_halfspaces,
-)
-from .elliptic_operator import (
-    BvpData,
-    EllipticOperator,
-    LinearSolveError,
-    OperatorState,
-    apply_adjoint,
-    apply_derivative,
-    apply_stencil,
-    operator_norm_estimate,
-    solve_forward,
-)
-from .experiment_cli import (
-    ExperimentConfig,
-    ExperimentReport,
-    TruthData,
-    add_noise,
-    read_config_file,
-    read_grid,
-    restrict,
-    run_experiment,
-    synth_truth,
-    write_grid,
-)
-from .lp_spaces import (
-    GridFunction,
-    SpaceSpec,
-    bregman_distance,
-    conjugate_exponent,
-    dual_pairing,
-    duality_map,
-    inverse_duality_map,
-    weighted_norm,
-)
-from .sesop_solver import (
-    DegenerateDirectionError,
-    IterationRecord,
-    SolveResult,
-    SolverConfig,
-    SolverFailure,
-    StepClass,
-    StepOutcome,
-    StopReason,
-    build_stripe,
-    descent_monitor,
-    landweber_step,
-    resesop_two_dir_step,
-    run,
-)
+from . import bregman_geometry, elliptic_operator, experiment_cli, lp_spaces, sesop_solver
+from .bregman_geometry import *  # noqa: F401,F403
+from .elliptic_operator import *  # noqa: F401,F403
+from .experiment_cli import *  # noqa: F401,F403
+from .lp_spaces import *  # noqa: F401,F403
+from .sesop_solver import *  # noqa: F401,F403
+
+# Each module's __all__ is the one list of its public names.
+__all__ = [name for module in (bregman_geometry, elliptic_operator, experiment_cli,
+                               lp_spaces, sesop_solver)
+           for name in module.__all__]
 
 __version__ = '0.1.0'
 

@@ -1,4 +1,4 @@
-"""Bregman projections onto hyperplanes, halfspaces, stripes and intersections.
+"""Bregman projections onto hyperplanes, stripes and intersections.
 
 The Bregman projection of x onto an intersection of hyperplanes
 H(u_k*, alpha_k) has the closed form
@@ -15,8 +15,9 @@ and q is the gauge of the space. The gradient of h is
 
 so the first-order condition is exactly feasibility of x_new. Any number of
 planes is solved by one safeguarded Newton iteration with the analytic
-Hessian of h and Armijo backtracking. Halfspace and stripe projections
-reduce to at most two hyperplane problems.
+Hessian of h and Armijo backtracking. A stripe projection is one
+hyperplane problem; the two-stage step of the two-direction method adds at
+most one two-plane problem.
 """
 
 import logging
@@ -36,16 +37,14 @@ from .lp_spaces import (
 __all__ = [
     'Stripe',
     'StripeSide',
-    'Halfspace',
     'MinimizerSettings',
-    'KktReport',
     'ConvergenceError',
     'GeometryError',
     'classify',
     'project_hyperplane',
     'project_intersection',
     'project_stripe',
-    'project_two_halfspaces',
+    'project_two_stage',
 ]
 
 logger = logging.getLogger(__name__)
@@ -87,40 +86,6 @@ class Stripe:
         if self.xi < 0:
             raise ValueError('stripe half width must be >= 0, got {}'.format(self.xi))
 
-    def upper(self):
-        """Bounding halfspace <u*, x> <= alpha + xi."""
-        return Halfspace(self.u_star, self.alpha + self.xi, 'le')
-
-    def lower(self):
-        """Bounding halfspace <u*, x> >= alpha - xi."""
-        return Halfspace(self.u_star, self.alpha - self.xi, 'ge')
-
-
-@dataclass(frozen=True)
-class Halfspace:
-    """A halfspace <u_star, x> <= alpha ('le') or >= alpha ('ge')."""
-
-    u_star: GridFunction
-    alpha: float
-    sense: str = 'le'
-
-    def __post_init__(self):
-        if self.sense not in ('le', 'ge'):
-            raise ValueError("halfspace sense must be 'le' or 'ge', got {!r}".format(self.sense))
-        if not np.any(self.u_star.values):
-            raise ValueError('halfspace requires a nonzero dual vector')
-
-    def canonical(self):
-        """Equivalent halfspace in 'le' sense."""
-        if self.sense == 'le':
-            return self
-        return Halfspace(-self.u_star, -self.alpha, 'le')
-
-    def violation(self, x, space):
-        """Signed violation of the constraint at x; positive means outside."""
-        value = dual_pairing(self.u_star, x, space)
-        return value - self.alpha if self.sense == 'le' else self.alpha - value
-
 
 @dataclass(frozen=True)
 class MinimizerSettings:
@@ -134,22 +99,6 @@ class MinimizerSettings:
             raise ValueError('grad_tol must be positive')
         if self.max_iters < 1:
             raise ValueError('max_iters must be >= 1')
-
-
-@dataclass(frozen=True)
-class KktReport:
-    """Multiplier and activity record of a two-halfspace projection.
-
-    `stage` is 'feasible' (no projection needed), 'single' (one bounding
-    hyperplane sufficed) or 'pair' (intersection of both bounding planes).
-    Multipliers are reported in the canonical 'le' orientation, where the
-    KKT conditions require them to be nonnegative.
-    """
-
-    stage: str
-    t: tuple
-    active: tuple
-    multipliers_nonnegative: bool
 
 
 class ConvergenceError(RuntimeError):
@@ -371,57 +320,30 @@ def project_stripe(x, stripe, space, settings=None):
     return project_hyperplane(x, stripe.u_star, stripe.alpha + offset, space, settings)
 
 
-def project_two_halfspaces(x, first, second, space, settings=None):
-    """Bregman projection of x onto the intersection of two halfspaces.
+def project_two_stage(x, stripe, previous, space, settings=None):
+    """Bregman projection of x onto a stripe, corrected by a previous stripe.
 
-    Follows the two-stage rule: project onto the bounding hyperplane of the
-    violated constraint; if the result satisfies the other constraint it is
-    the projection, otherwise solve the two-plane intersection problem. The
-    multipliers of 'le'-sense constraints are nonnegative at the solution;
-    the returned report records them for diagnosis.
-
-    Parameters
-    ----------
-    x : GridFunction
-    first, second : Halfspace
-        Constraints with linearly independent dual vectors. `first` is
-        preferred as the stage-one plane when both are violated.
-    space : SpaceSpec
-    settings : MinimizerSettings, optional
+    Stage one projects x onto `stripe`. When `previous` (a Stripe or None)
+    is given and the stage-one point has left it, stage two projects x onto
+    the intersection of the upper bounding hyperplane of `stripe` and the
+    violated bounding hyperplane of `previous`, warm-started at the
+    stage-one coefficient. For x above `stripe` and inside `previous` (the
+    solver's iterates are, up to rounding), the result is the Bregman
+    projection of x onto the upper halfspace of `stripe` intersected with
+    `previous` (Schoepfer & Schuster 2009).
 
     Returns
     -------
-    (GridFunction, float, float, KktReport)
+    (GridFunction, tuple, GridFunction, float or None)
+        The projected point, its coefficients (one per plane), the
+        stage-one point and the bound of `previous` met in stage two (None
+        when stage one sufficed).
     """
-    settings = settings or MinimizerSettings()
-    canon = (first.canonical(), second.canonical())
-    planes = [(h.u_star, h.alpha) for h in canon]
-    slack = FEAS_TOL * _problem_scale(x, planes, space)
-    violations = [h.violation(x, space) for h in canon]
-    if violations[0] <= slack and violations[1] <= slack:
-        report = KktReport(stage='feasible', t=(0.0, 0.0), active=(False, False),
-                           multipliers_nonnegative=True)
-        return x, 0.0, 0.0, report
-
-    # The unique KKT point has the active set {first}, {second} or both. A
-    # single constraint is only a valid candidate when it is violated at x
-    # (its multiplier is then positive) and its plane projection satisfies
-    # the other constraint.
-    for k in (0, 1):
-        if violations[k] <= slack:
-            continue
-        x_single, t_single = project_hyperplane(x, *planes[k], space, settings)
-        if canon[1 - k].violation(x_single, space) <= slack:
-            t = [0.0, 0.0]
-            t[k] = t_single
-            report = KktReport(stage='single', t=tuple(t), active=(k == 0, k == 1),
-                               multipliers_nonnegative=t_single >= -slack)
-            return x_single, t[0], t[1], report
-
-    x_pair, t_pair = project_intersection(x, planes, space, settings)
-    if max(h.violation(x_pair, space) for h in canon) > slack:
-        raise GeometryError('halfspace intersection appears to be empty')
-    report = KktReport(stage='pair', t=(float(t_pair[0]), float(t_pair[1])),
-                       active=(True, True),
-                       multipliers_nonnegative=bool(np.all(t_pair >= -slack)))
-    return x_pair, float(t_pair[0]), float(t_pair[1]), report
+    x_first, t_first = project_stripe(x, stripe, space, settings)
+    side = StripeSide.INSIDE if previous is None else classify(x_first, previous, space)
+    if side is StripeSide.INSIDE:
+        return x_first, (float(t_first),), x_first, None
+    bound = previous.alpha + (previous.xi if side is StripeSide.ABOVE else -previous.xi)
+    planes = [(stripe.u_star, stripe.alpha + stripe.xi), (previous.u_star, bound)]
+    x_new, t = project_intersection(x, planes, space, settings, t_init=[t_first, 0.0])
+    return x_new, tuple(float(v) for v in t), x_first, bound

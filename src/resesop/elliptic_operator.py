@@ -34,10 +34,6 @@ __all__ = [
     'EllipticOperator',
     'LinearSolveError',
     'apply_stencil',
-    'solve_forward',
-    'apply_derivative',
-    'apply_adjoint',
-    'operator_norm_estimate',
 ]
 
 # An interior solve is accepted when its normwise backward error
@@ -232,87 +228,11 @@ def _boundary_rhs(data):
     return rhs
 
 
-def solve_forward(c, data):
-    """Evaluate F(c): solve the boundary value problem for the parameter c.
-
-    Returns the full grid function with the Dirichlet ring taken from the
-    data. Raises :class:`LinearSolveError` when L(c) is not positive
-    definite or numerically singular, or the solve is not backward stable.
-    """
-    state = _make_state(c, data)
-    return state.u
-
-
-def _make_state(c, data):
-    if c.values.shape != data.f.values.shape:
-        raise ValueError('parameter grid {} does not match data grid {}'.format(
-            c.values.shape, data.f.values.shape))
-    basis, inverse_eigenvalues = _preconditioner(c)
-    matrix_norm = _matrix_norm(c)
-    interior = _interior_solve(c, basis, inverse_eigenvalues, matrix_norm,
-                               _boundary_rhs(data))
-    values = data.g.values.copy()
-    values[1:-1, 1:-1] = interior
-    return OperatorState(c=c, u=GridFunction(values), data=data, sine_basis=basis,
-                         inverse_eigenvalues=inverse_eigenvalues, matrix_norm=matrix_norm)
-
-
-def _state_solve(state, rhs):
-    return _interior_solve(state.c, state.sine_basis, state.inverse_eigenvalues,
-                           state.matrix_norm, rhs)
-
-
-def apply_derivative(state, direction):
-    """Directional derivative F'(c) applied to `direction`.
-
-    Solves -L(c)^{-1}(direction * u) on the interior with zero boundary,
-    reusing the preconditioner of the state.
-    """
-    rhs = -(direction.values * state.u.values)[1:-1, 1:-1]
-    return GridFunction.from_interior(_state_solve(state, rhs))
-
-
-def apply_adjoint(state, w):
-    """Adjoint F'(c)* applied to a codomain vector w.
-
-    Evaluates -u * L(c)^{-1} w with a zero-boundary interior solve; the
-    result is a dual vector over the parameter space.
-    """
-    lifted = GridFunction.from_interior(_state_solve(state, w.interior))
-    return GridFunction(-state.u.values * lifted.values)
-
-
-def operator_norm_estimate(state, seed=0, max_iters=100, tol=1e-12):
-    """Power-iteration estimate of the norm of F'(c) (diagnostic bound c_F).
-
-    The h^2-weighted 2-norms on domain and codomain share the grid, so
-    their weights cancel and the plain Euclidean spectral norm of F'(c) is
-    returned. Deterministic for a fixed seed.
-    """
-    n = state.c.n_interior
-    rng = np.random.default_rng(seed)
-    v = GridFunction.from_interior(rng.standard_normal((n, n)))
-    norm_v = float(np.linalg.norm(v.values))
-    if norm_v == 0.0:
-        return 0.0
-    v = v / norm_v
-    rayleigh = 0.0
-    for _ in range(max_iters):
-        image = apply_adjoint(state, apply_derivative(state, v))
-        new_rayleigh = float(np.sum(v.values * image.values))
-        norm_image = float(np.linalg.norm(image.values))
-        if norm_image == 0.0:
-            return 0.0
-        v = image / norm_image
-        if abs(new_rayleigh - rayleigh) <= tol * abs(new_rayleigh):
-            rayleigh = new_rayleigh
-            break
-        rayleigh = new_rayleigh
-    return float(np.sqrt(max(rayleigh, 0.0)))
-
-
 class EllipticOperator:
     """The forward map c -> u of the elliptic problem, with linearization.
+
+    Evaluations raise :class:`LinearSolveError` when L(c) is not positive
+    definite or numerically singular, or a solve is not backward stable.
 
     Parameters
     ----------
@@ -324,18 +244,72 @@ class EllipticOperator:
         self.data = data
 
     def __call__(self, c):
-        return solve_forward(c, self.data)
+        """Evaluate F(c): the full grid function u with the Dirichlet ring
+        taken from the data."""
+        return self.linearize(c).u
 
     def linearize(self, c):
         """Solve for u = F(c) and set up the preconditioner of L(c) once;
         returns the state for F, F' and F'*."""
-        return _make_state(c, self.data)
+        data = self.data
+        if c.values.shape != data.f.values.shape:
+            raise ValueError('parameter grid {} does not match data grid {}'.format(
+                c.values.shape, data.f.values.shape))
+        basis, inverse_eigenvalues = _preconditioner(c)
+        matrix_norm = _matrix_norm(c)
+        interior = _interior_solve(c, basis, inverse_eigenvalues, matrix_norm,
+                                   _boundary_rhs(data))
+        values = data.g.values.copy()
+        values[1:-1, 1:-1] = interior
+        return OperatorState(c=c, u=GridFunction(values), data=data, sine_basis=basis,
+                             inverse_eigenvalues=inverse_eigenvalues,
+                             matrix_norm=matrix_norm)
 
     def derivative(self, state, direction):
-        return apply_derivative(state, direction)
+        """Directional derivative F'(c) applied to `direction`.
+
+        Solves -L(c)^{-1}(direction * u) on the interior with zero boundary,
+        reusing the preconditioner of the state.
+        """
+        rhs = -(direction.values * state.u.values)[1:-1, 1:-1]
+        return GridFunction.from_interior(_interior_solve(
+            state.c, state.sine_basis, state.inverse_eigenvalues, state.matrix_norm, rhs))
 
     def adjoint(self, state, w):
-        return apply_adjoint(state, w)
+        """Adjoint F'(c)* applied to a codomain vector w.
 
-    def norm_estimate(self, state, seed=0):
-        return operator_norm_estimate(state, seed=seed)
+        Evaluates -u * L(c)^{-1} w with a zero-boundary interior solve; the
+        result is a dual vector over the parameter space.
+        """
+        lifted = GridFunction.from_interior(_interior_solve(
+            state.c, state.sine_basis, state.inverse_eigenvalues, state.matrix_norm,
+            w.interior))
+        return GridFunction(-state.u.values * lifted.values)
+
+    def norm_estimate(self, state, seed=0, max_iters=100, tol=1e-12):
+        """Power-iteration estimate of the norm of F'(c) (diagnostic bound c_F).
+
+        The h^2-weighted 2-norms on domain and codomain share the grid, so
+        their weights cancel and the plain Euclidean spectral norm of F'(c)
+        is returned. Deterministic for a fixed seed.
+        """
+        n = state.c.n_interior
+        rng = np.random.default_rng(seed)
+        v = GridFunction.from_interior(rng.standard_normal((n, n)))
+        norm_v = float(np.linalg.norm(v.values))
+        if norm_v == 0.0:
+            return 0.0
+        v = v / norm_v
+        rayleigh = 0.0
+        for _ in range(max_iters):
+            image = self.adjoint(state, self.derivative(state, v))
+            new_rayleigh = float(np.sum(v.values * image.values))
+            norm_image = float(np.linalg.norm(image.values))
+            if norm_image == 0.0:
+                return 0.0
+            v = image / norm_image
+            if abs(new_rayleigh - rayleigh) <= tol * abs(new_rayleigh):
+                rayleigh = new_rayleigh
+                break
+            rayleigh = new_rayleigh
+        return float(np.sqrt(max(rayleigh, 0.0)))

@@ -14,10 +14,11 @@ constant c_tc of the operator; with exact data the width reduces to
 c_tc ||w_n|| ||R_n||. Solutions of F(x) = y lie inside every stripe when the
 cone condition holds, and the unconverged iterate always lies strictly
 above its own stripe, so a step is the Bregman projection onto the upper
-bounding hyperplane, optionally corrected by the previous stripe:
+bounding hyperplane, optionally corrected by the previous stripe
+(`bregman_geometry.project_two_stage`):
 
 * one direction: project x_n onto its stripe (a Landweber step with an
-  exact width regulation);
+  exact width regulation); the step sees no previous stripe;
 * two directions: project onto the upper hyperplane; if the result left the
   previous stripe, project x_n onto the intersection of the current upper
   hyperplane and the violated bounding hyperplane of the previous stripe.
@@ -39,9 +40,7 @@ from .bregman_geometry import (
     Stripe,
     StripeSide,
     classify,
-    project_hyperplane,
-    project_intersection,
-    project_stripe,
+    project_two_stage,
 )
 from .elliptic_operator import LinearSolveError
 from .lp_spaces import (
@@ -63,7 +62,6 @@ __all__ = [
     'SolverFailure',
     'DegenerateDirectionError',
     'build_stripe',
-    'landweber_step',
     'resesop_two_dir_step',
     'run',
     'descent_monitor',
@@ -77,6 +75,8 @@ STAGNATION_TOL = 1e-14
 STAGNATION_LIMIT = 3
 # Projection coefficients above this magnitude are logged as suspicious.
 COEFFICIENT_WARN = 1e6
+# Smoothness constant of the dual space in the direction diagnostic gamma.
+DUAL_SMOOTHNESS = 1.0
 
 
 class StepClass:
@@ -134,11 +134,6 @@ class SolverConfig:
         1 for the Landweber-type method, 2 for the two-direction method.
     minimizer : MinimizerSettings
         Inner projection tolerances.
-    derivative_norm_bound : float, optional
-        Bound c_F on ||F'||, diagnostics only; estimated at the start
-        when omitted.
-    dual_smoothness : float
-        Smoothness constant of the dual space, diagnostics only.
     """
 
     r: float
@@ -151,8 +146,6 @@ class SolverConfig:
     max_outer: int = 500
     directions: int = 1
     minimizer: MinimizerSettings = field(default_factory=MinimizerSettings)
-    derivative_norm_bound: float = None
-    dual_smoothness: float = 1.0
 
     def __post_init__(self):
         if not self.r > 1 or not self.s > 1:
@@ -175,8 +168,6 @@ class SolverConfig:
             raise ValueError('max_outer must be >= 1')
         if self.directions not in (1, 2):
             raise ValueError('directions must be 1 or 2')
-        if not self.dual_smoothness > 0:
-            raise ValueError('dual smoothness constant must be positive')
 
     @property
     def gauge(self):
@@ -289,30 +280,10 @@ def _first_surrogate_term(res_norm, cfg, c_f):
     return (reduced / c_f) ** cfg.gauge
 
 
-def landweber_step(op, state, x, residual, cfg, space_x, space_y, c_f=None):
-    """One step of the single-direction method: project onto the own stripe.
-
-    Returns (next iterate, stripe, StepOutcome). The iterate must be above
-    its stripe, which holds whenever the stopping rule has not fired.
-    """
-    w = duality_map(residual, space_y)
-    stripe = build_stripe(op, state, x, w, residual, cfg, space_x, space_y)
-    margin = _above_margin(x, stripe, space_x)
-    x_next, t = project_stripe(x, stripe, space_x, cfg.minimizer)
-    outcome = StepOutcome(
-        step_class=StepClass.SINGLE_PROJECTION,
-        t_params=(float(t),),
-        stripe_widths=(stripe.xi,),
-        above_margin=margin,
-        decrease_surrogate=_first_surrogate_term(
-            weighted_norm(residual, space_y), cfg, c_f))
-    return x_next, stripe, outcome
-
-
 def _direction_diagnostics(stripe, prev_stripe, cfg, space_x):
     # gamma quantifies how far the two dual directions are from parallel;
-    # it degenerates to None when the configured smoothness constant makes
-    # the expression meaningless.
+    # it degenerates to None when the smoothness constant makes the
+    # expression meaningless.
     lifted_prev = inverse_duality_map(prev_stripe.u_star, space_x)
     denom = (weighted_norm(stripe.u_star, space_x.dual())
              * weighted_norm(lifted_prev, space_x))
@@ -320,7 +291,7 @@ def _direction_diagnostics(stripe, prev_stripe, cfg, space_x):
         return None, None
     cosine = abs(dual_pairing(stripe.u_star, lifted_prev, space_x)) / denom
     q = cfg.gauge
-    base = 1.0 - cosine ** q / ((q - 1.0) * cfg.dual_smoothness ** (q - 1.0))
+    base = 1.0 - cosine ** q / ((q - 1.0) * DUAL_SMOOTHNESS ** (q - 1.0))
     if base <= 0.0:
         return cosine, None
     return cosine, base ** (1.0 / (q / (q - 1.0)))
@@ -328,55 +299,45 @@ def _direction_diagnostics(stripe, prev_stripe, cfg, space_x):
 
 def resesop_two_dir_step(op, state, x, residual, prev_stripe, cfg,
                          space_x, space_y, c_f=None):
-    """One step of the two-direction method.
+    """One step of either method: the two-stage projection of the iterate.
 
     Projects onto the upper bounding hyperplane of the current stripe; when
     the intermediate point has left the previous stripe, projects the
     ITERATE onto the intersection of the current upper hyperplane and the
     violated bounding hyperplane of the previous stripe. The decrease
-    surrogate S_n and the direction diagnostic gamma_n are recorded.
+    surrogate S_n and, after a two-plane step, the direction diagnostic
+    gamma_n are recorded.
 
     Parameters
     ----------
     prev_stripe : Stripe or None
         The stripe of the previous iteration (its codomain direction is
-        frozen at creation); None on the first iteration.
+        frozen at creation); None for the one-direction method and on the
+        first iteration.
+
+    Returns (next iterate, stripe, StepOutcome). The iterate must be above
+    its stripe, which holds whenever the stopping rule has not fired.
     """
     w = duality_map(residual, space_y)
     stripe = build_stripe(op, state, x, w, residual, cfg, space_x, space_y)
     margin = _above_margin(x, stripe, space_x)
-    res_norm = weighted_norm(residual, space_y)
-    surrogate = _first_surrogate_term(res_norm, cfg, c_f)
-
-    upper_alpha = stripe.alpha + stripe.xi
-    x_tilde, t_first = project_hyperplane(x, stripe.u_star, upper_alpha,
-                                          space_x, cfg.minimizer)
-    if prev_stripe is None or classify(x_tilde, prev_stripe, space_x) is StripeSide.INSIDE:
-        outcome = StepOutcome(
-            step_class=StepClass.SINGLE_PROJECTION,
-            t_params=(float(t_first),),
-            stripe_widths=(stripe.xi,),
-            above_margin=margin,
-            decrease_surrogate=surrogate)
-        return x_tilde, stripe, outcome
-
-    side = classify(x_tilde, prev_stripe, space_x)
-    bound = prev_stripe.alpha + (prev_stripe.xi if side is StripeSide.ABOVE
-                                 else -prev_stripe.xi)
-    cosine, gamma = _direction_diagnostics(stripe, prev_stripe, cfg, space_x)
-    if gamma:
-        overshoot = abs(dual_pairing(prev_stripe.u_star, x_tilde, space_x) - bound)
-        second = (overshoot / (gamma * weighted_norm(prev_stripe.u_star,
-                                                     space_x.dual()))) ** cfg.gauge
-        if surrogate is not None:
-            surrogate += second
-    planes = [(stripe.u_star, upper_alpha), (prev_stripe.u_star, bound)]
-    x_next, t = project_intersection(x, planes, space_x, cfg.minimizer,
-                                     t_init=[t_first, 0.0])
+    surrogate = _first_surrogate_term(weighted_norm(residual, space_y), cfg, c_f)
+    x_next, t, x_first, bound = project_two_stage(x, stripe, prev_stripe, space_x,
+                                                  cfg.minimizer)
+    widths = (stripe.xi,)
+    cosine = gamma = None
+    if bound is not None:
+        widths += (prev_stripe.xi,)
+        cosine, gamma = _direction_diagnostics(stripe, prev_stripe, cfg, space_x)
+        if gamma and surrogate is not None:
+            overshoot = abs(dual_pairing(prev_stripe.u_star, x_first, space_x) - bound)
+            surrogate += (overshoot / (gamma * weighted_norm(prev_stripe.u_star,
+                                                             space_x.dual()))) ** cfg.gauge
     outcome = StepOutcome(
-        step_class=StepClass.TWO_PLANE_CORRECTION,
-        t_params=tuple(float(v) for v in t),
-        stripe_widths=(stripe.xi, prev_stripe.xi),
+        step_class=(StepClass.SINGLE_PROJECTION if bound is None
+                    else StepClass.TWO_PLANE_CORRECTION),
+        t_params=t,
+        stripe_widths=widths,
         above_margin=margin,
         decrease_surrogate=surrogate,
         direction_cosine=cosine,
@@ -434,7 +395,7 @@ def run(op, y, x0, cfg, ground_truth=None):
     truth_norm = None
     if ground_truth is not None:
         truth_norm = weighted_norm(ground_truth, space_x)
-    c_f = cfg.derivative_norm_bound
+    c_f = None
     stagnant = 0
     try:
         for n in range(cfg.max_outer + 1):
@@ -450,30 +411,24 @@ def run(op, y, x0, cfg, ground_truth=None):
                 rel_error = weighted_norm(x - ground_truth, space_x) / truth_norm
                 breg = bregman_distance(x, ground_truth, space_x)
 
-            if res_norm <= threshold:
-                reason = (StopReason.DISCREPANCY if cfg.noise_level > 0
-                          else StopReason.RESIDUAL_TOLERANCE)
+            if res_norm <= threshold or n == cfg.max_outer:
                 records.append(IterationRecord(
                     n=n, residual_norm=res_norm, rel_error=rel_error,
                     bregman_to_truth=breg, wall_time=time.perf_counter() - tic))
+                if res_norm <= threshold:
+                    reason = (StopReason.DISCREPANCY if cfg.noise_level > 0
+                              else StopReason.RESIDUAL_TOLERANCE)
+                    detail = ''
+                else:
+                    reason = StopReason.NOT_CONVERGED
+                    detail = ('iteration budget of {} exhausted with residual {:.6g} '
+                              'above threshold {:.6g}'.format(cfg.max_outer, res_norm,
+                                                              threshold))
                 return SolveResult(iterate=x, records=tuple(records),
-                                   stop_reason=reason, n_star=n)
-            if n == cfg.max_outer:
-                records.append(IterationRecord(
-                    n=n, residual_norm=res_norm, rel_error=rel_error,
-                    bregman_to_truth=breg, wall_time=time.perf_counter() - tic))
-                return SolveResult(
-                    iterate=x, records=tuple(records),
-                    stop_reason=StopReason.NOT_CONVERGED, n_star=n,
-                    detail='iteration budget of {} exhausted with residual {:.6g} '
-                           'above threshold {:.6g}'.format(cfg.max_outer, res_norm, threshold))
+                                   stop_reason=reason, n_star=n, detail=detail)
 
-            if cfg.directions == 1:
-                x_next, stripe, outcome = landweber_step(
-                    op, state, x, residual, cfg, space_x, space_y, c_f)
-            else:
-                x_next, stripe, outcome = resesop_two_dir_step(
-                    op, state, x, residual, prev_stripe, cfg, space_x, space_y, c_f)
+            x_next, stripe, outcome = resesop_two_dir_step(
+                op, state, x, residual, prev_stripe, cfg, space_x, space_y, c_f)
 
             truth_inside = None
             cone_ratio = None
@@ -512,7 +467,8 @@ def run(op, y, x0, cfg, ground_truth=None):
                                'residual {:.6g}'.format(STAGNATION_LIMIT, res_norm))
             else:
                 stagnant = 0
-            prev_stripe = stripe
+            if cfg.directions == 2:
+                prev_stripe = stripe
             x = x_next
     except (LinearSolveError, ConvergenceError, GeometryError,
             DegenerateDirectionError) as exc:
@@ -520,12 +476,11 @@ def run(op, y, x0, cfg, ground_truth=None):
     raise AssertionError('unreachable: loop must return')
 
 
-def descent_monitor(records, cfg=None):
+def descent_monitor(records):
     """Check the recorded Bregman distances to the truth for monotone decay.
 
     Returns a list of (n, previous, current) triples where the distance
-    increased beyond the rounding allowance. When cfg carries the constants,
-    the theoretical decrement is logged for comparison, not asserted.
+    increased beyond the rounding allowance.
     """
     violations = []
     for before, after in zip(records, records[1:]):
@@ -534,14 +489,4 @@ def descent_monitor(records, cfg=None):
         allowance = 1e-9 * (1.0 + abs(before.bregman_to_truth))
         if after.bregman_to_truth > before.bregman_to_truth + allowance:
             violations.append((after.n, before.bregman_to_truth, after.bregman_to_truth))
-        if cfg is not None and cfg.derivative_norm_bound:
-            q = cfg.gauge
-            decrement = ((1.0 - cfg.cone_constant) ** q
-                         / (q * cfg.dual_smoothness ** (q - 1.0)
-                            * cfg.derivative_norm_bound ** q)
-                         * before.residual_norm ** q)
-            logger.debug('n=%d: observed Bregman decrement %.6g, theoretical >= %.6g',
-                         after.n,
-                         before.bregman_to_truth - after.bregman_to_truth,
-                         decrement)
     return violations

@@ -13,19 +13,12 @@ import numpy as np
 import pytest
 
 from resesop.bregman_geometry import (
-    Halfspace,
     Stripe,
     project_hyperplane,
     project_stripe,
-    project_two_halfspaces,
+    project_two_stage,
 )
-from resesop.elliptic_operator import (
-    BvpData,
-    EllipticOperator,
-    apply_adjoint,
-    apply_derivative,
-    solve_forward,
-)
+from resesop.elliptic_operator import BvpData, EllipticOperator
 from resesop.experiment_cli import ExperimentConfig, run_experiment
 from resesop.lp_spaces import (
     GridFunction,
@@ -120,29 +113,38 @@ def _euclidean_gap(a, b, space):
     return weighted_norm(a - b, space) / (1.0 + weighted_norm(b, space))
 
 
-def _qp_two_halfspace_oracle(x, halfspaces, space):
-    # dense active-set enumeration: the exact solution of the small QP
-    canon = [hs.canonical() for hs in halfspaces]
+def _two_stage_case(rng, x, u, xi, space):
+    """A current stripe of direction u with x above it and a random
+    previous stripe with x inside it."""
+    stripe = Stripe(u, dual_pairing(u, x, space) - xi - float(rng.uniform(0.3, 2.0)), xi)
+    second = GridFunction(rng.standard_normal(x.values.shape))
+    prev_xi = float(rng.uniform(0.05, 1.0))
+    previous = Stripe(second, dual_pairing(second, x, space)
+                      - float(rng.uniform(-1.0, 1.0)) * prev_xi, prev_xi)
+    return stripe, previous
+
+
+def _qp_two_stage_oracle(x, stripe, previous, space):
+    # dense active-set enumeration: the exact solution of the small QP over
+    # the constraints <u, z> <= alpha of the current upper bound and the
+    # previous upper and lower bounds (the latter two are never both active)
+    constraints = ((stripe.u_star, stripe.alpha + stripe.xi),
+                   (previous.u_star, previous.alpha + previous.xi),
+                   (-previous.u_star, -(previous.alpha - previous.xi)))
     best = None
-    for active in ((), (0,), (1,), (0, 1)):
-        if not active:
-            candidate = x
-        else:
-            us = [canon[k].u_star for k in active]
-            gram = np.array([[dual_pairing(a, b, space) for b in us] for a in us])
-            gaps = np.array([dual_pairing(canon[k].u_star, x, space)
-                             - canon[k].alpha for k in active])
-            try:
-                coeffs = np.linalg.solve(gram, gaps)
-            except np.linalg.LinAlgError:
-                continue
-            if np.any(coeffs < -1e-12):
-                continue
-            candidate = x
-            for coeff, direction in zip(coeffs, us):
-                candidate = candidate - float(coeff) * direction
-        feasible = all(hs.violation(candidate, space) <= 1e-10 for hs in canon)
-        if not feasible:
+    for active in ((), (0,), (1,), (2,), (0, 1), (0, 2)):
+        us = [constraints[k][0] for k in active]
+        gram = np.array([[dual_pairing(a, b, space) for b in us] for a in us])
+        gaps = np.array([dual_pairing(constraints[k][0], x, space)
+                         - constraints[k][1] for k in active])
+        coeffs = np.linalg.solve(gram, gaps) if active else np.zeros(0)
+        if np.any(coeffs < -1e-12):
+            continue
+        candidate = x
+        for coeff, direction in zip(coeffs, us):
+            candidate = candidate - float(coeff) * direction
+        if any(dual_pairing(u, candidate, space) - alpha > 1e-10
+               for u, alpha in constraints):
             continue
         distance = weighted_norm(candidate - x, space)
         if best is None or distance < best[0] - 1e-14:
@@ -153,6 +155,7 @@ def _qp_two_halfspace_oracle(x, halfspaces, space):
 def test_criterion_3_hilbert_projection_oracles():
     rng = np.random.default_rng(103)
     worst = 0.0
+    planes_used = set()
     for _ in range(100):
         x = random_grid(rng, max_interior=5)
         space = SpaceSpec(2.0, 2.0, x.h)
@@ -170,19 +173,15 @@ def test_criterion_3_hilbert_projection_oracles():
         shift = max(abs(gap) - xi, 0.0) * np.sign(gap) / uu
         worst = max(worst, _euclidean_gap(stripe_point, x - shift * u, space))
 
-        second = GridFunction(rng.standard_normal(x.values.shape))
-        halfspaces = (
-            Halfspace(u, float(rng.normal()), 'le'),
-            Halfspace(second, float(rng.normal()),
-                      'le' if rng.random() < 0.5 else 'ge'),
-        )
-        pair_point, _, _, _ = project_two_halfspaces(
-            x, halfspaces[0], halfspaces[1], space)
-        oracle = _qp_two_halfspace_oracle(x, halfspaces, space)
+        stripe, previous = _two_stage_case(rng, x, u, xi, space)
+        pair_point, t, _, _ = project_two_stage(x, stripe, previous, space)
+        planes_used.add(len(t))
+        oracle = _qp_two_stage_oracle(x, stripe, previous, space)
         worst = max(worst, _euclidean_gap(pair_point, oracle, space))
-    ok = worst <= 1e-8
+    ok = worst <= 1e-8 and planes_used == {1, 2}
     assert _verdict('criterion 3: Hilbert projection oracles', ok,
-                    'worst rel. gap {:.2e}'.format(worst))
+                    'worst rel. gap {:.2e}, two-stage planes {}'.format(
+                        worst, sorted(planes_used)))
 
 
 def test_criterion_4_projection_descent_property():
@@ -206,19 +205,16 @@ def test_criterion_4_projection_descent_property():
             carrier = GridFunction(rng.standard_normal(x.values.shape))
             z = carrier - ((dual_pairing(u, carrier, space) - alpha) / uu) * u
         else:
-            second = GridFunction(rng.standard_normal(x.values.shape))
-            halfspaces = (
-                Halfspace(u, dual_pairing(u, x, space)
-                          - float(rng.uniform(0.3, 2.0)), 'le'),
-                Halfspace(second, float(rng.normal()), 'le'),
-            )
-            projected, _, _, _ = project_two_halfspaces(
-                x, halfspaces[0], halfspaces[1], space)
-            us = [hs.u_star for hs in halfspaces]
+            stripe, previous = _two_stage_case(rng, x, u, float(rng.uniform(0.05, 0.4)),
+                                               space)
+            projected, _, _, _ = project_two_stage(x, stripe, previous, space)
+            # z below the current upper plane and inside the previous stripe
+            us = [stripe.u_star, previous.u_star]
             gram = np.array([[dual_pairing(a, b, space) for b in us] for a in us])
             carrier = GridFunction(rng.standard_normal(x.values.shape))
-            margins = np.array([float(rng.uniform(0.1, 1.0)) for _ in us])
-            targets = np.array([hs.alpha for hs in halfspaces]) - margins
+            targets = np.array([
+                stripe.alpha + stripe.xi - float(rng.uniform(0.1, 1.0)),
+                previous.alpha + float(rng.uniform(-1.0, 1.0)) * previous.xi])
             gaps = np.array([dual_pairing(v, carrier, space) for v in us]) - targets
             coeffs = np.linalg.solve(gram, gaps)
             z = carrier
@@ -259,7 +255,7 @@ def test_criterion_5_operator_checks():
                         GridFunction(1.0 + 2.0 * xg - 0.5 * yg)):
             data = BvpData(f=GridFunction(c.values * u_exact.values),
                            g=u_exact)
-            solved = solve_forward(c, data)
+            solved = EllipticOperator(data)(c)
             worst_exact = max(worst_exact,
                               float(np.max(np.abs(solved.values - u_exact.values))))
 
@@ -270,8 +266,8 @@ def test_criterion_5_operator_checks():
         for _ in range(34):
             direction = GridFunction.from_interior(rng.standard_normal((n, n)))
             w = GridFunction.from_interior(rng.standard_normal((n, n)))
-            lhs = dual_pairing(w, apply_derivative(state, direction), space_y)
-            rhs = dual_pairing(apply_adjoint(state, w), direction, space_x)
+            lhs = dual_pairing(w, op.derivative(state, direction), space_y)
+            rhs = dual_pairing(op.adjoint(state, w), direction, space_x)
             worst_adjoint = max(worst_adjoint,
                                 abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
 
@@ -281,7 +277,7 @@ def test_criterion_5_operator_checks():
         remainders = []
         for eps in epsilons:
             perturbed = op(c + float(eps) * direction)
-            linear = state.u + float(eps) * apply_derivative(state, direction)
+            linear = state.u + float(eps) * op.derivative(state, direction)
             remainders.append(weighted_norm(perturbed - linear, space_y))
         slopes = (np.diff(np.log(remainders)) / np.diff(np.log(epsilons)))
         min_order = min(min_order, float(np.min(slopes)))

@@ -15,8 +15,6 @@ import pytest
 
 from resesop.bregman_geometry import (
     ConvergenceError,
-    Halfspace,
-    KktReport,
     MinimizerSettings,
     Stripe,
     StripeSide,
@@ -25,7 +23,7 @@ from resesop.bregman_geometry import (
     project_hyperplane,
     project_intersection,
     project_stripe,
-    project_two_halfspaces,
+    project_two_stage,
 )
 from resesop.lp_spaces import (
     GridFunction,
@@ -56,24 +54,24 @@ def gram_projection(x, planes, space):
     return GridFunction(values), coeffs
 
 
-def kkt_halfspace_oracle(x, halves, space):
-    """Metric projection onto an intersection of 'le' halfspaces.
+def kkt_halfspace_oracle(x, halves, space, masks=None):
+    """Metric projection onto an intersection of halfspaces <u, z> <= alpha.
 
-    Enumerates active sets and returns the unique KKT point: primal feasible
-    with nonnegative multipliers.
+    Enumerates the active sets (all of them, or the given bit masks) and
+    returns the unique KKT point: primal feasible with nonnegative
+    multipliers.
     """
     m = len(halves)
-    planes = [(h.u_star, h.alpha) for h in halves]
-    slack = 1e-10 * (1.0 + max(abs(h.alpha) for h in halves))
-    for mask in range(2 ** m):
+    slack = 1e-10 * (1.0 + max(abs(alpha) for _, alpha in halves))
+    for mask in range(2 ** m) if masks is None else masks:
         active = [k for k in range(m) if mask & (1 << k)]
         if active:
-            z, coeffs = gram_projection(x, [planes[k] for k in active], space)
+            z, coeffs = gram_projection(x, [halves[k] for k in active], space)
             if any(c < -slack for c in coeffs):
                 continue
         else:
             z = x
-        if all(h.violation(z, space) <= slack for h in halves):
+        if all(dual_pairing(u, z, space) - alpha <= slack for u, alpha in halves):
             return z
     raise AssertionError('KKT enumeration found no feasible point')
 
@@ -105,20 +103,12 @@ def test_classify_boundary_cases():
     assert classify(GridFunction.zeros(1), stripe, space) is StripeSide.BELOW
 
 
-def test_stripe_and_halfspace_validation():
+def test_stripe_validation():
     u = GridFunction.full(1, 1.0)
     with pytest.raises(ValueError):
         Stripe(GridFunction.zeros(1), 0.0, 1.0)
     with pytest.raises(ValueError):
         Stripe(u, 0.0, -0.5)
-    with pytest.raises(ValueError):
-        Halfspace(u, 0.0, 'leq')
-    with pytest.raises(ValueError):
-        Halfspace(GridFunction.zeros(1), 0.0, 'le')
-    flipped = Halfspace(u, 3.0, 'ge').canonical()
-    assert flipped.sense == 'le'
-    assert flipped.alpha == -3.0
-    np.testing.assert_array_equal(flipped.u_star.values, -u.values)
 
 
 def test_minimizer_settings_validation():
@@ -337,40 +327,47 @@ def test_project_stripe_hilbert_oracle():
         np.testing.assert_allclose(x_new.values, expected, rtol=1e-8, atol=1e-10)
 
 
-def test_project_two_halfspaces_feasible_point_untouched():
+def test_project_two_stage_inside_both_stripes_untouched():
     rng = np.random.default_rng(22)
     x = random_grid(rng)
     space = SpaceSpec.for_grid(x, 1.5, 2.0)
     u1, u2 = random_grid(rng), random_grid(rng)
-    h1 = Halfspace(u1, dual_pairing(u1, x, space) + 1.0, 'le')
-    h2 = Halfspace(u2, dual_pairing(u2, x, space) - 1.0, 'ge')
-    x_new, t1, t2, report = project_two_halfspaces(x, h1, h2, space)
-    assert x_new is x and t1 == 0.0 and t2 == 0.0
-    assert report.stage == 'feasible'
-    assert report.multipliers_nonnegative
+    stripe = Stripe(u1, dual_pairing(u1, x, space) + 0.5, 1.0)
+    previous = Stripe(u2, dual_pairing(u2, x, space) - 0.5, 1.0)
+    x_new, t, x_first, bound = project_two_stage(x, stripe, previous, space)
+    assert x_new is x and x_first is x
+    assert t == (0.0,) and bound is None
 
 
-def test_project_two_halfspaces_hilbert_kkt_oracle():
+def test_project_two_stage_hilbert_kkt_oracle():
+    # x above the current stripe and inside the previous one: the result is
+    # the metric projection onto the current upper halfspace intersected
+    # with the previous stripe, whose two bounds are never both active.
     rng = np.random.default_rng(23)
-    stages = set()
+    planes_used = set()
     for _ in range(100):
         n = int(rng.integers(1, 6))
         space = hilbert_space(n)
         x = random_grid(rng, n, scale=float(rng.uniform(0.3, 3.0)))
         u1, u2 = random_grid(rng, n), random_grid(rng, n)
-        h1 = Halfspace(u1, float(rng.normal()), 'le')
-        h2 = Halfspace(u2, float(rng.normal()), 'le')
-        x_new, t1, t2, report = project_two_halfspaces(x, h1, h2, space)
-        stages.add(report.stage)
-        oracle = kkt_halfspace_oracle(x, [h1, h2], space)
+        xi = float(rng.uniform(0.0, 0.5))
+        stripe = Stripe(u1, dual_pairing(u1, x, space) - xi - float(rng.uniform(0.1, 2.0)), xi)
+        prev_xi = float(rng.uniform(0.05, 1.0))
+        previous = Stripe(u2, dual_pairing(u2, x, space)
+                          - float(rng.uniform(-1.0, 1.0)) * prev_xi, prev_xi)
+        x_new, t, _, _ = project_two_stage(x, stripe, previous, space)
+        planes_used.add(len(t))
+        halves = [(u1, stripe.alpha + stripe.xi), (u2, previous.alpha + previous.xi),
+                  (-u2, previous.xi - previous.alpha)]
+        oracle = kkt_halfspace_oracle(x, halves, space, masks=(0, 1, 2, 4, 3, 5))
         np.testing.assert_allclose(x_new.values, oracle.values, rtol=1e-8, atol=1e-8)
-        assert report.multipliers_nonnegative
-    assert {'feasible', 'single', 'pair'} <= stages  # all stages exercised
+    assert planes_used == {1, 2}  # both stages exercised
 
 
-def test_project_two_halfspaces_perpendicular_normals():
+def test_project_two_stage_perpendicular_normals():
     # Disjoint supports make the normals orthogonal: sequential projections
-    # solve the problem exactly, and the pair stage reproduces them.
+    # solve the problem exactly, and the pair stage reproduces them. Here x
+    # lies above both stripes, so the stage-one point leaves the previous one.
     rng = np.random.default_rng(24)
     n = 3
     space = hilbert_space(n)
@@ -380,10 +377,11 @@ def test_project_two_halfspaces_perpendicular_normals():
     right = np.zeros((n + 2, n + 2))
     right[3:, :] = rng.standard_normal((2, n + 2))
     u1, u2 = GridFunction(left), GridFunction(right)
-    h1 = Halfspace(u1, dual_pairing(u1, x, space) - 1.0, 'le')
-    h2 = Halfspace(u2, dual_pairing(u2, x, space) - 0.5, 'le')
-    x_new, t1, t2, report = project_two_halfspaces(x, h1, h2, space)
-    oracle = kkt_halfspace_oracle(x, [h1, h2], space)
+    stripe = Stripe(u1, dual_pairing(u1, x, space) - 1.25, 0.25)
+    previous = Stripe(u2, dual_pairing(u2, x, space) - 0.75, 0.25)
+    x_new, (t1, t2), _, bound = project_two_stage(x, stripe, previous, space)
+    assert bound == previous.alpha + previous.xi
+    oracle = kkt_halfspace_oracle(x, [(u1, stripe.alpha + stripe.xi), (u2, bound)], space)
     np.testing.assert_allclose(x_new.values, oracle.values, rtol=1e-8, atol=1e-10)
     assert t1 == pytest.approx(1.0 / dual_pairing(u1, u1, space), rel=1e-7)
     assert t2 == pytest.approx(0.5 / dual_pairing(u2, u2, space), rel=1e-7)

@@ -18,11 +18,7 @@ from resesop.elliptic_operator import (
     BvpData,
     EllipticOperator,
     LinearSolveError,
-    apply_adjoint,
-    apply_derivative,
     apply_stencil,
-    operator_norm_estimate,
-    solve_forward,
 )
 from resesop.experiment_cli import restrict, synth_truth
 from resesop.lp_spaces import GridFunction, SpaceSpec, dual_pairing, duality_map, weighted_norm
@@ -90,7 +86,8 @@ def test_cg_solve_matches_dense_solve():
                        g=GridFunction(rng.standard_normal((n + 2, n + 2))))
         state = EllipticOperator(data).linearize(c)
         rhs = rng.standard_normal((n, n))
-        solution = elliptic_operator._state_solve(state, rhs).ravel()
+        solution = elliptic_operator._interior_solve(
+            c, state.sine_basis, state.inverse_eigenvalues, state.matrix_norm, rhs).ravel()
         matrix = dense_matrix(c)
         residual = np.linalg.norm(matrix @ solution - rhs.ravel())
         bound = elliptic_operator.BACKWARD_TOL * (
@@ -110,7 +107,7 @@ def test_indefinite_parameter_raises():
     c = GridFunction.full(n, -3.0 * lam)
     data = BvpData(f=GridFunction.full(n, 1.0), g=GridFunction.zeros(n))
     with pytest.raises(LinearSolveError) as info:
-        solve_forward(c, data)
+        EllipticOperator(data)(c)
     assert 'parameter' in str(info.value)
     assert info.value.parameter is c
 
@@ -118,7 +115,7 @@ def test_indefinite_parameter_raises():
 def test_solve_forward_constant_one():
     n = 6
     data = BvpData(f=GridFunction.zeros(n), g=GridFunction.full(n, 1.0))
-    u = solve_forward(GridFunction.zeros(n), data)
+    u = EllipticOperator(data)(GridFunction.zeros(n))
     np.testing.assert_allclose(u.values, 1.0, atol=1e-13)
 
 
@@ -127,7 +124,7 @@ def test_solve_forward_affine_exact():
     n = 7
     truth = nodal(lambda x, y: x + y, n)
     data = BvpData(f=GridFunction.zeros(n), g=truth)
-    u = solve_forward(GridFunction.zeros(n), data)
+    u = EllipticOperator(data)(GridFunction.zeros(n))
     np.testing.assert_allclose(u.values, truth.values, atol=1e-12)
 
 
@@ -136,14 +133,14 @@ def test_solve_forward_constant_solution_with_reaction():
     n = 5
     c = GridFunction(rng.uniform(0.5, 3.0, (n + 2, n + 2)))
     data = BvpData(f=GridFunction(c.values.copy()), g=GridFunction.full(n, 1.0))
-    u = solve_forward(c, data)
+    u = EllipticOperator(data)(c)
     np.testing.assert_allclose(u.values, 1.0, atol=1e-12)
 
 
 def test_solve_forward_shape_mismatch():
     data = BvpData(f=GridFunction.zeros(3), g=GridFunction.zeros(3))
     with pytest.raises(ValueError):
-        solve_forward(GridFunction.zeros(4), data)
+        EllipticOperator(data)(GridFunction.zeros(4))
 
 
 def test_bvp_data_shape_validation():
@@ -159,7 +156,7 @@ def test_quadratic_per_variable_solution_is_exact():
         lap = nodal(lambda x, y: 32.0 * (x * (1.0 - x) + y * (1.0 - y)), n)
         c = nodal(lambda x, y: 2.0 + x + 0.5 * y * y, n)
         f = GridFunction(-lap.values + c.values * u_true.values)
-        u = solve_forward(c, BvpData(f=f, g=u_true))
+        u = EllipticOperator(BvpData(f=f, g=u_true))(c)
         space = SpaceSpec.for_grid(u, 2.0, 2.0)
         assert weighted_norm(u - u_true, space) <= 1e-12
 
@@ -171,7 +168,7 @@ def test_second_order_grid_convergence_on_trig_solution():
         u_true = nodal(lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y), n)
         c = nodal(lambda x, y: 2.0 + x * y, n)
         f = GridFunction((2.0 * np.pi ** 2 + c.values) * u_true.values)
-        u = solve_forward(c, BvpData(f=f, g=u_true))
+        u = EllipticOperator(BvpData(f=f, g=u_true))(c)
         space = SpaceSpec.for_grid(u, 2.0, 2.0)
         errors.append(weighted_norm(u - u_true, space))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
@@ -179,33 +176,33 @@ def test_second_order_grid_convergence_on_trig_solution():
     assert np.all(orders > 1.8) and np.all(orders < 2.2)
 
 
-def make_state(n, seed=31):
+def make_linearization(n, seed=31):
     rng = np.random.default_rng(seed)
     c = GridFunction(rng.uniform(1.0, 3.0, (n + 2, n + 2)))
     f = nodal(lambda x, y: 1.0 + x + y, n)
     g = GridFunction.full(n, 1.0)
-    return EllipticOperator(BvpData(f=f, g=g)).linearize(c)
+    op = EllipticOperator(BvpData(f=f, g=g))
+    return op, op.linearize(c)
 
 
 def test_derivative_zero_and_linearity():
-    state = make_state(6)
-    zero = apply_derivative(state, GridFunction.zeros(6))
+    op, state = make_linearization(6)
+    zero = op.derivative(state, GridFunction.zeros(6))
     assert np.all(zero.values == 0.0)
     rng = np.random.default_rng(32)
     d1, d2 = random_interior(rng, 6), random_interior(rng, 6)
-    combined = apply_derivative(state, GridFunction(2.0 * d1.values - 3.0 * d2.values))
-    separate = 2.0 * apply_derivative(state, d1) - 3.0 * apply_derivative(state, d2)
+    combined = op.derivative(state, GridFunction(2.0 * d1.values - 3.0 * d2.values))
+    separate = 2.0 * op.derivative(state, d1) - 3.0 * op.derivative(state, d2)
     np.testing.assert_allclose(combined.values, separate.values, rtol=1e-12, atol=1e-14)
 
 
 def test_derivative_taylor_remainder_order():
     n = 8
-    state = make_state(n)
-    op = EllipticOperator(state.data)
+    op, state = make_linearization(n)
     rng = np.random.default_rng(33)
     direction = random_interior(rng, n)
     space = SpaceSpec.for_grid(state.u, 2.0, 2.0)
-    deriv = apply_derivative(state, direction)
+    deriv = op.derivative(state, direction)
     epsilons = np.array([1e-1, 5e-2, 2.5e-2, 1.25e-2, 6.25e-3])
     remainders = []
     for eps in epsilons:
@@ -218,21 +215,21 @@ def test_derivative_taylor_remainder_order():
 
 
 def test_adjoint_zero():
-    state = make_state(5)
-    result = apply_adjoint(state, GridFunction.zeros(5))
+    op, state = make_linearization(5)
+    result = op.adjoint(state, GridFunction.zeros(5))
     assert np.all(result.values == 0.0)
 
 
 def test_adjoint_pairing_identity():
     rng = np.random.default_rng(34)
     for n in (5, 10, 20):
-        state = make_state(n)
+        op, state = make_linearization(n)
         space = SpaceSpec(2.0, 2.0, state.u.h)
         for _ in range(10):
             direction = random_interior(rng, n)
             w = random_interior(rng, n)
-            lhs = dual_pairing(w, apply_derivative(state, direction), space)
-            rhs = dual_pairing(apply_adjoint(state, w), direction, space)
+            lhs = dual_pairing(w, op.derivative(state, direction), space)
+            rhs = dual_pairing(op.adjoint(state, w), direction, space)
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-14)
 
 
@@ -240,25 +237,26 @@ def test_adjoint_one_node_hand_value():
     # N=1, c=0: L = [16], so F'(c)* w has the single interior value
     # -u0 * w0 / 16.
     data = BvpData(f=GridFunction.full(1, 3.0), g=GridFunction.full(1, 1.0))
-    state = EllipticOperator(data).linearize(GridFunction.zeros(1))
+    op = EllipticOperator(data)
+    state = op.linearize(GridFunction.zeros(1))
     u0 = state.u.values[1, 1]
     w = GridFunction.from_interior(np.array([[2.0]]))
-    result = apply_adjoint(state, w)
+    result = op.adjoint(state, w)
     assert result.values[1, 1] == pytest.approx(-u0 * 2.0 / 16.0, rel=1e-14)
     assert np.all(result.values[0, :] == 0.0)
 
 
 def test_operator_norm_estimate_properties():
-    state = make_state(10)
-    first = operator_norm_estimate(state, seed=0)
-    second = operator_norm_estimate(state, seed=0)
+    op, state = make_linearization(10)
+    first = op.norm_estimate(state, seed=0)
+    second = op.norm_estimate(state, seed=0)
     assert first == second
     assert first > 0.0
     doubled_state = dataclasses.replace(state, u=2.0 * state.u)
-    assert operator_norm_estimate(doubled_state, seed=0) == pytest.approx(
+    assert op.norm_estimate(doubled_state, seed=0) == pytest.approx(
         2.0 * first, rel=1e-12)
     zero_state = dataclasses.replace(state, u=GridFunction.zeros(10))
-    assert operator_norm_estimate(zero_state, seed=0) == 0.0
+    assert op.norm_estimate(zero_state, seed=0) == 0.0
 
 
 def test_discrete_maximum_principle():
@@ -267,7 +265,7 @@ def test_discrete_maximum_principle():
     c = GridFunction(rng.uniform(0.0, 2.0, (n + 2, n + 2)))
     f = GridFunction(rng.uniform(0.0, 1.0, (n + 2, n + 2)))
     g = GridFunction(rng.uniform(0.0, 1.0, (n + 2, n + 2)))
-    u = solve_forward(c, BvpData(f=f, g=g))
+    u = EllipticOperator(BvpData(f=f, g=g))(c)
     assert np.all(u.values >= -1e-13)
 
 
@@ -280,7 +278,7 @@ def test_singular_parameter_raises():
     c = GridFunction.full(n, -lam)
     data = BvpData(f=GridFunction.full(n, 1.0), g=GridFunction.zeros(n))
     with pytest.raises(LinearSolveError) as info:
-        solve_forward(c, data)
+        EllipticOperator(data)(c)
     assert 'parameter' in str(info.value)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import resesop
-from resesop.elliptic_operator import BvpData, solve_forward
+from resesop.elliptic_operator import BvpData, EllipticOperator
 from resesop.experiment_cli import (
     ExperimentConfig,
     ExperimentReport,
@@ -62,7 +62,7 @@ class TestSynthTruth:
     def test_fields_satisfy_the_discrete_problem(self):
         # the exact state is biquadratic, so the stencil reproduces it
         truth = synth_truth(24)
-        solved = solve_forward(truth.c, BvpData(f=truth.f, g=truth.g))
+        solved = EllipticOperator(BvpData(f=truth.f, g=truth.g))(truth.c)
         np.testing.assert_allclose(solved.values, truth.u.values,
                                    rtol=0.0, atol=1e-10)
 

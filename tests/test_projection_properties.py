@@ -1,10 +1,13 @@
-"""Property tests of the Bregman projections over random exponents and grids.
+"""Property tests of the duality maps and Bregman projections over random
+exponents and grids.
 
 Norm and gauge exponents range over [1.2, 6], so both singular (r* < 2) and
 degenerate (r* > 2) weights of the dual Hessian occur, with and without its
-rank-one term. Each example projects a random point onto one or two random
-hyperplanes. Hypothesis runs derandomized, so the examples are the same on
-every run.
+rank-one term. Each projection example projects a random point onto one or
+two random hyperplanes, or takes the two-stage step of the two-direction
+method. The duality-map and Bregman-distance examples use the tolerances of
+acceptance criteria 1 and 2. Hypothesis runs derandomized, so the examples
+are the same on every run.
 """
 
 import logging
@@ -12,8 +15,22 @@ import logging
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from resesop.bregman_geometry import project_hyperplane, project_intersection
-from resesop.lp_spaces import GridFunction, SpaceSpec, bregman_distance, dual_pairing, weighted_norm
+from resesop.bregman_geometry import (
+    Stripe,
+    project_hyperplane,
+    project_intersection,
+    project_two_stage,
+)
+from resesop.lp_spaces import (
+    GridFunction,
+    SpaceSpec,
+    bregman_distance,
+    conjugate_exponent,
+    dual_pairing,
+    duality_map,
+    inverse_duality_map,
+    weighted_norm,
+)
 
 EXPONENT = st.floats(min_value=1.2, max_value=6.0)
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40,
@@ -104,3 +121,74 @@ def test_near_parallel_pair_falls_back_to_the_first_plane(r, q, n, seed, factor)
     x_one, t_one = project_hyperplane(x, u, alpha, space)
     np.testing.assert_array_equal(x_new.values, x_one.values)
     assert t[0] == t_one and t[1] == 0.0
+
+
+@PROPERTY_SETTINGS
+@given(r=EXPONENT, q=EXPONENT, n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_two_stage_step_is_feasible_and_satisfies_the_descent_inequality(r, q, n, seed):
+    # x lies above the current stripe and inside the previous one, as the
+    # iterates of the two-direction method do.
+    rng, space, x, planes = _instance(r, q, 2, n, seed)
+    (u, _), (v, _) = planes
+    xi, prev_xi = rng.uniform(0.0, 0.5), rng.uniform(0.05, 1.0)
+    stripe = Stripe(u, dual_pairing(u, x, space) - xi - rng.uniform(0.1, 2.0), xi)
+    previous = Stripe(v, dual_pairing(v, x, space) - rng.uniform(-1.0, 1.0) * prev_xi, prev_xi)
+    x_new, _, _, _ = project_two_stage(x, stripe, previous, space)
+    upper = stripe.alpha + stripe.xi
+    assert dual_pairing(u, x_new, space) - upper <= _feasibility_slack(x, u, upper, space)
+    bound = previous.alpha + previous.xi
+    assert (abs(dual_pairing(v, x_new, space) - previous.alpha) - previous.xi
+            <= _feasibility_slack(x, v, bound, space))
+    # D(x_new, z) <= D(x, z) - D(x, x_new) for z in the upper halfspace of the
+    # current stripe intersected with the previous stripe.
+    z = _member(rng, [(u, upper - rng.uniform(0.1, 1.0)),
+                      (v, previous.alpha + rng.uniform(-1.0, 1.0) * prev_xi)], space)
+    before = bregman_distance(x, z, space)
+    after = bregman_distance(x_new, z, space)
+    assert after <= before - bregman_distance(x, x_new, space) + 1e-9 * (1.0 + before)
+
+
+def _random_grid(seed, n, scale):
+    rng = np.random.default_rng(seed)
+    return rng, GridFunction(scale * rng.standard_normal((n + 2, n + 2)))
+
+
+GRID = dict(n=st.integers(1, 12), scale=st.floats(min_value=0.05, max_value=20.0),
+            seed=st.integers(0, 2 ** 32 - 1))
+
+
+@PROPERTY_SETTINGS
+@given(r=EXPONENT, q=EXPONENT, **GRID)
+def test_duality_map_identities(r, q, n, scale, seed):
+    # <J f, f> = ||f||^q, ||J f||_* = ||f||^(q-1) and J_inv(J f) = f
+    # (acceptance criterion 1).
+    _, f = _random_grid(seed, n, scale)
+    space = SpaceSpec(r, q, f.h)
+    mapped = duality_map(f, space)
+    norm = weighted_norm(f, space)
+    assert abs(dual_pairing(mapped, f, space) - norm ** q) <= 1e-10 * norm ** q
+    assert (abs(weighted_norm(mapped, space.dual()) - norm ** (q - 1.0))
+            <= 1e-10 * norm ** (q - 1.0))
+    assert weighted_norm(inverse_duality_map(mapped, space) - f, space) <= 1e-10 * norm
+
+
+@PROPERTY_SETTINGS
+@given(r=EXPONENT, q=EXPONENT, **GRID)
+def test_bregman_distance_forms_agree(r, q, n, scale, seed):
+    # bregman_distance agrees with the defining form of D(x, x_new) and with
+    # its three-point rewrite (acceptance criterion 2); it is nonnegative
+    # and zero at x_new = x.
+    rng, x = _random_grid(seed, n, scale)
+    x_new = GridFunction(rng.uniform(0.05, 20.0) * rng.standard_normal(x.values.shape))
+    space = SpaceSpec(r, q, x.h)
+    value = bregman_distance(x, x_new, space)
+    jx = duality_map(x, space)
+    norm_x, norm_new = weighted_norm(x, space), weighted_norm(x_new, space)
+    form_one = norm_new ** q / q - norm_x ** q / q - dual_pairing(jx, x_new - x, space)
+    form_three = ((norm_x ** q - norm_new ** q) / conjugate_exponent(q)
+                  + dual_pairing(duality_map(x_new, space) - jx, x_new, space))
+    allowance = 1e-10 * (1.0 + abs(value))
+    assert abs(value - form_one) <= allowance
+    assert abs(value - form_three) <= allowance
+    assert value >= 0.0
+    assert bregman_distance(x, x, space) == 0.0

@@ -33,7 +33,6 @@ from resesop.sesop_solver import (
     StopReason,
     build_stripe,
     descent_monitor,
-    landweber_step,
     resesop_two_dir_step,
     run,
 )
@@ -159,7 +158,8 @@ def test_build_stripe_degenerate_direction():
 
 
 def test_landweber_step_matches_classical_landweber():
-    # Hilbert reduction, c_tc = 0: the step is x - (||R||^2/||u*||^2) u*.
+    # Hilbert reduction, c_tc = 0, no previous stripe (the one-direction
+    # method): the step is x - (||R||^2/||u*||^2) u*.
     rng = np.random.default_rng(41)
     n = 4
     op = LinearStub(rng.standard_normal((n * n, n * n)), GridFunction.zeros(n))
@@ -169,8 +169,8 @@ def test_landweber_step_matches_classical_landweber():
     y = GridFunction.from_interior(rng.standard_normal((n, n)))
     state = op.linearize(x)
     residual = state.u - y
-    x_next, stripe, outcome = landweber_step(op, state, x, residual, cfg,
-                                             space, space, c_f=1.0)
+    x_next, stripe, outcome = resesop_two_dir_step(op, state, x, residual, None, cfg,
+                                                   space, space, c_f=1.0)
     u_star = op.adjoint(state, residual)  # J_2 = identity on both spaces
     t_oracle = (weighted_norm(residual, space) ** 2
                 / weighted_norm(u_star, space) ** 2)
