@@ -11,8 +11,13 @@ diagonalizes (the fast Poisson solver of Buzbee, Golub & Nielson 1970, used
 for a nonseparable operator as in Concus & Golub 1973). The preconditioned
 condition number is then at most (lambda_min + c_max)/(lambda_min + c_min)
 for every grid size, so a few iterations reach machine precision. The
-preconditioner is set up once per parameter and reused by the derivative
-and adjoint:
+preconditioner is applied in single precision, which halves the cost of
+its four dense matmuls. It only steers CG: the recursion, the stencil apply
+and the final check of the true residual run in double precision, so an
+accepted solve meets the same backward-error bound as with an exact
+preconditioner, and a perturbation of about 1e-7 relative barely moves
+the iteration count. The preconditioner is set up once per parameter and
+reused by the derivative and adjoint:
 
     F'(c) d = -L(c)^{-1} (d * u),      F'(c)* w = -u * L(c)^{-1} w,
 
@@ -47,8 +52,8 @@ COND_LIMIT = 1.0 / (1e3 * np.finfo(float).eps)
 # rounding drift between the recursive and the true residual; the true
 # residual is then checked against the full bound.
 CG_STOP_FRACTION = 0.5
-# Far above the 3-5 iterations of the benchmark runs; reaching it means
-# the spread of c defeats the preconditioner.
+# Far above the 5-6 iterations (5.3-5.8 on average) of the benchmark
+# solves; reaching it means the spread of c defeats the preconditioner.
 CG_MAX_ITERS = 500
 
 
@@ -91,7 +96,8 @@ class OperatorState:
     with L(c) reuse: the sine basis S, the inverse eigenvalues
     1/(lambda_j + lambda_k + c_bar) of the preconditioner in that basis, and
     the infinity norm of L(c), a bound on its 2-norm because L(c) is
-    symmetric."""
+    symmetric. S and the inverse eigenvalues are float32: the preconditioner
+    only steers CG, whose accuracy is checked on the float64 residual."""
 
     c: GridFunction
     u: GridFunction
@@ -137,9 +143,11 @@ def _range_text(parameter):
 
 
 def _preconditioner(c):
-    """Sine basis S and inverse eigenvalues of -laplace_h + c_bar I.
+    """Sine basis S and inverse eigenvalues of -laplace_h + c_bar I, as
+    float32.
 
-    Raises LinearSolveError when that operator is not positive definite.
+    Raises LinearSolveError when that operator is not positive definite,
+    judged in float64.
     """
     n = c.n_interior
     k = np.arange(1, n + 1)
@@ -155,7 +163,7 @@ def _preconditioner(c):
         raise LinearSolveError(
             'linear system is not positive definite for {}: lambda_min + c_bar = '
             '{:.3g}'.format(_range_text(c), shifted.min()), parameter=c)
-    return basis, 1.0 / shifted
+    return basis.astype(np.float32), (1.0 / shifted).astype(np.float32)
 
 
 def _matrix_norm(c):
@@ -174,8 +182,13 @@ def _interior_solve(c, basis, inverse_eigenvalues, matrix_norm, rhs):
     """Solve L(c) x = rhs on the interior by preconditioned CG and check x."""
 
     def precondition(r):
-        return basis @ ((basis @ r @ basis) * inverse_eigenvalues) @ basis
+        r = r.astype(np.float32)
+        return (basis @ ((basis @ r @ basis) * inverse_eigenvalues) @ basis).astype(float)
 
+    # CG runs on rhs scaled by a power of two (exactly) to entries below
+    # one, so the residuals stay in float32 range whatever the size of rhs.
+    rhs_scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(rhs)))[1]))
+    rhs = rhs / rhs_scale
     rhs_norm = np.linalg.norm(rhs)
     solution = np.zeros_like(rhs)
     residual = rhs.copy()
@@ -210,9 +223,9 @@ def _interior_solve(c, basis, inverse_eigenvalues, matrix_norm, rhs):
         raise LinearSolveError(
             'linear system is singular or severely ill-conditioned for {} '
             '(residual {:.3g}, ||A|| ||x|| / ||b|| {:.3g})'.format(
-                _range_text(c), true_residual, scale / rhs_norm),
+                _range_text(c), rhs_scale * true_residual, scale / rhs_norm),
             parameter=c)
-    return solution
+    return rhs_scale * solution
 
 
 def _boundary_rhs(data):
@@ -287,29 +300,37 @@ class EllipticOperator:
         return GridFunction(-state.u.values * lifted.values)
 
     def norm_estimate(self, state, seed=0, max_iters=100, tol=1e-12):
-        """Power-iteration estimate of the norm of F'(c) (diagnostic bound c_F).
+        """Lanczos estimate of the norm of F'(c) (diagnostic bound c_F).
 
-        The h^2-weighted 2-norms on domain and codomain share the grid, so
-        their weights cancel and the plain Euclidean spectral norm of F'(c)
-        is returned. Deterministic for a fixed seed.
+        Runs Lanczos on F'(c)* F'(c) from a seeded random start, with full
+        reorthogonalization, until the largest Ritz value changes by at most
+        `tol` relative; it keeps one interior vector per step. The
+        h^2-weighted 2-norms on domain and codomain share the grid, so their
+        weights cancel and the plain Euclidean spectral norm of F'(c) is
+        returned. Deterministic for a fixed seed.
         """
         n = state.c.n_interior
-        rng = np.random.default_rng(seed)
-        v = GridFunction.from_interior(rng.standard_normal((n, n)))
-        norm_v = float(np.linalg.norm(v.values))
-        if norm_v == 0.0:
-            return 0.0
-        v = v / norm_v
-        rayleigh = 0.0
-        for _ in range(max_iters):
-            image = self.adjoint(state, self.derivative(state, v))
-            new_rayleigh = float(np.sum(v.values * image.values))
-            norm_image = float(np.linalg.norm(image.values))
-            if norm_image == 0.0:
-                return 0.0
-            v = image / norm_image
-            if abs(new_rayleigh - rayleigh) <= tol * abs(new_rayleigh):
-                rayleigh = new_rayleigh
+        start = np.random.default_rng(seed).standard_normal((n, n))
+        vectors = [start / np.linalg.norm(start)]
+        alphas, betas = [], []
+        ritz = 0.0
+        # Beyond n^2 steps no direction is left to orthogonalize against.
+        for _ in range(min(max_iters, n * n)):
+            image = self.adjoint(state, self.derivative(
+                state, GridFunction.from_interior(vectors[-1]))).interior.copy()
+            alphas.append(float(np.vdot(vectors[-1], image)))
+            # Two Gram-Schmidt sweeps keep the vectors orthogonal to working
+            # precision.
+            for _ in range(2):
+                for vector in vectors:
+                    image -= np.vdot(vector, image) * vector
+            tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            new_ritz = float(np.linalg.eigvalsh(tridiagonal)[-1])
+            converged = abs(new_ritz - ritz) <= tol * abs(new_ritz)
+            ritz = new_ritz
+            beta = float(np.linalg.norm(image))
+            if converged or beta == 0.0:
                 break
-            rayleigh = new_rayleigh
-        return float(np.sqrt(max(rayleigh, 0.0)))
+            betas.append(beta)
+            vectors.append(image / beta)
+        return float(np.sqrt(max(ritz, 0.0)))
