@@ -37,7 +37,6 @@ from .lp_spaces import (
 __all__ = [
     'Stripe',
     'StripeSide',
-    'MinimizerSettings',
     'ConvergenceError',
     'GeometryError',
     'classify',
@@ -53,6 +52,9 @@ logger = logging.getLogger(__name__)
 FEAS_TOL = 1e-8
 # Euclidean cosine beyond which two dual directions count as parallel.
 PARALLEL_COS = 1.0 - 1e-12
+# Newton iteration: gradient tolerance times the problem scale, budget.
+GRAD_TOL = 1e-12
+MAX_NEWTON_ITERS = 200
 
 
 class StripeSide(Enum):
@@ -85,20 +87,6 @@ class Stripe:
             raise ValueError('stripe requires a nonzero dual vector')
         if self.xi < 0:
             raise ValueError('stripe half width must be >= 0, got {}'.format(self.xi))
-
-
-@dataclass(frozen=True)
-class MinimizerSettings:
-    """Tolerances of the inner Newton iteration."""
-
-    grad_tol: float = 1e-12
-    max_iters: int = 200
-
-    def __post_init__(self):
-        if not self.grad_tol > 0:
-            raise ValueError('grad_tol must be positive')
-        if self.max_iters < 1:
-            raise ValueError('max_iters must be >= 1')
 
 
 class ConvergenceError(RuntimeError):
@@ -179,7 +167,7 @@ def _dual_objective(x, jx, planes, space):
     return objective
 
 
-def _minimize(x, planes, space, settings, t_init=None):
+def _minimize(x, planes, space, t_init=None):
     """Safeguarded Newton iteration for the coefficients t minimizing h.
 
     A gradient step replaces the Newton step where the Hessian is unbounded
@@ -194,20 +182,20 @@ def _minimize(x, planes, space, settings, t_init=None):
     """
     scale = _problem_scale(x, planes, space)
     gaps = [dual_pairing(u_star, x, space) - alpha for u_star, alpha in planes]
-    if np.linalg.norm(gaps) <= settings.grad_tol * scale:
+    if np.linalg.norm(gaps) <= GRAD_TOL * scale:
         return x, np.zeros(len(planes))
     jx = duality_map(x, space)
     objective = _dual_objective(x, jx, planes, space)
     t = np.zeros(len(planes)) if t_init is None else np.array(t_init, dtype=float)
     value, grad, hessian, x_t = objective(t)
-    for _ in range(settings.max_iters):
+    for _ in range(MAX_NEWTON_ITERS):
         direction = -grad
         if hessian is not None and np.linalg.cond(hessian) < 1.0 / np.finfo(float).eps:
             newton = np.linalg.solve(hessian, -grad)
             if float(newton @ grad) < 0.0:
                 direction = newton
         grad_norm = np.linalg.norm(grad)
-        if grad_norm <= settings.grad_tol * scale:
+        if grad_norm <= GRAD_TOL * scale:
             polished = objective(t + direction)
             if np.linalg.norm(polished[1]) <= grad_norm:
                 return polished[3], t + direction
@@ -232,7 +220,7 @@ def _minimize(x, planes, space, settings, t_init=None):
                            last_t=t, grad_norm=float(np.linalg.norm(grad)))
 
 
-def project_hyperplane(x, u_star, alpha, space, settings=None):
+def project_hyperplane(x, u_star, alpha, space):
     """Bregman projection of x onto the hyperplane H(u_star, alpha).
 
     Parameters
@@ -242,7 +230,6 @@ def project_hyperplane(x, u_star, alpha, space, settings=None):
         Nonzero dual vector defining the plane.
     alpha : float
     space : SpaceSpec
-    settings : MinimizerSettings, optional
 
     Returns
     -------
@@ -252,7 +239,7 @@ def project_hyperplane(x, u_star, alpha, space, settings=None):
     """
     if not np.any(u_star.values):
         raise ValueError('hyperplane requires a nonzero dual vector')
-    x_new, t = _minimize(x, [(u_star, alpha)], space, settings or MinimizerSettings())
+    x_new, t = _minimize(x, [(u_star, alpha)], space)
     return x_new, float(t[0])
 
 
@@ -267,7 +254,7 @@ def _parallel_pair(planes):
     return None
 
 
-def project_intersection(x, planes, space, settings=None, t_init=None):
+def project_intersection(x, planes, space, t_init=None):
     """Bregman projection of x onto an intersection of hyperplanes.
 
     Parameters
@@ -278,7 +265,6 @@ def project_intersection(x, planes, space, settings=None, t_init=None):
         independent. A numerically parallel pair triggers a warning and a
         fallback to the projection onto the first plane alone.
     space : SpaceSpec
-    settings : MinimizerSettings, optional
     t_init : array-like, optional
         Starting coefficients, e.g. the result of a previous single-plane
         projection. Defaults to zero.
@@ -288,7 +274,6 @@ def project_intersection(x, planes, space, settings=None, t_init=None):
     (GridFunction, ndarray)
         Projected point and coefficient vector t.
     """
-    settings = settings or MinimizerSettings()
     planes = list(planes)
     if not planes:
         raise ValueError('at least one plane is required')
@@ -297,12 +282,12 @@ def project_intersection(x, planes, space, settings=None, t_init=None):
     if _parallel_pair(planes) is not None:
         logger.warning('numerically parallel dual directions in intersection '
                        'projection; falling back to the first plane')
-        x_new, t = _minimize(x, planes[:1], space, settings)
+        x_new, t = _minimize(x, planes[:1], space)
         return x_new, np.append(t, np.zeros(len(planes) - 1))
-    return _minimize(x, planes, space, settings, t_init)
+    return _minimize(x, planes, space, t_init)
 
 
-def project_stripe(x, stripe, space, settings=None):
+def project_stripe(x, stripe, space):
     """Bregman projection of x onto a stripe.
 
     A point inside is untouched; a point above (below) is projected onto the
@@ -317,10 +302,10 @@ def project_stripe(x, stripe, space, settings=None):
     if side is StripeSide.INSIDE:
         return x, 0.0
     offset = stripe.xi if side is StripeSide.ABOVE else -stripe.xi
-    return project_hyperplane(x, stripe.u_star, stripe.alpha + offset, space, settings)
+    return project_hyperplane(x, stripe.u_star, stripe.alpha + offset, space)
 
 
-def project_two_stage(x, stripe, previous, space, settings=None):
+def project_two_stage(x, stripe, previous, space):
     """Bregman projection of x onto a stripe, corrected by a previous stripe.
 
     Stage one projects x onto `stripe`. When `previous` (a Stripe or None)
@@ -339,11 +324,11 @@ def project_two_stage(x, stripe, previous, space, settings=None):
         stage-one point and the bound of `previous` met in stage two (None
         when stage one sufficed).
     """
-    x_first, t_first = project_stripe(x, stripe, space, settings)
+    x_first, t_first = project_stripe(x, stripe, space)
     side = StripeSide.INSIDE if previous is None else classify(x_first, previous, space)
     if side is StripeSide.INSIDE:
         return x_first, (float(t_first),), x_first, None
     bound = previous.alpha + (previous.xi if side is StripeSide.ABOVE else -previous.xi)
     planes = [(stripe.u_star, stripe.alpha + stripe.xi), (previous.u_star, bound)]
-    x_new, t = project_intersection(x, planes, space, settings, t_init=[t_first, 0.0])
+    x_new, t = project_intersection(x, planes, space, t_init=[t_first, 0.0])
     return x_new, tuple(float(v) for v in t), x_first, bound

@@ -45,6 +45,7 @@ from .sesop_solver import (
     SolverConfig,
     SolverFailure,
     StopReason,
+    build_stripe,
     run,
 )
 
@@ -501,8 +502,6 @@ def _cmd_check(args):
 
 
 def _starting_stripe(op, truth, cfg):
-    from .sesop_solver import build_stripe
-
     space_x = SpaceSpec(cfg.r, cfg.gauge, truth.u.h)
     space_y = SpaceSpec(cfg.s, 2.0, truth.u.h)
     state = op.linearize(truth.c0)
@@ -518,7 +517,7 @@ def main(argv=None):
         description='Sequential subspace optimization benchmark for the '
                     'elliptic inverse problem -Lap u + c u = f.')
     parser.add_argument('-v', '--verbose', action='store_true',
-                        help='log progress to stderr')
+                        help='log progress and diagnostic warnings to stderr')
     commands = parser.add_subparsers(dest='command', required=True)
 
     run_parser = commands.add_parser('run', help='run a full experiment')
@@ -541,8 +540,10 @@ def main(argv=None):
     _add_config_flags(check_parser)
 
     args = parser.parse_args(argv)
+    # Without -v only errors reach stderr; the per-iteration diagnostics,
+    # such as a stripe that misses the truth, are in the report.
     logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
+        level=logging.INFO if args.verbose else logging.ERROR,
         format='%(levelname)s %(name)s: %(message)s', stream=sys.stderr)
     handlers = {'run': _cmd_run, 'synth': _cmd_synth, 'check': _cmd_check}
     try:

@@ -29,14 +29,13 @@ data, or a small residual tolerance for exact data.
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bregman_geometry import (
     ConvergenceError,
     GeometryError,
-    MinimizerSettings,
     Stripe,
     StripeSide,
     classify,
@@ -56,7 +55,6 @@ __all__ = [
     'SolverConfig',
     'IterationRecord',
     'SolveResult',
-    'StepOutcome',
     'StepClass',
     'StopReason',
     'SolverFailure',
@@ -132,8 +130,6 @@ class SolverConfig:
         Iteration budget; exceeding it flags the result, no exception.
     directions : int
         1 for the Landweber-type method, 2 for the two-direction method.
-    minimizer : MinimizerSettings
-        Inner projection tolerances.
     """
 
     r: float
@@ -145,7 +141,6 @@ class SolverConfig:
     residual_tol: float = 5e-4
     max_outer: int = 500
     directions: int = 1
-    minimizer: MinimizerSettings = field(default_factory=MinimizerSettings)
 
     def __post_init__(self):
         if not self.r > 1 or not self.s > 1:
@@ -185,9 +180,12 @@ class IterationRecord:
     """Per-iteration log entry.
 
     The record written at the stopping index has no step fields (empty
-    coefficient tuple, step_class None). Ground-truth quantities are None
-    when no truth was supplied; cone_ratio is measured only when the truth
-    fell outside the stripe of the iteration.
+    coefficient tuple, step_class None). The diagnostic fields rel_error,
+    bregman_to_truth, truth_inside, cone_ratio, decrease_surrogate,
+    direction_cosine and gamma are filled only when `run` was given a ground
+    truth, and are None otherwise. cone_ratio is measured only when the
+    truth fell outside the stripe of the iteration; direction_cosine and
+    gamma only after a two-plane step.
     """
 
     n: int
@@ -208,19 +206,6 @@ class IterationRecord:
     def __post_init__(self):
         if self.residual_norm < 0:
             raise ValueError('residual norm must be >= 0')
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """Step metadata returned by the step functions, merged into records."""
-
-    step_class: str
-    t_params: tuple
-    stripe_widths: tuple
-    above_margin: float
-    decrease_surrogate: float = None
-    direction_cosine: float = None
-    gamma: float = None
 
 
 @dataclass(frozen=True)
@@ -264,49 +249,13 @@ def build_stripe(op, state, x, w, residual, cfg, space_x, space_y):
     return Stripe(u_star, alpha, xi)
 
 
-def _above_margin(x, stripe, space_x):
-    margin = dual_pairing(stripe.u_star, x, space_x) - (stripe.alpha + stripe.xi)
-    if margin <= 0.0:
-        raise GeometryError(
-            'iterate is not strictly above its stripe (margin {:.3g}); '
-            'the stopping rule should have fired'.format(margin))
-    return margin
-
-
-def _first_surrogate_term(res_norm, cfg, c_f):
-    if not c_f:
-        return None
-    reduced = res_norm - cfg.noise_level - cfg.cone_constant * (res_norm + cfg.noise_level)
-    return (reduced / c_f) ** cfg.gauge
-
-
-def _direction_diagnostics(stripe, prev_stripe, cfg, space_x):
-    # gamma quantifies how far the two dual directions are from parallel;
-    # it degenerates to None when the smoothness constant makes the
-    # expression meaningless.
-    lifted_prev = inverse_duality_map(prev_stripe.u_star, space_x)
-    denom = (weighted_norm(stripe.u_star, space_x.dual())
-             * weighted_norm(lifted_prev, space_x))
-    if denom == 0.0:
-        return None, None
-    cosine = abs(dual_pairing(stripe.u_star, lifted_prev, space_x)) / denom
-    q = cfg.gauge
-    base = 1.0 - cosine ** q / ((q - 1.0) * DUAL_SMOOTHNESS ** (q - 1.0))
-    if base <= 0.0:
-        return cosine, None
-    return cosine, base ** (1.0 / (q / (q - 1.0)))
-
-
-def resesop_two_dir_step(op, state, x, residual, prev_stripe, cfg,
-                         space_x, space_y, c_f=None):
+def resesop_two_dir_step(op, state, x, residual, prev_stripe, cfg, space_x, space_y):
     """One step of either method: the two-stage projection of the iterate.
 
     Projects onto the upper bounding hyperplane of the current stripe; when
     the intermediate point has left the previous stripe, projects the
     ITERATE onto the intersection of the current upper hyperplane and the
-    violated bounding hyperplane of the previous stripe. The decrease
-    surrogate S_n and, after a two-plane step, the direction diagnostic
-    gamma_n are recorded.
+    violated bounding hyperplane of the previous stripe.
 
     Parameters
     ----------
@@ -315,43 +264,86 @@ def resesop_two_dir_step(op, state, x, residual, prev_stripe, cfg,
         frozen at creation); None for the one-direction method and on the
         first iteration.
 
-    Returns (next iterate, stripe, StepOutcome). The iterate must be above
-    its stripe, which holds whenever the stopping rule has not fired.
+    Returns (stripe, above-margin, projection): the margin by which x lies
+    above its stripe, and the tuple (next iterate, coefficients, stage-one
+    point, bound of the previous stripe or None) of `project_two_stage`.
+    The iterate must be above its stripe, which holds whenever the stopping
+    rule has not fired.
     """
     w = duality_map(residual, space_y)
     stripe = build_stripe(op, state, x, w, residual, cfg, space_x, space_y)
-    margin = _above_margin(x, stripe, space_x)
-    surrogate = _first_surrogate_term(weighted_norm(residual, space_y), cfg, c_f)
-    x_next, t, x_first, bound = project_two_stage(x, stripe, prev_stripe, space_x,
-                                                  cfg.minimizer)
-    widths = (stripe.xi,)
-    cosine = gamma = None
-    if bound is not None:
-        widths += (prev_stripe.xi,)
-        cosine, gamma = _direction_diagnostics(stripe, prev_stripe, cfg, space_x)
-        if gamma and surrogate is not None:
-            overshoot = abs(dual_pairing(prev_stripe.u_star, x_first, space_x) - bound)
-            surrogate += (overshoot / (gamma * weighted_norm(prev_stripe.u_star,
-                                                             space_x.dual()))) ** cfg.gauge
-    outcome = StepOutcome(
-        step_class=(StepClass.SINGLE_PROJECTION if bound is None
-                    else StepClass.TWO_PLANE_CORRECTION),
-        t_params=t,
-        stripe_widths=widths,
-        above_margin=margin,
-        decrease_surrogate=surrogate,
-        direction_cosine=cosine,
-        gamma=gamma)
-    return x_next, stripe, outcome
+    margin = dual_pairing(stripe.u_star, x, space_x) - (stripe.alpha + stripe.xi)
+    if margin <= 0.0:
+        raise GeometryError(
+            'iterate is not strictly above its stripe (margin {:.3g}); '
+            'the stopping rule should have fired'.format(margin))
+    return stripe, margin, project_two_stage(x, stripe, prev_stripe, space_x)
 
 
-def _measured_cone_ratio(op, state, x, ground_truth, truth_image, space_y):
-    linearized = op.derivative(state, x - ground_truth)
-    numerator = weighted_norm(state.u - truth_image - linearized, space_y)
-    denominator = weighted_norm(state.u - truth_image, space_y)
-    if denominator == 0.0:
-        return None
-    return numerator / denominator
+class _TruthMonitor:
+    """The record columns that compare the iterates with a known truth.
+
+    `at_iterate` gives the relative error and the Bregman distance to the
+    truth. `at_step` adds whether the truth lies inside the stripe, else
+    the measured tangential-cone ratio with one WARNING per violation; the
+    decrease surrogate S_n, whose bound c_F of ||F'|| is estimated once at
+    the first step; and, after a two-plane step, the direction cosine and
+    gamma_n.
+    """
+
+    def __init__(self, op, truth, cfg, space_x, space_y):
+        self.op, self.truth, self.cfg = op, truth, cfg
+        self.space_x, self.space_y = space_x, space_y
+        self.truth_norm = weighted_norm(truth, space_x)
+        self.truth_image = None
+        self.c_f = None
+
+    def at_iterate(self, x):
+        return dict(rel_error=weighted_norm(x - self.truth, self.space_x) / self.truth_norm,
+                    bregman_to_truth=bregman_distance(x, self.truth, self.space_x))
+
+    def at_step(self, n, state, x, res_norm, stripe, prev_stripe, x_first, bound):
+        cfg, space_x = self.cfg, self.space_x
+        fields = self.at_iterate(x)
+        if self.c_f is None:
+            self.c_f = self.op.norm_estimate(state)
+        surrogate = None
+        if self.c_f:
+            reduced = res_norm - cfg.noise_level - cfg.cone_constant * (res_norm + cfg.noise_level)
+            surrogate = (reduced / self.c_f) ** cfg.gauge
+        if bound is not None:
+            # gamma quantifies how far the two dual directions are from
+            # parallel; it is None where the expression is meaningless.
+            lifted_prev = inverse_duality_map(prev_stripe.u_star, space_x)
+            cosine = gamma = None
+            denom = (weighted_norm(stripe.u_star, space_x.dual())
+                     * weighted_norm(lifted_prev, space_x))
+            if denom != 0.0:
+                cosine = abs(dual_pairing(stripe.u_star, lifted_prev, space_x)) / denom
+                q = cfg.gauge
+                base = 1.0 - cosine ** q / ((q - 1.0) * DUAL_SMOOTHNESS ** (q - 1.0))
+                gamma = None if base <= 0.0 else base ** (1.0 / (q / (q - 1.0)))
+            if gamma and surrogate is not None:
+                overshoot = abs(dual_pairing(prev_stripe.u_star, x_first, space_x) - bound)
+                surrogate += (overshoot / (gamma * weighted_norm(prev_stripe.u_star,
+                                                                 space_x.dual()))) ** cfg.gauge
+            fields.update(direction_cosine=cosine, gamma=gamma)
+        fields.update(decrease_surrogate=surrogate,
+                      truth_inside=classify(self.truth, stripe, space_x) is StripeSide.INSIDE)
+        if not fields['truth_inside']:
+            if self.truth_image is None:
+                self.truth_image = self.op(self.truth)
+            misfit = state.u - self.truth_image
+            linearized = self.op.derivative(state, x - self.truth)
+            denominator = weighted_norm(misfit, self.space_y)
+            fields['cone_ratio'] = (None if denominator == 0.0 else
+                                    weighted_norm(misfit - linearized, self.space_y)
+                                    / denominator)
+            logger.warning(
+                'ground truth outside the stripe at n=%d: measured '
+                'tangential-cone ratio %.4g exceeds configured %.4g',
+                n, fields['cone_ratio'], cfg.cone_constant)
+        return fields
 
 
 def run(op, y, x0, cfg, ground_truth=None):
@@ -361,8 +353,9 @@ def run(op, y, x0, cfg, ground_truth=None):
     Parameters
     ----------
     op : forward operator
-        Needs `__call__(x)`, `linearize(x)` returning a state with
-        attribute `u`, `derivative(state, d)`, `adjoint(state, w)` and
+        The method needs `linearize(x)`, returning a state with attribute
+        `u` = F(x), and `adjoint(state, w)`. With a ground truth the
+        diagnostics also call `__call__(x)`, `derivative(state, d)` and
         `norm_estimate(state)`.
     y : GridFunction
         Data (possibly noisy).
@@ -370,8 +363,9 @@ def run(op, y, x0, cfg, ground_truth=None):
         Starting parameter.
     cfg : SolverConfig
     ground_truth : GridFunction, optional
-        Enables the error, Bregman-distance and stripe-containment columns
-        of the records.
+        Fills the diagnostic columns of the records: relative error,
+        Bregman distance, stripe containment, cone ratio, decrease
+        surrogate, direction cosine and gamma. Without it they stay None.
 
     Returns
     -------
@@ -387,34 +381,25 @@ def run(op, y, x0, cfg, ground_truth=None):
     """
     space_x = SpaceSpec(cfg.r, cfg.gauge, x0.h)
     space_y = SpaceSpec(cfg.s, 2.0, y.h)
+    monitor = (None if ground_truth is None
+               else _TruthMonitor(op, ground_truth, cfg, space_x, space_y))
     threshold = cfg.stop_threshold
     records = []
     x = x0
     prev_stripe = None
-    truth_image = None
-    truth_norm = None
-    if ground_truth is not None:
-        truth_norm = weighted_norm(ground_truth, space_x)
-    c_f = None
     stagnant = 0
     try:
         for n in range(cfg.max_outer + 1):
             tic = time.perf_counter()
             state = op.linearize(x)
-            if c_f is None:
-                c_f = op.norm_estimate(state)
             residual = state.u - y
             res_norm = weighted_norm(residual, space_y)
-            rel_error = None
-            breg = None
-            if ground_truth is not None:
-                rel_error = weighted_norm(x - ground_truth, space_x) / truth_norm
-                breg = bregman_distance(x, ground_truth, space_x)
 
             if res_norm <= threshold or n == cfg.max_outer:
+                fields = {} if monitor is None else monitor.at_iterate(x)
                 records.append(IterationRecord(
-                    n=n, residual_norm=res_norm, rel_error=rel_error,
-                    bregman_to_truth=breg, wall_time=time.perf_counter() - tic))
+                    n=n, residual_norm=res_norm, wall_time=time.perf_counter() - tic,
+                    **fields))
                 if res_norm <= threshold:
                     reason = (StopReason.DISCREPANCY if cfg.noise_level > 0
                               else StopReason.RESIDUAL_TOLERANCE)
@@ -427,35 +412,18 @@ def run(op, y, x0, cfg, ground_truth=None):
                 return SolveResult(iterate=x, records=tuple(records),
                                    stop_reason=reason, n_star=n, detail=detail)
 
-            x_next, stripe, outcome = resesop_two_dir_step(
-                op, state, x, residual, prev_stripe, cfg, space_x, space_y, c_f)
-
-            truth_inside = None
-            cone_ratio = None
-            if ground_truth is not None:
-                truth_inside = classify(ground_truth, stripe, space_x) is StripeSide.INSIDE
-                if not truth_inside:
-                    if truth_image is None:
-                        truth_image = op(ground_truth)
-                    cone_ratio = _measured_cone_ratio(
-                        op, state, x, ground_truth, truth_image, space_y)
-                    logger.warning(
-                        'ground truth outside the stripe at n=%d: measured '
-                        'tangential-cone ratio %.4g exceeds configured %.4g',
-                        n, cone_ratio, cfg.cone_constant)
-            if outcome.t_params and max(abs(v) for v in outcome.t_params) > COEFFICIENT_WARN:
-                logger.warning('projection coefficients %s unusually large at n=%d',
-                               outcome.t_params, n)
-
+            stripe, margin, (x_next, t, x_first, bound) = resesop_two_dir_step(
+                op, state, x, residual, prev_stripe, cfg, space_x, space_y)
+            if max(abs(v) for v in t) > COEFFICIENT_WARN:
+                logger.warning('projection coefficients %s unusually large at n=%d', t, n)
+            fields = {} if monitor is None else monitor.at_step(
+                n, state, x, res_norm, stripe, prev_stripe, x_first, bound)
             records.append(IterationRecord(
-                n=n, residual_norm=res_norm, rel_error=rel_error,
-                t_params=outcome.t_params, stripe_widths=outcome.stripe_widths,
-                step_class=outcome.step_class,
-                wall_time=time.perf_counter() - tic,
-                bregman_to_truth=breg, above_margin=outcome.above_margin,
-                truth_inside=truth_inside, cone_ratio=cone_ratio,
-                decrease_surrogate=outcome.decrease_surrogate,
-                direction_cosine=outcome.direction_cosine, gamma=outcome.gamma))
+                n=n, residual_norm=res_norm, t_params=t,
+                stripe_widths=(stripe.xi,) if bound is None else (stripe.xi, prev_stripe.xi),
+                step_class=(StepClass.SINGLE_PROJECTION if bound is None
+                            else StepClass.TWO_PLANE_CORRECTION),
+                above_margin=margin, wall_time=time.perf_counter() - tic, **fields))
 
             if weighted_norm(x_next - x, space_x) < STAGNATION_TOL * weighted_norm(x, space_x):
                 stagnant += 1

@@ -13,9 +13,9 @@ import logging
 import numpy as np
 import pytest
 
+from resesop import bregman_geometry
 from resesop.bregman_geometry import (
     ConvergenceError,
-    MinimizerSettings,
     Stripe,
     StripeSide,
     _dual_objective,
@@ -109,13 +109,6 @@ def test_stripe_validation():
         Stripe(GridFunction.zeros(1), 0.0, 1.0)
     with pytest.raises(ValueError):
         Stripe(u, 0.0, -0.5)
-
-
-def test_minimizer_settings_validation():
-    with pytest.raises(ValueError):
-        MinimizerSettings(grad_tol=0.0)
-    with pytest.raises(ValueError):
-        MinimizerSettings(max_iters=0)
 
 
 def test_project_hyperplane_hilbert_oracle():
@@ -271,13 +264,14 @@ def test_project_intersection_warns_on_parallel_directions(caplog):
     assert t[1] == 0.0
 
 
-def test_project_intersection_nonconvergence_raises():
+def test_project_intersection_nonconvergence_raises(monkeypatch):
+    monkeypatch.setattr(bregman_geometry, 'MAX_NEWTON_ITERS', 1)
     rng = np.random.default_rng(19)
     x = random_grid(rng, 3, scale=3.0)
     planes = [(random_grid(rng, 3), 0.9), (random_grid(rng, 3), -1.3)]
     space = SpaceSpec.for_grid(x, 1.5, 2.0)
     with pytest.raises(ConvergenceError) as info:
-        project_intersection(x, planes, space, MinimizerSettings(max_iters=1))
+        project_intersection(x, planes, space)
     assert info.value.last_t is not None
     assert info.value.grad_norm > 0.0
 

@@ -350,3 +350,16 @@ class TestLogging:
                               text=True, env=env, timeout=300, check=False)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ''
+
+    def test_command_line_is_quiet_without_verbose(self, tmp_path):
+        # The same run from the command line: its cone warnings need -v.
+        env = dict(os.environ, PYTHONPATH=str(Path(resesop.__file__).resolve().parents[1]))
+        argv = [sys.executable, '-m', 'resesop', 'run', '--method', 'A',
+                '--out', str(tmp_path / 'report.json')]
+        quiet = subprocess.run(argv, capture_output=True, text=True, env=env,
+                               timeout=300, check=False)
+        assert quiet.returncode == 0, quiet.stderr
+        assert quiet.stderr == ''
+        verbose = subprocess.run(argv[:3] + ['-v'] + argv[3:], capture_output=True,
+                                 text=True, env=env, timeout=300, check=False)
+        assert 'tangential-cone ratio' in verbose.stderr

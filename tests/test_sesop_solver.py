@@ -31,6 +31,7 @@ from resesop.sesop_solver import (
     SolverFailure,
     StepClass,
     StopReason,
+    _TruthMonitor,
     build_stripe,
     descent_monitor,
     resesop_two_dir_step,
@@ -162,26 +163,37 @@ def test_landweber_step_matches_classical_landweber():
     # method): the step is x - (||R||^2/||u*||^2) u*.
     rng = np.random.default_rng(41)
     n = 4
-    op = LinearStub(rng.standard_normal((n * n, n * n)), GridFunction.zeros(n))
+    matrix = rng.standard_normal((n * n, n * n))
+    # ||A|| = 1 makes c_F = 1, so the decrease surrogate is ||R||^2.
+    op = LinearStub(matrix / np.linalg.norm(matrix, 2), GridFunction.zeros(n))
     space = SpaceSpec(2.0, 2.0, 1.0 / (n + 1))
     cfg = hilbert_config()
     x = GridFunction.from_interior(rng.standard_normal((n, n)))
     y = GridFunction.from_interior(rng.standard_normal((n, n)))
+    truth = GridFunction.from_interior(rng.standard_normal((n, n)))
     state = op.linearize(x)
     residual = state.u - y
-    x_next, stripe, outcome = resesop_two_dir_step(op, state, x, residual, None, cfg,
-                                                   space, space, c_f=1.0)
+    stripe, margin, (x_next, t, x_first, bound) = resesop_two_dir_step(
+        op, state, x, residual, None, cfg, space, space)
     u_star = op.adjoint(state, residual)  # J_2 = identity on both spaces
     t_oracle = (weighted_norm(residual, space) ** 2
                 / weighted_norm(u_star, space) ** 2)
     oracle = GridFunction(x.values - t_oracle * u_star.values)
     np.testing.assert_allclose(x_next.values, oracle.values, rtol=1e-9, atol=1e-12)
-    assert outcome.t_params[0] == pytest.approx(t_oracle, rel=1e-9)
-    assert outcome.step_class == StepClass.SINGLE_PROJECTION
-    assert outcome.above_margin > 0.0
-    assert outcome.stripe_widths == (0.0,)
-    assert outcome.decrease_surrogate == pytest.approx(
+    assert t[0] == pytest.approx(t_oracle, rel=1e-9)
+    assert bound is None and x_first is x_next
+    assert margin > 0.0
+    fields = _TruthMonitor(op, truth, cfg, space, space).at_step(
+        0, state, x, weighted_norm(residual, space), stripe, None, x_first, bound)
+    assert fields['decrease_surrogate'] == pytest.approx(
         weighted_norm(residual, space) ** 2, rel=1e-12)
+    # run records the same step
+    record = run(op, y, x, hilbert_config(max_outer=1), ground_truth=truth).records[0]
+    assert record.step_class == StepClass.SINGLE_PROJECTION
+    assert record.t_params == t
+    assert record.above_margin == margin
+    assert record.stripe_widths == (0.0,)
+    assert record.decrease_surrogate == fields['decrease_surrogate']
 
 
 def two_dir_setup(seed=42, n=4):
@@ -197,9 +209,9 @@ def two_dir_setup(seed=42, n=4):
 def test_two_dir_step_without_previous_stripe():
     op, space, x, y, state, residual, _ = two_dir_setup()
     cfg = hilbert_config(directions=2)
-    x_next, stripe, outcome = resesop_two_dir_step(
-        op, state, x, residual, None, cfg, space, space, c_f=2.0)
-    assert outcome.step_class == StepClass.SINGLE_PROJECTION
+    stripe, _, (x_next, _, _, bound) = resesop_two_dir_step(
+        op, state, x, residual, None, cfg, space, space)
+    assert bound is None  # a single projection
     # with xi = 0 the step must land on the central hyperplane
     assert abs(dual_pairing(stripe.u_star, x_next, space)
                - stripe.alpha) <= 1e-8 * (1.0 + abs(stripe.alpha))
@@ -210,10 +222,10 @@ def test_two_dir_step_keeps_point_inside_previous_stripe():
     cfg = hilbert_config(directions=2)
     wide = Stripe(GridFunction.from_interior(rng.standard_normal((4, 4))),
                   0.0, 1e9)  # so wide the intermediate point stays inside
-    x_next, stripe, outcome = resesop_two_dir_step(
-        op, state, x, residual, wide, cfg, space, space, c_f=2.0)
-    assert outcome.step_class == StepClass.SINGLE_PROJECTION
-    assert len(outcome.t_params) == 1
+    _, _, (_, t, _, bound) = resesop_two_dir_step(
+        op, state, x, residual, wide, cfg, space, space)
+    assert bound is None  # a single projection
+    assert len(t) == 1
 
 
 def test_two_dir_step_correction_matches_gram_oracle():
@@ -222,14 +234,19 @@ def test_two_dir_step_correction_matches_gram_oracle():
     # A narrow previous stripe the intermediate point will violate.
     u_prev = GridFunction.from_interior(rng.standard_normal((4, 4)))
     x_plane = resesop_two_dir_step(op, state, x, residual, None, cfg,
-                                   space, space)[0]
+                                   space, space)[2][0]
     prev_alpha = dual_pairing(u_prev, x_plane, space) - 5.0
     prev = Stripe(u_prev, prev_alpha, 1e-6)
-    x_next, stripe, outcome = resesop_two_dir_step(
-        op, state, x, residual, prev, cfg, space, space, c_f=2.0)
-    assert outcome.step_class == StepClass.TWO_PLANE_CORRECTION
-    assert len(outcome.t_params) == 2
-    assert outcome.gamma is None or 0.0 < outcome.gamma <= 1.0
+    stripe, _, (x_next, t, x_first, bound) = resesop_two_dir_step(
+        op, state, x, residual, prev, cfg, space, space)
+    # a two-plane correction; the violated bound was the upper one (x_plane
+    # sits far above it)
+    assert bound == prev.alpha + prev.xi
+    assert len(t) == 2
+    truth = GridFunction.from_interior(rng.standard_normal((4, 4)))
+    gamma = _TruthMonitor(op, truth, cfg, space, space).at_step(
+        0, state, x, weighted_norm(residual, space), stripe, prev, x_first, bound)['gamma']
+    assert gamma is None or 0.0 < gamma <= 1.0
     # oracle: metric projection of x onto the two active planes
     planes = [(stripe.u_star, stripe.alpha + stripe.xi),
               (prev.u_star, prev.alpha + prev.xi)]
@@ -239,9 +256,37 @@ def test_two_dir_step_correction_matches_gram_oracle():
     coeffs = np.linalg.solve(gram, gaps)
     oracle = x.values - coeffs[0] * planes[0][0].values - coeffs[1] * planes[1][0].values
     np.testing.assert_allclose(x_next.values, oracle, rtol=1e-7, atol=1e-9)
-    # the violated bound was the upper one (x_plane sits far above it)
     assert dual_pairing(u_prev, x_next, space) == pytest.approx(
         prev.alpha + prev.xi, abs=1e-7)
+
+
+def test_bare_core_needs_only_linearize_and_adjoint():
+    # Without a ground truth the method runs on linearize and adjoint alone,
+    # takes the same steps as with the diagnostics, and fills none of them.
+    class BareStub:
+        def __init__(self, full):
+            self.linearize = full.linearize
+            self.adjoint = full.adjoint
+
+    rng = np.random.default_rng(51)
+    n = 4
+    full = LinearStub(well_conditioned_matrix(rng, n * n, 0.3), GridFunction.zeros(n))
+    truth = GridFunction.from_interior(rng.standard_normal((n, n)))
+    x0 = truth + GridFunction.full(n, 0.5)
+    cfg = hilbert_config(residual_tol=1e-6, max_outer=400, directions=2,
+                         cone_constant=0.01)
+    monitored = run(full, full(truth), x0, cfg, ground_truth=truth)
+    bare = run(BareStub(full), full(truth), x0, cfg)
+    assert bare.stop_reason == StopReason.RESIDUAL_TOLERANCE
+    assert bare.n_star == monitored.n_star
+    assert bare.iterate == monitored.iterate
+    assert [rec.t_params for rec in bare.records] == [
+        rec.t_params for rec in monitored.records]
+    assert any(rec.step_class == StepClass.TWO_PLANE_CORRECTION for rec in bare.records)
+    diagnostics = ('rel_error', 'bregman_to_truth', 'truth_inside', 'cone_ratio',
+                   'decrease_surrogate', 'direction_cosine', 'gamma')
+    assert all(getattr(rec, name) is None
+               for rec in bare.records for name in diagnostics)
 
 
 def test_run_stops_immediately_at_solution():
