@@ -1,4 +1,4 @@
-"""Bregman projections onto hyperplanes, stripes and intersections.
+"""Bregman projections onto intersections of hyperplanes and onto stripes.
 
 The Bregman projection of x onto an intersection of hyperplanes
 H(u_k*, alpha_k) has the closed form
@@ -15,9 +15,11 @@ and q is the gauge of the space. The gradient of h is
 
 so the first-order condition is exactly feasibility of x_new. Any number of
 planes is solved by one safeguarded Newton iteration with the analytic
-Hessian of h and Armijo backtracking. A stripe projection is one
-hyperplane problem; the two-stage step of the two-direction method adds at
-most one two-plane problem.
+Hessian of h and Armijo backtracking, and `project_intersection` is the one
+routine that computes a projection: with one plane it is the hyperplane
+projection. `project_two_stage` projects onto a stripe, a one-plane problem
+for a point outside it, and with a previous stripe adds at most one
+two-plane problem: the step of both solver methods.
 """
 
 import logging
@@ -40,9 +42,7 @@ __all__ = [
     'ConvergenceError',
     'GeometryError',
     'classify',
-    'project_hyperplane',
     'project_intersection',
-    'project_stripe',
     'project_two_stage',
 ]
 
@@ -220,29 +220,6 @@ def _minimize(x, planes, space, t_init=None):
                            last_t=t, grad_norm=float(np.linalg.norm(grad)))
 
 
-def project_hyperplane(x, u_star, alpha, space):
-    """Bregman projection of x onto the hyperplane H(u_star, alpha).
-
-    Parameters
-    ----------
-    x : GridFunction
-    u_star : GridFunction
-        Nonzero dual vector defining the plane.
-    alpha : float
-    space : SpaceSpec
-
-    Returns
-    -------
-    (GridFunction, float)
-        The projected point and the coefficient t with
-        x_new = J_inv(J(x) - t * u_star).
-    """
-    if not np.any(u_star.values):
-        raise ValueError('hyperplane requires a nonzero dual vector')
-    x_new, t = _minimize(x, [(u_star, alpha)], space)
-    return x_new, float(t[0])
-
-
 def _parallel_pair(planes):
     for j in range(len(planes)):
         for k in range(j + 1, len(planes)):
@@ -261,9 +238,10 @@ def project_intersection(x, planes, space, t_init=None):
     ----------
     x : GridFunction
     planes : list of (GridFunction, float)
-        Pairs (u_star, alpha); the dual vectors should be linearly
-        independent. A numerically parallel pair triggers a warning and a
-        fallback to the projection onto the first plane alone.
+        Pairs (u_star, alpha), one or more; one pair is the hyperplane
+        H(u_star, alpha). The dual vectors should be linearly independent.
+        A numerically parallel pair triggers a warning and a fallback to
+        the projection onto the first plane alone.
     space : SpaceSpec
     t_init : array-like, optional
         Starting coefficients, e.g. the result of a previous single-plane
@@ -287,30 +265,14 @@ def project_intersection(x, planes, space, t_init=None):
     return _minimize(x, planes, space, t_init)
 
 
-def project_stripe(x, stripe, space):
-    """Bregman projection of x onto a stripe.
-
-    A point inside is untouched; a point above (below) is projected onto the
-    upper (lower) bounding hyperplane.
-
-    Returns
-    -------
-    (GridFunction, float)
-        Projected point and hyperplane coefficient (0 when inside).
-    """
-    side = classify(x, stripe, space)
-    if side is StripeSide.INSIDE:
-        return x, 0.0
-    offset = stripe.xi if side is StripeSide.ABOVE else -stripe.xi
-    return project_hyperplane(x, stripe.u_star, stripe.alpha + offset, space)
-
-
 def project_two_stage(x, stripe, previous, space):
     """Bregman projection of x onto a stripe, corrected by a previous stripe.
 
-    Stage one projects x onto `stripe`. When `previous` (a Stripe or None)
-    is given and the stage-one point has left it, stage two projects x onto
-    the intersection of the upper bounding hyperplane of `stripe` and the
+    Stage one projects x onto `stripe`: a point inside is returned itself
+    with t = 0, a point above (below) goes onto the upper (lower) bounding
+    hyperplane; with `previous` None this is the stripe projection. When
+    the stage-one point has left `previous`, stage two projects x onto the
+    intersection of the upper bounding hyperplane of `stripe` and the
     violated bounding hyperplane of `previous`, warm-started at the
     stage-one coefficient. For x above `stripe` and inside `previous` (the
     solver's iterates are, up to rounding), the result is the Bregman
@@ -324,7 +286,11 @@ def project_two_stage(x, stripe, previous, space):
         stage-one point and the bound of `previous` met in stage two (None
         when stage one sufficed).
     """
-    x_first, t_first = project_stripe(x, stripe, space)
+    x_first, t_first = x, 0.0
+    side = classify(x, stripe, space)
+    if side is not StripeSide.INSIDE:
+        bound = stripe.alpha + (stripe.xi if side is StripeSide.ABOVE else -stripe.xi)
+        x_first, (t_first,) = project_intersection(x, [(stripe.u_star, bound)], space)
     side = StripeSide.INSIDE if previous is None else classify(x_first, previous, space)
     if side is StripeSide.INSIDE:
         return x_first, (float(t_first),), x_first, None

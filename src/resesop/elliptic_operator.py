@@ -85,10 +85,6 @@ class BvpData:
             raise ValueError('source and boundary grids differ: {} vs {}'.format(
                 self.f.values.shape, self.g.values.shape))
 
-    @property
-    def n_interior(self):
-        return self.f.n_interior
-
 
 @dataclass(frozen=True, eq=False)
 class OperatorState:
@@ -101,7 +97,6 @@ class OperatorState:
 
     c: GridFunction
     u: GridFunction
-    data: BvpData
     sine_basis: np.ndarray = field(repr=False)
     inverse_eigenvalues: np.ndarray = field(repr=False)
     matrix_norm: float = field(repr=False)
@@ -274,7 +269,7 @@ class EllipticOperator:
                                    _boundary_rhs(data))
         values = data.g.values.copy()
         values[1:-1, 1:-1] = interior
-        return OperatorState(c=c, u=GridFunction(values), data=data, sine_basis=basis,
+        return OperatorState(c=c, u=GridFunction(values), sine_basis=basis,
                              inverse_eigenvalues=inverse_eigenvalues,
                              matrix_norm=matrix_norm)
 

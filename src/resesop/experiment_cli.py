@@ -208,6 +208,8 @@ class ExperimentConfig:
             raise ValueError('tau factor must exceed 1')
         if self.restriction not in ('cubic', 'bilinear'):
             raise ValueError("restriction must be 'cubic' or 'bilinear'")
+        # The solver configuration range-checks the solver fields.
+        self.solver_config()
 
     @property
     def gauge(self):
@@ -216,9 +218,10 @@ class ExperimentConfig:
 
     @property
     def tau(self):
-        """Discrepancy multiplier tau_factor * (1 + c_tc)/(1 - c_tc)."""
-        return (self.tau_factor * (1.0 + self.cone_constant)
-                / (1.0 - self.cone_constant))
+        """Discrepancy multiplier tau_factor * (1 + c_tc)/(1 - c_tc); infinite
+        at c_tc = 1, which the solver configuration refuses."""
+        gap = 1.0 - self.cone_constant
+        return self.tau_factor * (1.0 + self.cone_constant) / gap if gap else float('inf')
 
     def solver_config(self):
         """The solver configuration this experiment runs with."""

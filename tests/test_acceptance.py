@@ -14,8 +14,7 @@ import pytest
 
 from resesop.bregman_geometry import (
     Stripe,
-    project_hyperplane,
-    project_stripe,
+    project_intersection,
     project_two_stage,
 )
 from resesop.elliptic_operator import BvpData, EllipticOperator
@@ -163,12 +162,12 @@ def test_criterion_3_hilbert_projection_oracles():
         alpha = float(rng.normal())
         uu = dual_pairing(u, u, space)
 
-        projected, _ = project_hyperplane(x, u, alpha, space)
+        projected, _ = project_intersection(x, [(u, alpha)], space)
         closed = x - ((dual_pairing(u, x, space) - alpha) / uu) * u
         worst = max(worst, _euclidean_gap(projected, closed, space))
 
         xi = float(rng.uniform(0.05, 1.0))
-        stripe_point, _ = project_stripe(x, Stripe(u, alpha, xi), space)
+        stripe_point, _, _, _ = project_two_stage(x, Stripe(u, alpha, xi), None, space)
         gap = dual_pairing(u, x, space) - alpha
         shift = max(abs(gap) - xi, 0.0) * np.sign(gap) / uu
         worst = max(worst, _euclidean_gap(stripe_point, x - shift * u, space))
@@ -195,13 +194,13 @@ def test_criterion_4_projection_descent_property():
         kind = index % 3
         if kind == 0:
             alpha = dual_pairing(u, x, space) - float(rng.uniform(0.5, 3.0))
-            projected, _ = project_hyperplane(x, u, alpha, space)
+            projected, _ = project_intersection(x, [(u, alpha)], space)
             carrier = GridFunction(rng.standard_normal(x.values.shape))
             z = carrier - ((dual_pairing(u, carrier, space) - alpha) / uu) * u
         elif kind == 1:
             alpha = dual_pairing(u, x, space) - float(rng.uniform(0.5, 3.0))
             xi = float(rng.uniform(0.05, 0.4))
-            projected, _ = project_stripe(x, Stripe(u, alpha, xi), space)
+            projected, _, _, _ = project_two_stage(x, Stripe(u, alpha, xi), None, space)
             carrier = GridFunction(rng.standard_normal(x.values.shape))
             z = carrier - ((dual_pairing(u, carrier, space) - alpha) / uu) * u
         else:

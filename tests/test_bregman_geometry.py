@@ -20,9 +20,7 @@ from resesop.bregman_geometry import (
     StripeSide,
     _dual_objective,
     classify,
-    project_hyperplane,
     project_intersection,
-    project_stripe,
     project_two_stage,
 )
 from resesop.lp_spaces import (
@@ -119,7 +117,7 @@ def test_project_hyperplane_hilbert_oracle():
         x = random_grid(rng, n, scale=float(rng.uniform(0.2, 5.0)))
         u = random_grid(rng, n)
         alpha = float(rng.normal())
-        x_new, t = project_hyperplane(x, u, alpha, space)
+        x_new, (t,) = project_intersection(x, [(u, alpha)], space)
         gap = dual_pairing(u, x, space) - alpha
         t_expected = gap / dual_pairing(u, u, space)
         expected = GridFunction(x.values - t_expected * u.values)
@@ -133,7 +131,7 @@ def test_project_hyperplane_already_on_plane():
     u = random_grid(rng)
     space = SpaceSpec.for_grid(x, 1.5, 2.0)
     alpha = dual_pairing(u, x, space)
-    x_new, t = project_hyperplane(x, u, alpha, space)
+    x_new, (t,) = project_intersection(x, [(u, alpha)], space)
     assert t == 0.0
     assert x_new is x
 
@@ -147,18 +145,19 @@ def test_project_hyperplane_feasibility_and_idempotence():
             x = random_grid(rng, n, scale=float(rng.uniform(0.2, 4.0)))
             u = random_grid(rng, n)
             alpha = float(rng.normal())
-            x_new, t = project_hyperplane(x, u, alpha, space)
+            x_new, _ = project_intersection(x, [(u, alpha)], space)
             norm_u = weighted_norm(u, space.dual())
             feas = 1e-8 * (1.0 + abs(alpha) + norm_u * weighted_norm(x, space))
             assert abs(dual_pairing(u, x_new, space) - alpha) <= feas
-            again, _ = project_hyperplane(x_new, u, alpha, space)
+            again, _ = project_intersection(x_new, [(u, alpha)], space)
             assert weighted_norm(again - x_new, space) < 1e-8
 
 
 def test_project_hyperplane_rejects_zero_direction():
     x = GridFunction.full(2, 1.0)
     with pytest.raises(ValueError):
-        project_hyperplane(x, GridFunction.zeros(2), 1.0, SpaceSpec.for_grid(x, 2.0, 2.0))
+        project_intersection(x, [(GridFunction.zeros(2), 1.0)],
+                             SpaceSpec.for_grid(x, 2.0, 2.0))
 
 
 def test_objective_gradient_matches_finite_differences():
@@ -189,18 +188,6 @@ def test_objective_gradient_matches_finite_differences():
                 assert grad[j] == pytest.approx(fd, rel=1e-4, abs=1e-7)
                 np.testing.assert_allclose(hessian[:, j], (grad_hi - grad_lo) / (2.0 * step),
                                            rtol=1e-4, atol=1e-7)
-
-
-def test_project_intersection_single_plane_delegates():
-    rng = np.random.default_rng(14)
-    x = random_grid(rng)
-    u = random_grid(rng)
-    space = SpaceSpec.for_grid(x, 1.5, 2.0)
-    alpha = float(rng.normal())
-    x_one, t_one = project_hyperplane(x, u, alpha, space)
-    x_two, t_two = project_intersection(x, [(u, alpha)], space)
-    np.testing.assert_allclose(x_two.values, x_one.values, rtol=1e-10, atol=1e-12)
-    assert t_two[0] == pytest.approx(t_one, rel=1e-10, abs=1e-14)
 
 
 def test_project_intersection_hilbert_orthogonal_oracle():
@@ -259,7 +246,7 @@ def test_project_intersection_warns_on_parallel_directions(caplog):
     with caplog.at_level(logging.WARNING, logger='resesop.bregman_geometry'):
         x_new, t = project_intersection(x, planes, space)
     assert any('parallel' in record.message for record in caplog.records)
-    fallback, t_one = project_hyperplane(x, u, 0.5, space)
+    fallback, _ = project_intersection(x, [(u, 0.5)], space)
     np.testing.assert_allclose(x_new.values, fallback.values, rtol=1e-12)
     assert t[1] == 0.0
 
@@ -285,23 +272,23 @@ def test_project_stripe_cases():
     value = dual_pairing(u, x, space)
 
     inside = Stripe(u, value, 0.5)
-    x_same, t = project_stripe(x, inside, space)
-    assert t == 0.0 and x_same is x
+    x_same, t, _, _ = project_two_stage(x, inside, None, space)
+    assert t == (0.0,) and x_same is x
 
     above = Stripe(u, value - 2.0, 0.5)
-    x_new, t = project_stripe(x, above, space)
-    x_plane, t_plane = project_hyperplane(x, u, above.alpha + above.xi, space)
+    x_new, (t,), _, _ = project_two_stage(x, above, None, space)
+    x_plane, (t_plane,) = project_intersection(x, [(u, above.alpha + above.xi)], space)
     np.testing.assert_allclose(x_new.values, x_plane.values, rtol=1e-12)
     assert t == pytest.approx(t_plane, rel=1e-12)
 
     below = Stripe(u, value + 2.0, 0.5)
-    x_new, t = project_stripe(x, below, space)
-    x_plane, _ = project_hyperplane(x, u, below.alpha - below.xi, space)
+    x_new, _, _, _ = project_two_stage(x, below, None, space)
+    x_plane, _ = project_intersection(x, [(u, below.alpha - below.xi)], space)
     np.testing.assert_allclose(x_new.values, x_plane.values, rtol=1e-12)
 
     degenerate = Stripe(u, value - 2.0, 0.0)
-    x_new, _ = project_stripe(x, degenerate, space)
-    x_plane, _ = project_hyperplane(x, u, degenerate.alpha, space)
+    x_new, _, _, _ = project_two_stage(x, degenerate, None, space)
+    x_plane, _ = project_intersection(x, [(u, degenerate.alpha)], space)
     np.testing.assert_allclose(x_new.values, x_plane.values, rtol=1e-12)
 
 
@@ -314,7 +301,7 @@ def test_project_stripe_hilbert_oracle():
         u = random_grid(rng, n)
         alpha = float(rng.normal())
         xi = float(rng.uniform(0.0, 0.5))
-        x_new, _ = project_stripe(x, Stripe(u, alpha, xi), space)
+        x_new, _, _, _ = project_two_stage(x, Stripe(u, alpha, xi), None, space)
         gap = dual_pairing(u, x, space) - alpha
         shift = max(abs(gap) - xi, 0.0) * np.sign(gap)
         expected = x.values - (shift / dual_pairing(u, u, space)) * u.values
@@ -381,30 +368,19 @@ def test_project_two_stage_perpendicular_normals():
     assert t2 == pytest.approx(0.5 / dual_pairing(u2, u2, space), rel=1e-7)
 
 
-def test_descent_property_hyperplane():
-    rng = np.random.default_rng(25)
-    n = 4
-    space = SpaceSpec(1.5, 2.0, 1.0 / (n + 1))
-    for _ in range(30):
-        x = random_grid(rng, n, scale=float(rng.uniform(0.3, 3.0)))
-        u = random_grid(rng, n)
-        alpha = float(rng.normal())
-        x_new, _ = project_hyperplane(x, u, alpha, space)
-        z = affine_member(rng, [(u, alpha)], space, n)
-        lhs = bregman_distance(x_new, z, space)
-        rhs = bregman_distance(x, z, space) - bregman_distance(x, x_new, space)
-        assert lhs <= rhs + 1e-9
-
-
 def test_descent_property_intersection():
-    rng = np.random.default_rng(26)
+    # One plane (seed 25, 30 draws) and two planes (seed 26, 20 draws).
     n = 4
     space = SpaceSpec(1.5, 2.0, 1.0 / (n + 1))
-    for _ in range(20):
-        x = random_grid(rng, n, scale=float(rng.uniform(0.3, 2.0)))
-        planes = [(random_grid(rng, n), float(0.3 * rng.normal())) for _ in range(2)]
-        x_new, _ = project_intersection(x, planes, space)
-        z = affine_member(rng, planes, space, n)
-        lhs = bregman_distance(x_new, z, space)
-        rhs = bregman_distance(x, z, space) - bregman_distance(x, x_new, space)
-        assert lhs <= rhs + 1e-9
+    for k, seed, draws, x_scale, alpha_scale in ((1, 25, 30, 3.0, 1.0),
+                                                 (2, 26, 20, 2.0, 0.3)):
+        rng = np.random.default_rng(seed)
+        for _ in range(draws):
+            x = random_grid(rng, n, scale=float(rng.uniform(0.3, x_scale)))
+            planes = [(random_grid(rng, n), float(alpha_scale * rng.normal()))
+                      for _ in range(k)]
+            x_new, _ = project_intersection(x, planes, space)
+            z = affine_member(rng, planes, space, n)
+            lhs = bregman_distance(x_new, z, space)
+            rhs = bregman_distance(x, z, space) - bregman_distance(x, x_new, space)
+            assert lhs <= rhs + 1e-9

@@ -159,6 +159,15 @@ class TestExperimentConfig:
             ExperimentConfig(tau_factor=1.0)
         with pytest.raises(ValueError):
             ExperimentConfig(restriction='spline')
+        # Solver fields are range-checked when the configuration is built,
+        # not first inside run_experiment; c_tc = 1 must not divide by zero.
+        for bad in ({'cone_constant': 1.0, 'delta': 5e-4}, {'cone_constant': 1.0},
+                    {'cone_constant': 2.0, 'delta': 5e-4}, {'r': 0.5}, {'s': 1.0},
+                    {'max_outer': 0}, {'delta': -1.0}, {'residual_tol': 0.0},
+                    {'p_gauge': 1.0},
+                    {'r': 0.5, 'cone_constant': 2.0, 'max_outer': 0, 'delta': -1.0}):
+            with pytest.raises(ValueError):
+                ExperimentConfig(**bad)
 
     def test_gauge_defaults_to_the_norm_exponent(self):
         assert ExperimentConfig().gauge == 1.5
@@ -336,6 +345,10 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert 'error: tau factor must exceed 1' in err
         assert 'Traceback' not in err
+        # c_tc = 1 with noisy data used to escape as a ZeroDivisionError.
+        assert main(['run', '--ctc', '1', '--delta', '5e-4']) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            'error: cone constant must lie in [0, 1), got 1.0']
 
 
 class TestLogging:

@@ -17,7 +17,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from resesop.bregman_geometry import (
     Stripe,
-    project_hyperplane,
     project_intersection,
     project_two_stage,
 )
@@ -118,7 +117,7 @@ def test_near_parallel_pair_falls_back_to_the_first_plane(r, q, n, seed, factor)
     finally:
         logger.removeHandler(handler)
     assert any('parallel' in message for message in handler.messages)
-    x_one, t_one = project_hyperplane(x, u, alpha, space)
+    x_one, (t_one,) = project_intersection(x, [(u, alpha)], space)
     np.testing.assert_array_equal(x_new.values, x_one.values)
     assert t[0] == t_one and t[1] == 0.0
 

@@ -14,6 +14,7 @@ import logging
 import numpy as np
 import pytest
 
+from resesop import bregman_geometry
 from resesop.bregman_geometry import Stripe
 from resesop.elliptic_operator import BvpData, EllipticOperator, LinearSolveError
 from resesop.experiment_cli import ExperimentConfig, run_experiment
@@ -347,6 +348,29 @@ def test_run_two_direction_converges_no_slower():
     assert double.n_star <= single.n_star
     assert any(rec.step_class == StepClass.TWO_PLANE_CORRECTION
                for rec in double.records)
+
+
+def test_every_projection_goes_through_project_intersection(monkeypatch):
+    # Stage one of each step projects onto one plane, a two-plane correction
+    # adds one projection onto two, and both run through the one routine.
+    calls = []
+    inner = bregman_geometry.project_intersection
+
+    def counting(x, planes, space, t_init=None):
+        calls.append(len(planes))
+        return inner(x, planes, space, t_init)
+
+    monkeypatch.setattr(bregman_geometry, 'project_intersection', counting)
+    rng = np.random.default_rng(46)
+    n = 4
+    matrix = well_conditioned_matrix(rng, n * n, 0.3)
+    truth = GridFunction.from_interior(rng.standard_normal((n, n)))
+    op = LinearStub(matrix, GridFunction.zeros(n))
+    result = run(op, op(truth), truth + GridFunction.full(n, 0.5),
+                 hilbert_config(residual_tol=1e-6, max_outer=400, directions=2))
+    steps = [rec.step_class for rec in result.records if rec.step_class is not None]
+    assert calls.count(1) == len(steps)
+    assert calls.count(2) == steps.count(StepClass.TWO_PLANE_CORRECTION) > 0
 
 
 def test_run_is_deterministic():
