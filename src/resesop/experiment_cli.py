@@ -175,62 +175,38 @@ def restrict(data, n_to, method='cubic'):
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Benchmark configuration; defaults reproduce the exact-data run.
+class ExperimentConfig(SolverConfig):
+    """A SolverConfig plus the grids, the noise seed, the data restriction
+    and the report path; the defaults reproduce the exact-data run.
 
-    p_gauge omitted selects the gauge r of the parameter space norm, which
-    keeps the recorded approximation errors monotone; set it explicitly to
-    study other gauges. The restriction method is recorded so alternatives
-    can be compared.
+    Parameters
+    ----------
+    n_data, n_recon : int
+        Interior sizes of the data grid and of the coarser reconstruction
+        grid, n_data >= n_recon >= 2.
+    seed : int
+        Seed >= 0 of the noise generator.
+    restriction : str
+        'cubic' or 'bilinear' resampling of the data onto the
+        reconstruction grid; recorded so alternatives can be compared.
+    output_path : str, optional
+        JSON report path; a CSV of the series is written alongside.
     """
 
-    method: str = 'A'
-    delta: float = 0.0
     n_data: int = 50
     n_recon: int = 40
-    r: float = 1.5
-    s: float = 5.0
-    cone_constant: float = 0.01
-    tau_factor: float = 1.1
-    residual_tol: float = 5e-4
     seed: int = 0
-    max_outer: int = 500
-    p_gauge: float = None
     restriction: str = 'cubic'
     output_path: str = None
 
     def __post_init__(self):
-        if self.method not in ('A', 'B'):
-            raise ValueError("method must be 'A' or 'B'")
+        super().__post_init__()
         if self.n_recon < 2 or self.n_data < self.n_recon:
             raise ValueError('grids must satisfy n_data >= n_recon >= 2')
-        if self.tau_factor <= 1.0:
-            raise ValueError('tau factor must exceed 1')
+        if self.seed < 0:
+            raise ValueError('seed must be >= 0')
         if self.restriction not in ('cubic', 'bilinear'):
             raise ValueError("restriction must be 'cubic' or 'bilinear'")
-        # The solver configuration range-checks the solver fields.
-        self.solver_config()
-
-    @property
-    def gauge(self):
-        """Effective parameter-space gauge."""
-        return self.p_gauge if self.p_gauge is not None else self.r
-
-    @property
-    def tau(self):
-        """Discrepancy multiplier tau_factor * (1 + c_tc)/(1 - c_tc); infinite
-        at c_tc = 1, which the solver configuration refuses."""
-        gap = 1.0 - self.cone_constant
-        return self.tau_factor * (1.0 + self.cone_constant) / gap if gap else float('inf')
-
-    def solver_config(self):
-        """The solver configuration this experiment runs with."""
-        return SolverConfig(
-            r=self.r, s=self.s, p_gauge=self.gauge,
-            cone_constant=self.cone_constant, noise_level=self.delta,
-            tau=self.tau if self.delta > 0 else None,
-            residual_tol=self.residual_tol, max_outer=self.max_outer,
-            directions=1 if self.method == 'A' else 2)
 
 
 @dataclass(frozen=True)
@@ -300,8 +276,7 @@ def run_experiment(cfg):
     logger.info('method %s, delta=%g, data grid %d, reconstruction grid %d',
                 cfg.method, cfg.delta, cfg.n_data, cfg.n_recon)
     try:
-        result = run(op, y, coarse.c0, cfg.solver_config(),
-                     ground_truth=coarse.c)
+        result = run(op, y, coarse.c0, cfg, ground_truth=coarse.c)
         records = result.records
         stop_reason = result.stop_reason
         detail = result.detail
@@ -460,8 +435,8 @@ def _cmd_check(args):
     rng = np.random.default_rng(cfg.seed)
     ok = True
 
-    space = SpaceSpec(cfg.r, cfg.gauge, 1.0 / 9.0)
     f = GridFunction(rng.standard_normal((9, 9)))
+    space = SpaceSpec.for_grid(f, cfg.r, cfg.gauge)
     jf = duality_map(f, space)
     norm = weighted_norm(f, space)
     pairing_err = abs(dual_pairing(jf, f, space) - norm ** cfg.gauge)
@@ -510,8 +485,7 @@ def _starting_stripe(op, truth, cfg):
     state = op.linearize(truth.c0)
     residual = state.u - truth.u
     w = duality_map(residual, space_y)
-    return build_stripe(op, state, truth.c0, w, residual,
-                        cfg.solver_config(), space_x, space_y)
+    return build_stripe(op, state, truth.c0, w, residual, cfg, space_x, space_y)
 
 
 def main(argv=None):

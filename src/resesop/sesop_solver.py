@@ -107,42 +107,45 @@ class SolverFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Configuration of the outer iteration.
+    """Settings of the outer iteration; the defaults are the benchmark's.
 
     Parameters
     ----------
+    method : str
+        'A' for one search direction (the Landweber-type method), 'B' for
+        two directions.
+    delta : float
+        Noise level delta >= 0; 0 selects the exact-data stopping rule.
     r, s : float
         Norm exponents of the parameter space and the data space.
-    p_gauge : float, optional
-        Gauge of the duality map on the parameter space. Defaults to
-        max(2, r), which keeps the space convex of power type for the
-        descent estimates; the data-space gauge is fixed at 2.
     cone_constant : float
         Tangential-cone constant c_tc in [0, 1).
-    noise_level : float
-        Noise bound delta >= 0; 0 selects the exact-data stopping rule.
-    tau : float, optional
-        Discrepancy multiplier; must exceed (1 + c_tc)/(1 - c_tc) when
-        noise_level > 0.
+    tau_factor : float
+        Factor above 1 on the bound (1 + c_tc)/(1 - c_tc) of the
+        discrepancy multiplier tau.
     residual_tol : float
         Exact-data stopping tolerance on the residual norm.
     max_outer : int
         Iteration budget; exceeding it flags the result, no exception.
-    directions : int
-        1 for the Landweber-type method, 2 for the two-direction method.
+    p_gauge : float, optional
+        Gauge of the duality map on the parameter space. Omitted, it is r,
+        which keeps the recorded approximation errors monotone; the
+        data-space gauge is fixed at 2.
     """
 
-    r: float
-    s: float
-    p_gauge: float = None
-    cone_constant: float = 0.0
-    noise_level: float = 0.0
-    tau: float = None
+    method: str = 'A'
+    delta: float = 0.0
+    r: float = 1.5
+    s: float = 5.0
+    cone_constant: float = 0.01
+    tau_factor: float = 1.1
     residual_tol: float = 5e-4
     max_outer: int = 500
-    directions: int = 1
+    p_gauge: float = None
 
     def __post_init__(self):
+        if self.method not in ('A', 'B'):
+            raise ValueError("method must be 'A' or 'B'")
         if not self.r > 1 or not self.s > 1:
             raise ValueError('space exponents must exceed 1')
         if self.p_gauge is not None and not self.p_gauge > 1:
@@ -150,29 +153,29 @@ class SolverConfig:
         if not 0.0 <= self.cone_constant < 1.0:
             raise ValueError('cone constant must lie in [0, 1), got {}'.format(
                 self.cone_constant))
-        if self.noise_level < 0:
+        if not self.tau_factor > 1.0:
+            raise ValueError('tau factor must exceed 1')
+        if not self.delta >= 0:
             raise ValueError('noise level must be >= 0')
-        if self.noise_level > 0:
-            bound = (1.0 + self.cone_constant) / (1.0 - self.cone_constant)
-            if self.tau is None or not self.tau > bound:
-                raise ValueError(
-                    'tau must exceed (1 + c_tc)/(1 - c_tc) = {:.6g} for noisy data'.format(bound))
         if not self.residual_tol > 0:
             raise ValueError('residual tolerance must be positive')
         if self.max_outer < 1:
             raise ValueError('max_outer must be >= 1')
-        if self.directions not in (1, 2):
-            raise ValueError('directions must be 1 or 2')
 
     @property
     def gauge(self):
         """Effective gauge on the parameter space."""
-        return self.p_gauge if self.p_gauge is not None else max(2.0, self.r)
+        return self.p_gauge if self.p_gauge is not None else self.r
+
+    @property
+    def tau(self):
+        """Discrepancy multiplier tau_factor * (1 + c_tc)/(1 - c_tc)."""
+        return self.tau_factor * (1.0 + self.cone_constant) / (1.0 - self.cone_constant)
 
     @property
     def stop_threshold(self):
         """Residual norm at or below which the iteration stops."""
-        return self.tau * self.noise_level if self.noise_level > 0 else self.residual_tol
+        return self.tau * self.delta if self.delta > 0 else self.residual_tol
 
 
 @dataclass(frozen=True)
@@ -245,7 +248,7 @@ def build_stripe(op, state, x, w, residual, cfg, space_x, space_y):
     alpha = dual_pairing(u_star, x, space_x) - dual_pairing(w, residual, space_y)
     res_norm = weighted_norm(residual, space_y)
     w_norm = weighted_norm(w, space_y.dual())
-    xi = (cfg.noise_level + cfg.cone_constant * (res_norm + cfg.noise_level)) * w_norm
+    xi = (cfg.delta + cfg.cone_constant * (res_norm + cfg.delta)) * w_norm
     return Stripe(u_star, alpha, xi)
 
 
@@ -309,7 +312,7 @@ class _TruthMonitor:
             self.c_f = self.op.norm_estimate(state)
         surrogate = None
         if self.c_f:
-            reduced = res_norm - cfg.noise_level - cfg.cone_constant * (res_norm + cfg.noise_level)
+            reduced = res_norm - cfg.delta - cfg.cone_constant * (res_norm + cfg.delta)
             surrogate = (reduced / self.c_f) ** cfg.gauge
         if bound is not None:
             # gamma quantifies how far the two dual directions are from
@@ -339,10 +342,12 @@ class _TruthMonitor:
             fields['cone_ratio'] = (None if denominator == 0.0 else
                                     weighted_norm(misfit - linearized, self.space_y)
                                     / denominator)
+            ratio = fields['cone_ratio']
             logger.warning(
                 'ground truth outside the stripe at n=%d: measured '
-                'tangential-cone ratio %.4g exceeds configured %.4g',
-                n, fields['cone_ratio'], cfg.cone_constant)
+                'tangential-cone ratio %s against configured %.4g', n,
+                'undefined' if ratio is None else '{:.4g}'.format(ratio),
+                cfg.cone_constant)
         return fields
 
 
@@ -401,7 +406,7 @@ def run(op, y, x0, cfg, ground_truth=None):
                     n=n, residual_norm=res_norm, wall_time=time.perf_counter() - tic,
                     **fields))
                 if res_norm <= threshold:
-                    reason = (StopReason.DISCREPANCY if cfg.noise_level > 0
+                    reason = (StopReason.DISCREPANCY if cfg.delta > 0
                               else StopReason.RESIDUAL_TOLERANCE)
                     detail = ''
                 else:
@@ -435,7 +440,7 @@ def run(op, y, x0, cfg, ground_truth=None):
                                'residual {:.6g}'.format(STAGNATION_LIMIT, res_norm))
             else:
                 stagnant = 0
-            if cfg.directions == 2:
+            if cfg.method == 'B':
                 prev_stripe = stripe
             x = x_next
     except (LinearSolveError, ConvergenceError, GeometryError,

@@ -27,7 +27,7 @@ from resesop.experiment_cli import (
     write_grid,
 )
 from resesop.lp_spaces import GridFunction, SpaceSpec, weighted_norm
-from resesop.sesop_solver import SolverFailure, StopReason
+from resesop.sesop_solver import SolverConfig, SolverFailure, StopReason
 
 
 def nodal(func, n):
@@ -164,7 +164,8 @@ class TestExperimentConfig:
         for bad in ({'cone_constant': 1.0, 'delta': 5e-4}, {'cone_constant': 1.0},
                     {'cone_constant': 2.0, 'delta': 5e-4}, {'r': 0.5}, {'s': 1.0},
                     {'max_outer': 0}, {'delta': -1.0}, {'residual_tol': 0.0},
-                    {'p_gauge': 1.0},
+                    {'p_gauge': 1.0}, {'seed': -1}, {'delta': float('nan')},
+                    {'tau_factor': float('nan')},
                     {'r': 0.5, 'cone_constant': 2.0, 'max_outer': 0, 'delta': -1.0}):
             with pytest.raises(ValueError):
                 ExperimentConfig(**bad)
@@ -178,12 +179,17 @@ class TestExperimentConfig:
         assert cfg.tau == pytest.approx(1.1 * 1.01 / 0.99, rel=1e-15)
 
     def test_solver_config_translation(self):
-        solver = ExperimentConfig(method='B', delta=5e-4).solver_config()
-        assert solver.directions == 2
-        assert solver.noise_level == 5e-4
-        assert solver.p_gauge == 1.5
-        assert solver.stop_threshold == pytest.approx(
-            1.1 * 1.01 / 0.99 * 5e-4, rel=1e-15)
+        cfg = ExperimentConfig(method='B', delta=5e-4)
+        assert cfg.stop_threshold == pytest.approx(1.1 * 1.01 / 0.99 * 5e-4, rel=1e-15)
+
+    def test_extends_the_solver_config_without_repeating_it(self):
+        assert issubclass(ExperimentConfig, SolverConfig)
+        solver_fields = {f.name for f in dataclasses.fields(SolverConfig)}
+        own = set(vars(ExperimentConfig)['__annotations__'])
+        assert own == {'n_data', 'n_recon', 'seed', 'restriction', 'output_path'}
+        assert not own & solver_fields
+        assert {f.name for f in dataclasses.fields(ExperimentConfig)} == own | solver_fields
+        assert not {'gauge', 'tau', 'stop_threshold'} & set(vars(ExperimentConfig))
 
 
 @pytest.fixture(scope='module')
@@ -349,6 +355,10 @@ class TestCommandLine:
         assert main(['run', '--ctc', '1', '--delta', '5e-4']) == 2
         assert capsys.readouterr().err.splitlines() == [
             'error: cone constant must lie in [0, 1), got 1.0']
+        # A negative seed is refused before the noise is synthesized.
+        for delta in ('0', '5e-4'):
+            assert main(['run', '--seed', '-1', '--delta', delta]) == 2
+            assert capsys.readouterr().err.splitlines() == ['error: seed must be >= 0']
 
 
 class TestLogging:

@@ -73,8 +73,8 @@ def identity_stub(n):
 
 
 def hilbert_config(**kwargs):
-    defaults = dict(r=2.0, s=2.0, cone_constant=0.0, noise_level=0.0,
-                    residual_tol=1e-9, max_outer=50, directions=1)
+    defaults = dict(r=2.0, s=2.0, cone_constant=0.0, delta=0.0,
+                    residual_tol=1e-9, max_outer=50, method='A')
     defaults.update(kwargs)
     return SolverConfig(**defaults)
 
@@ -86,24 +86,23 @@ def test_solver_config_validation():
         SolverConfig(r=2.0, s=2.0, cone_constant=1.0)
     with pytest.raises(ValueError):
         SolverConfig(r=2.0, s=2.0, cone_constant=-0.1)
-    # noisy data requires tau above the lemma bound
+    # tau must exceed the lemma bound, for exact and for noisy data
+    for delta in (0.0, 1e-3):
+        with pytest.raises(ValueError, match='tau factor must exceed 1'):
+            SolverConfig(r=2.0, s=2.0, delta=delta, cone_constant=0.01, tau_factor=1.0)
     with pytest.raises(ValueError):
-        SolverConfig(r=2.0, s=2.0, noise_level=1e-3)
-    with pytest.raises(ValueError):
-        SolverConfig(r=2.0, s=2.0, noise_level=1e-3, cone_constant=0.01, tau=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(r=2.0, s=2.0, directions=3)
+        SolverConfig(r=2.0, s=2.0, method='C')
     with pytest.raises(ValueError):
         SolverConfig(r=2.0, s=2.0, max_outer=0)
-    cfg = SolverConfig(r=1.5, s=5.0, noise_level=5e-4, cone_constant=0.01,
-                       tau=1.1 * 1.01 / 0.99)
+    cfg = SolverConfig(r=1.5, s=5.0, delta=5e-4, cone_constant=0.01,
+                       tau_factor=1.1)
     assert cfg.stop_threshold == pytest.approx(1.1 * 1.01 / 0.99 * 5e-4)
 
 
 def test_solver_config_gauge_default():
-    assert SolverConfig(r=1.5, s=5.0).gauge == 2.0
+    assert SolverConfig(r=1.5, s=5.0).gauge == 1.5
     assert SolverConfig(r=3.0, s=2.0).gauge == 3.0
-    assert SolverConfig(r=1.5, s=5.0, p_gauge=1.5).gauge == 1.5
+    assert SolverConfig(r=1.5, s=5.0, p_gauge=2.0).gauge == 2.0
 
 
 def test_iteration_record_validation():
@@ -122,8 +121,8 @@ def test_build_stripe_formulas():
     state = op.linearize(x)
     residual = state.u - y
     w = duality_map(residual, space_y)
-    cfg = SolverConfig(r=1.5, s=5.0, cone_constant=0.02, noise_level=1e-3,
-                       tau=1.2 * 1.02 / 0.98)
+    cfg = SolverConfig(r=1.5, s=5.0, cone_constant=0.02, delta=1e-3,
+                       tau_factor=1.2)
     stripe = build_stripe(op, state, x, w, residual, cfg, space_x, space_y)
     u_star = op.adjoint(state, w)
     np.testing.assert_array_equal(stripe.u_star.values, u_star.values)
@@ -209,7 +208,7 @@ def two_dir_setup(seed=42, n=4):
 
 def test_two_dir_step_without_previous_stripe():
     op, space, x, y, state, residual, _ = two_dir_setup()
-    cfg = hilbert_config(directions=2)
+    cfg = hilbert_config(method='B')
     stripe, _, (x_next, _, _, bound) = resesop_two_dir_step(
         op, state, x, residual, None, cfg, space, space)
     assert bound is None  # a single projection
@@ -220,7 +219,7 @@ def test_two_dir_step_without_previous_stripe():
 
 def test_two_dir_step_keeps_point_inside_previous_stripe():
     op, space, x, y, state, residual, rng = two_dir_setup(seed=43)
-    cfg = hilbert_config(directions=2)
+    cfg = hilbert_config(method='B')
     wide = Stripe(GridFunction.from_interior(rng.standard_normal((4, 4))),
                   0.0, 1e9)  # so wide the intermediate point stays inside
     _, _, (_, t, _, bound) = resesop_two_dir_step(
@@ -231,7 +230,7 @@ def test_two_dir_step_keeps_point_inside_previous_stripe():
 
 def test_two_dir_step_correction_matches_gram_oracle():
     op, space, x, y, state, residual, rng = two_dir_setup(seed=44)
-    cfg = hilbert_config(directions=2)
+    cfg = hilbert_config(method='B')
     # A narrow previous stripe the intermediate point will violate.
     u_prev = GridFunction.from_interior(rng.standard_normal((4, 4)))
     x_plane = resesop_two_dir_step(op, state, x, residual, None, cfg,
@@ -274,7 +273,7 @@ def test_bare_core_needs_only_linearize_and_adjoint():
     full = LinearStub(well_conditioned_matrix(rng, n * n, 0.3), GridFunction.zeros(n))
     truth = GridFunction.from_interior(rng.standard_normal((n, n)))
     x0 = truth + GridFunction.full(n, 0.5)
-    cfg = hilbert_config(residual_tol=1e-6, max_outer=400, directions=2,
+    cfg = hilbert_config(residual_tol=1e-6, max_outer=400, method='B',
                          cone_constant=0.01)
     monitored = run(full, full(truth), x0, cfg, ground_truth=truth)
     bare = run(BareStub(full), full(truth), x0, cfg)
@@ -313,8 +312,8 @@ def test_run_discrepancy_principle_series():
     delta = 1e-3
     noise = noise * (delta / weighted_norm(noise, space))
     y = op(truth) + noise
-    cfg = hilbert_config(noise_level=delta, cone_constant=0.01,
-                         tau=1.1 * 1.01 / 0.99, directions=1)
+    cfg = hilbert_config(delta=delta, cone_constant=0.01,
+                         tau_factor=1.1, method='A')
     x0 = truth + GridFunction.full(n, 0.8)
     result = run(op, y, x0, cfg, ground_truth=truth)
     assert result.stop_reason == StopReason.DISCREPANCY
@@ -342,7 +341,7 @@ def test_run_two_direction_converges_no_slower():
     x0 = truth + GridFunction.full(n, 0.5)
     single = run(op, y, x0, hilbert_config(residual_tol=1e-6, max_outer=400))
     double = run(op, y, x0, hilbert_config(residual_tol=1e-6, max_outer=400,
-                                           directions=2))
+                                           method='B'))
     assert single.stop_reason == StopReason.RESIDUAL_TOLERANCE
     assert double.stop_reason == StopReason.RESIDUAL_TOLERANCE
     assert double.n_star <= single.n_star
@@ -367,7 +366,7 @@ def test_every_projection_goes_through_project_intersection(monkeypatch):
     truth = GridFunction.from_interior(rng.standard_normal((n, n)))
     op = LinearStub(matrix, GridFunction.zeros(n))
     result = run(op, op(truth), truth + GridFunction.full(n, 0.5),
-                 hilbert_config(residual_tol=1e-6, max_outer=400, directions=2))
+                 hilbert_config(residual_tol=1e-6, max_outer=400, method='B'))
     steps = [rec.step_class for rec in result.records if rec.step_class is not None]
     assert calls.count(1) == len(steps)
     assert calls.count(2) == steps.count(StepClass.TWO_PLANE_CORRECTION) > 0
@@ -381,7 +380,7 @@ def test_run_is_deterministic():
     op = LinearStub(matrix, GridFunction.zeros(n))
     y = op(truth)
     x0 = GridFunction.zeros(n)
-    cfg = hilbert_config(residual_tol=1e-8, directions=2, max_outer=300)
+    cfg = hilbert_config(residual_tol=1e-8, method='B', max_outer=300)
     first = run(op, y, x0, cfg, ground_truth=truth)
     second = run(op, y, x0, cfg, ground_truth=truth)
     assert first.n_star == second.n_star
@@ -472,6 +471,21 @@ def test_run_warns_on_huge_coefficients(caplog):
     assert any('unusually large' in rec.message for rec in caplog.records)
 
 
+def test_cone_warning_formats_an_undefined_ratio(caplog):
+    # Started at the truth with data the truth does not explain, F(x) =
+    # F(truth): the truth lies above the stripe and the cone ratio has a
+    # zero denominator.
+    n = 3
+    truth = GridFunction.full(n, 1.0)
+    with caplog.at_level(logging.WARNING, logger='resesop.sesop_solver'):
+        result = run(identity_stub(n), GridFunction.zeros(n), truth,
+                     hilbert_config(max_outer=1), ground_truth=truth)
+    assert result.records[0].truth_inside is False
+    assert result.records[0].cone_ratio is None
+    messages = [rec.getMessage() for rec in caplog.records]
+    assert any('tangential-cone ratio undefined' in m for m in messages)
+
+
 def test_descent_monitor_flags_increases():
     def record(n, value):
         return IterationRecord(n=n, residual_norm=1.0, bregman_to_truth=value)
@@ -497,7 +511,7 @@ def test_run_on_small_elliptic_instance():
     y = op(truth)
     x0 = GridFunction.full(n, 2.0)
     cfg = SolverConfig(r=1.5, s=5.0, p_gauge=1.5, cone_constant=0.01,
-                       residual_tol=1e-6, max_outer=200, directions=2)
+                       residual_tol=1e-6, max_outer=200, method='B')
     result = run(op, y, x0, cfg, ground_truth=truth)
     assert result.stop_reason == StopReason.RESIDUAL_TOLERANCE
     assert result.records[-1].rel_error < result.records[0].rel_error
