@@ -17,12 +17,16 @@ so the first-order condition is exactly feasibility of x_new. Any number of
 planes is solved by one safeguarded Newton iteration with the analytic
 Hessian of h and Armijo backtracking, and `project_intersection` is the one
 routine that computes a projection: with one plane it is the hyperplane
-projection. `project_two_stage` projects onto a stripe, a one-plane problem
-for a point outside it, and with a previous stripe adds at most one
-two-plane problem: the step of both solver methods.
+projection. The iteration runs on flat float arrays through the array
+kernels of `lp_spaces`, with the dual vectors stacked once per projection;
+the projected point is the one grid function it builds. `project_two_stage`
+projects onto a stripe, a one-plane problem for a point outside it, and
+with a previous stripe adds at most one two-plane problem: the step of
+both solver methods.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,10 +34,11 @@ import numpy as np
 
 from .lp_spaces import (
     GridFunction,
+    _array_duality_map,
+    _array_norm,
+    _euclidean_norm,
+    conjugate_exponent,
     dual_pairing,
-    duality_map,
-    inverse_duality_map,
-    weighted_norm,
 )
 
 __all__ = [
@@ -55,6 +60,8 @@ PARALLEL_COS = 1.0 - 1e-12
 # Newton iteration: gradient tolerance times the problem scale, budget.
 GRAD_TOL = 1e-12
 MAX_NEWTON_ITERS = 200
+BACKTRACK_STEPS = 0.5 ** np.arange(60)  # Armijo trial steps 1, 1/2, ..., 2^-59
+EPS = np.finfo(float).eps  # a Hessian with condition number >= 1/EPS is singular
 
 
 class StripeSide(Enum):
@@ -66,17 +73,10 @@ class StripeSide(Enum):
 
 @dataclass(frozen=True)
 class Stripe:
-    """The set {x : |<u_star, x> - alpha| <= xi} between two hyperplanes.
-
-    Parameters
-    ----------
-    u_star : GridFunction
-        Defining dual vector, nonzero.
-    alpha : float
-        Offset of the central hyperplane.
-    xi : float
-        Half width, >= 0. A stripe of width 0 is a hyperplane.
-    """
+    """The set {x : |<u_star, x> - alpha| <= xi} between two hyperplanes:
+    u_star is a nonzero dual vector, alpha the offset of the central
+    hyperplane and xi >= 0 the half width (a stripe of width 0 is a
+    hyperplane)."""
 
     u_star: GridFunction
     alpha: float
@@ -112,22 +112,28 @@ def classify(x, stripe, space):
     return StripeSide.INSIDE
 
 
-def _problem_scale(x, planes, space):
-    norm_x = weighted_norm(x, space)
-    dual = space.dual()
-    scale = 1.0
-    for u_star, alpha in planes:
-        scale = max(scale, 1.0 + abs(alpha) + weighted_norm(u_star, dual) * norm_x)
-    return scale
+def _well_conditioned(hessian):
+    """Whether the symmetric `hessian` has 2-norm condition number
+    max|lambda| / min|lambda| below 1/eps, judged by its eigenvalues: in
+    closed form for one and two planes, by eigvalsh beyond."""
+    if len(hessian) == 1:
+        big = small = abs(float(hessian[0, 0]))
+    elif len(hessian) == 2:
+        (a, b), (_, d) = hessian.tolist()
+        big = abs(0.5 * (a + d)) + math.hypot(0.5 * (a - d), b)
+        small = abs(a * d - b * b) / big if big > 0.0 else 0.0
+    else:
+        moduli = np.abs(np.linalg.eigvalsh(hessian))
+        big, small = float(moduli.max()), float(moduli.min())
+    return small > EPS * big
 
 
-def _dual_objective(x, jx, planes, space):
+def _dual_objective(x, jx, u, alphas, space):
     """The map t -> (h(t), grad h(t), Hessian, x_t) with
-    x_t = J_inv(J(x) - sum_k t_k u_k*).
-
-    The stacked dual vectors, the offsets and the dual exponents are set up
-    once per projection. One inverse duality evaluation gives all four
-    values (none at t = 0, where x_t = x). With
+    x_t = J_inv(J(x) - sum_k t_k u_k*), or None where h(t) or its gradient
+    is not finite (an overflow, also one of x_t). x and jx = J(x) are flat,
+    the u_k* are the rows of u with offsets alphas. One inverse duality
+    evaluation gives all four values (none at t = 0, where x_t = x). With
     g = J(x) - sum_k t_k u_k*, r* and q* the dual norm and gauge exponents
     and J_inv(g) = ||g||_*^(q*-r*) |g|^(r*-1) sign(g),
 
@@ -140,129 +146,123 @@ def _dual_objective(x, jx, planes, space):
     """
     dual = space.dual()
     r_conj, q_conj = dual.norm_exponent, dual.gauge_exponent
-    u = np.array([u_star.values.ravel() for u_star, _ in planes])
-    alphas = np.array([alpha for _, alpha in planes])
-    jx_flat = jx.values.ravel()
+    h, weight = space.h, space.weight
 
     def objective(t):
-        g = jx_flat - t @ u
-        x_t = x if not np.any(t) else inverse_duality_map(
-            GridFunction(g.reshape(x.values.shape)), space)
-        x_flat = x_t.values.ravel()
-        pairs = space.weight * (u @ x_flat)
-        power = space.weight * float(g @ x_flat)  # ||g||_*^q*
+        g = jx - t @ u
+        x_t = x if not t.any() else _array_duality_map(g, r_conj, q_conj, h)
+        pairs = weight * (u @ x_t)
+        power = weight * float(g @ x_t)  # ||g||_*^q*
         value = power / q_conj + float(t @ alphas)
+        if not (math.isfinite(value) and np.isfinite(pairs).all()):
+            return None
         zero = g == 0.0
-        if power == 0.0 or (r_conj < 2.0 and np.any(u[:, zero])):
+        if power == 0.0 or (r_conj < 2.0 and u[:, zero].any()):
             return value, alphas - pairs, None, x_t
         fill = power ** (1.0 - 2.0 / q_conj) if r_conj == 2.0 else 0.0
-        weights = (r_conj - 1.0) * np.divide(x_flat, g, out=np.full_like(g, fill),
+        weights = (r_conj - 1.0) * np.divide(x_t, g, out=np.full_like(g, fill),
                                              where=~zero)
-        hessian = space.weight * (u * weights) @ u.T
+        hessian = weight * (u * weights) @ u.T
         if q_conj != r_conj:
             hessian += (q_conj - r_conj) * np.outer(pairs, pairs) / power
         return (value, alphas - pairs,
-                hessian if np.all(np.isfinite(hessian)) else None, x_t)
+                hessian if np.isfinite(hessian).all() else None, x_t)
 
     return objective
 
 
-def _minimize(x, planes, space, t_init=None):
+def _minimize(x, u, alphas, space, t_init=None):
     """Safeguarded Newton iteration for the coefficients t minimizing h.
 
     A gradient step replaces the Newton step where the Hessian is unbounded
     or numerically singular. Backtracking accepts a step by the Armijo rule
     on h, and only if the slope along the step has not overshot to more
     than half its initial size: where an entry of g crosses zero and r* < 2,
-    the Hessian blows up and full Newton steps would oscillate. Once the
-    gradient meets the tolerance, one more full step takes t to rounding
-    accuracy. When no step improves h or the gradient any more, a point
-    feasible to FEAS_TOL is accepted. A point already on every plane is
-    returned itself with t = 0.
+    the Hessian blows up and full Newton steps would oscillate. A trial
+    point where h is not finite fails like an Armijo trial; a start there
+    raises ConvergenceError. Once the gradient meets the tolerance, one more
+    full step takes t to rounding accuracy. When no step improves h or the
+    gradient any more, a point feasible to FEAS_TOL is accepted. The dual
+    vectors are the rows of u, with offsets alphas. A point already on
+    every plane is returned itself with t = 0.
     """
-    scale = _problem_scale(x, planes, space)
-    gaps = [dual_pairing(u_star, x, space) - alpha for u_star, alpha in planes]
-    if np.linalg.norm(gaps) <= GRAD_TOL * scale:
-        return x, np.zeros(len(planes))
-    jx = duality_map(x, space)
-    objective = _dual_objective(x, jx, planes, space)
-    t = np.zeros(len(planes)) if t_init is None else np.array(t_init, dtype=float)
-    value, grad, hessian, x_t = objective(t)
-    for _ in range(MAX_NEWTON_ITERS):
-        direction = -grad
-        if hessian is not None and np.linalg.cond(hessian) < 1.0 / np.finfo(float).eps:
-            newton = np.linalg.solve(hessian, -grad)
-            if float(newton @ grad) < 0.0:
-                direction = newton
-        grad_norm = np.linalg.norm(grad)
-        if grad_norm <= GRAD_TOL * scale:
-            polished = objective(t + direction)
-            if np.linalg.norm(polished[1]) <= grad_norm:
-                return polished[3], t + direction
-            return x_t, t
-        slope = float(grad @ direction)
-        # Near the minimum the predicted decrease drops below the rounding
-        # noise of h; the allowance keeps the backtracking from stalling.
-        noise = 1e-14 * (1.0 + abs(value))
-        for step in 0.5 ** np.arange(60):
-            trial = objective(t + step * direction)
-            if (trial[0] <= value + 1e-4 * step * slope + noise
-                    and float(trial[1] @ direction) <= -0.5 * slope):
+    x_flat, h, r_conj = x.values.ravel(), space.h, conjugate_exponent(space.norm_exponent)
+    norm_x = _array_norm(x_flat, space.norm_exponent, h)
+    scale = max([1.0] + [1.0 + abs(alpha) + _array_norm(row, r_conj, h) * norm_x
+                         for row, alpha in zip(u, alphas.tolist())])
+    gaps = np.array([space.weight * float((row * x_flat).sum()) for row in u]) - alphas
+    if _euclidean_norm(gaps) <= GRAD_TOL * scale:
+        return x, np.zeros(len(u))
+    jx = _array_duality_map(x_flat, space.norm_exponent, space.gauge_exponent, h)
+    objective = _dual_objective(x_flat, jx, u, alphas, space)
+    t = np.zeros(len(u)) if t_init is None else np.array(t_init, dtype=float)
+    # An extreme t may overflow; such a trial is not finite and is rejected.
+    with np.errstate(over='ignore', invalid='ignore'):
+        start = objective(t)
+        if start is None:
+            raise ConvergenceError('dual objective is not finite at the start', last_t=t)
+        value, grad, hessian, x_t = start
+        converged = False
+        for _ in range(MAX_NEWTON_ITERS):
+            direction = -grad
+            if hessian is not None and _well_conditioned(hessian):
+                newton = np.linalg.solve(hessian, -grad)
+                if float(newton @ grad) < 0.0:
+                    direction = newton
+            grad_norm = _euclidean_norm(grad)
+            if grad_norm <= GRAD_TOL * scale:
+                polished = objective(t + direction)
+                if polished is not None and _euclidean_norm(polished[1]) <= grad_norm:
+                    t, x_t = t + direction, polished[3]
+                converged = True
                 break
-        if trial[0] > value - noise and np.linalg.norm(trial[1]) >= grad_norm:
-            # Neither h nor the gradient improves: t is at the rounding limit.
-            if grad_norm <= FEAS_TOL * scale:
-                return x_t, t
-            break
-        t = t + step * direction
-        value, grad, hessian, x_t = trial
-    raise ConvergenceError('Bregman projection did not converge',
-                           last_t=t, grad_norm=float(np.linalg.norm(grad)))
-
-
-def _parallel_pair(planes):
-    for j in range(len(planes)):
-        for k in range(j + 1, len(planes)):
-            a = planes[j][0].values.ravel()
-            b = planes[k][0].values.ravel()
-            cos = abs(float(np.dot(a, b))) / (np.linalg.norm(a) * np.linalg.norm(b))
-            if cos > PARALLEL_COS:
-                return j, k
-    return None
+            slope = float(grad @ direction)
+            # Near the minimum the predicted decrease drops below the rounding
+            # noise of h; the allowance keeps the backtracking from stalling.
+            noise = 1e-14 * (1.0 + abs(value))
+            for step in BACKTRACK_STEPS:
+                trial = objective(t + step * direction)
+                if (trial is not None and trial[0] <= value + 1e-4 * step * slope + noise
+                        and float(trial[1] @ direction) <= -0.5 * slope):
+                    break
+            if trial is None or (trial[0] > value - noise
+                                 and _euclidean_norm(trial[1]) >= grad_norm):
+                # Neither h nor the gradient improves: t is at the rounding limit.
+                converged = grad_norm <= FEAS_TOL * scale
+                break
+            t = t + step * direction
+            value, grad, hessian, x_t = trial
+        if not converged:
+            raise ConvergenceError('Bregman projection did not converge',
+                                   last_t=t, grad_norm=_euclidean_norm(grad))
+    return GridFunction(x_t.reshape(x.values.shape)), t
 
 
 def project_intersection(x, planes, space, t_init=None):
     """Bregman projection of x onto an intersection of hyperplanes.
 
-    Parameters
-    ----------
-    x : GridFunction
-    planes : list of (GridFunction, float)
-        Pairs (u_star, alpha), one or more; one pair is the hyperplane
-        H(u_star, alpha). The dual vectors should be linearly independent.
-        A numerically parallel pair triggers a warning and a fallback to
-        the projection onto the first plane alone.
-    space : SpaceSpec
-    t_init : array-like, optional
-        Starting coefficients, e.g. the result of a previous single-plane
-        projection. Defaults to zero.
-
-    Returns
-    -------
-    (GridFunction, ndarray)
-        Projected point and coefficient vector t.
+    `planes` lists one or more pairs (u_star, alpha) of a GridFunction and
+    an offset; one pair is the hyperplane H(u_star, alpha). The dual
+    vectors should be linearly independent: a numerically parallel pair
+    logs a warning and falls back to the projection onto the first plane
+    alone. `t_init` gives starting coefficients, e.g. the result of a
+    previous one-plane projection; the default is zero. Returns the
+    projected point and the coefficient vector t.
     """
     planes = list(planes)
     if not planes:
         raise ValueError('at least one plane is required')
-    if not all(np.any(u_star.values) for u_star, _ in planes):
+    u = np.array([u_star.values.ravel() for u_star, _ in planes])
+    alphas = np.array([alpha for _, alpha in planes], dtype=float)
+    if not u.any(axis=1).all():
         raise ValueError('hyperplane requires a nonzero dual vector')
-    if _parallel_pair(planes) is not None:
+    if any(abs(float(a @ b)) / (_euclidean_norm(a) * _euclidean_norm(b)) > PARALLEL_COS
+           for j, a in enumerate(u) for b in u[j + 1:]):
         logger.warning('numerically parallel dual directions in intersection '
                        'projection; falling back to the first plane')
-        x_new, t = _minimize(x, planes[:1], space)
+        x_new, t = _minimize(x, u[:1], alphas[:1], space)
         return x_new, np.append(t, np.zeros(len(planes) - 1))
-    return _minimize(x, planes, space, t_init)
+    return _minimize(x, u, alphas, space, t_init)
 
 
 def project_two_stage(x, stripe, previous, space):

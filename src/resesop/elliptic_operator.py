@@ -16,22 +16,26 @@ its four dense matmuls. It only steers CG: the recursion, the stencil apply
 and the final check of the true residual run in double precision, so an
 accepted solve meets the same backward-error bound as with an exact
 preconditioner, and a perturbation of about 1e-7 relative barely moves
-the iteration count. The preconditioner is set up once per parameter and
-reused by the derivative and adjoint:
+the iteration count. The sine basis and the eigenvalues of -laplace_h
+depend only on N, so each operator builds them once for the grid of its
+data. Per parameter, `linearize` computes only c_bar, the shifted inverse
+eigenvalues and the norm of L(c), which the derivative and adjoint reuse:
 
     F'(c) d = -L(c)^{-1} (d * u),      F'(c)* w = -u * L(c)^{-1} w,
 
 with u = F(c), pointwise products, and homogeneous Dirichlet data in the
 auxiliary solves (increments vanish where u is pinned to g). Because L(c)
 is symmetric, the adjoint identity holds in the h^2-weighted pairing on
-both sides, to the accuracy of the solves.
+both sides, to the accuracy of the solves. The CG loop works on plain
+N x N arrays: one stencil kernel with the interior of c and h^2 taken out
+of the loop, and one Euclidean norm per vector and iteration.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp_spaces import GridFunction
+from .lp_spaces import GridFunction, _euclidean_norm
 
 __all__ = [
     'BvpData',
@@ -89,7 +93,8 @@ class BvpData:
 @dataclass(frozen=True, eq=False)
 class OperatorState:
     """Parameter c with the cached solution u = F(c) and what the solves
-    with L(c) reuse: the sine basis S, the inverse eigenvalues
+    with L(c) reuse: the sine basis S, built once per operator and shared
+    by all its states, the inverse eigenvalues
     1/(lambda_j + lambda_k + c_bar) of the preconditioner in that basis, and
     the infinity norm of L(c), a bound on its 2-norm because L(c) is
     symmetric. S and the inverse eigenvalues are float32: the preconditioner
@@ -122,12 +127,17 @@ def apply_stencil(c, v):
     if v.shape != coeff.shape:
         raise ValueError('interior array has shape {}, parameter grid needs {}'.format(
             v.shape, coeff.shape))
+    return _stencil(coeff, c.h ** 2, v)
+
+
+def _stencil(coeff, h2, v):
+    # apply_stencil on the interior values coeff of c and h2 = h^2, unchecked.
     laplace = 4.0 * v
     laplace[1:, :] -= v[:-1, :]
     laplace[:-1, :] -= v[1:, :]
     laplace[:, 1:] -= v[:, :-1]
     laplace[:, :-1] -= v[:, 1:]
-    laplace /= c.h ** 2
+    laplace /= h2
     laplace += coeff * v
     return laplace
 
@@ -137,20 +147,26 @@ def _range_text(parameter):
         parameter.values.min(), parameter.values.max())
 
 
-def _preconditioner(c):
-    """Sine basis S and inverse eigenvalues of -laplace_h + c_bar I, as
-    float32.
-
-    Raises LinearSolveError when that operator is not positive definite,
-    judged in float64.
-    """
-    n = c.n_interior
+def _sine_basis(n):
+    """Orthonormal sine basis S and eigenvalues lambda_k of the 1-D
+    -laplace_h on N interior nodes; S is float32."""
     k = np.arange(1, n + 1)
+    h = 1.0 / (n + 1)
     # sin(pi m / (N+1)) with m = jk reduced mod 2(N+1) keeps the argument
     # small and the basis exactly symmetric.
     basis = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * (n + 1)))
                                             / (n + 1))
-    eigenvalues = (4.0 / c.h ** 2) * np.sin(0.5 * np.pi * k / (n + 1)) ** 2
+    eigenvalues = (4.0 / h ** 2) * np.sin(0.5 * np.pi * k / (n + 1)) ** 2
+    return basis.astype(np.float32), eigenvalues
+
+
+def _preconditioner(c, eigenvalues):
+    """Inverse eigenvalues 1/(lambda_j + lambda_k + c_bar) of
+    -laplace_h + c_bar I in the sine basis, as float32.
+
+    Raises LinearSolveError when that operator is not positive definite,
+    judged in float64.
+    """
     coeff = c.interior
     c_bar = 0.5 * (coeff.min() + coeff.max())
     shifted = eigenvalues[:, None] + eigenvalues[None, :] + c_bar
@@ -158,7 +174,7 @@ def _preconditioner(c):
         raise LinearSolveError(
             'linear system is not positive definite for {}: lambda_min + c_bar = '
             '{:.3g}'.format(_range_text(c), shifted.min()), parameter=c)
-    return basis.astype(np.float32), (1.0 / shifted).astype(np.float32)
+    return (1.0 / shifted).astype(np.float32)
 
 
 def _matrix_norm(c):
@@ -184,17 +200,18 @@ def _interior_solve(c, basis, inverse_eigenvalues, matrix_norm, rhs):
     # one, so the residuals stay in float32 range whatever the size of rhs.
     rhs_scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(rhs)))[1]))
     rhs = rhs / rhs_scale
-    rhs_norm = np.linalg.norm(rhs)
+    rhs_norm = _euclidean_norm(rhs)
+    coeff, h2 = c.interior, c.h ** 2
     solution = np.zeros_like(rhs)
     residual = rhs.copy()
     z = precondition(residual)
     direction = z
     rz = float(np.vdot(residual, z))
     for _ in range(CG_MAX_ITERS):
-        if np.linalg.norm(residual) <= CG_STOP_FRACTION * BACKWARD_TOL * (
-                matrix_norm * np.linalg.norm(solution) + rhs_norm):
+        if _euclidean_norm(residual) <= CG_STOP_FRACTION * BACKWARD_TOL * (
+                matrix_norm * _euclidean_norm(solution) + rhs_norm):
             break
-        image = apply_stencil(c, direction)
+        image = _stencil(coeff, h2, direction)
         curvature = float(np.vdot(direction, image))
         if not curvature > 0.0:
             raise LinearSolveError(
@@ -210,9 +227,9 @@ def _interior_solve(c, basis, inverse_eigenvalues, matrix_norm, rhs):
         raise LinearSolveError(
             'conjugate gradients did not converge in {} iterations for {}'.format(
                 CG_MAX_ITERS, _range_text(c)), parameter=c)
-    true_residual = np.linalg.norm(apply_stencil(c, solution) - rhs)
-    scale = matrix_norm * np.linalg.norm(solution)
-    if (not np.all(np.isfinite(solution))
+    true_residual = _euclidean_norm(_stencil(coeff, h2, solution) - rhs)
+    scale = matrix_norm * _euclidean_norm(solution)
+    if (not np.isfinite(solution).all()
             or true_residual > BACKWARD_TOL * (scale + rhs_norm)
             or scale > COND_LIMIT * rhs_norm):
         raise LinearSolveError(
@@ -250,6 +267,7 @@ class EllipticOperator:
 
     def __init__(self, data):
         self.data = data
+        self._basis, self._eigenvalues = _sine_basis(data.f.n_interior)
 
     def __call__(self, c):
         """Evaluate F(c): the full grid function u with the Dirichlet ring
@@ -263,13 +281,13 @@ class EllipticOperator:
         if c.values.shape != data.f.values.shape:
             raise ValueError('parameter grid {} does not match data grid {}'.format(
                 c.values.shape, data.f.values.shape))
-        basis, inverse_eigenvalues = _preconditioner(c)
+        inverse_eigenvalues = _preconditioner(c, self._eigenvalues)
         matrix_norm = _matrix_norm(c)
-        interior = _interior_solve(c, basis, inverse_eigenvalues, matrix_norm,
+        interior = _interior_solve(c, self._basis, inverse_eigenvalues, matrix_norm,
                                    _boundary_rhs(data))
         values = data.g.values.copy()
         values[1:-1, 1:-1] = interior
-        return OperatorState(c=c, u=GridFunction(values), sine_basis=basis,
+        return OperatorState(c=c, u=GridFunction(values), sine_basis=self._basis,
                              inverse_eigenvalues=inverse_eigenvalues,
                              matrix_norm=matrix_norm)
 

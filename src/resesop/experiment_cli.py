@@ -120,10 +120,12 @@ def add_noise(u, delta, exponent, seed):
 
     A uniform [-1, 1] field v from a seeded 64-bit PCG generator is scaled
     to ||u_noisy - u||_{s,h} = delta; the calibration is exact to rounding.
-    delta = 0 returns u unchanged.
+    delta = 0 returns u unchanged. The seed must be >= 0.
     """
     if delta < 0:
         raise ValueError('noise level must be >= 0')
+    if seed < 0:
+        raise ValueError('seed must be >= 0')
     if delta == 0:
         return u
     rng = np.random.default_rng(seed)

@@ -9,9 +9,12 @@ identities of the gauge-q duality mapping hold exactly on the grid:
     <J_q(f), f> = ||f||^q,    ||J_q(f)||_* = ||f||^(q - 1),
 
 where ||.||_* is the norm with the conjugate exponent on the same grid, and
-J_2 on a space with norm exponent 2 is the identity.
+J_2 on a space with norm exponent 2 is the identity. The norm and the
+duality map are thin wrappers over private kernels on plain float arrays of
+any shape, which the projection layer calls on flat arrays directly.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -73,7 +76,7 @@ class GridFunction:
             raise ValueError('grid values must be square, got shape {}'.format(values.shape))
         if values.shape[0] < 3:
             raise ValueError('grid side must be at least 3, got {}'.format(values.shape[0]))
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError('grid values must be finite')
         values.setflags(write=False)
         object.__setattr__(self, 'values', values)
@@ -186,6 +189,39 @@ class SpaceSpec:
                          conjugate_exponent(self.gauge_exponent), self.h)
 
 
+def _euclidean_norm(values):
+    """Euclidean norm of a float array of any shape; equal to
+    ``np.linalg.norm(values)`` bit for bit, without its per-call overhead."""
+    flat = values.ravel()
+    return math.sqrt(flat.dot(flat))
+
+
+def _array_norm(values, p, h):
+    """Kernel of :func:`weighted_norm` on a plain float array of any shape."""
+    if p == 2.0:
+        return h * _euclidean_norm(values)
+    total = float((np.abs(values) ** p).sum())
+    return h ** (2.0 / p) * total ** (1.0 / p)
+
+
+def _array_duality_map(values, r, q, h):
+    """Kernel of :func:`duality_map` on a plain float array of any shape.
+
+    Returns a new array, or `values` itself when r = q = 2. The scalar
+    factor is a numpy float, so an overflow gives inf under the caller's
+    ``np.errstate`` instead of raising.
+    """
+    norm = _array_norm(values, r, h)
+    if norm == 0.0:
+        return np.zeros_like(values)
+    if r == 2.0 and q == 2.0:
+        return values
+    g = np.abs(values) ** (r - 1.0) * np.sign(values)
+    if q != r:
+        g = np.float64(norm) ** (q - r) * g
+    return g
+
+
 def weighted_norm(f, space):
     """Weighted p-norm h^(2/p) * (sum_ij |f_ij|^p)^(1/p) over all nodes.
 
@@ -195,11 +231,7 @@ def weighted_norm(f, space):
     space : SpaceSpec
         Supplies p = norm_exponent and the weight.
     """
-    p = space.norm_exponent
-    if p == 2.0:
-        return space.h * float(np.linalg.norm(f.values))
-    total = float(np.sum(np.abs(f.values) ** p))
-    return space.h ** (2.0 / p) * total ** (1.0 / p)
+    return _array_norm(f.values, space.norm_exponent, space.h)
 
 
 def dual_pairing(g, f, space):
@@ -211,7 +243,7 @@ def dual_pairing(g, f, space):
     if g.values.shape != f.values.shape:
         raise ValueError('shape mismatch in pairing: {} vs {}'.format(
             g.values.shape, f.values.shape))
-    return space.weight * float(np.sum(g.values * f.values))
+    return space.weight * float((g.values * f.values).sum())
 
 
 def duality_map(f, space):
@@ -235,18 +267,8 @@ def duality_map(f, space):
     GridFunction
         Dual vector on the same grid; pair it with ``space.dual()``.
     """
-    r = space.norm_exponent
-    q = space.gauge_exponent
-    norm = weighted_norm(f, space)
-    if norm == 0.0:
-        return GridFunction(np.zeros_like(f.values))
-    if r == 2.0 and q == 2.0:
-        return f
-    v = f.values
-    g = np.abs(v) ** (r - 1.0) * np.sign(v)
-    if q != r:
-        g = norm ** (q - r) * g
-    return GridFunction(g)
+    g = _array_duality_map(f.values, space.norm_exponent, space.gauge_exponent, space.h)
+    return f if g is f.values else GridFunction(g)
 
 
 def inverse_duality_map(g, space):

@@ -340,6 +340,20 @@ def test_criterion_7_noisy_data_benchmark(noisy_report_a, noisy_report_b):
             noisy_report_b.n_star, noisy_report_b.final_rel_error, threshold))
 
 
+def test_stopping_indices_are_pinned(exact_report_a, exact_report_b,
+                                    noisy_report_a, noisy_report_b):
+    # The four seed-7 acceptance runs stop where they always have. A change
+    # that moves n* or the stop reason changes what the method does; it is
+    # not a speed-up and must say so here.
+    observed = [(report.n_star, report.stop_reason) for report in (
+        exact_report_a, exact_report_b, noisy_report_a, noisy_report_b)]
+    expected = [(25, StopReason.RESIDUAL_TOLERANCE), (9, StopReason.RESIDUAL_TOLERANCE),
+                (27, StopReason.DISCREPANCY), (13, StopReason.DISCREPANCY)]
+    assert _verdict('stopping indices of the acceptance runs', observed == expected,
+                    'A/B exact {}/{}, noisy {}/{}'.format(
+                        *(n_star for n_star, _ in observed)))
+
+
 def test_criterion_8_error_series_monotone(exact_report_a, exact_report_b):
     def monotone(report):
         errors = [rec.rel_error for rec in report.records]

@@ -19,6 +19,7 @@ from resesop.bregman_geometry import (
     Stripe,
     StripeSide,
     _dual_objective,
+    _well_conditioned,
     classify,
     project_intersection,
     project_two_stage,
@@ -173,7 +174,10 @@ def test_objective_gradient_matches_finite_differences():
             jx = duality_map(x, space)
             planes = [(random_grid(rng, n), float(rng.normal())) for _ in range(2)]
             t = rng.normal(size=2) * 0.3
-            objective = _dual_objective(x, jx, planes, space)
+            objective = _dual_objective(
+                x.values.ravel(), jx.values.ravel(),
+                np.array([u.values.ravel() for u, _ in planes]),
+                np.array([alpha for _, alpha in planes]), space)
             _, grad, hessian, _ = objective(t)
             np.testing.assert_allclose(hessian, hessian.T, rtol=1e-12, atol=1e-14)
             for j in range(2):
@@ -188,6 +192,52 @@ def test_objective_gradient_matches_finite_differences():
                 assert grad[j] == pytest.approx(fd, rel=1e-4, abs=1e-7)
                 np.testing.assert_allclose(hessian[:, j], (grad_hi - grad_lo) / (2.0 * step),
                                            rtol=1e-4, atol=1e-7)
+
+
+def test_objective_has_no_value_where_it_overflows():
+    # Far from the minimizer J_inv(J(x) - t u*) overflows; the objective
+    # then returns None, so the Newton iteration can only reject the point.
+    rng = np.random.default_rng(19)
+    space = SpaceSpec(1.5, 1.5, 0.25)
+    x, u = random_grid(rng, 3), random_grid(rng, 3)
+    objective = _dual_objective(x.values.ravel(), duality_map(x, space).values.ravel(),
+                                u.values.ravel()[None, :], np.array([0.3]), space)
+    with np.errstate(over='ignore', invalid='ignore'):
+        assert objective(np.array([1e200])) is None
+        assert objective(np.array([-1e200])) is None
+    value, grad, hessian, x_t = objective(np.array([0.1]))
+    assert np.isfinite(value) and np.isfinite(grad).all() and np.isfinite(x_t).all()
+    assert hessian is not None
+
+
+def test_hessian_judgement_agrees_with_the_condition_number():
+    # The eigenvalue test stands for np.linalg.cond(H) < 1/eps, which an
+    # SVD used to decide: random symmetric matrices (mostly indefinite),
+    # exactly singular and indefinite ones, and matrices with condition
+    # number 1e15-1e17 around the threshold 4.5e15. Those are diagonal, up
+    # to a permutation, so that both sides see their exact spectrum; for a
+    # rotated one both would judge rounding noise in the small eigenvalue.
+    rng = np.random.default_rng(51)
+    limit = 1.0 / np.finfo(float).eps
+    cases = [np.array(m, dtype=float) for m in (
+        [[0.0]], [[-2.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 4.0]],
+        [[3.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]], [[1.0, 2.0], [2.0, 1.0]],
+        np.zeros((3, 3)), [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [3.0, 6.0, 9.0]],
+        np.diag([1.0, 2.0, 0.0]), np.diag([1.0, -1.0, 2.0]))]
+    for k in (1, 2, 3):
+        for _ in range(100):
+            a = rng.standard_normal((k, k)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            cases.append(a + a.T)
+        for _ in range(20):
+            rotation, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            m = (rotation * np.logspace(0.0, -2.0, k)) @ rotation.T
+            cases.append(0.5 * (m + m.T))
+    for cond in (1e15, 2e15, 4e15, 5e15, 1e16, 1e17):
+        cases += [np.diag([1.0, 1.0 / cond]), np.diag([-1.0 / cond, 3.0]),
+                  np.diag([1.0, -0.5, 1.0 / cond]), np.diag([2.0 / cond, 2.0, -1.0])]
+    decisions = [_well_conditioned(m) for m in cases]
+    assert decisions == [bool(np.linalg.cond(m) < limit) for m in cases]
+    assert 0 < sum(decisions) < len(cases)
 
 
 def test_project_intersection_hilbert_orthogonal_oracle():

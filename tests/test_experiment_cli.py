@@ -94,6 +94,11 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(synth_truth(6).u, -1.0, 5.0, 0)
 
+    def test_negative_seed_rejected(self):
+        for delta in (0.0, 1e-3):
+            with pytest.raises(ValueError, match='seed must be >= 0'):
+                add_noise(synth_truth(6).u, delta, 5.0, -1)
+
 
 class TestRestrict:
     def test_equal_sizes_identity(self):
@@ -359,6 +364,9 @@ class TestCommandLine:
         for delta in ('0', '5e-4'):
             assert main(['run', '--seed', '-1', '--delta', delta]) == 2
             assert capsys.readouterr().err.splitlines() == ['error: seed must be >= 0']
+        # The synth subcommand checks its own seed flag the same way.
+        assert main(['synth', '--seed', '-1', '--delta', '1e-3']) == 2
+        assert capsys.readouterr().err.splitlines() == ['error: seed must be >= 0']
 
 
 class TestLogging:

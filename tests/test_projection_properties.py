@@ -11,11 +11,14 @@ are the same on every run.
 """
 
 import logging
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from resesop.bregman_geometry import (
+    ConvergenceError,
     Stripe,
     project_intersection,
     project_two_stage,
@@ -97,6 +100,27 @@ class _Records(logging.Handler):
 
     def emit(self, record):
         self.messages.append(record.getMessage())
+
+
+@pytest.mark.parametrize('r, q, k', [(1.5, 1.5, 1), (1.2, 2.0, 1), (3.0, 1.5, 1),
+                                     (1.5, 1.5, 2), (2.0, 1.2, 2)])
+@pytest.mark.parametrize('t_start', [1e200, -1e200, 1e100, 1e60, 1e40])
+def test_overflowing_coefficients_give_a_finite_point_or_a_typed_error(r, q, k, t_start):
+    # Far from the minimizer J_inv(J(x) - t u*) overflows. Such a start or
+    # trial point is rejected: the projection returns a feasible finite
+    # point or raises ConvergenceError, with no numpy warning on the way.
+    _, space, x, planes = _instance(r, q, k, 4, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter('error')
+        try:
+            x_new, t = project_intersection(x, planes, space,
+                                            t_init=[t_start] + [0.0] * (k - 1))
+        except ConvergenceError:
+            return
+    assert np.isfinite(t).all()
+    for u, alpha in planes:
+        assert abs(dual_pairing(u, x_new, space) - alpha) <= _feasibility_slack(
+            x, u, alpha, space)
 
 
 @PROPERTY_SETTINGS
