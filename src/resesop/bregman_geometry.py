@@ -19,7 +19,10 @@ Hessian of h and Armijo backtracking, and `project_intersection` is the one
 routine that computes a projection: with one plane it is the hyperplane
 projection. The iteration runs on flat float arrays through the array
 kernels of `lp_spaces`, with the dual vectors stacked once per projection;
-the projected point is the one grid function it builds. `project_two_stage`
+the projected point is the one grid function it builds. The norm and the
+duality image of x and the dual norms of the u_k* come from the grid
+functions, which keep them, so the two stages of a step and the solver
+around them compute each once. `project_two_stage`
 projects onto a stripe, a one-plane problem for a point outside it, and
 with a previous stripe adds at most one two-plane problem: the step of
 both solver methods.
@@ -35,10 +38,10 @@ import numpy as np
 from .lp_spaces import (
     GridFunction,
     _array_duality_map,
-    _array_norm,
     _euclidean_norm,
-    conjugate_exponent,
     dual_pairing,
+    duality_map,
+    weighted_norm,
 )
 
 __all__ = [
@@ -171,7 +174,7 @@ def _dual_objective(x, jx, u, alphas, space):
     return objective
 
 
-def _minimize(x, u, alphas, space, t_init=None):
+def _minimize(x, u, dual_norms, alphas, space, t_init=None):
     """Safeguarded Newton iteration for the coefficients t minimizing h.
 
     A gradient step replaces the Newton step where the Hessian is unbounded
@@ -179,26 +182,36 @@ def _minimize(x, u, alphas, space, t_init=None):
     on h, and only if the slope along the step has not overshot to more
     than half its initial size: where an entry of g crosses zero and r* < 2,
     the Hessian blows up and full Newton steps would oscillate. A trial
-    point where h is not finite fails like an Armijo trial; a start there
-    raises ConvergenceError. Once the gradient meets the tolerance, one more
-    full step takes t to rounding accuracy. When no step improves h or the
-    gradient any more, a point feasible to FEAS_TOL is accepted. The dual
-    vectors are the rows of u, with offsets alphas. A point already on
-    every plane is returned itself with t = 0.
+    point where h is not finite fails like an Armijo trial. The iteration
+    starts from `t_init` unless h is lower at t = 0 or not finite at
+    `t_init`; it then starts from 0, and a start where h is not finite
+    raises ConvergenceError. Once the gradient meets the tolerance, one
+    more full step takes t to rounding accuracy. When no step improves h or
+    the gradient any more, a point feasible to FEAS_TOL is accepted. The
+    dual vectors are the rows of u, with offsets alphas and dual norms
+    dual_norms. A point already on every plane is returned itself with
+    t = 0.
     """
-    x_flat, h, r_conj = x.values.ravel(), space.h, conjugate_exponent(space.norm_exponent)
-    norm_x = _array_norm(x_flat, space.norm_exponent, h)
-    scale = max([1.0] + [1.0 + abs(alpha) + _array_norm(row, r_conj, h) * norm_x
-                         for row, alpha in zip(u, alphas.tolist())])
+    x_flat = x.values.ravel()
+    norm_x = weighted_norm(x, space)
+    scale = max([1.0] + [1.0 + abs(alpha) + norm * norm_x
+                         for norm, alpha in zip(dual_norms, alphas.tolist())])
     gaps = np.array([space.weight * float((row * x_flat).sum()) for row in u]) - alphas
     if _euclidean_norm(gaps) <= GRAD_TOL * scale:
         return x, np.zeros(len(u))
-    jx = _array_duality_map(x_flat, space.norm_exponent, space.gauge_exponent, h)
-    objective = _dual_objective(x_flat, jx, u, alphas, space)
-    t = np.zeros(len(u)) if t_init is None else np.array(t_init, dtype=float)
+    objective = _dual_objective(x_flat, duality_map(x, space).values.ravel(), u, alphas,
+                                space)
+    t = np.zeros(len(u))
     # An extreme t may overflow; such a trial is not finite and is rejected.
     with np.errstate(over='ignore', invalid='ignore'):
         start = objective(t)
+        if t_init is not None:
+            # From far uphill each Newton step may only halve t; one value at
+            # t = 0 (which needs no inverse duality map) rules that start out.
+            t_warm = np.array(t_init, dtype=float)
+            warm = objective(t_warm)
+            if warm is not None and (start is None or warm[0] <= start[0]):
+                t, start = t_warm, warm
         if start is None:
             raise ConvergenceError('dual objective is not finite at the start', last_t=t)
         value, grad, hessian, x_t = start
@@ -246,8 +259,9 @@ def project_intersection(x, planes, space, t_init=None):
     vectors should be linearly independent: a numerically parallel pair
     logs a warning and falls back to the projection onto the first plane
     alone. `t_init` gives starting coefficients, e.g. the result of a
-    previous one-plane projection; the default is zero. Returns the
-    projected point and the coefficient vector t.
+    previous one-plane projection; the default is zero, which also
+    replaces a start where the dual objective is higher or not finite.
+    Returns the projected point and the coefficient vector t.
     """
     planes = list(planes)
     if not planes:
@@ -256,13 +270,15 @@ def project_intersection(x, planes, space, t_init=None):
     alphas = np.array([alpha for _, alpha in planes], dtype=float)
     if not u.any(axis=1).all():
         raise ValueError('hyperplane requires a nonzero dual vector')
+    dual = space.dual()
+    dual_norms = [weighted_norm(u_star, dual) for u_star, _ in planes]
     if any(abs(float(a @ b)) / (_euclidean_norm(a) * _euclidean_norm(b)) > PARALLEL_COS
            for j, a in enumerate(u) for b in u[j + 1:]):
         logger.warning('numerically parallel dual directions in intersection '
                        'projection; falling back to the first plane')
-        x_new, t = _minimize(x, u[:1], alphas[:1], space)
+        x_new, t = _minimize(x, u[:1], dual_norms[:1], alphas[:1], space)
         return x_new, np.append(t, np.zeros(len(planes) - 1))
-    return _minimize(x, u, alphas, space, t_init)
+    return _minimize(x, u, dual_norms, alphas, space, t_init)
 
 
 def project_two_stage(x, stripe, previous, space):

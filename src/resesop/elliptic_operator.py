@@ -27,8 +27,14 @@ with u = F(c), pointwise products, and homogeneous Dirichlet data in the
 auxiliary solves (increments vanish where u is pinned to g). Because L(c)
 is symmetric, the adjoint identity holds in the h^2-weighted pairing on
 both sides, to the accuracy of the solves. The CG loop works on plain
-N x N arrays: one stencil kernel with the interior of c and h^2 taken out
-of the loop, and one Euclidean norm per vector and iteration.
+N x N arrays: one stencil kernel with a contiguous copy of the interior of
+c and h^2 taken out of the loop, and one Euclidean norm per vector and
+iteration. Each iteration tests the residual before it preconditions it,
+so a converged residual is never preconditioned and no direction is built
+after the last step. The stencil subtracts the four neighbors as
+contiguous shifts of the flat array, which gives exactly the result of
+2-D slices. The right-hand side of the Dirichlet data, like the sine
+basis, is built once per operator.
 """
 
 from dataclasses import dataclass, field
@@ -132,11 +138,21 @@ def apply_stencil(c, v):
 
 def _stencil(coeff, h2, v):
     # apply_stencil on the interior values coeff of c and h2 = h^2, unchecked.
+    # On the flat row-major array the neighbors are shifts by N and by 1. A
+    # shift by 1 also reaches across row ends, so the one edge column it
+    # must not touch is saved and put back: the result is exactly that of
+    # four 2-D slice subtractions, in the same order.
+    n = v.shape[1]
     laplace = 4.0 * v
-    laplace[1:, :] -= v[:-1, :]
-    laplace[:-1, :] -= v[1:, :]
-    laplace[:, 1:] -= v[:, :-1]
-    laplace[:, :-1] -= v[:, 1:]
+    flat, v_flat = laplace.ravel(), v.ravel()
+    flat[n:] -= v_flat[:-n]
+    flat[:-n] -= v_flat[n:]
+    edge = laplace[:, 0].copy()
+    flat[1:] -= v_flat[:-1]
+    laplace[:, 0] = edge
+    edge = laplace[:, -1].copy()
+    flat[:-1] -= v_flat[1:]
+    laplace[:, -1] = edge
     laplace /= h2
     laplace += coeff * v
     return laplace
@@ -189,28 +205,35 @@ def _matrix_norm(c):
     return float(np.max(np.abs(4.0 / h2 + c.interior) + neighbors / h2))
 
 
+def _apply_preconditioner(basis, inverse_eigenvalues, r):
+    """(-laplace_h + c_bar I)^{-1} r by four float32 matmuls in the sine basis."""
+    r = r.astype(np.float32)
+    return (basis @ ((basis @ r @ basis) * inverse_eigenvalues) @ basis).astype(float)
+
+
 def _interior_solve(c, basis, inverse_eigenvalues, matrix_norm, rhs):
-    """Solve L(c) x = rhs on the interior by preconditioned CG and check x."""
+    """Solve L(c) x = rhs on the interior by preconditioned CG and check x.
 
-    def precondition(r):
-        r = r.astype(np.float32)
-        return (basis @ ((basis @ r @ basis) * inverse_eigenvalues) @ basis).astype(float)
-
+    Each iteration first tests the recursive residual and only then
+    preconditions it, so a solve of k iterations applies the preconditioner
+    k times and the stencil k + 1 times (the last for the true residual).
+    """
     # CG runs on rhs scaled by a power of two (exactly) to entries below
     # one, so the residuals stay in float32 range whatever the size of rhs.
     rhs_scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(rhs)))[1]))
     rhs = rhs / rhs_scale
     rhs_norm = _euclidean_norm(rhs)
-    coeff, h2 = c.interior, c.h ** 2
+    coeff, h2 = np.ascontiguousarray(c.interior), c.h ** 2
     solution = np.zeros_like(rhs)
     residual = rhs.copy()
-    z = precondition(residual)
-    direction = z
-    rz = float(np.vdot(residual, z))
+    direction = rz = None
     for _ in range(CG_MAX_ITERS):
         if _euclidean_norm(residual) <= CG_STOP_FRACTION * BACKWARD_TOL * (
                 matrix_norm * _euclidean_norm(solution) + rhs_norm):
             break
+        z = _apply_preconditioner(basis, inverse_eigenvalues, residual)
+        rz, rz_old = float(np.vdot(residual, z)), rz
+        direction = z if direction is None else z + (rz / rz_old) * direction
         image = _stencil(coeff, h2, direction)
         curvature = float(np.vdot(direction, image))
         if not curvature > 0.0:
@@ -220,9 +243,6 @@ def _interior_solve(c, basis, inverse_eigenvalues, matrix_norm, rhs):
         step = rz / curvature
         solution += step * direction
         residual -= step * image
-        z = precondition(residual)
-        rz, rz_old = float(np.vdot(residual, z)), rz
-        direction = z + (rz / rz_old) * direction
     else:
         raise LinearSolveError(
             'conjugate gradients did not converge in {} iterations for {}'.format(
@@ -268,6 +288,8 @@ class EllipticOperator:
     def __init__(self, data):
         self.data = data
         self._basis, self._eigenvalues = _sine_basis(data.f.n_interior)
+        self._rhs = _boundary_rhs(data)
+        self._rhs.setflags(write=False)
 
     def __call__(self, c):
         """Evaluate F(c): the full grid function u with the Dirichlet ring
@@ -284,7 +306,7 @@ class EllipticOperator:
         inverse_eigenvalues = _preconditioner(c, self._eigenvalues)
         matrix_norm = _matrix_norm(c)
         interior = _interior_solve(c, self._basis, inverse_eigenvalues, matrix_norm,
-                                   _boundary_rhs(data))
+                                   self._rhs)
         values = data.g.values.copy()
         values[1:-1, 1:-1] = interior
         return OperatorState(c=c, u=GridFunction(values), sine_basis=self._basis,
@@ -312,18 +334,24 @@ class EllipticOperator:
             w.interior))
         return GridFunction(-state.u.values * lifted.values)
 
-    def norm_estimate(self, state, seed=0, max_iters=100, tol=1e-12):
+    def norm_estimate(self, state, max_iters=100, tol=1e-12):
         """Lanczos estimate of the norm of F'(c) (diagnostic bound c_F).
 
-        Runs Lanczos on F'(c)* F'(c) from a seeded random start, with full
+        Runs Lanczos on F'(c)* F'(c) = D_u L(c)^{-2} D_u with full
         reorthogonalization, until the largest Ritz value changes by at most
-        `tol` relative; it keeps one interior vector per step. The
-        h^2-weighted 2-norms on domain and codomain share the grid, so their
-        weights cancel and the plain Euclidean spectral norm of F'(c) is
-        returned. Deterministic for a fixed seed.
+        `tol` relative; it keeps one interior vector per step. The start is
+        sign(u) on the interior. L(c) is positive definite with nonpositive
+        off-diagonals, so L(c)^{-1} is entrywise positive, and the top
+        eigenvector is sign(u) * p with p > 0 (Perron-Frobenius): the start
+        is never orthogonal to it, and it is close. For u = 0 the norm is 0.
+        The h^2-weighted 2-norms on domain and codomain share the grid, so
+        their weights cancel and the plain Euclidean spectral norm of F'(c)
+        is returned. Deterministic.
         """
         n = state.c.n_interior
-        start = np.random.default_rng(seed).standard_normal((n, n))
+        start = np.sign(state.u.interior)
+        if not start.any():
+            return 0.0
         vectors = [start / np.linalg.norm(start)]
         alphas, betas = [], []
         ritz = 0.0

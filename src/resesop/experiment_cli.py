@@ -452,9 +452,12 @@ def _cmd_check(args):
                       and bregman_distance(f, f, space) == 0.0)
 
     truth = synth_truth(cfg.n_recon)
-    noisy = add_noise(truth.u, 5e-4, cfg.s, cfg.seed)
+    # The noise field added to a zero state: measuring add_noise(u) - u
+    # instead would add the rounding of that subtraction, about
+    # eps ||u|| / delta relative, to the calibration error.
+    noise = add_noise(GridFunction.zeros(cfg.n_recon), 5e-4, cfg.s, cfg.seed)
     space_y = SpaceSpec(cfg.s, 2.0, truth.u.h)
-    calib = abs(weighted_norm(noisy - truth.u, space_y) - 5e-4)
+    calib = abs(weighted_norm(noise, space_y) - 5e-4)
     ok &= _check_line('noise calibration', calib <= 1e-14 * 5e-4)
 
     coarse = restrict(synth_truth(cfg.n_data).u, cfg.n_recon, cfg.restriction)

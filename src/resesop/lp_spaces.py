@@ -12,6 +12,10 @@ where ||.||_* is the norm with the conjugate exponent on the same grid, and
 J_2 on a space with norm exponent 2 is the identity. The norm and the
 duality map are thin wrappers over private kernels on plain float arrays of
 any shape, which the projection layer calls on flat arrays directly.
+Because a grid function is immutable, the wrappers store each norm and
+each duality image on the grid function they measure, keyed by the
+exponents and h: the method asks for the norm and the duality image of
+the same iterate in several places, and each is computed once.
 """
 
 import math
@@ -61,6 +65,8 @@ class GridFunction:
     The same container holds primal iterates, residuals and dual vectors;
     the :class:`SpaceSpec` paired with a grid function decides how it is
     measured. Instances are immutable; arithmetic returns new objects.
+    :func:`weighted_norm` and :func:`duality_map` store their results on the
+    instance, so asking again for the same space computes nothing.
 
     Parameters
     ----------
@@ -80,6 +86,7 @@ class GridFunction:
             raise ValueError('grid values must be finite')
         values.setflags(write=False)
         object.__setattr__(self, 'values', values)
+        object.__setattr__(self, '_memo', {})
 
     @classmethod
     def zeros(cls, n_interior):
@@ -204,18 +211,28 @@ def _array_norm(values, p, h):
     return h ** (2.0 / p) * total ** (1.0 / p)
 
 
-def _array_duality_map(values, r, q, h):
+def _array_duality_map(values, r, q, h, norm=None):
     """Kernel of :func:`duality_map` on a plain float array of any shape.
 
-    Returns a new array, or `values` itself when r = q = 2. The scalar
-    factor is a numpy float, so an overflow gives inf under the caller's
-    ``np.errstate`` instead of raising.
+    Returns a new array, or `values` itself when r = q = 2. Only q != r
+    needs the norm, which the caller may pass in; with q = r the zero test
+    is (max |v|)^r == 0, which holds exactly when every |v|^r underflows,
+    as the norm would. A norm that is not finite gives an image that is
+    not finite either. The scalar factor is a numpy float, so an overflow
+    gives inf under the caller's ``np.errstate`` instead of raising.
     """
-    norm = _array_norm(values, r, h)
-    if norm == 0.0:
-        return np.zeros_like(values)
-    if r == 2.0 and q == 2.0:
-        return values
+    if q == r:
+        if np.max(np.abs(values)) ** r == 0.0:
+            return np.zeros_like(values)
+        if r == 2.0:
+            return values
+    else:
+        if norm is None:
+            norm = _array_norm(values, r, h)
+        if norm == 0.0:
+            return np.zeros_like(values)
+        if not math.isfinite(norm):
+            return np.full_like(values, np.nan)
     g = np.abs(values) ** (r - 1.0) * np.sign(values)
     if q != r:
         g = np.float64(norm) ** (q - r) * g
@@ -230,8 +247,14 @@ def weighted_norm(f, space):
     f : GridFunction
     space : SpaceSpec
         Supplies p = norm_exponent and the weight.
+
+    The norm is stored on `f`, keyed by p and h.
     """
-    return _array_norm(f.values, space.norm_exponent, space.h)
+    key = ('norm', space.norm_exponent, space.h)
+    norm = f._memo.get(key)
+    if norm is None:
+        norm = f._memo[key] = _array_norm(f.values, space.norm_exponent, space.h)
+    return norm
 
 
 def dual_pairing(g, f, space):
@@ -265,10 +288,19 @@ def duality_map(f, space):
     Returns
     -------
     GridFunction
-        Dual vector on the same grid; pair it with ``space.dual()``.
+        Dual vector on the same grid; pair it with ``space.dual()``. It is
+        stored on `f`, keyed by the exponents and h, except where it is `f`
+        itself (r = q = 2).
     """
-    g = _array_duality_map(f.values, space.norm_exponent, space.gauge_exponent, space.h)
-    return f if g is f.values else GridFunction(g)
+    r, q, h = space.norm_exponent, space.gauge_exponent, space.h
+    key = ('dual', r, q, h)
+    image = f._memo.get(key)
+    if image is None:
+        g = _array_duality_map(f.values, r, q, h, None if q == r else weighted_norm(f, space))
+        if g is f.values:
+            return f  # the r = q = 2 identity: storing f on itself is a cycle
+        image = f._memo[key] = GridFunction(g)
+    return image
 
 
 def inverse_duality_map(g, space):

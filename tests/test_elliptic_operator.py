@@ -9,6 +9,7 @@ genuine truncation error exhibiting second-order convergence.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -265,30 +266,117 @@ def test_adjoint_one_node_hand_value():
 
 def test_operator_norm_estimate_properties():
     op, state = make_linearization(10)
-    first = op.norm_estimate(state, seed=0)
-    second = op.norm_estimate(state, seed=0)
+    first = op.norm_estimate(state)
+    second = op.norm_estimate(state)
     assert first == second
     assert first > 0.0
     doubled_state = dataclasses.replace(state, u=2.0 * state.u)
-    assert op.norm_estimate(doubled_state, seed=0) == pytest.approx(
-        2.0 * first, rel=1e-12)
+    assert op.norm_estimate(doubled_state) == pytest.approx(2.0 * first, rel=1e-12)
     zero_state = dataclasses.replace(state, u=GridFunction.zeros(10))
-    assert op.norm_estimate(zero_state, seed=0) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter('error')
+        assert op.norm_estimate(zero_state) == 0.0
+
+
+def dense_jacobian_norm(op, state):
+    # F'(c) built column by column from the derivative on unit vectors.
+    n = state.c.n_interior
+    columns = []
+    for k in range(n * n):
+        unit = np.zeros(n * n)
+        unit[k] = 1.0
+        image = op.derivative(state, GridFunction.from_interior(unit.reshape(n, n)))
+        columns.append(image.interior.ravel())
+    return np.linalg.norm(np.array(columns).T, 2)
 
 
 def test_norm_estimate_matches_dense_jacobian_norm():
-    # F'(c) built column by column from the derivative on unit vectors.
     for n in (3, 6):
         op, state = make_linearization(n)
-        columns = []
-        for k in range(n * n):
-            unit = np.zeros(n * n)
-            unit[k] = 1.0
-            image = op.derivative(state, GridFunction.from_interior(unit.reshape(n, n)))
-            columns.append(image.interior.ravel())
-        jacobian = np.array(columns).T
-        assert op.norm_estimate(state) == pytest.approx(np.linalg.norm(jacobian, 2),
+        assert op.norm_estimate(state) == pytest.approx(dense_jacobian_norm(op, state),
                                                         rel=1e-12)
+
+
+def test_norm_estimate_from_sign_start_handles_a_sign_changing_state():
+    # Lanczos starts from sign(u); with u of both signs (and zero entries)
+    # the start still has a component along the top eigenvector.
+    n = 7
+    rng = np.random.default_rng(36)
+    c = GridFunction(rng.uniform(0.5, 2.0, (n + 2, n + 2)))
+    f = nodal(lambda x, y: np.sin(3.0 * np.pi * x) * np.cos(2.0 * np.pi * y), n)
+    op = EllipticOperator(BvpData(f=f, g=GridFunction.zeros(n)))
+    state = op.linearize(c)
+    interior = state.u.interior.copy()
+    assert (interior > 0.0).any() and (interior < 0.0).any()
+    interior[2, :] = 0.0
+    state = dataclasses.replace(state, u=GridFunction.from_interior(interior))
+    assert op.norm_estimate(state) == pytest.approx(dense_jacobian_norm(op, state),
+                                                    rel=1e-12)
+
+
+def slice_stencil(coeff, h2, v):
+    # Reference: the five-point stencil by four 2-D slice subtractions.
+    laplace = 4.0 * v
+    laplace[1:, :] -= v[:-1, :]
+    laplace[:-1, :] -= v[1:, :]
+    laplace[:, 1:] -= v[:, :-1]
+    laplace[:, :-1] -= v[:, 1:]
+    laplace /= h2
+    laplace += coeff * v
+    return laplace
+
+
+@pytest.mark.parametrize('n', [1, 2, 3, 40])
+def test_stencil_equals_the_slice_reference_bitwise(n):
+    rng = np.random.default_rng(37)
+    c = GridFunction(rng.uniform(-1.0, 3.0, (n + 2, n + 2)))
+    v = rng.standard_normal((n, n))
+    v[rng.random((n, n)) < 0.3] = -0.0
+    v[0, 0] = -0.0
+    expected = slice_stencil(c.interior, c.h ** 2, v)
+    for result in (apply_stencil(c, v),
+                   elliptic_operator._stencil(np.ascontiguousarray(c.interior),
+                                              c.h ** 2, v)):
+        assert np.array_equal(result, expected)
+        assert np.array_equal(np.signbit(result), np.signbit(expected))
+
+
+def test_cg_preconditions_once_per_iteration(monkeypatch):
+    # The converged residual is not preconditioned: a solve of k iterations
+    # applies the preconditioner k times and the stencil k + 1 times.
+    counts = {'preconditioner': 0, 'stencil': 0}
+    solves = []
+
+    def counting(name, function):
+        def wrapped(*args):
+            counts[name] += 1
+            return function(*args)
+        return wrapped
+
+    def recorded(*args):
+        before = dict(counts)
+        result = solve(*args)
+        solves.append({name: counts[name] - before[name] for name in counts})
+        return result
+
+    solve = elliptic_operator._interior_solve
+    monkeypatch.setattr(elliptic_operator, '_apply_preconditioner',
+                        counting('preconditioner', elliptic_operator._apply_preconditioner))
+    monkeypatch.setattr(elliptic_operator, '_stencil',
+                        counting('stencil', elliptic_operator._stencil))
+    monkeypatch.setattr(elliptic_operator, '_interior_solve', recorded)
+    op, state = make_linearization(12)
+    rng = np.random.default_rng(38)
+    op.derivative(state, random_interior(rng, 12))
+    op.adjoint(state, random_interior(rng, 12))
+    op.adjoint(state, GridFunction.zeros(12))
+    # linearize, derivative, adjoint, and the zero right-hand side.
+    assert len(solves) == 4
+    for counted in solves[:3]:
+        assert counted['preconditioner'] >= 1
+    for counted in solves:
+        assert counted['preconditioner'] == counted['stencil'] - 1
+    assert solves[3] == {'preconditioner': 0, 'stencil': 1}
 
 
 def test_discrete_maximum_principle():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import resesop
+from resesop import experiment_cli
 from resesop.elliptic_operator import BvpData, EllipticOperator
 from resesop.experiment_cli import (
     ExperimentConfig,
@@ -349,6 +350,22 @@ class TestCommandLine:
         stdout = capsys.readouterr().out
         assert 'FAIL' not in stdout
         assert stdout.count('PASS') >= 6
+
+    @pytest.mark.parametrize('seed', range(10))
+    def test_check_battery_calibrates_noise_on_the_smallest_grid(self, seed, capsys):
+        # On a 2 x 2 grid ||u|| / delta is large; the rounding of
+        # add_noise(u) - u used to exceed the 1e-14 delta tolerance.
+        assert main(['check', '--n-recon', '2', '--n-data', '2', '--seed', str(seed)]) == 0
+        assert 'FAIL' not in capsys.readouterr().out
+
+    def test_check_battery_detects_a_miscalibrated_noise_field(self, monkeypatch, capsys):
+        def scaled(u, delta, exponent, seed):
+            return add_noise(u, delta * (1.0 + 1e-12), exponent, seed)
+
+        monkeypatch.setattr(experiment_cli, 'add_noise', scaled)
+        assert main(['check', '--n-recon', '2', '--n-data', '2']) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if 'FAIL' in line]
+        assert len(failed) == 1 and failed[0].startswith('noise calibration')
 
     def test_invalid_values_exit_cleanly(self, capsys):
         assert main(['run', '--tau-factor', '0.5']) == 2

@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
+from resesop import lp_spaces
 from resesop.lp_spaces import (
     GridFunction,
     SpaceSpec,
@@ -278,3 +279,60 @@ def test_array_duality_map_is_the_identity_in_the_hilbert_case():
     flat = f.values.ravel()
     assert _array_duality_map(flat, 2.0, 2.0, f.h) is flat
     assert duality_map(f, SpaceSpec(2.0, 2.0, f.h)) is f
+
+
+def test_norm_and_duality_map_are_stored_on_the_grid_function(monkeypatch):
+    # The public maps return the kernels' values, computed once per grid
+    # function and space: a second call runs no kernel.
+    from resesop import lp_spaces
+    calls = []
+
+    def counting(function):
+        def wrapped(*args):
+            calls.append(function.__name__)
+            return function(*args)
+        return wrapped
+
+    monkeypatch.setattr(lp_spaces, '_array_norm', counting(_array_norm))
+    monkeypatch.setattr(lp_spaces, '_array_duality_map', counting(_array_duality_map))
+    f = random_grid(np.random.default_rng(43), scale=2.0)
+    for r, q in [(1.5, 2.0), (5.0, 2.0), (3.0, 3.0), (1.5, 1.5)]:
+        space = SpaceSpec(r, q, f.h)
+        norm, image = weighted_norm(f, space), duality_map(f, space)
+        assert norm == _array_norm(f.values, r, f.h)
+        assert np.array_equal(image.values, _array_duality_map(f.values, r, q, f.h))
+        del calls[:]
+        assert weighted_norm(f, space) == norm
+        assert duality_map(f, space) is image
+        assert calls == []
+    # Same exponents on another grid spacing, and the dual space, are other
+    # keys.
+    coarse = SpaceSpec(1.5, 2.0, 2.0 * f.h)
+    assert weighted_norm(f, coarse) == _array_norm(f.values, 1.5, 2.0 * f.h)
+    dual = SpaceSpec(1.5, 2.0, f.h).dual()
+    assert weighted_norm(f, dual) == _array_norm(f.values, dual.norm_exponent, f.h)
+    assert np.array_equal(duality_map(f, dual).values, _array_duality_map(
+        f.values, dual.norm_exponent, dual.gauge_exponent, f.h))
+
+
+def test_duality_map_sends_underflowing_grids_to_zero():
+    # With q = r the kernel takes no norm; the zero test (max |v|)^r == 0
+    # holds exactly when the norm would be 0, so a subnormal grid still
+    # maps to zeros.
+    tiny = GridFunction.full(4, 1e-310)
+    space = SpaceSpec(3.0, 3.0, tiny.h)
+    assert weighted_norm(tiny, space) == 0.0
+    assert duality_map(tiny, space) == GridFunction.zeros(4)
+    # A grid whose cube does not underflow is mapped by the power map.
+    small = GridFunction.full(4, 1e-100)
+    assert np.all(duality_map(small, space).values == 1e-200)
+
+
+def test_duality_map_with_an_overflowing_norm_is_not_finite():
+    # For q != r the image scales with ||v||^(q - r); where that norm
+    # overflows, a finite image (inf^(q - r) = 0 for q < r) would be wrong.
+    huge = np.full(9, 1e60)  # |v|^6 overflows, |v|^5 does not
+    with np.errstate(over='ignore'):
+        assert not np.isfinite(_array_duality_map(huge, 6.0, 2.0, 0.25)).any()
+        assert not np.isfinite(_array_duality_map(huge, 6.0, 8.0, 0.25)).any()
+        assert np.isfinite(_array_duality_map(huge, 6.0, 6.0, 0.25)).all()

@@ -123,6 +123,21 @@ def test_overflowing_coefficients_give_a_finite_point_or_a_typed_error(r, q, k, 
             x, u, alpha, space)
 
 
+@pytest.mark.parametrize('r, q, k', [(1.5, 1.5, 1), (1.2, 2.0, 1), (3.0, 1.5, 1),
+                                     (1.5, 1.5, 2), (2.0, 1.2, 2)])
+@pytest.mark.parametrize('t_start', [1e200, -1e200, 1e100, 1e60, 1e40, 1e20, 1e300])
+def test_far_warm_start_returns_the_default_start_coefficients(r, q, k, t_start):
+    # A start uphill of t = 0 (where h is higher or not finite) is replaced
+    # by 0, so no far start exhausts the Newton budget coming back, and an
+    # overflowing inverse duality map never passes for a low value of h.
+    _, space, x, planes = _instance(r, q, k, 4, 5)
+    _, t_default = project_intersection(x, planes, space)
+    with warnings.catch_warnings():
+        warnings.simplefilter('error')
+        _, t = project_intersection(x, planes, space, t_init=[t_start] + [0.0] * (k - 1))
+    np.testing.assert_allclose(t, t_default, rtol=1e-8)
+
+
 @PROPERTY_SETTINGS
 @given(r=EXPONENT, q=EXPONENT, n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
        factor=st.floats(min_value=-3.0, max_value=3.0).filter(lambda v: abs(v) > 0.1))

@@ -64,7 +64,7 @@ class LinearStub:
     def adjoint(self, state, w):
         return self._apply(self.matrix.T, w)
 
-    def norm_estimate(self, state, seed=0):
+    def norm_estimate(self, state):
         return float(np.linalg.norm(self.matrix, 2))
 
 
