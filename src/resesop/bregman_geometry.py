@@ -248,7 +248,7 @@ def _minimize(x, u, dual_norms, alphas, space, t_init=None):
         if not converged:
             raise ConvergenceError('Bregman projection did not converge',
                                    last_t=t, grad_norm=_euclidean_norm(grad))
-    return GridFunction(x_t.reshape(x.values.shape)), t
+    return GridFunction._adopt(x_t.reshape(x.values.shape)), t
 
 
 def project_intersection(x, planes, space, t_init=None):

@@ -309,7 +309,7 @@ class EllipticOperator:
                                    self._rhs)
         values = data.g.values.copy()
         values[1:-1, 1:-1] = interior
-        return OperatorState(c=c, u=GridFunction(values), sine_basis=self._basis,
+        return OperatorState(c=c, u=GridFunction._adopt(values), sine_basis=self._basis,
                              inverse_eigenvalues=inverse_eigenvalues,
                              matrix_norm=matrix_norm)
 
@@ -332,10 +332,11 @@ class EllipticOperator:
         lifted = GridFunction.from_interior(_interior_solve(
             state.c, state.sine_basis, state.inverse_eigenvalues, state.matrix_norm,
             w.interior))
-        return GridFunction(-state.u.values * lifted.values)
+        return GridFunction._adopt(-state.u.values * lifted.values)
 
     def norm_estimate(self, state, max_iters=100, tol=1e-12):
-        """Lanczos estimate of the norm of F'(c) (diagnostic bound c_F).
+        """Lanczos estimate of the norm of F'(c); a standalone tool that the
+        solver never calls.
 
         Runs Lanczos on F'(c)* F'(c) = D_u L(c)^{-2} D_u with full
         reorthogonalization, until the largest Ritz value changes by at most

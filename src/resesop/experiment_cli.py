@@ -66,6 +66,9 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 CSV_HEADER = ('n', 'residual', 'rel_error', 'step_class')
+# Record keys of reports written before the step certificate replaced the
+# decrease surrogate; reading such a report drops them.
+RETIRED_RECORD_KEYS = ('decrease_surrogate', 'gamma')
 
 
 @dataclass(frozen=True)
@@ -216,7 +219,8 @@ class ExperimentReport:
     """Result of one experiment run.
 
     Serializes to JSON via to_json/from_json without loss; write_csv emits
-    the per-iteration series for external plotting.
+    the per-iteration series for external plotting. from_json also reads
+    older reports: it drops only the RETIRED_RECORD_KEYS.
     """
 
     config: ExperimentConfig
@@ -237,7 +241,8 @@ class ExperimentReport:
         payload = json.loads(text)
         config = ExperimentConfig(**payload.pop('config'))
         records = tuple(
-            IterationRecord(**dict(entry,
+            IterationRecord(**dict({key: value for key, value in entry.items()
+                                    if key not in RETIRED_RECORD_KEYS},
                                    t_params=tuple(entry['t_params']),
                                    stripe_widths=tuple(entry['stripe_widths'])))
             for entry in payload.pop('records'))

@@ -77,7 +77,17 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        self._own(np.array(self.values, dtype=float))
+
+    @classmethod
+    def _adopt(cls, values):
+        """The constructor without its copy: takes ownership of `values`, a
+        fresh float64 array nothing else writes to."""
+        grid = object.__new__(cls)
+        grid._own(values)
+        return grid
+
+    def _own(self, values):
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError('grid values must be square, got shape {}'.format(values.shape))
         if values.shape[0] < 3:
@@ -102,7 +112,7 @@ class GridFunction:
         interior = np.asarray(interior, dtype=float)
         values = np.full((interior.shape[0] + 2, interior.shape[1] + 2), float(boundary))
         values[1:-1, 1:-1] = interior
-        return cls(values)
+        return cls._adopt(values)
 
     @property
     def n_interior(self):
@@ -128,27 +138,27 @@ class GridFunction:
     def __add__(self, other):
         if not isinstance(other, GridFunction):
             return NotImplemented
-        return GridFunction(self.values + other.values)
+        return GridFunction._adopt(self.values + other.values)
 
     def __sub__(self, other):
         if not isinstance(other, GridFunction):
             return NotImplemented
-        return GridFunction(self.values - other.values)
+        return GridFunction._adopt(self.values - other.values)
 
     def __neg__(self):
-        return GridFunction(-self.values)
+        return GridFunction._adopt(-self.values)
 
     def __mul__(self, scalar):
         if not isinstance(scalar, numbers.Real):
             return NotImplemented
-        return GridFunction(self.values * float(scalar))
+        return GridFunction._adopt(self.values * float(scalar))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         if not isinstance(scalar, numbers.Real):
             return NotImplemented
-        return GridFunction(self.values / float(scalar))
+        return GridFunction._adopt(self.values / float(scalar))
 
 
 @dataclass(frozen=True)
@@ -299,7 +309,7 @@ def duality_map(f, space):
         g = _array_duality_map(f.values, r, q, h, None if q == r else weighted_norm(f, space))
         if g is f.values:
             return f  # the r = q = 2 identity: storing f on itself is a cycle
-        image = f._memo[key] = GridFunction(g)
+        image = f._memo[key] = GridFunction._adopt(g)
     return image
 
 

@@ -25,6 +25,11 @@ bounding hyperplane, optionally corrected by the previous stripe
 
 Iterations stop by the discrepancy principle ||R|| <= tau * delta for noisy
 data, or a small residual tolerance for exact data.
+
+Each step records its Bregman step distance D(x_n, x_{n+1}): by the
+three-point inequality of Bregman projections (Schoepfer, Louis & Schuster
+2006), D(x_{n+1}, z) <= D(x_n, z) - D(x_n, x_{n+1}) for every z in the
+target set of the step, which holds every solution the stripes contain.
 """
 
 import logging
@@ -73,8 +78,6 @@ STAGNATION_TOL = 1e-14
 STAGNATION_LIMIT = 3
 # Projection coefficients above this magnitude are logged as suspicious.
 COEFFICIENT_WARN = 1e6
-# Smoothness constant of the dual space in the direction diagnostic gamma.
-DUAL_SMOOTHNESS = 1.0
 
 
 class StepClass:
@@ -183,12 +186,12 @@ class IterationRecord:
     """Per-iteration log entry.
 
     The record written at the stopping index has no step fields (empty
-    coefficient tuple, step_class None). The diagnostic fields rel_error,
-    bregman_to_truth, truth_inside, cone_ratio, decrease_surrogate,
-    direction_cosine and gamma are filled only when `run` was given a ground
-    truth, and are None otherwise. cone_ratio is measured only when the
-    truth fell outside the stripe of the iteration; direction_cosine and
-    gamma only after a two-plane step.
+    coefficient tuple, step_class None). step_distance is the Bregman
+    distance D(x_n, x_{n+1}) of the step. The diagnostic fields rel_error,
+    bregman_to_truth, truth_inside, cone_ratio and direction_cosine are
+    filled only when `run` was given a ground truth, and are None
+    otherwise. cone_ratio is measured only when the truth fell outside the
+    stripe of the iteration; direction_cosine only after a two-plane step.
     """
 
     n: int
@@ -200,11 +203,10 @@ class IterationRecord:
     wall_time: float = 0.0
     bregman_to_truth: float = None
     above_margin: float = None
+    step_distance: float = None
     truth_inside: bool = None
     cone_ratio: float = None
-    decrease_surrogate: float = None
     direction_cosine: float = None
-    gamma: float = None
 
     def __post_init__(self):
         if self.residual_norm < 0:
@@ -288,10 +290,8 @@ class _TruthMonitor:
 
     `at_iterate` gives the relative error and the Bregman distance to the
     truth. `at_step` adds whether the truth lies inside the stripe, else
-    the measured tangential-cone ratio with one WARNING per violation; the
-    decrease surrogate S_n, whose bound c_F of ||F'|| is estimated once at
-    the first step; and, after a two-plane step, the direction cosine and
-    gamma_n.
+    the measured tangential-cone ratio with one WARNING per violation, and,
+    after a two-plane step, the cosine between the two search directions.
     """
 
     def __init__(self, op, truth, cfg, space_x, space_y):
@@ -299,40 +299,22 @@ class _TruthMonitor:
         self.space_x, self.space_y = space_x, space_y
         self.truth_norm = weighted_norm(truth, space_x)
         self.truth_image = None
-        self.c_f = None
 
     def at_iterate(self, x):
         return dict(rel_error=weighted_norm(x - self.truth, self.space_x) / self.truth_norm,
                     bregman_to_truth=bregman_distance(x, self.truth, self.space_x))
 
-    def at_step(self, n, state, x, res_norm, stripe, prev_stripe, x_first, bound):
-        cfg, space_x = self.cfg, self.space_x
+    def at_step(self, n, state, x, stripe, prev_stripe, bound):
+        space_x = self.space_x
         fields = self.at_iterate(x)
-        if self.c_f is None:
-            self.c_f = self.op.norm_estimate(state)
-        surrogate = None
-        if self.c_f:
-            reduced = res_norm - cfg.delta - cfg.cone_constant * (res_norm + cfg.delta)
-            surrogate = (reduced / self.c_f) ** cfg.gauge
         if bound is not None:
-            # gamma quantifies how far the two dual directions are from
-            # parallel; it is None where the expression is meaningless.
             lifted_prev = inverse_duality_map(prev_stripe.u_star, space_x)
-            cosine = gamma = None
             denom = (weighted_norm(stripe.u_star, space_x.dual())
                      * weighted_norm(lifted_prev, space_x))
-            if denom != 0.0:
-                cosine = abs(dual_pairing(stripe.u_star, lifted_prev, space_x)) / denom
-                q = cfg.gauge
-                base = 1.0 - cosine ** q / ((q - 1.0) * DUAL_SMOOTHNESS ** (q - 1.0))
-                gamma = None if base <= 0.0 else base ** (1.0 / (q / (q - 1.0)))
-            if gamma and surrogate is not None:
-                overshoot = abs(dual_pairing(prev_stripe.u_star, x_first, space_x) - bound)
-                surrogate += (overshoot / (gamma * weighted_norm(prev_stripe.u_star,
-                                                                 space_x.dual()))) ** cfg.gauge
-            fields.update(direction_cosine=cosine, gamma=gamma)
-        fields.update(decrease_surrogate=surrogate,
-                      truth_inside=classify(self.truth, stripe, space_x) is StripeSide.INSIDE)
+            fields['direction_cosine'] = (
+                None if denom == 0.0
+                else abs(dual_pairing(stripe.u_star, lifted_prev, space_x)) / denom)
+        fields['truth_inside'] = classify(self.truth, stripe, space_x) is StripeSide.INSIDE
         if not fields['truth_inside']:
             if self.truth_image is None:
                 self.truth_image = self.op(self.truth)
@@ -347,7 +329,7 @@ class _TruthMonitor:
                 'ground truth outside the stripe at n=%d: measured '
                 'tangential-cone ratio %s against configured %.4g', n,
                 'undefined' if ratio is None else '{:.4g}'.format(ratio),
-                cfg.cone_constant)
+                self.cfg.cone_constant)
         return fields
 
 
@@ -360,8 +342,7 @@ def run(op, y, x0, cfg, ground_truth=None):
     op : forward operator
         The method needs `linearize(x)`, returning a state with attribute
         `u` = F(x), and `adjoint(state, w)`. With a ground truth the
-        diagnostics also call `__call__(x)`, `derivative(state, d)` and
-        `norm_estimate(state)`.
+        diagnostics also call `__call__(x)` and `derivative(state, d)`.
     y : GridFunction
         Data (possibly noisy).
     x0 : GridFunction
@@ -369,14 +350,15 @@ def run(op, y, x0, cfg, ground_truth=None):
     cfg : SolverConfig
     ground_truth : GridFunction, optional
         Fills the diagnostic columns of the records: relative error,
-        Bregman distance, stripe containment, cone ratio, decrease
-        surrogate, direction cosine and gamma. Without it they stay None.
+        Bregman distance, stripe containment, cone ratio and direction
+        cosine. Without it they stay None.
 
     Returns
     -------
     SolveResult
         n_star is the stopping index; records hold one entry per evaluated
-        iterate, the last one without step fields.
+        iterate, the last one without step fields. Every step records its
+        Bregman step distance D(x_n, x_{n+1}), with or without a truth.
 
     Raises
     ------
@@ -417,18 +399,19 @@ def run(op, y, x0, cfg, ground_truth=None):
                 return SolveResult(iterate=x, records=tuple(records),
                                    stop_reason=reason, n_star=n, detail=detail)
 
-            stripe, margin, (x_next, t, x_first, bound) = resesop_two_dir_step(
+            stripe, margin, (x_next, t, _, bound) = resesop_two_dir_step(
                 op, state, x, residual, prev_stripe, cfg, space_x, space_y)
             if max(abs(v) for v in t) > COEFFICIENT_WARN:
                 logger.warning('projection coefficients %s unusually large at n=%d', t, n)
             fields = {} if monitor is None else monitor.at_step(
-                n, state, x, res_norm, stripe, prev_stripe, x_first, bound)
+                n, state, x, stripe, prev_stripe, bound)
             records.append(IterationRecord(
                 n=n, residual_norm=res_norm, t_params=t,
                 stripe_widths=(stripe.xi,) if bound is None else (stripe.xi, prev_stripe.xi),
                 step_class=(StepClass.SINGLE_PROJECTION if bound is None
                             else StepClass.TWO_PLANE_CORRECTION),
-                above_margin=margin, wall_time=time.perf_counter() - tic, **fields))
+                above_margin=margin, step_distance=bregman_distance(x, x_next, space_x),
+                wall_time=time.perf_counter() - tic, **fields))
 
             if weighted_norm(x_next - x, space_x) < STAGNATION_TOL * weighted_norm(x, space_x):
                 stagnant += 1

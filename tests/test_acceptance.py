@@ -29,7 +29,7 @@ from resesop.lp_spaces import (
     inverse_duality_map,
     weighted_norm,
 )
-from resesop.sesop_solver import StopReason, descent_monitor
+from resesop.sesop_solver import StepClass, StopReason, descent_monitor
 
 EXPONENT_PAIRS = ((1.5, 2.0), (2.0, 2.0), (5.0, 2.0), (3.0, 3.0))
 
@@ -399,3 +399,37 @@ def test_criterion_9_stripe_containment_monitor(containment_reports, caplog):
         'criterion 9: stripe containment monitor', ok,
         'containment {:.0%} at c_tc=0.05; {} logged violations at c_tc=0.01'.format(
             fraction, len(logged)))
+
+
+def test_criterion_10_step_certificate_bounds_the_descent():
+    # Three-point inequality of Bregman projections: for every z in the
+    # target set of step n, D(x_{n+1}, z) <= D(x_n, z) - D(x_n, x_{n+1}).
+    # The truth is in that set when it lies inside the stripe of step n and,
+    # after a two-plane step, inside the previous stripe too.
+    counted = violations = runs = other_stops = 0
+    smallest = np.inf
+    for r in (1.2, 1.5, 2.0, 3.0, 6.0):
+        for method in 'AB':
+            for draw in range(5):
+                report = run_experiment(ExperimentConfig(
+                    method=method, delta=5e-4, r=r, seed=7 + 1_000_003 * draw))
+                runs += 1
+                other_stops += report.stop_reason != StopReason.DISCREPANCY
+                records = report.records
+                for k, (now, after) in enumerate(zip(records, records[1:])):
+                    in_target = now.truth_inside and (
+                        now.step_class != StepClass.TWO_PLANE_CORRECTION
+                        or records[k - 1].truth_inside)
+                    if not in_target:
+                        continue
+                    counted += 1
+                    decrease = now.bregman_to_truth - after.bregman_to_truth
+                    violations += decrease < (now.step_distance
+                                              - 1e-9 * (1.0 + now.bregman_to_truth))
+                    if now.step_distance > 0.0:
+                        smallest = min(smallest, decrease / now.step_distance)
+    ok = violations == 0 and other_stops == 0 and counted > 0
+    assert _verdict('criterion 10: step certificate bounds the descent', ok,
+                    '{} runs, {} other stops, {} steps, {} violations, '
+                    'smallest ratio {:.3g}'.format(runs, other_stops, counted,
+                                                   violations, smallest))

@@ -208,6 +208,48 @@ class TestReports:
     def test_json_round_trip_is_lossless(self, small_report):
         assert ExperimentReport.from_json(small_report.to_json()) == small_report
 
+    def test_report_written_before_the_step_certificate_still_parses(self):
+        # A report of the code that recorded the decrease surrogate and gamma
+        # and had no step distance.
+        old = json.dumps({
+            'config': dict(dataclasses.asdict(ExperimentConfig(
+                method='B', n_data=3, n_recon=2, max_outer=1))),
+            'n_star': 1, 'stop_reason': 'residual_tolerance', 'detail': '',
+            'wall_time': 0.0024586720028310083,
+            'final_residual': 0.0001028172967577544,
+            'final_rel_error': 0.0016152929086935919,
+            'records': [
+                {'n': 0, 'residual_norm': 0.003565746250443848,
+                 'rel_error': 0.05495326390399985, 't_params': [1854.7709168024955],
+                 'stripe_widths': [1.2714546322554365e-07],
+                 'step_class': 'single_projection', 'wall_time': 0.001397491003444884,
+                 'bregman_to_truth': 0.012581049880468598,
+                 'above_margin': 1.258740085932883e-05, 'truth_inside': False,
+                 'cone_ratio': 0.019981267561644728,
+                 'decrease_surrogate': 0.18616892110259514,
+                 'direction_cosine': None, 'gamma': None},
+                {'n': 1, 'residual_norm': 0.0001028172967577544,
+                 'rel_error': 0.0016152929086935919, 't_params': [],
+                 'stripe_widths': [], 'step_class': None,
+                 'wall_time': 0.00013888200192013755,
+                 'bregman_to_truth': 1.0197283106805344e-05, 'above_margin': None,
+                 'truth_inside': None, 'cone_ratio': None, 'decrease_surrogate': None,
+                 'direction_cosine': None, 'gamma': None}]})
+        report = ExperimentReport.from_json(old)
+        first = report.records[0]
+        assert first.t_params == (1854.7709168024955,)
+        assert first.cone_ratio == 0.019981267561644728
+        assert first.step_distance is None
+        rewritten = json.loads(report.to_json())
+        assert all('decrease_surrogate' not in entry and 'gamma' not in entry
+                   and 'step_distance' in entry for entry in rewritten['records'])
+        assert ExperimentReport.from_json(report.to_json()) == report
+        # Only the two retired keys are dropped; any other unknown key fails.
+        payload = json.loads(old)
+        payload['records'][1]['surrogate'] = None
+        with pytest.raises(TypeError, match='surrogate'):
+            ExperimentReport.from_json(json.dumps(payload))
+
     def test_written_files(self, small_report, tmp_path):
         json_path = tmp_path / 'report.json'
         csv_path = tmp_path / 'report.csv'

@@ -75,6 +75,28 @@ def test_grid_function_is_immutable():
     assert g.values[0, 0] == 1.0
 
 
+def test_fresh_arrays_are_adopted_without_a_copy_but_with_every_check():
+    values = np.arange(16.0).reshape(4, 4)
+    adopted = GridFunction._adopt(values)
+    assert adopted.values is values
+    assert not values.flags.writeable
+    assert adopted == GridFunction(np.arange(16.0).reshape(4, 4))
+    for bad in (np.zeros((3, 4)), np.zeros((2, 2)), np.full((3, 3), np.nan),
+                np.array([[1.0, 2.0, np.inf]] * 3)):
+        with pytest.raises(ValueError):
+            GridFunction._adopt(bad)
+    # What the package builds from fresh arrays is as read-only as the rest.
+    f = GridFunction.full(2, 1.5)
+    built = (f + f, f - f, -f, 2.0 * f, f / 2.0,
+             GridFunction.from_interior(np.ones((2, 2))),
+             duality_map(f, SpaceSpec(3.0, 2.0, f.h)))
+    for grid in built:
+        with pytest.raises(ValueError):
+            grid.values[0, 0] = 1.0
+    with pytest.raises(ValueError, match='finite'):
+        GridFunction.from_interior(np.array([[np.nan]]))
+
+
 def test_grid_function_arithmetic():
     rng = np.random.default_rng(0)
     f = random_grid(rng, n=3)

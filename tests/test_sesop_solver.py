@@ -64,9 +64,6 @@ class LinearStub:
     def adjoint(self, state, w):
         return self._apply(self.matrix.T, w)
 
-    def norm_estimate(self, state):
-        return float(np.linalg.norm(self.matrix, 2))
-
 
 def identity_stub(n):
     return LinearStub(np.eye(n * n), GridFunction.zeros(n))
@@ -160,11 +157,11 @@ def test_build_stripe_degenerate_direction():
 
 def test_landweber_step_matches_classical_landweber():
     # Hilbert reduction, c_tc = 0, no previous stripe (the one-direction
-    # method): the step is x - (||R||^2/||u*||^2) u*.
+    # method): the step is x - (||R||^2/||u*||^2) u*, and its Bregman step
+    # distance is (1/2)||x_next - x||^2.
     rng = np.random.default_rng(41)
     n = 4
     matrix = rng.standard_normal((n * n, n * n))
-    # ||A|| = 1 makes c_F = 1, so the decrease surrogate is ||R||^2.
     op = LinearStub(matrix / np.linalg.norm(matrix, 2), GridFunction.zeros(n))
     space = SpaceSpec(2.0, 2.0, 1.0 / (n + 1))
     cfg = hilbert_config()
@@ -183,17 +180,14 @@ def test_landweber_step_matches_classical_landweber():
     assert t[0] == pytest.approx(t_oracle, rel=1e-9)
     assert bound is None and x_first is x_next
     assert margin > 0.0
-    fields = _TruthMonitor(op, truth, cfg, space, space).at_step(
-        0, state, x, weighted_norm(residual, space), stripe, None, x_first, bound)
-    assert fields['decrease_surrogate'] == pytest.approx(
-        weighted_norm(residual, space) ** 2, rel=1e-12)
     # run records the same step
     record = run(op, y, x, hilbert_config(max_outer=1), ground_truth=truth).records[0]
     assert record.step_class == StepClass.SINGLE_PROJECTION
     assert record.t_params == t
     assert record.above_margin == margin
     assert record.stripe_widths == (0.0,)
-    assert record.decrease_surrogate == fields['decrease_surrogate']
+    assert record.step_distance == pytest.approx(
+        0.5 * weighted_norm(x_next - x, space) ** 2, rel=1e-12)
 
 
 def two_dir_setup(seed=42, n=4):
@@ -237,16 +231,16 @@ def test_two_dir_step_correction_matches_gram_oracle():
                                    space, space)[2][0]
     prev_alpha = dual_pairing(u_prev, x_plane, space) - 5.0
     prev = Stripe(u_prev, prev_alpha, 1e-6)
-    stripe, _, (x_next, t, x_first, bound) = resesop_two_dir_step(
+    stripe, _, (x_next, t, _, bound) = resesop_two_dir_step(
         op, state, x, residual, prev, cfg, space, space)
     # a two-plane correction; the violated bound was the upper one (x_plane
     # sits far above it)
     assert bound == prev.alpha + prev.xi
     assert len(t) == 2
     truth = GridFunction.from_interior(rng.standard_normal((4, 4)))
-    gamma = _TruthMonitor(op, truth, cfg, space, space).at_step(
-        0, state, x, weighted_norm(residual, space), stripe, prev, x_first, bound)['gamma']
-    assert gamma is None or 0.0 < gamma <= 1.0
+    cosine = _TruthMonitor(op, truth, cfg, space, space).at_step(
+        0, state, x, stripe, prev, bound)['direction_cosine']
+    assert 0.0 <= cosine <= 1.0
     # oracle: metric projection of x onto the two active planes
     planes = [(stripe.u_star, stripe.alpha + stripe.xi),
               (prev.u_star, prev.alpha + prev.xi)]
@@ -282,9 +276,13 @@ def test_bare_core_needs_only_linearize_and_adjoint():
     assert bare.iterate == monitored.iterate
     assert [rec.t_params for rec in bare.records] == [
         rec.t_params for rec in monitored.records]
+    # The step certificate is part of the method, not of the diagnostics.
+    assert [rec.step_distance for rec in bare.records] == [
+        rec.step_distance for rec in monitored.records]
+    assert all(rec.step_distance > 0.0 for rec in bare.records[:-1])
     assert any(rec.step_class == StepClass.TWO_PLANE_CORRECTION for rec in bare.records)
     diagnostics = ('rel_error', 'bregman_to_truth', 'truth_inside', 'cone_ratio',
-                   'decrease_surrogate', 'direction_cosine', 'gamma')
+                   'direction_cosine')
     assert all(getattr(rec, name) is None
                for rec in bare.records for name in diagnostics)
 
