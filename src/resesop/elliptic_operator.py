@@ -26,15 +26,11 @@ eigenvalues and the norm of L(c), which the derivative and adjoint reuse:
 with u = F(c), pointwise products, and homogeneous Dirichlet data in the
 auxiliary solves (increments vanish where u is pinned to g). Because L(c)
 is symmetric, the adjoint identity holds in the h^2-weighted pairing on
-both sides, to the accuracy of the solves. The CG loop works on plain
-N x N arrays: one stencil kernel with a contiguous copy of the interior of
-c and h^2 taken out of the loop, and one Euclidean norm per vector and
-iteration. Each iteration tests the residual before it preconditions it,
-so a converged residual is never preconditioned and no direction is built
-after the last step. The stencil subtracts the four neighbors as
-contiguous shifts of the flat array, which gives exactly the result of
-2-D slices. The right-hand side of the Dirichlet data, like the sine
-basis, is built once per operator.
+both sides, to the accuracy of the solves. The forward solve can start
+from the u of another state, such as that of the previous iterate, which
+moves u only within the backward-error bound; the auxiliary solves start
+from zero. The right-hand side of the Dirichlet data, like the sine basis,
+is built once per operator.
 """
 
 from dataclasses import dataclass, field
@@ -62,8 +58,8 @@ COND_LIMIT = 1.0 / (1e3 * np.finfo(float).eps)
 # rounding drift between the recursive and the true residual; the true
 # residual is then checked against the full bound.
 CG_STOP_FRACTION = 0.5
-# Far above the 5-6 iterations (5.3-5.8 on average) of the benchmark
-# solves; reaching it means the spread of c defeats the preconditioner.
+# Far above the benchmark's mean iterations per solve, 4.2-4.9 (forward, warm)
+# and 5.0-5.9 (adjoint); reaching it means c's spread defeats the preconditioner.
 CG_MAX_ITERS = 500
 
 
@@ -211,12 +207,14 @@ def _apply_preconditioner(basis, inverse_eigenvalues, r):
     return (basis @ ((basis @ r @ basis) * inverse_eigenvalues) @ basis).astype(float)
 
 
-def _interior_solve(c, basis, inverse_eigenvalues, matrix_norm, rhs):
+def _interior_solve(c, basis, inverse_eigenvalues, matrix_norm, rhs, start=None):
     """Solve L(c) x = rhs on the interior by preconditioned CG and check x.
 
     Each iteration first tests the recursive residual and only then
     preconditions it, so a solve of k iterations applies the preconditioner
     k times and the stencil k + 1 times (the last for the true residual).
+    CG starts from `start` only when its residual, one more stencil apply,
+    is below that of zero: a farther start leaves its rounding error in x.
     """
     # CG runs on rhs scaled by a power of two (exactly) to entries below
     # one, so the residuals stay in float32 range whatever the size of rhs.
@@ -226,6 +224,11 @@ def _interior_solve(c, basis, inverse_eigenvalues, matrix_norm, rhs):
     coeff, h2 = np.ascontiguousarray(c.interior), c.h ** 2
     solution = np.zeros_like(rhs)
     residual = rhs.copy()
+    if start is not None:
+        warm = start / rhs_scale
+        warm_residual = rhs - _stencil(coeff, h2, warm)
+        if _euclidean_norm(warm_residual) < rhs_norm:
+            solution, residual = warm, warm_residual
     direction = rz = None
     for _ in range(CG_MAX_ITERS):
         if _euclidean_norm(residual) <= CG_STOP_FRACTION * BACKWARD_TOL * (
@@ -296,17 +299,18 @@ class EllipticOperator:
         taken from the data."""
         return self.linearize(c).u
 
-    def linearize(self, c):
-        """Solve for u = F(c) and set up the preconditioner of L(c) once;
-        returns the state for F, F' and F'*."""
+    def linearize(self, c, start=None):
+        """Solve for u = F(c), warm-started from the u of a `start` state, and
+        set up the preconditioner of L(c) once; returns the state for F, F', F'*."""
         data = self.data
-        if c.values.shape != data.f.values.shape:
-            raise ValueError('parameter grid {} does not match data grid {}'.format(
-                c.values.shape, data.f.values.shape))
+        for name, grid in (('parameter', c), ('start', None if start is None else start.u)):
+            if grid is not None and grid.values.shape != data.f.values.shape:
+                raise ValueError('{} grid {} does not match data grid {}'.format(
+                    name, grid.values.shape, data.f.values.shape))
         inverse_eigenvalues = _preconditioner(c, self._eigenvalues)
         matrix_norm = _matrix_norm(c)
         interior = _interior_solve(c, self._basis, inverse_eigenvalues, matrix_norm,
-                                   self._rhs)
+                                   self._rhs, None if start is None else start.u.interior)
         values = data.g.values.copy()
         values[1:-1, 1:-1] = interior
         return OperatorState(c=c, u=GridFunction._adopt(values), sine_basis=self._basis,
@@ -335,8 +339,7 @@ class EllipticOperator:
         return GridFunction._adopt(-state.u.values * lifted.values)
 
     def norm_estimate(self, state, max_iters=100, tol=1e-12):
-        """Lanczos estimate of the norm of F'(c); a standalone tool that the
-        solver never calls.
+        """Lanczos estimate of the norm of F'(c); the solver never calls it.
 
         Runs Lanczos on F'(c)* F'(c) = D_u L(c)^{-2} D_u with full
         reorthogonalization, until the largest Ritz value changes by at most

@@ -66,8 +66,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 CSV_HEADER = ('n', 'residual', 'rel_error', 'step_class')
-# Record keys of reports written before the step certificate replaced the
-# decrease surrogate; reading such a report drops them.
+# Record keys of reports older than `step_distance`; from_json drops them.
 RETIRED_RECORD_KEYS = ('decrease_surrogate', 'gamma')
 
 

@@ -1,8 +1,8 @@
 """Sequential subspace optimization for nonlinear operator equations.
 
-Each outer iteration linearizes the forward operator at the current iterate
-x_n, forms the residual R_n = F(x_n) - y and the codomain direction
-w_n = J_2(R_n), and builds the stripe
+Each outer iteration linearizes the forward operator at the iterate x_n,
+warm-started from the last state, forms the residual R_n = F(x_n) - y and
+the codomain direction w_n = J_2(R_n), and builds the stripe
 
     { x : |<u_n*, x> - alpha_n| <= xi_n },
     u_n* = F'(x_n)* w_n,
@@ -340,9 +340,9 @@ def run(op, y, x0, cfg, ground_truth=None):
     Parameters
     ----------
     op : forward operator
-        The method needs `linearize(x)`, returning a state with attribute
-        `u` = F(x), and `adjoint(state, w)`. With a ground truth the
-        diagnostics also call `__call__(x)` and `derivative(state, d)`.
+        The method needs `linearize(x, start)`, whose state has `u` = F(x)
+        (`start`: the previous state or None), and `adjoint(state, w)`. The
+        diagnostics of a ground truth also call `__call__` and `derivative`.
     y : GridFunction
         Data (possibly noisy).
     x0 : GridFunction
@@ -357,8 +357,7 @@ def run(op, y, x0, cfg, ground_truth=None):
     -------
     SolveResult
         n_star is the stopping index; records hold one entry per evaluated
-        iterate, the last one without step fields. Every step records its
-        Bregman step distance D(x_n, x_{n+1}), with or without a truth.
+        iterate, the last one without step fields.
 
     Raises
     ------
@@ -373,12 +372,12 @@ def run(op, y, x0, cfg, ground_truth=None):
     threshold = cfg.stop_threshold
     records = []
     x = x0
-    prev_stripe = None
+    prev_stripe = state = None
     stagnant = 0
     try:
         for n in range(cfg.max_outer + 1):
             tic = time.perf_counter()
-            state = op.linearize(x)
+            state = op.linearize(x, start=state)
             residual = state.u - y
             res_norm = weighted_norm(residual, space_y)
 

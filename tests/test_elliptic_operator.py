@@ -379,6 +379,82 @@ def test_cg_preconditions_once_per_iteration(monkeypatch):
     assert solves[3] == {'preconditioner': 0, 'stencil': 1}
 
 
+def benchmark_parameters(n, steps):
+    # The operator of the benchmark at n_recon = n and parameters on the
+    # segment from the starting guess towards the truth, like iterates.
+    truth = synth_truth(n)
+    op = EllipticOperator(BvpData(f=truth.f, g=truth.g))
+    return op, [truth.c0 + (k / steps) * (truth.c - truth.c0) for k in range(steps + 1)]
+
+
+def backward_error(op, state):
+    # ||L(c) u - b|| / (||L(c)|| ||u|| + ||b||) of the forward solve.
+    interior = state.u.interior
+    residual = apply_stencil(state.c, interior) - op._rhs
+    return np.linalg.norm(residual) / (state.matrix_norm * np.linalg.norm(interior)
+                                       + np.linalg.norm(op._rhs))
+
+
+def test_warm_forward_solve_meets_the_cold_bound_and_agrees_with_it():
+    op, (c0, c1) = benchmark_parameters(40, 1)
+    cold = op.linearize(c1)
+    warm = op.linearize(c1, start=op.linearize(c0))
+    bound = elliptic_operator.BACKWARD_TOL
+    assert backward_error(op, cold) <= bound
+    assert backward_error(op, warm) <= bound
+    # The two solutions differ by no more than the two bounds allow.
+    gap = apply_stencil(c1, warm.u.interior - cold.u.interior)
+    scale = cold.matrix_norm * np.linalg.norm(cold.u.interior) + np.linalg.norm(op._rhs)
+    assert np.linalg.norm(gap) <= 2.0 * bound * scale
+    np.testing.assert_array_equal(warm.u.values[0], cold.u.values[0])
+
+
+def test_start_from_another_grid_is_rejected():
+    op, (c0, _) = benchmark_parameters(6, 1)
+    other, (c_other, _) = benchmark_parameters(5, 1)
+    with pytest.raises(ValueError, match='start grid'):
+        op.linearize(c0, start=other.linearize(c_other))
+
+
+@pytest.mark.parametrize('factor', [0.0, 1e6])
+def test_far_start_still_converges(factor):
+    # A start no closer than zero, the zero state or u scaled by 1e6, is not
+    # taken: its rounding error would stay in the true residual.
+    op, (c0, c1) = benchmark_parameters(40, 1)
+    start = op.linearize(c0)
+    far = dataclasses.replace(start, u=factor * start.u)
+    state = op.linearize(c1, start=far)
+    assert backward_error(op, state) <= elliptic_operator.BACKWARD_TOL
+    assert state.u == op.linearize(c1).u
+
+
+def test_warm_starts_save_preconditioner_applies(monkeypatch):
+    # Exact counts over a fixed three-step parameter sequence: the warm
+    # chain saves iterations in every solve after the first.
+    op, parameters = benchmark_parameters(40, 3)
+    applies = []
+    inner = elliptic_operator._apply_preconditioner
+
+    def counting(*args):
+        applies[-1] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(elliptic_operator, '_apply_preconditioner', counting)
+
+    def chain(warm):
+        counts, state = [], None
+        for c in parameters:
+            applies.append(0)
+            state = op.linearize(c, start=state if warm else None)
+            counts.append(applies[-1])
+        return counts
+
+    cold, warm = chain(False), chain(True)
+    assert warm[0] == cold[0]
+    assert all(w < c for w, c in zip(warm[1:], cold[1:]))
+    assert sum(warm) < sum(cold)
+
+
 def test_discrete_maximum_principle():
     rng = np.random.default_rng(35)
     n = 9

@@ -55,7 +55,7 @@ class LinearStub:
     def __call__(self, x):
         return self.offset + self._apply(self.matrix, x)
 
-    def linearize(self, x):
+    def linearize(self, x, start=None):
         return dataclasses.make_dataclass('State', ['u', 'x'])(u=self(x), x=x)
 
     def derivative(self, state, direction):
@@ -287,6 +287,29 @@ def test_bare_core_needs_only_linearize_and_adjoint():
                for rec in bare.records for name in diagnostics)
 
 
+def test_run_starts_each_linearization_from_the_previous_state():
+    class RecordingStub(LinearStub):
+        def __init__(self, matrix, offset):
+            super().__init__(matrix, offset)
+            self.calls = []
+
+        def linearize(self, x, start=None):
+            state = super().linearize(x)
+            self.calls.append((start, state))
+            return state
+
+    rng = np.random.default_rng(52)
+    n = 3
+    op = RecordingStub(well_conditioned_matrix(rng, n * n, 0.3), GridFunction.zeros(n))
+    truth = GridFunction.from_interior(rng.standard_normal((n, n)))
+    result = run(op, op(truth), truth + GridFunction.full(n, 0.5),
+                 hilbert_config(residual_tol=1e-6, max_outer=400, method='B'))
+    starts = [start for start, _ in op.calls]
+    assert len(starts) == result.n_star + 1 > 2
+    assert starts[0] is None
+    assert all(start is previous for start, (_, previous) in zip(starts[1:], op.calls))
+
+
 def test_run_stops_immediately_at_solution():
     n = 4
     op = identity_stub(n)
@@ -410,11 +433,11 @@ def test_run_wraps_operator_failure_with_partial_records():
             self.calls = 0
             self.fail_at = fail_at
 
-        def linearize(self, x):
+        def linearize(self, x, start=None):
             self.calls += 1
             if self.calls > self.fail_at:
                 raise LinearSolveError('synthetic breakdown', parameter=x)
-            return super().linearize(x)
+            return super().linearize(x, start)
 
     rng = np.random.default_rng(49)
     n = 3
@@ -439,7 +462,7 @@ def test_run_stagnation_guard():
         def __call__(self, x):
             return self.offset
 
-        def linearize(self, x):
+        def linearize(self, x, start=None):
             return dataclasses.make_dataclass('State', ['u', 'x'])(
                 u=self.offset, x=x)
 
