@@ -131,12 +131,13 @@ def _well_conditioned(hessian):
     return small > EPS * big
 
 
-def _dual_objective(x, jx, u, alphas, space):
+def _dual_objective(x, jx, u, alphas, space, h):
     """The map t -> (h(t), grad h(t), Hessian, x_t) with
     x_t = J_inv(J(x) - sum_k t_k u_k*), or None where h(t) or its gradient
-    is not finite (an overflow, also one of x_t). x and jx = J(x) are flat,
-    the u_k* are the rows of u with offsets alphas. One inverse duality
-    evaluation gives all four values (none at t = 0, where x_t = x). With
+    is not finite (an overflow, also one of x_t). x and jx = J(x) are flat
+    arrays on a grid of spacing h, the u_k* are the rows of u with offsets
+    alphas. One inverse duality evaluation gives all four values (none at
+    t = 0, where x_t = x). With
     g = J(x) - sum_k t_k u_k*, r* and q* the dual norm and gauge exponents
     and J_inv(g) = ||g||_*^(q*-r*) |g|^(r*-1) sign(g),
 
@@ -149,7 +150,7 @@ def _dual_objective(x, jx, u, alphas, space):
     """
     dual = space.dual()
     r_conj, q_conj = dual.norm_exponent, dual.gauge_exponent
-    h, weight = space.h, space.weight
+    weight = h ** 2
 
     def objective(t):
         g = jx - t @ u
@@ -196,11 +197,11 @@ def _minimize(x, u, dual_norms, alphas, space, t_init=None):
     norm_x = weighted_norm(x, space)
     scale = max([1.0] + [1.0 + abs(alpha) + norm * norm_x
                          for norm, alpha in zip(dual_norms, alphas.tolist())])
-    gaps = np.array([space.weight * float((row * x_flat).sum()) for row in u]) - alphas
+    gaps = np.array([x.h ** 2 * float((row * x_flat).sum()) for row in u]) - alphas
     if _euclidean_norm(gaps) <= GRAD_TOL * scale:
         return x, np.zeros(len(u))
     objective = _dual_objective(x_flat, duality_map(x, space).values.ravel(), u, alphas,
-                                space)
+                                space, x.h)
     t = np.zeros(len(u))
     # An extreme t may overflow; such a trial is not finite and is rejected.
     with np.errstate(over='ignore', invalid='ignore'):
@@ -297,10 +298,9 @@ def project_two_stage(x, stripe, previous, space):
 
     Returns
     -------
-    (GridFunction, tuple, GridFunction, float or None)
-        The projected point, its coefficients (one per plane), the
-        stage-one point and the bound of `previous` met in stage two (None
-        when stage one sufficed).
+    (GridFunction, tuple, float or None)
+        The projected point, its coefficients (one per plane) and the bound
+        of `previous` met in stage two (None when stage one sufficed).
     """
     x_first, t_first = x, 0.0
     side = classify(x, stripe, space)
@@ -309,8 +309,8 @@ def project_two_stage(x, stripe, previous, space):
         x_first, (t_first,) = project_intersection(x, [(stripe.u_star, bound)], space)
     side = StripeSide.INSIDE if previous is None else classify(x_first, previous, space)
     if side is StripeSide.INSIDE:
-        return x_first, (float(t_first),), x_first, None
+        return x_first, (float(t_first),), None
     bound = previous.alpha + (previous.xi if side is StripeSide.ABOVE else -previous.xi)
     planes = [(stripe.u_star, stripe.alpha + stripe.xi), (previous.u_star, bound)]
     x_new, t = project_intersection(x, planes, space, t_init=[t_first, 0.0])
-    return x_new, tuple(float(v) for v in t), x_first, bound
+    return x_new, tuple(float(v) for v in t), bound

@@ -95,16 +95,14 @@ class BvpData:
 @dataclass(frozen=True, eq=False)
 class OperatorState:
     """Parameter c with the cached solution u = F(c) and what the solves
-    with L(c) reuse: the sine basis S, built once per operator and shared
-    by all its states, the inverse eigenvalues
-    1/(lambda_j + lambda_k + c_bar) of the preconditioner in that basis, and
-    the infinity norm of L(c), a bound on its 2-norm because L(c) is
-    symmetric. S and the inverse eigenvalues are float32: the preconditioner
-    only steers CG, whose accuracy is checked on the float64 residual."""
+    with L(c) reuse: the inverse eigenvalues 1/(lambda_j + lambda_k + c_bar)
+    of the preconditioner in the sine basis of the operator, and the
+    infinity norm of L(c), a bound on its 2-norm because L(c) is symmetric.
+    The inverse eigenvalues are float32: the preconditioner only steers CG,
+    whose accuracy is checked on the float64 residual."""
 
     c: GridFunction
     u: GridFunction
-    sine_basis: np.ndarray = field(repr=False)
     inverse_eigenvalues: np.ndarray = field(repr=False)
     matrix_norm: float = field(repr=False)
 
@@ -215,6 +213,7 @@ def _interior_solve(c, basis, inverse_eigenvalues, matrix_norm, rhs, start=None)
     k times and the stencil k + 1 times (the last for the true residual).
     CG starts from `start` only when its residual, one more stencil apply,
     is below that of zero: a farther start leaves its rounding error in x.
+    A start so far that its residual norm overflows fails that test quietly.
     """
     # CG runs on rhs scaled by a power of two (exactly) to entries below
     # one, so the residuals stay in float32 range whatever the size of rhs.
@@ -225,9 +224,11 @@ def _interior_solve(c, basis, inverse_eigenvalues, matrix_norm, rhs, start=None)
     solution = np.zeros_like(rhs)
     residual = rhs.copy()
     if start is not None:
-        warm = start / rhs_scale
-        warm_residual = rhs - _stencil(coeff, h2, warm)
-        if _euclidean_norm(warm_residual) < rhs_norm:
+        with np.errstate(over='ignore', invalid='ignore'):
+            warm = start / rhs_scale
+            warm_residual = rhs - _stencil(coeff, h2, warm)
+            warm_norm = _euclidean_norm(warm_residual)
+        if warm_norm < rhs_norm:
             solution, residual = warm, warm_residual
     direction = rz = None
     for _ in range(CG_MAX_ITERS):
@@ -313,7 +314,7 @@ class EllipticOperator:
                                    self._rhs, None if start is None else start.u.interior)
         values = data.g.values.copy()
         values[1:-1, 1:-1] = interior
-        return OperatorState(c=c, u=GridFunction._adopt(values), sine_basis=self._basis,
+        return OperatorState(c=c, u=GridFunction._adopt(values),
                              inverse_eigenvalues=inverse_eigenvalues,
                              matrix_norm=matrix_norm)
 
@@ -325,7 +326,7 @@ class EllipticOperator:
         """
         rhs = -(direction.values * state.u.values)[1:-1, 1:-1]
         return GridFunction.from_interior(_interior_solve(
-            state.c, state.sine_basis, state.inverse_eigenvalues, state.matrix_norm, rhs))
+            state.c, self._basis, state.inverse_eigenvalues, state.matrix_norm, rhs))
 
     def adjoint(self, state, w):
         """Adjoint F'(c)* applied to a codomain vector w.
@@ -334,7 +335,7 @@ class EllipticOperator:
         result is a dual vector over the parameter space.
         """
         lifted = GridFunction.from_interior(_interior_solve(
-            state.c, state.sine_basis, state.inverse_eigenvalues, state.matrix_norm,
+            state.c, self._basis, state.inverse_eigenvalues, state.matrix_norm,
             w.interior))
         return GridFunction._adopt(-state.u.values * lifted.values)
 

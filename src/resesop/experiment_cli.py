@@ -135,8 +135,7 @@ def add_noise(u, delta, exponent, seed):
     while not np.any(values):  # pragma: no cover - probability zero
         values = rng.uniform(-1.0, 1.0, size=u.values.shape)
     bump = GridFunction(values)
-    space = SpaceSpec(exponent, 2.0, u.h)
-    return u + (delta / weighted_norm(bump, space)) * bump
+    return u + (delta / weighted_norm(bump, SpaceSpec(exponent, 2.0))) * bump
 
 
 def _interpolation_rows(n_from, n_to, method):
@@ -442,7 +441,7 @@ def _cmd_check(args):
     ok = True
 
     f = GridFunction(rng.standard_normal((9, 9)))
-    space = SpaceSpec.for_grid(f, cfg.r, cfg.gauge)
+    space = SpaceSpec(cfg.r, cfg.gauge)
     jf = duality_map(f, space)
     norm = weighted_norm(f, space)
     pairing_err = abs(dual_pairing(jf, f, space) - norm ** cfg.gauge)
@@ -460,13 +459,19 @@ def _cmd_check(args):
     # instead would add the rounding of that subtraction, about
     # eps ||u|| / delta relative, to the calibration error.
     noise = add_noise(GridFunction.zeros(cfg.n_recon), 5e-4, cfg.s, cfg.seed)
-    space_y = SpaceSpec(cfg.s, 2.0, truth.u.h)
+    space_y = SpaceSpec(cfg.s, 2.0)
     calib = abs(weighted_norm(noise, space_y) - 5e-4)
     ok &= _check_line('noise calibration', calib <= 1e-14 * 5e-4)
 
     coarse = restrict(synth_truth(cfg.n_data).u, cfg.n_recon, cfg.restriction)
     restrict_err = float(np.max(np.abs(coarse.values - truth.u.values)))
-    tol = 1e-12 if cfg.restriction == 'cubic' else 1e-2
+    # Cubic restriction reproduces the state, quadratic per axis. Bilinear
+    # interpolation on a data cell of side h_d = 1/(n_data + 1) errs by at
+    # most h_d^2/8 (max|u_xx| + max|u_yy|): the 1-D bound along y, plus
+    # that along x of the y-interpolant, whose u_xx averages u_xx. Here
+    # u_xx = 32 y(1 - y) and u_yy = 32 x(1 - x) are at most 8, so the bound
+    # is 2 h_d^2. Both tolerances add 1e-12 for rounding.
+    tol = 1e-12 if cfg.restriction == 'cubic' else 2.0 / (cfg.n_data + 1) ** 2 + 1e-12
     ok &= _check_line('restriction reproduces the exact state',
                       restrict_err <= tol, 'max error {:.3g}'.format(restrict_err))
 
@@ -476,21 +481,19 @@ def _cmd_check(args):
         rng.standard_normal((cfg.n_recon, cfg.n_recon)))
     w = GridFunction.from_interior(rng.standard_normal((cfg.n_recon, cfg.n_recon)))
     lhs = dual_pairing(w, op.derivative(state, direction), space_y)
-    rhs = dual_pairing(op.adjoint(state, w), direction,
-                       SpaceSpec(cfg.r, cfg.gauge, truth.u.h))
+    rhs = dual_pairing(op.adjoint(state, w), direction, space)
     ok &= _check_line('derivative/adjoint pairing',
                       abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs)))
 
-    side = classify(truth.c0, _starting_stripe(op, truth, cfg),
-                    SpaceSpec(cfg.r, cfg.gauge, truth.u.h))
+    side = classify(truth.c0, _starting_stripe(op, truth, cfg), space)
     ok &= _check_line('starting iterate above its stripe',
                       side is StripeSide.ABOVE, side.name.lower())
     return 0 if ok else 1
 
 
 def _starting_stripe(op, truth, cfg):
-    space_x = SpaceSpec(cfg.r, cfg.gauge, truth.u.h)
-    space_y = SpaceSpec(cfg.s, 2.0, truth.u.h)
+    space_x = SpaceSpec(cfg.r, cfg.gauge)
+    space_y = SpaceSpec(cfg.s, 2.0)
     state = op.linearize(truth.c0)
     residual = state.u - truth.u
     w = duality_map(residual, space_y)

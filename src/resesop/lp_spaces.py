@@ -12,10 +12,14 @@ where ||.||_* is the norm with the conjugate exponent on the same grid, and
 J_2 on a space with norm exponent 2 is the identity. The norm and the
 duality map are thin wrappers over private kernels on plain float arrays of
 any shape, which the projection layer calls on flat arrays directly.
-Because a grid function is immutable, the wrappers store each norm and
-each duality image on the grid function they measure, keyed by the
-exponents and h: the method asks for the norm and the duality image of
-the same iterate in several places, and each is computed once.
+
+A space is fixed by its two exponents, the norm exponent r and the gauge q
+of J_q; the weight belongs to the grid, so every function here takes h
+from the grid function it measures, and one space measures grids of any
+size. Because a grid function is immutable, the wrappers store each norm
+and each duality image on the grid function they measure, keyed by the
+exponents: the method asks for the norm and the duality image of the same
+iterate in several places, and each is computed once.
 """
 
 import math
@@ -163,7 +167,10 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    """A discrete weighted Lebesgue space on the grid.
+    """A discrete weighted Lebesgue space, fixed by its two exponents.
+
+    The quadrature weight h^2 per node is not part of the space: it comes
+    from the grid function being measured.
 
     Parameters
     ----------
@@ -172,38 +179,21 @@ class SpaceSpec:
         uniformly smooth, so duality maps are single-valued).
     gauge_exponent : float
         Gauge of the duality map J_q, > 1.
-    h : float
-        Grid spacing; the quadrature weight per node is h^2.
     """
 
     norm_exponent: float
     gauge_exponent: float
-    h: float
 
     def __post_init__(self):
         if not self.norm_exponent > 1:
             raise ValueError('norm exponent must be > 1, got {}'.format(self.norm_exponent))
         if not self.gauge_exponent > 1:
             raise ValueError('gauge exponent must be > 1, got {}'.format(self.gauge_exponent))
-        if not self.h > 0:
-            raise ValueError('grid spacing must be positive, got {}'.format(self.h))
-
-    @classmethod
-    def for_grid(cls, f, norm_exponent, gauge_exponent=None):
-        """Space on the grid of `f`; the gauge defaults to the norm exponent."""
-        if gauge_exponent is None:
-            gauge_exponent = norm_exponent
-        return cls(norm_exponent, gauge_exponent, f.h)
-
-    @property
-    def weight(self):
-        """Quadrature weight h^2 per node."""
-        return self.h ** 2
 
     def dual(self):
-        """The dual space: conjugate norm and gauge exponents, same grid."""
+        """The dual space: conjugate norm and gauge exponents."""
         return SpaceSpec(conjugate_exponent(self.norm_exponent),
-                         conjugate_exponent(self.gauge_exponent), self.h)
+                         conjugate_exponent(self.gauge_exponent))
 
 
 def _euclidean_norm(values):
@@ -255,15 +245,16 @@ def weighted_norm(f, space):
     Parameters
     ----------
     f : GridFunction
+        Supplies the values and h.
     space : SpaceSpec
-        Supplies p = norm_exponent and the weight.
+        Supplies p = norm_exponent.
 
-    The norm is stored on `f`, keyed by p and h.
+    The norm is stored on `f`, keyed by p.
     """
-    key = ('norm', space.norm_exponent, space.h)
+    key = ('norm', space.norm_exponent)
     norm = f._memo.get(key)
     if norm is None:
-        norm = f._memo[key] = _array_norm(f.values, space.norm_exponent, space.h)
+        norm = f._memo[key] = _array_norm(f.values, space.norm_exponent, f.h)
     return norm
 
 
@@ -276,7 +267,7 @@ def dual_pairing(g, f, space):
     if g.values.shape != f.values.shape:
         raise ValueError('shape mismatch in pairing: {} vs {}'.format(
             g.values.shape, f.values.shape))
-    return space.weight * float((g.values * f.values).sum())
+    return f.h ** 2 * float((g.values * f.values).sum())
 
 
 def duality_map(f, space):
@@ -299,14 +290,15 @@ def duality_map(f, space):
     -------
     GridFunction
         Dual vector on the same grid; pair it with ``space.dual()``. It is
-        stored on `f`, keyed by the exponents and h, except where it is `f`
-        itself (r = q = 2).
+        stored on `f`, keyed by the exponents, except where it is `f` itself
+        (r = q = 2).
     """
-    r, q, h = space.norm_exponent, space.gauge_exponent, space.h
-    key = ('dual', r, q, h)
+    r, q = space.norm_exponent, space.gauge_exponent
+    key = ('dual', r, q)
     image = f._memo.get(key)
     if image is None:
-        g = _array_duality_map(f.values, r, q, h, None if q == r else weighted_norm(f, space))
+        norm = None if q == r else weighted_norm(f, space)
+        g = _array_duality_map(f.values, r, q, f.h, norm)
         if g is f.values:
             return f  # the r = q = 2 identity: storing f on itself is a cycle
         image = f._memo[key] = GridFunction._adopt(g)

@@ -270,8 +270,8 @@ def resesop_two_dir_step(op, state, x, residual, prev_stripe, cfg, space_x, spac
         first iteration.
 
     Returns (stripe, above-margin, projection): the margin by which x lies
-    above its stripe, and the tuple (next iterate, coefficients, stage-one
-    point, bound of the previous stripe or None) of `project_two_stage`.
+    above its stripe, and the tuple (next iterate, coefficients, bound of
+    the previous stripe or None) of `project_two_stage`.
     The iterate must be above its stripe, which holds whenever the stopping
     rule has not fired.
     """
@@ -365,8 +365,8 @@ def run(op, y, x0, cfg, ground_truth=None):
         On linear-solve, projection or geometry failures; carries the
         records collected so far.
     """
-    space_x = SpaceSpec(cfg.r, cfg.gauge, x0.h)
-    space_y = SpaceSpec(cfg.s, 2.0, y.h)
+    space_x = SpaceSpec(cfg.r, cfg.gauge)
+    space_y = SpaceSpec(cfg.s, 2.0)
     monitor = (None if ground_truth is None
                else _TruthMonitor(op, ground_truth, cfg, space_x, space_y))
     threshold = cfg.stop_threshold
@@ -398,7 +398,7 @@ def run(op, y, x0, cfg, ground_truth=None):
                 return SolveResult(iterate=x, records=tuple(records),
                                    stop_reason=reason, n_star=n, detail=detail)
 
-            stripe, margin, (x_next, t, _, bound) = resesop_two_dir_step(
+            stripe, margin, (x_next, t, bound) = resesop_two_dir_step(
                 op, state, x, residual, prev_stripe, cfg, space_x, space_y)
             if max(abs(v) for v in t) > COEFFICIENT_WARN:
                 logger.warning('projection coefficients %s unusually large at n=%d', t, n)

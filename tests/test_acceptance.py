@@ -50,10 +50,9 @@ def test_criterion_1_duality_map_identities():
     rng = np.random.default_rng(101)
     worst = 0.0
     for r, q in EXPONENT_PAIRS:
-        space_of = lambda f: SpaceSpec(r, q, f.h)
+        space = SpaceSpec(r, q)
         for _ in range(125):
             f = random_grid(rng, scale=float(rng.uniform(0.05, 20.0)))
-            space = space_of(f)
             mapped = duality_map(f, space)
             norm = weighted_norm(f, space)
             defects = (
@@ -94,7 +93,7 @@ def test_criterion_2_bregman_form_equivalence():
         x = random_grid(rng, scale=float(rng.uniform(0.1, 5.0)))
         x_new = GridFunction(rng.standard_normal(x.values.shape)
                              * float(rng.uniform(0.1, 5.0)))
-        space = SpaceSpec(r, q, x.h)
+        space = SpaceSpec(r, q)
         value = bregman_distance(x, x_new, space)
         scale = 1.0 + abs(value)
         worst_gap = max(
@@ -157,7 +156,7 @@ def test_criterion_3_hilbert_projection_oracles():
     planes_used = set()
     for _ in range(100):
         x = random_grid(rng, max_interior=5)
-        space = SpaceSpec(2.0, 2.0, x.h)
+        space = SpaceSpec(2.0, 2.0)
         u = GridFunction(rng.standard_normal(x.values.shape))
         alpha = float(rng.normal())
         uu = dual_pairing(u, u, space)
@@ -167,13 +166,13 @@ def test_criterion_3_hilbert_projection_oracles():
         worst = max(worst, _euclidean_gap(projected, closed, space))
 
         xi = float(rng.uniform(0.05, 1.0))
-        stripe_point, _, _, _ = project_two_stage(x, Stripe(u, alpha, xi), None, space)
+        stripe_point, _, _ = project_two_stage(x, Stripe(u, alpha, xi), None, space)
         gap = dual_pairing(u, x, space) - alpha
         shift = max(abs(gap) - xi, 0.0) * np.sign(gap) / uu
         worst = max(worst, _euclidean_gap(stripe_point, x - shift * u, space))
 
         stripe, previous = _two_stage_case(rng, x, u, xi, space)
-        pair_point, t, _, _ = project_two_stage(x, stripe, previous, space)
+        pair_point, t, _ = project_two_stage(x, stripe, previous, space)
         planes_used.add(len(t))
         oracle = _qp_two_stage_oracle(x, stripe, previous, space)
         worst = max(worst, _euclidean_gap(pair_point, oracle, space))
@@ -188,7 +187,7 @@ def test_criterion_4_projection_descent_property():
     worst = -np.inf
     for index in range(100):
         x = random_grid(rng, max_interior=6)
-        space = SpaceSpec(1.5, 2.0, x.h)
+        space = SpaceSpec(1.5, 2.0)
         u = GridFunction(rng.standard_normal(x.values.shape))
         uu = dual_pairing(u, u, space)
         kind = index % 3
@@ -200,13 +199,13 @@ def test_criterion_4_projection_descent_property():
         elif kind == 1:
             alpha = dual_pairing(u, x, space) - float(rng.uniform(0.5, 3.0))
             xi = float(rng.uniform(0.05, 0.4))
-            projected, _, _, _ = project_two_stage(x, Stripe(u, alpha, xi), None, space)
+            projected, _, _ = project_two_stage(x, Stripe(u, alpha, xi), None, space)
             carrier = GridFunction(rng.standard_normal(x.values.shape))
             z = carrier - ((dual_pairing(u, carrier, space) - alpha) / uu) * u
         else:
             stripe, previous = _two_stage_case(rng, x, u, float(rng.uniform(0.05, 0.4)),
                                                space)
-            projected, _, _, _ = project_two_stage(x, stripe, previous, space)
+            projected, _, _ = project_two_stage(x, stripe, previous, space)
             # z below the current upper plane and inside the previous stripe
             us = [stripe.u_star, previous.u_star]
             gram = np.array([[dual_pairing(a, b, space) for b in us] for a in us])
@@ -241,10 +240,9 @@ def test_criterion_5_operator_checks():
     worst_adjoint = 0.0
     worst_exact = 0.0
     min_order = np.inf
+    space_x = SpaceSpec(1.5, 2.0)
+    space_y = SpaceSpec(5.0, 2.0)
     for n in (5, 10, 20):
-        h = 1.0 / (n + 1)
-        space_x = SpaceSpec(1.5, 2.0, h)
-        space_y = SpaceSpec(5.0, 2.0, h)
         c = _smooth_positive_parameter(rng, n)
         coords = np.linspace(0.0, 1.0, n + 2)
         xg, yg = np.meshgrid(coords, coords, indexing='ij')

@@ -39,7 +39,7 @@ def random_grid(rng, n=4, scale=1.0):
 
 
 def hilbert_space(n):
-    return SpaceSpec(2.0, 2.0, 1.0 / (n + 1))
+    return SpaceSpec(2.0, 2.0)
 
 
 def gram_projection(x, planes, space):
@@ -130,7 +130,7 @@ def test_project_hyperplane_already_on_plane():
     rng = np.random.default_rng(11)
     x = random_grid(rng)
     u = random_grid(rng)
-    space = SpaceSpec.for_grid(x, 1.5, 2.0)
+    space = SpaceSpec(1.5, 2.0)
     alpha = dual_pairing(u, x, space)
     x_new, (t,) = project_intersection(x, [(u, alpha)], space)
     assert t == 0.0
@@ -142,7 +142,7 @@ def test_project_hyperplane_feasibility_and_idempotence():
     for r, q in [(1.5, 2.0), (5.0, 2.0), (3.0, 3.0)]:
         for _ in range(20):
             n = int(rng.integers(1, 6))
-            space = SpaceSpec(r, q, 1.0 / (n + 1))
+            space = SpaceSpec(r, q)
             x = random_grid(rng, n, scale=float(rng.uniform(0.2, 4.0)))
             u = random_grid(rng, n)
             alpha = float(rng.normal())
@@ -158,7 +158,7 @@ def test_project_hyperplane_rejects_zero_direction():
     x = GridFunction.full(2, 1.0)
     with pytest.raises(ValueError):
         project_intersection(x, [(GridFunction.zeros(2), 1.0)],
-                             SpaceSpec.for_grid(x, 2.0, 2.0))
+                             SpaceSpec(2.0, 2.0))
 
 
 def test_objective_gradient_matches_finite_differences():
@@ -169,7 +169,7 @@ def test_objective_gradient_matches_finite_differences():
     for r, q in [(1.5, 2.0), (2.0, 2.0), (3.0, 3.0), (4.0, 2.0), (2.0, 3.0)]:
         for _ in range(10):
             n = 3
-            space = SpaceSpec(r, q, 1.0 / (n + 1))
+            space = SpaceSpec(r, q)
             x = random_grid(rng, n, scale=2.0)
             jx = duality_map(x, space)
             planes = [(random_grid(rng, n), float(rng.normal())) for _ in range(2)]
@@ -177,7 +177,7 @@ def test_objective_gradient_matches_finite_differences():
             objective = _dual_objective(
                 x.values.ravel(), jx.values.ravel(),
                 np.array([u.values.ravel() for u, _ in planes]),
-                np.array([alpha for _, alpha in planes]), space)
+                np.array([alpha for _, alpha in planes]), space, x.h)
             _, grad, hessian, _ = objective(t)
             np.testing.assert_allclose(hessian, hessian.T, rtol=1e-12, atol=1e-14)
             for j in range(2):
@@ -198,10 +198,10 @@ def test_objective_has_no_value_where_it_overflows():
     # Far from the minimizer J_inv(J(x) - t u*) overflows; the objective
     # then returns None, so the Newton iteration can only reject the point.
     rng = np.random.default_rng(19)
-    space = SpaceSpec(1.5, 1.5, 0.25)
+    space = SpaceSpec(1.5, 1.5)
     x, u = random_grid(rng, 3), random_grid(rng, 3)
     objective = _dual_objective(x.values.ravel(), duality_map(x, space).values.ravel(),
-                                u.values.ravel()[None, :], np.array([0.3]), space)
+                                u.values.ravel()[None, :], np.array([0.3]), space, x.h)
     with np.errstate(over='ignore', invalid='ignore'):
         assert objective(np.array([1e200])) is None
         assert objective(np.array([-1e200])) is None
@@ -277,7 +277,7 @@ def test_project_intersection_general_exponent_feasibility():
     rng = np.random.default_rng(17)
     for _ in range(20):
         n = int(rng.integers(2, 5))
-        space = SpaceSpec(1.5, 2.0, 1.0 / (n + 1))
+        space = SpaceSpec(1.5, 2.0)
         x = random_grid(rng, n, scale=float(rng.uniform(0.3, 3.0)))
         planes = [(random_grid(rng, n), float(0.2 * rng.normal())) for _ in range(2)]
         x_new, _ = project_intersection(x, planes, space)
@@ -291,7 +291,7 @@ def test_project_intersection_warns_on_parallel_directions(caplog):
     rng = np.random.default_rng(18)
     x = random_grid(rng)
     u = random_grid(rng)
-    space = SpaceSpec.for_grid(x, 2.0, 2.0)
+    space = SpaceSpec(2.0, 2.0)
     planes = [(u, 0.5), (2.0 * u, 1.7)]
     with caplog.at_level(logging.WARNING, logger='resesop.bregman_geometry'):
         x_new, t = project_intersection(x, planes, space)
@@ -306,7 +306,7 @@ def test_project_intersection_nonconvergence_raises(monkeypatch):
     rng = np.random.default_rng(19)
     x = random_grid(rng, 3, scale=3.0)
     planes = [(random_grid(rng, 3), 0.9), (random_grid(rng, 3), -1.3)]
-    space = SpaceSpec.for_grid(x, 1.5, 2.0)
+    space = SpaceSpec(1.5, 2.0)
     with pytest.raises(ConvergenceError) as info:
         project_intersection(x, planes, space)
     assert info.value.last_t is not None
@@ -316,28 +316,28 @@ def test_project_intersection_nonconvergence_raises(monkeypatch):
 def test_project_stripe_cases():
     rng = np.random.default_rng(20)
     n = 3
-    space = SpaceSpec(1.5, 2.0, 1.0 / (n + 1))
+    space = SpaceSpec(1.5, 2.0)
     x = random_grid(rng, n)
     u = random_grid(rng, n)
     value = dual_pairing(u, x, space)
 
     inside = Stripe(u, value, 0.5)
-    x_same, t, _, _ = project_two_stage(x, inside, None, space)
+    x_same, t, _ = project_two_stage(x, inside, None, space)
     assert t == (0.0,) and x_same is x
 
     above = Stripe(u, value - 2.0, 0.5)
-    x_new, (t,), _, _ = project_two_stage(x, above, None, space)
+    x_new, (t,), _ = project_two_stage(x, above, None, space)
     x_plane, (t_plane,) = project_intersection(x, [(u, above.alpha + above.xi)], space)
     np.testing.assert_allclose(x_new.values, x_plane.values, rtol=1e-12)
     assert t == pytest.approx(t_plane, rel=1e-12)
 
     below = Stripe(u, value + 2.0, 0.5)
-    x_new, _, _, _ = project_two_stage(x, below, None, space)
+    x_new, _, _ = project_two_stage(x, below, None, space)
     x_plane, _ = project_intersection(x, [(u, below.alpha - below.xi)], space)
     np.testing.assert_allclose(x_new.values, x_plane.values, rtol=1e-12)
 
     degenerate = Stripe(u, value - 2.0, 0.0)
-    x_new, _, _, _ = project_two_stage(x, degenerate, None, space)
+    x_new, _, _ = project_two_stage(x, degenerate, None, space)
     x_plane, _ = project_intersection(x, [(u, degenerate.alpha)], space)
     np.testing.assert_allclose(x_new.values, x_plane.values, rtol=1e-12)
 
@@ -351,7 +351,7 @@ def test_project_stripe_hilbert_oracle():
         u = random_grid(rng, n)
         alpha = float(rng.normal())
         xi = float(rng.uniform(0.0, 0.5))
-        x_new, _, _, _ = project_two_stage(x, Stripe(u, alpha, xi), None, space)
+        x_new, _, _ = project_two_stage(x, Stripe(u, alpha, xi), None, space)
         gap = dual_pairing(u, x, space) - alpha
         shift = max(abs(gap) - xi, 0.0) * np.sign(gap)
         expected = x.values - (shift / dual_pairing(u, u, space)) * u.values
@@ -361,12 +361,12 @@ def test_project_stripe_hilbert_oracle():
 def test_project_two_stage_inside_both_stripes_untouched():
     rng = np.random.default_rng(22)
     x = random_grid(rng)
-    space = SpaceSpec.for_grid(x, 1.5, 2.0)
+    space = SpaceSpec(1.5, 2.0)
     u1, u2 = random_grid(rng), random_grid(rng)
     stripe = Stripe(u1, dual_pairing(u1, x, space) + 0.5, 1.0)
     previous = Stripe(u2, dual_pairing(u2, x, space) - 0.5, 1.0)
-    x_new, t, x_first, bound = project_two_stage(x, stripe, previous, space)
-    assert x_new is x and x_first is x
+    x_new, t, bound = project_two_stage(x, stripe, previous, space)
+    assert x_new is x
     assert t == (0.0,) and bound is None
 
 
@@ -386,7 +386,7 @@ def test_project_two_stage_hilbert_kkt_oracle():
         prev_xi = float(rng.uniform(0.05, 1.0))
         previous = Stripe(u2, dual_pairing(u2, x, space)
                           - float(rng.uniform(-1.0, 1.0)) * prev_xi, prev_xi)
-        x_new, t, _, _ = project_two_stage(x, stripe, previous, space)
+        x_new, t, _ = project_two_stage(x, stripe, previous, space)
         planes_used.add(len(t))
         halves = [(u1, stripe.alpha + stripe.xi), (u2, previous.alpha + previous.xi),
                   (-u2, previous.xi - previous.alpha)]
@@ -410,7 +410,7 @@ def test_project_two_stage_perpendicular_normals():
     u1, u2 = GridFunction(left), GridFunction(right)
     stripe = Stripe(u1, dual_pairing(u1, x, space) - 1.25, 0.25)
     previous = Stripe(u2, dual_pairing(u2, x, space) - 0.75, 0.25)
-    x_new, (t1, t2), _, bound = project_two_stage(x, stripe, previous, space)
+    x_new, (t1, t2), bound = project_two_stage(x, stripe, previous, space)
     assert bound == previous.alpha + previous.xi
     oracle = kkt_halfspace_oracle(x, [(u1, stripe.alpha + stripe.xi), (u2, bound)], space)
     np.testing.assert_allclose(x_new.values, oracle.values, rtol=1e-8, atol=1e-10)
@@ -421,7 +421,7 @@ def test_project_two_stage_perpendicular_normals():
 def test_descent_property_hyperplane():
     rng = np.random.default_rng(25)
     n = 4
-    space = SpaceSpec(1.5, 2.0, 1.0 / (n + 1))
+    space = SpaceSpec(1.5, 2.0)
     for _ in range(30):
         x = random_grid(rng, n, scale=float(rng.uniform(0.3, 3.0)))
         u = random_grid(rng, n)
@@ -436,7 +436,7 @@ def test_descent_property_hyperplane():
 def test_descent_property_intersection():
     rng = np.random.default_rng(26)
     n = 4
-    space = SpaceSpec(1.5, 2.0, 1.0 / (n + 1))
+    space = SpaceSpec(1.5, 2.0)
     for _ in range(20):
         x = random_grid(rng, n, scale=float(rng.uniform(0.3, 2.0)))
         planes = [(random_grid(rng, n), float(0.3 * rng.normal())) for _ in range(2)]

@@ -78,7 +78,7 @@ class TestAddNoise:
     def test_perturbation_norm_is_calibrated(self, delta, seed):
         u = synth_truth(20).u
         noisy = add_noise(u, delta, 5.0, seed)
-        space = SpaceSpec(5.0, 2.0, u.h)
+        space = SpaceSpec(5.0, 2.0)
         measured = weighted_norm(noisy - u, space)
         assert measured == pytest.approx(delta, rel=1e-14)
 
@@ -383,7 +383,7 @@ class TestCommandLine:
         assert read_grid(tmp_path / 'u.grid') == truth.u
         assert read_grid(tmp_path / 'c.grid') == truth.c
         noisy = read_grid(tmp_path / 'u_noisy.grid')
-        space = SpaceSpec(5.0, 2.0, truth.u.h)
+        space = SpaceSpec(5.0, 2.0)
         assert weighted_norm(noisy - truth.u, space) == pytest.approx(1e-3, rel=1e-12)
 
     def test_check_battery_passes_on_the_default_setup(self, capsys):
@@ -399,6 +399,27 @@ class TestCommandLine:
         # add_noise(u) - u used to exceed the 1e-14 delta tolerance.
         assert main(['check', '--n-recon', '2', '--n-data', '2', '--seed', str(seed)]) == 0
         assert 'FAIL' not in capsys.readouterr().out
+
+    @pytest.mark.parametrize('n_data, n_recon', [(9, 5), (3, 2)])
+    def test_check_battery_bounds_the_bilinear_restriction_on_coarse_grids(
+            self, n_data, n_recon, capsys):
+        # The bilinear error, 0.0157 at 9 -> 5 and 0.0957 at 3 -> 2, is an
+        # interpolation error within 2 h_d^2, not a fault.
+        assert main(['check', '--restriction', 'bilinear', '--n-data', str(n_data),
+                     '--n-recon', str(n_recon)]) == 0
+        assert 'FAIL' not in capsys.readouterr().out
+
+    def test_check_battery_detects_a_bilinear_error_beyond_its_bound(
+            self, monkeypatch, capsys):
+        # At 50 -> 40 the bound 2 h_d^2 is 7.7e-4; an offset of 2e-3 breaks
+        # it, though it lies within the fixed 1e-2 the check used to allow.
+        def offset(data, n_to, method):
+            return restrict(data, n_to, method) + GridFunction.full(n_to, 2e-3)
+
+        monkeypatch.setattr(experiment_cli, 'restrict', offset)
+        assert main(['check', '--restriction', 'bilinear']) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if 'FAIL' in line]
+        assert len(failed) == 1 and failed[0].startswith('restriction')
 
     def test_check_battery_detects_a_miscalibrated_noise_field(self, monkeypatch, capsys):
         def scaled(u, delta, exponent, seed):

@@ -89,7 +89,7 @@ def test_fresh_arrays_are_adopted_without_a_copy_but_with_every_check():
     f = GridFunction.full(2, 1.5)
     built = (f + f, f - f, -f, 2.0 * f, f / 2.0,
              GridFunction.from_interior(np.ones((2, 2))),
-             duality_map(f, SpaceSpec(3.0, 2.0, f.h)))
+             duality_map(f, SpaceSpec(3.0, 2.0)))
     for grid in built:
         with pytest.raises(ValueError):
             grid.values[0, 0] = 1.0
@@ -123,43 +123,54 @@ def test_grid_function_constructors():
 
 
 def test_space_spec_validation_and_dual():
-    space = SpaceSpec(1.5, 2.0, 0.5)
-    assert space.weight == 0.25
-    dual = space.dual()
+    dual = SpaceSpec(1.5, 2.0).dual()
     assert dual.norm_exponent == 3.0
     assert dual.gauge_exponent == 2.0
-    assert dual.h == 0.5
     with pytest.raises(ValueError):
-        SpaceSpec(1.0, 2.0, 0.5)
+        SpaceSpec(1.0, 2.0)
     with pytest.raises(ValueError):
-        SpaceSpec(2.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        SpaceSpec(2.0, 2.0, 0.0)
-    grid = GridFunction.zeros(4)
-    from_grid = SpaceSpec.for_grid(grid, 5.0, 2.0)
-    assert from_grid.h == grid.h
-    assert SpaceSpec.for_grid(grid, 5.0).gauge_exponent == 5.0
+        SpaceSpec(2.0, 1.0)
+
+
+def test_one_space_measures_each_grid_with_its_own_weight():
+    # A space is its two exponents; the weight h^2 comes from the grid. On
+    # grids of ones with N = 1 (h = 1/2, 9 nodes) and N = 5 (h = 1/6, 49
+    # nodes) the 2-norm is h * sqrt(nodes) and the pairing h^2 * nodes.
+    space = SpaceSpec(2.0, 2.0)
+    for n, norm, pairing in ((1, 1.5, 2.25), (5, 7.0 / 6.0, 49.0 / 36.0)):
+        ones = GridFunction.full(n, 1.0)
+        assert weighted_norm(ones, space) == pytest.approx(norm, rel=1e-15)
+        assert dual_pairing(ones, ones, space) == pytest.approx(pairing, rel=1e-15)
+    # Off the Hilbert case too: the p-norm carries h^(2/p) of its own grid.
+    space = SpaceSpec(3.0, 1.5)
+    for n in (1, 5):
+        ones = GridFunction.full(n, 1.0)
+        h = 1.0 / (n + 1)
+        expected = h ** (2.0 / 3.0) * (n + 2) ** (2.0 / 3.0)
+        assert weighted_norm(ones, space) == pytest.approx(expected, rel=1e-14)
+        assert dual_pairing(duality_map(ones, space), ones, space) == pytest.approx(
+            expected ** 1.5, rel=1e-12)
 
 
 def test_weighted_norm_hand_values():
     # N=1: 3x3 grid of ones, h=1/2; p=2 gives 0.5*sqrt(9) = 1.5.
     f = GridFunction.full(1, 1.0)
-    assert weighted_norm(f, SpaceSpec(2.0, 2.0, 0.5)) == pytest.approx(1.5, rel=1e-15)
+    assert weighted_norm(f, SpaceSpec(2.0, 2.0)) == pytest.approx(1.5, rel=1e-15)
     # Single nonzero entry a: norm is h^(2/p) * |a| for every p.
     for p in (1.5, 2.0, 5.0):
         values = np.zeros((4, 4))
         values[2, 1] = -3.0
         g = GridFunction(values)
         expected = g.h ** (2.0 / p) * 3.0
-        assert weighted_norm(g, SpaceSpec(p, 2.0, g.h)) == pytest.approx(expected, rel=1e-14)
-    assert weighted_norm(GridFunction.zeros(5), SpaceSpec(1.5, 2.0, 1.0 / 6.0)) == 0.0
+        assert weighted_norm(g, SpaceSpec(p, 2.0)) == pytest.approx(expected, rel=1e-14)
+    assert weighted_norm(GridFunction.zeros(5), SpaceSpec(1.5, 2.0)) == 0.0
 
 
 def test_weighted_norm_homogeneity():
     rng = np.random.default_rng(1)
     f = random_grid(rng)
     for p, _ in EXPONENT_PAIRS:
-        space = SpaceSpec.for_grid(f, p, 2.0)
+        space = SpaceSpec(p, 2.0)
         base = weighted_norm(f, space)
         for lam in (-3.0, 0.25, 7.5):
             assert weighted_norm(lam * f, space) == pytest.approx(abs(lam) * base, rel=1e-14)
@@ -168,7 +179,7 @@ def test_weighted_norm_homogeneity():
 def test_dual_pairing_hand_value_and_errors():
     # N=1, g = f = 1: h^2 * 9 = 0.25 * 9 = 2.25.
     f = GridFunction.full(1, 1.0)
-    space = SpaceSpec(2.0, 2.0, 0.5)
+    space = SpaceSpec(2.0, 2.0)
     assert dual_pairing(f, f, space) == pytest.approx(2.25, rel=1e-15)
     assert dual_pairing(GridFunction.zeros(1), f, space) == 0.0
     with pytest.raises(ValueError):
@@ -180,7 +191,7 @@ def test_duality_map_defining_identities():
     for r, q in EXPONENT_PAIRS:
         for _ in range(20):
             f = random_grid(rng, scale=float(rng.uniform(0.1, 10.0)))
-            space = SpaceSpec.for_grid(f, r, q)
+            space = SpaceSpec(r, q)
             g = duality_map(f, space)
             norm_f = weighted_norm(f, space)
             assert dual_pairing(g, f, space) == pytest.approx(norm_f ** q, rel=1e-12)
@@ -190,14 +201,14 @@ def test_duality_map_defining_identities():
 def test_duality_map_hilbert_identity():
     rng = np.random.default_rng(3)
     f = random_grid(rng)
-    space = SpaceSpec.for_grid(f, 2.0, 2.0)
+    space = SpaceSpec(2.0, 2.0)
     np.testing.assert_array_equal(duality_map(f, space).values, f.values)
 
 
 def test_duality_map_zero_convention():
     z = GridFunction.zeros(4)
     for r, q in EXPONENT_PAIRS + [(3.0, 2.0)]:  # includes gauge < norm exponent
-        g = duality_map(z, SpaceSpec.for_grid(z, r, q))
+        g = duality_map(z, SpaceSpec(r, q))
         assert np.all(g.values == 0.0)
 
 
@@ -206,7 +217,7 @@ def test_inverse_duality_map_round_trip():
     for r, q in EXPONENT_PAIRS:
         for _ in range(10):
             f = random_grid(rng, scale=float(rng.uniform(0.1, 10.0)))
-            space = SpaceSpec.for_grid(f, r, q)
+            space = SpaceSpec(r, q)
             back = inverse_duality_map(duality_map(f, space), space)
             np.testing.assert_allclose(back.values, f.values, rtol=1e-10, atol=1e-12)
 
@@ -217,7 +228,7 @@ def test_duality_map_monotone():
         for _ in range(10):
             x = random_grid(rng)
             y = random_grid(rng)
-            space = SpaceSpec.for_grid(x, r, q)
+            space = SpaceSpec(r, q)
             jump = dual_pairing(duality_map(x, space) - duality_map(y, space), x - y, space)
             assert jump >= -1e-12
 
@@ -243,7 +254,7 @@ def test_bregman_distance_forms_agree():
         for _ in range(20):
             x = random_grid(rng, scale=float(rng.uniform(0.1, 5.0)))
             y = random_grid(rng, scale=float(rng.uniform(0.1, 5.0)))
-            space = SpaceSpec.for_grid(x, r, q)
+            space = SpaceSpec(r, q)
             d = bregman_distance(x, y, space)
             assert d == pytest.approx(bregman_form_one(x, y, space), rel=1e-10, abs=1e-10)
             assert d == pytest.approx(bregman_form_three(x, y, space), rel=1e-10, abs=1e-10)
@@ -255,7 +266,7 @@ def test_bregman_distance_identity_of_indiscernibles():
     x = random_grid(rng)
     y = x + GridFunction.full(x.n_interior, 0.1)
     for r, q in EXPONENT_PAIRS:
-        space = SpaceSpec.for_grid(x, r, q)
+        space = SpaceSpec(r, q)
         assert bregman_distance(x, x, space) == 0.0
         assert bregman_distance(x, y, space) > 0.0
 
@@ -264,7 +275,7 @@ def test_bregman_distance_hilbert_case():
     rng = np.random.default_rng(8)
     x = random_grid(rng)
     y = random_grid(rng)
-    space = SpaceSpec.for_grid(x, 2.0, 2.0)
+    space = SpaceSpec(2.0, 2.0)
     expected = 0.5 * weighted_norm(x - y, space) ** 2
     assert bregman_distance(x, y, space) == pytest.approx(expected, rel=1e-12)
 
@@ -280,7 +291,7 @@ def test_array_kernels_agree_bitwise_with_the_grid_functions(r, q):
     rng = np.random.default_rng(41)
     for n in (1, 6, 100):
         f = random_grid(rng, n, scale=3.0)
-        space = SpaceSpec(r, q, f.h)
+        space = SpaceSpec(r, q)
         dual = space.dual()
         flat = f.values.ravel()
         assert _array_norm(flat, r, f.h) == weighted_norm(f, space)
@@ -300,7 +311,7 @@ def test_array_duality_map_is_the_identity_in_the_hilbert_case():
     f = random_grid(np.random.default_rng(42))
     flat = f.values.ravel()
     assert _array_duality_map(flat, 2.0, 2.0, f.h) is flat
-    assert duality_map(f, SpaceSpec(2.0, 2.0, f.h)) is f
+    assert duality_map(f, SpaceSpec(2.0, 2.0)) is f
 
 
 def test_norm_and_duality_map_are_stored_on_the_grid_function(monkeypatch):
@@ -319,7 +330,7 @@ def test_norm_and_duality_map_are_stored_on_the_grid_function(monkeypatch):
     monkeypatch.setattr(lp_spaces, '_array_duality_map', counting(_array_duality_map))
     f = random_grid(np.random.default_rng(43), scale=2.0)
     for r, q in [(1.5, 2.0), (5.0, 2.0), (3.0, 3.0), (1.5, 1.5)]:
-        space = SpaceSpec(r, q, f.h)
+        space = SpaceSpec(r, q)
         norm, image = weighted_norm(f, space), duality_map(f, space)
         assert norm == _array_norm(f.values, r, f.h)
         assert np.array_equal(image.values, _array_duality_map(f.values, r, q, f.h))
@@ -327,11 +338,8 @@ def test_norm_and_duality_map_are_stored_on_the_grid_function(monkeypatch):
         assert weighted_norm(f, space) == norm
         assert duality_map(f, space) is image
         assert calls == []
-    # Same exponents on another grid spacing, and the dual space, are other
-    # keys.
-    coarse = SpaceSpec(1.5, 2.0, 2.0 * f.h)
-    assert weighted_norm(f, coarse) == _array_norm(f.values, 1.5, 2.0 * f.h)
-    dual = SpaceSpec(1.5, 2.0, f.h).dual()
+    # The dual space is another key.
+    dual = SpaceSpec(1.5, 2.0).dual()
     assert weighted_norm(f, dual) == _array_norm(f.values, dual.norm_exponent, f.h)
     assert np.array_equal(duality_map(f, dual).values, _array_duality_map(
         f.values, dual.norm_exponent, dual.gauge_exponent, f.h))
@@ -342,7 +350,7 @@ def test_duality_map_sends_underflowing_grids_to_zero():
     # holds exactly when the norm would be 0, so a subnormal grid still
     # maps to zeros.
     tiny = GridFunction.full(4, 1e-310)
-    space = SpaceSpec(3.0, 3.0, tiny.h)
+    space = SpaceSpec(3.0, 3.0)
     assert weighted_norm(tiny, space) == 0.0
     assert duality_map(tiny, space) == GridFunction.zeros(4)
     # A grid whose cube does not underflow is mapped by the power map.

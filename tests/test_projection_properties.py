@@ -41,7 +41,7 @@ PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40,
 
 def _instance(r, q, k, n, seed):
     rng = np.random.default_rng(seed)
-    space = SpaceSpec(r, q, 1.0 / (n + 1))
+    space = SpaceSpec(r, q)
     x = GridFunction(rng.uniform(0.3, 3.0) * rng.standard_normal((n + 2, n + 2)))
     planes = [(GridFunction(rng.standard_normal((n + 2, n + 2))), float(rng.normal()))
               for _ in range(k)]
@@ -171,7 +171,7 @@ def test_two_stage_step_is_feasible_and_satisfies_the_descent_inequality(r, q, n
     xi, prev_xi = rng.uniform(0.0, 0.5), rng.uniform(0.05, 1.0)
     stripe = Stripe(u, dual_pairing(u, x, space) - xi - rng.uniform(0.1, 2.0), xi)
     previous = Stripe(v, dual_pairing(v, x, space) - rng.uniform(-1.0, 1.0) * prev_xi, prev_xi)
-    x_new, _, _, _ = project_two_stage(x, stripe, previous, space)
+    x_new, _, _ = project_two_stage(x, stripe, previous, space)
     upper = stripe.alpha + stripe.xi
     assert dual_pairing(u, x_new, space) - upper <= _feasibility_slack(x, u, upper, space)
     bound = previous.alpha + previous.xi
@@ -201,7 +201,7 @@ def test_duality_map_identities(r, q, n, scale, seed):
     # <J f, f> = ||f||^q, ||J f||_* = ||f||^(q-1) and J_inv(J f) = f
     # (acceptance criterion 1).
     _, f = _random_grid(seed, n, scale)
-    space = SpaceSpec(r, q, f.h)
+    space = SpaceSpec(r, q)
     mapped = duality_map(f, space)
     norm = weighted_norm(f, space)
     assert abs(dual_pairing(mapped, f, space) - norm ** q) <= 1e-10 * norm ** q
@@ -218,7 +218,7 @@ def test_bregman_distance_forms_agree(r, q, n, scale, seed):
     # and zero at x_new = x.
     rng, x = _random_grid(seed, n, scale)
     x_new = GridFunction(rng.uniform(0.05, 20.0) * rng.standard_normal(x.values.shape))
-    space = SpaceSpec(r, q, x.h)
+    space = SpaceSpec(r, q)
     value = bregman_distance(x, x_new, space)
     jx = duality_map(x, space)
     norm_x, norm_new = weighted_norm(x, space), weighted_norm(x_new, space)
