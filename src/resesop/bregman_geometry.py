@@ -220,7 +220,9 @@ def _minimize(x, u, dual_norms, alphas, space, t_init=None):
         for _ in range(MAX_NEWTON_ITERS):
             direction = -grad
             if hessian is not None and _well_conditioned(hessian):
-                newton = np.linalg.solve(hessian, -grad)
+                # One plane: the quotient, bit-identical to np.linalg.solve.
+                newton = (-grad / hessian[0, 0] if len(grad) == 1
+                          else np.linalg.solve(hessian, -grad))
                 if float(newton @ grad) < 0.0:
                     direction = newton
             grad_norm = _euclidean_norm(grad)

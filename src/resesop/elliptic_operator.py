@@ -4,22 +4,23 @@ The boundary value problem is discretized with the 5-point stencil on the
 (N+2) x (N+2) grid; Dirichlet values are eliminated into the right-hand
 side, leaving a symmetric system L(c) = -laplace_h + diag(c) over the N^2
 interior nodes. L(c) is never assembled: it is applied as a stencil and
-solved by preconditioned conjugate gradients. The preconditioner is the
-exact inverse of -laplace_h + c_bar I with c_bar the midrange of c, which
-the orthonormal sine basis S_jk = sqrt(2/(N+1)) sin(pi j k/(N+1))
-diagonalizes (the fast Poisson solver of Buzbee, Golub & Nielson 1970, used
-for a nonseparable operator as in Concus & Golub 1973). The preconditioned
-condition number is then at most (lambda_min + c_max)/(lambda_min + c_min)
-for every grid size, so a few iterations reach machine precision. The
-preconditioner is applied in single precision, which halves the cost of
-its four dense matmuls. It only steers CG: the recursion, the stencil apply
-and the final check of the true residual run in double precision, so an
-accepted solve meets the same backward-error bound as with an exact
-preconditioner, and a perturbation of about 1e-7 relative barely moves
-the iteration count. The sine basis and the eigenvalues of -laplace_h
+solved by preconditioned conjugate gradients. The orthonormal sine basis
+S_jk = sqrt(2/(N+1)) sin(pi j k/(N+1)) diagonalizes -laplace_h + c_bar I,
+c_bar the midrange of c (the fast Poisson solver of Buzbee, Golub & Nielson
+1970, used for a nonseparable operator as in Concus & Golub 1973), whose
+exact inverse preconditions all but the lowest K x K modes. There the shift
+errs most, so those modes are solved exactly, with the inverse Galerkin
+matrix of L(c) on them (a coarse space as in Nicolaides 1987); for N <= K
+the preconditioner is the exact inverse of L(c). It is applied in single
+precision, which halves the cost of its four dense matmuls. It only steers
+CG: the recursion, the stencil apply and the final check of the true
+residual run in double precision, so an accepted solve meets the same
+backward-error bound as with an exact preconditioner. The sine basis, the
+eigenvalues of -laplace_h and the mode products of the Galerkin matrix
 depend only on N, so each operator builds them once for the grid of its
 data. Per parameter, `linearize` computes only c_bar, the shifted inverse
-eigenvalues and the norm of L(c), which the derivative and adjoint reuse:
+eigenvalues, the inverse Galerkin matrix and the norm of L(c), which the
+derivative and adjoint reuse:
 
     F'(c) d = -L(c)^{-1} (d * u),      F'(c)* w = -u * L(c)^{-1} w,
 
@@ -27,10 +28,10 @@ with u = F(c), pointwise products, and homogeneous Dirichlet data in the
 auxiliary solves (increments vanish where u is pinned to g). Because L(c)
 is symmetric, the adjoint identity holds in the h^2-weighted pairing on
 both sides, to the accuracy of the solves. The forward solve can start
-from the u of another state, such as that of the previous iterate, which
-moves u only within the backward-error bound; the auxiliary solves start
-from zero. The right-hand side of the Dirichlet data, like the sine basis,
-is built once per operator.
+from the u of another state, such as that of the previous iterate, and the
+derivative solve from a guess of its result; a start moves the solution
+only within the backward-error bound. The adjoint solve starts from zero.
+The right-hand side of the Dirichlet data is built once per operator.
 """
 
 from dataclasses import dataclass, field
@@ -58,9 +59,15 @@ COND_LIMIT = 1.0 / (1e3 * np.finfo(float).eps)
 # rounding drift between the recursive and the true residual; the true
 # residual is then checked against the full bound.
 CG_STOP_FRACTION = 0.5
-# Far above the benchmark's mean iterations per solve, 4.2-4.9 (forward, warm)
-# and 5.0-5.9 (adjoint); reaching it means c's spread defeats the preconditioner.
+# Far above the benchmark's mean iterations per solve, 3.0-3.6 (forward, warm)
+# and 4.0-4.5 (adjoint); reaching it means c's spread defeats the preconditioner.
 CG_MAX_ITERS = 500
+# K = COARSE_MODES: the lowest K x K sine modes, where the c_bar shift errs most,
+# are solved exactly. Preconditioner applies per seed-7 pass (grid160 / suite40 /
+# exponents40, cone-ratio solves cold): 433 / 2140 / 3104 with the shift alone;
+# K = 4, 6, 8, 16: 347 / 1784 / 2654, 330 / 1583 / 2378, 330 / 1397 / 2077,
+# 264 / 1333 / 1992. At N = 40 a set-up takes 129 us at K = 6, 311 us at K = 8.
+COARSE_MODES = 6
 
 
 class LinearSolveError(RuntimeError):
@@ -95,15 +102,15 @@ class BvpData:
 @dataclass(frozen=True, eq=False)
 class OperatorState:
     """Parameter c with the cached solution u = F(c) and what the solves
-    with L(c) reuse: the inverse eigenvalues 1/(lambda_j + lambda_k + c_bar)
-    of the preconditioner in the sine basis of the operator, and the
-    infinity norm of L(c), a bound on its 2-norm because L(c) is symmetric.
-    The inverse eigenvalues are float32: the preconditioner only steers CG,
-    whose accuracy is checked on the float64 residual."""
+    with L(c) reuse: the float32 preconditioner in the sine basis of the
+    operator (the inverse eigenvalues 1/(lambda_j + lambda_k + c_bar), zero
+    on the coarse modes, and the inverse Galerkin matrix of L(c) on those),
+    and the infinity norm of L(c), a bound on its 2-norm as L(c) is symmetric."""
 
     c: GridFunction
     u: GridFunction
     inverse_eigenvalues: np.ndarray = field(repr=False)
+    coarse_inverse: np.ndarray = field(repr=False)
     matrix_norm: float = field(repr=False)
 
 
@@ -158,8 +165,8 @@ def _range_text(parameter):
 
 
 def _sine_basis(n):
-    """Orthonormal sine basis S and eigenvalues lambda_k of the 1-D
-    -laplace_h on N interior nodes; S is float32."""
+    """Orthonormal sine basis S of the 1-D -laplace_h on N interior nodes,
+    float64, and the eigenvalues lambda_j + lambda_k of the 2-D one."""
     k = np.arange(1, n + 1)
     h = 1.0 / (n + 1)
     # sin(pi m / (N+1)) with m = jk reduced mod 2(N+1) keeps the argument
@@ -167,45 +174,61 @@ def _sine_basis(n):
     basis = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * (n + 1)))
                                             / (n + 1))
     eigenvalues = (4.0 / h ** 2) * np.sin(0.5 * np.pi * k / (n + 1)) ** 2
-    return basis.astype(np.float32), eigenvalues
+    return basis, eigenvalues[:, None] + eigenvalues[None, :]
 
 
-def _preconditioner(c, eigenvalues):
-    """Inverse eigenvalues 1/(lambda_j + lambda_k + c_bar) of
-    -laplace_h + c_bar I in the sine basis, as float32.
-
-    Raises LinearSolveError when that operator is not positive definite,
-    judged in float64.
-    """
+def _preconditioner(c, eigen_sums, mode_products):
+    """The float32 inverse eigenvalues 1/(lambda_j + lambda_k + c_bar),
+    zero on the K x K coarse modes, and the inverse of the Galerkin matrix
+    G = diag(lambda_a + lambda_b) + Phi^T diag(c) Phi of L(c) on those,
+    built from the 1-D mode products Q = S_ia S_ia'. Raises LinearSolveError
+    unless, in float64, the shifted eigenvalues are positive and G has a
+    Cholesky factor that keeps L(c) below COND_LIMIT."""
     coeff = c.interior
+    k = min(COARSE_MODES, len(eigen_sums))
     c_bar = 0.5 * (coeff.min() + coeff.max())
-    shifted = eigenvalues[:, None] + eigenvalues[None, :] + c_bar
+    shifted = eigen_sums + c_bar
+    # The coarse modes are solved exactly; an infinite shift zeroes them.
+    shifted[:k, :k] = np.inf
     if not shifted.min() > 0.0:
         raise LinearSolveError(
             'linear system is not positive definite for {}: lambda_min + c_bar = '
             '{:.3g}'.format(_range_text(c), shifted.min()), parameter=c)
-    return (1.0 / shifted).astype(np.float32)
+    # (Q^T C Q)[(a, a'), (b, b')] = sum_ij c_ij S_ia S_ia' S_jb S_jb'.
+    coupling = (mode_products.T @ coeff @ mode_products).reshape(k, k, k, k)
+    galerkin = (np.diag(eigen_sums[:k, :k].ravel())
+                + coupling.transpose(0, 2, 1, 3).reshape(k * k, k * k))
+    try:
+        lower = np.linalg.cholesky(galerkin)
+    except np.linalg.LinAlgError:
+        lower = None
+    # lambda_min(L(c)) <= lambda_min(G) <= min_a l_aa^2 for the Cholesky factor
+    # l of G, and max_a G_aa <= ||G|| <= ||L(c)||, so an l_aa^2 below
+    # max_a G_aa / COND_LIMIT makes L(c) numerically singular.
+    if (lower is None or not lower.diagonal().min() ** 2
+            > galerkin.diagonal().max() / COND_LIMIT):
+        raise LinearSolveError(
+            'linear system is singular or not positive definite for {}: so is its '
+            'Galerkin matrix on the lowest {} x {} sine modes'.format(_range_text(c), k, k),
+            parameter=c)
+    lower_inverse = np.linalg.inv(lower)
+    coarse_inverse = lower_inverse.T @ lower_inverse
+    coarse_inverse = 0.5 * (coarse_inverse + coarse_inverse.T)
+    return (1.0 / shifted).astype(np.float32), coarse_inverse.astype(np.float32)
 
 
-def _matrix_norm(c):
-    # Row sums of |L(c)|: the diagonal plus 1/h^2 per interior neighbor.
-    n = c.n_interior
-    neighbors = np.full((n, n), 4.0)
-    neighbors[0, :] -= 1.0
-    neighbors[-1, :] -= 1.0
-    neighbors[:, 0] -= 1.0
-    neighbors[:, -1] -= 1.0
-    h2 = c.h ** 2
-    return float(np.max(np.abs(4.0 / h2 + c.interior) + neighbors / h2))
+def _apply_preconditioner(basis, inverse_eigenvalues, coarse_inverse, r):
+    """The two-level preconditioner applied to r by four float32 matmuls in
+    the sine basis, with the inverse Galerkin matrix on the coarse modes."""
+    spectral = basis @ r.astype(np.float32) @ basis
+    k = min(COARSE_MODES, len(basis))
+    scaled = spectral * inverse_eigenvalues
+    scaled[:k, :k] = (coarse_inverse @ spectral[:k, :k].ravel()).reshape(k, k)
+    return (basis @ scaled @ basis).astype(float)
 
 
-def _apply_preconditioner(basis, inverse_eigenvalues, r):
-    """(-laplace_h + c_bar I)^{-1} r by four float32 matmuls in the sine basis."""
-    r = r.astype(np.float32)
-    return (basis @ ((basis @ r @ basis) * inverse_eigenvalues) @ basis).astype(float)
-
-
-def _interior_solve(c, basis, inverse_eigenvalues, matrix_norm, rhs, start=None):
+def _interior_solve(c, basis, inverse_eigenvalues, coarse_inverse, matrix_norm, rhs,
+                    start=None):
     """Solve L(c) x = rhs on the interior by preconditioned CG and check x.
 
     Each iteration first tests the recursive residual and only then
@@ -215,6 +238,9 @@ def _interior_solve(c, basis, inverse_eigenvalues, matrix_norm, rhs, start=None)
     is below that of zero: a farther start leaves its rounding error in x.
     A start so far that its residual norm overflows fails that test quietly.
     """
+    if start is not None and start.shape != rhs.shape:
+        raise ValueError('start grid has interior {}, data grid needs {}'.format(
+            start.shape, rhs.shape))
     # CG runs on rhs scaled by a power of two (exactly) to entries below
     # one, so the residuals stay in float32 range whatever the size of rhs.
     rhs_scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(rhs)))[1]))
@@ -235,7 +261,7 @@ def _interior_solve(c, basis, inverse_eigenvalues, matrix_norm, rhs, start=None)
         if _euclidean_norm(residual) <= CG_STOP_FRACTION * BACKWARD_TOL * (
                 matrix_norm * _euclidean_norm(solution) + rhs_norm):
             break
-        z = _apply_preconditioner(basis, inverse_eigenvalues, residual)
+        z = _apply_preconditioner(basis, inverse_eigenvalues, coarse_inverse, residual)
         rz, rz_old = float(np.vdot(residual, z)), rz
         direction = z if direction is None else z + (rz / rz_old) * direction
         image = _stencil(coeff, h2, direction)
@@ -291,7 +317,14 @@ class EllipticOperator:
 
     def __init__(self, data):
         self.data = data
-        self._basis, self._eigenvalues = _sine_basis(data.f.n_interior)
+        n = data.f.n_interior
+        basis, self._eigen_sums = _sine_basis(n)
+        self._basis = basis.astype(np.float32)
+        k = min(COARSE_MODES, n)
+        self._mode_products = (basis[:, :k, None] * basis[:, None, :k]).reshape(n, k * k)
+        # Row sums of |L(c)| off the diagonal: 1/h^2 per interior neighbor.
+        axis = np.minimum(np.arange(n), 1) + np.minimum(np.arange(n)[::-1], 1)
+        self._neighbor_sums = (axis[:, None] + axis[None, :]) / data.f.h ** 2
         self._rhs = _boundary_rhs(data)
         self._rhs.setflags(write=False)
 
@@ -304,29 +337,32 @@ class EllipticOperator:
         """Solve for u = F(c), warm-started from the u of a `start` state, and
         set up the preconditioner of L(c) once; returns the state for F, F', F'*."""
         data = self.data
-        for name, grid in (('parameter', c), ('start', None if start is None else start.u)):
-            if grid is not None and grid.values.shape != data.f.values.shape:
-                raise ValueError('{} grid {} does not match data grid {}'.format(
-                    name, grid.values.shape, data.f.values.shape))
-        inverse_eigenvalues = _preconditioner(c, self._eigenvalues)
-        matrix_norm = _matrix_norm(c)
-        interior = _interior_solve(c, self._basis, inverse_eigenvalues, matrix_norm,
-                                   self._rhs, None if start is None else start.u.interior)
+        if c.values.shape != data.f.values.shape:
+            raise ValueError('parameter grid {} does not match data grid {}'.format(
+                c.values.shape, data.f.values.shape))
+        inverse_eigenvalues, coarse_inverse = _preconditioner(c, self._eigen_sums,
+                                                              self._mode_products)
+        matrix_norm = float(np.max(np.abs(4.0 / c.h ** 2 + c.interior) + self._neighbor_sums))
+        interior = _interior_solve(c, self._basis, inverse_eigenvalues, coarse_inverse,
+                                   matrix_norm, self._rhs,
+                                   None if start is None else start.u.interior)
         values = data.g.values.copy()
         values[1:-1, 1:-1] = interior
         return OperatorState(c=c, u=GridFunction._adopt(values),
                              inverse_eigenvalues=inverse_eigenvalues,
-                             matrix_norm=matrix_norm)
+                             coarse_inverse=coarse_inverse, matrix_norm=matrix_norm)
 
-    def derivative(self, state, direction):
+    def derivative(self, state, direction, start=None):
         """Directional derivative F'(c) applied to `direction`.
 
         Solves -L(c)^{-1}(direction * u) on the interior with zero boundary,
-        reusing the preconditioner of the state.
+        reusing the preconditioner of the state, from the interior of the
+        grid function `start` when that is closer than zero.
         """
         rhs = -(direction.values * state.u.values)[1:-1, 1:-1]
         return GridFunction.from_interior(_interior_solve(
-            state.c, self._basis, state.inverse_eigenvalues, state.matrix_norm, rhs))
+            state.c, self._basis, state.inverse_eigenvalues, state.coarse_inverse,
+            state.matrix_norm, rhs, None if start is None else start.interior))
 
     def adjoint(self, state, w):
         """Adjoint F'(c)* applied to a codomain vector w.
@@ -335,8 +371,8 @@ class EllipticOperator:
         result is a dual vector over the parameter space.
         """
         lifted = GridFunction.from_interior(_interior_solve(
-            state.c, self._basis, state.inverse_eigenvalues, state.matrix_norm,
-            w.interior))
+            state.c, self._basis, state.inverse_eigenvalues, state.coarse_inverse,
+            state.matrix_norm, w.interior))
         return GridFunction._adopt(-state.u.values * lifted.values)
 
     def norm_estimate(self, state, max_iters=100, tol=1e-12):

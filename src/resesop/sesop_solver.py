@@ -319,7 +319,8 @@ class _TruthMonitor:
             if self.truth_image is None:
                 self.truth_image = self.op(self.truth)
             misfit = state.u - self.truth_image
-            linearized = self.op.derivative(state, x - self.truth)
+            # Tangential cone: F'(x)(x - x_true) is the misfit to second order.
+            linearized = self.op.derivative(state, x - self.truth, start=misfit)
             denominator = weighted_norm(misfit, self.space_y)
             fields['cone_ratio'] = (None if denominator == 0.0 else
                                     weighted_norm(misfit - linearized, self.space_y)
@@ -342,7 +343,8 @@ def run(op, y, x0, cfg, ground_truth=None):
     op : forward operator
         The method needs `linearize(x, start)`, whose state has `u` = F(x)
         (`start`: the previous state or None), and `adjoint(state, w)`. The
-        diagnostics of a ground truth also call `__call__` and `derivative`.
+        diagnostics of a ground truth also call `__call__` and
+        `derivative(state, d, start)`, `start` a guess of F'(x) d or None.
     y : GridFunction
         Data (possibly noisy).
     x0 : GridFunction

@@ -1,9 +1,11 @@
 """Tests for the elliptic forward operator, its derivative and adjoint.
 
 Small systems are checked against hand-assembled matrices, built column by
-column from the stencil apply; CG solves against dense solves; the derivative
-against a Taylor-remainder order fit; the adjoint against the pairing
-identity; and the discretization against two manufactured solutions, one
+column from the stencil apply; CG solves against dense solves; the
+preconditioner, built densely from unit vectors, for symmetry, definiteness
+and, on small grids, exactness; the derivative against a Taylor-remainder
+order fit; the adjoint against the pairing identity; and the
+discretization against two manufactured solutions, one
 that the stencil reproduces exactly (quadratic per variable) and one with
 genuine truncation error exhibiting second-order convergence.
 """
@@ -48,6 +50,15 @@ def dense_matrix(c):
     return np.array(columns).T
 
 
+def random_operator(rng, n, low, high):
+    # An operator on random data and the state of a parameter c ~ U(low, high).
+    c = GridFunction(rng.uniform(low, high, (n + 2, n + 2)))
+    data = BvpData(f=GridFunction(rng.standard_normal((n + 2, n + 2))),
+                   g=GridFunction(rng.standard_normal((n + 2, n + 2))))
+    op = EllipticOperator(data)
+    return op, op.linearize(c)
+
+
 def test_assemble_one_interior_node():
     # N=1, h=1/2: single equation with diagonal 4/h^2 = 16.
     matrix = dense_matrix(GridFunction.zeros(1))
@@ -87,16 +98,14 @@ def test_cg_solve_matches_dense_solve():
     rng = np.random.default_rng(36)
     cases = ((1, 0.5, 4.0), (7, 0.5, 4.0), (40, 0.5, 4.0), (7, 0.0, 1e4), (40, 0.0, 1e4))
     for n, low, high in cases:
-        c = GridFunction(rng.uniform(low, high, (n + 2, n + 2)))
-        data = BvpData(f=GridFunction(rng.standard_normal((n + 2, n + 2))),
-                       g=GridFunction(rng.standard_normal((n + 2, n + 2))))
-        op = EllipticOperator(data)
-        state = op.linearize(c)
+        op, state = random_operator(rng, n, low, high)
+        c = state.c
         rhs = rng.standard_normal((n, n))
 
         def solve(b):
             return elliptic_operator._interior_solve(
-                c, op._basis, state.inverse_eigenvalues, state.matrix_norm, b)
+                c, op._basis, state.inverse_eigenvalues, state.coarse_inverse,
+                state.matrix_norm, b)
 
         solution = solve(rhs).ravel()
         matrix = dense_matrix(c)
@@ -129,6 +138,49 @@ def test_indefinite_parameter_raises():
         EllipticOperator(data)(c)
     assert 'parameter' in str(info.value)
     assert info.value.parameter is c
+
+
+def test_indefinite_galerkin_block_raises():
+    # c = -3 lambda_min except at one node keeps c_bar positive, so only the
+    # Galerkin matrix on the coarse modes shows that L(c) is indefinite.
+    n = 9
+    h = 1.0 / (n + 1)
+    lam = 2.0 * (4.0 / h ** 2) * np.sin(np.pi * h / 2.0) ** 2
+    values = np.full((n + 2, n + 2), -3.0 * lam)
+    values[1, 1] = 200.0
+    c = GridFunction(values)
+    data = BvpData(f=GridFunction.full(n, 1.0), g=GridFunction.zeros(n))
+    with pytest.raises(LinearSolveError, match='Galerkin matrix') as info:
+        EllipticOperator(data)(c)
+    assert info.value.parameter is c
+
+
+def dense_preconditioner(op, state):
+    # The preconditioner as a dense (N^2, N^2) array, built from unit vectors.
+    n = state.c.n_interior
+    columns = []
+    for k in range(n * n):
+        unit = np.zeros(n * n)
+        unit[k] = 1.0
+        columns.append(elliptic_operator._apply_preconditioner(
+            op._basis, state.inverse_eigenvalues, state.coarse_inverse,
+            unit.reshape(n, n)).ravel())
+    return np.array(columns).T
+
+
+@pytest.mark.parametrize('low, high', [(0.5, 4.0), (0.0, 1e4)])
+@pytest.mark.parametrize('n', [1, 2, 5, 6, 7, 12, 40])
+def test_preconditioner_is_symmetric_positive_definite(n, low, high):
+    # CG needs a symmetric positive definite preconditioner; its float32
+    # apply keeps the symmetry to about 1e-7. Up to N = COARSE_MODES every
+    # mode is coarse, so it is the inverse of L(c) to float32 accuracy.
+    op, state = random_operator(np.random.default_rng(39), n, low, high)
+    matrix = dense_preconditioner(op, state)
+    assert np.linalg.norm(matrix - matrix.T) <= 1e-6 * np.linalg.norm(matrix)
+    np.linalg.cholesky(0.5 * (matrix + matrix.T))
+    if n <= elliptic_operator.COARSE_MODES:
+        product = matrix @ dense_matrix(state.c)
+        assert np.linalg.norm(product - np.eye(n * n), 2) <= 1e-5
 
 
 def test_solve_forward_constant_one():
@@ -380,6 +432,33 @@ def test_cg_preconditions_once_per_iteration(monkeypatch):
     assert solves[3] == {'preconditioner': 0, 'stencil': 1}
 
 
+def test_small_grids_solve_in_at_most_three_applies(monkeypatch):
+    # With every mode coarse the float32 preconditioner is the inverse of
+    # L(c) to about 1e-7, so each CG iteration gains about seven digits.
+    applies = []
+    inner_apply = elliptic_operator._apply_preconditioner
+    inner_solve = elliptic_operator._interior_solve
+
+    def counting(*args):
+        applies[-1] += 1
+        return inner_apply(*args)
+
+    def recorded(*args):
+        applies.append(0)
+        return inner_solve(*args)
+
+    monkeypatch.setattr(elliptic_operator, '_apply_preconditioner', counting)
+    monkeypatch.setattr(elliptic_operator, '_interior_solve', recorded)
+    rng = np.random.default_rng(40)
+    for n in range(1, elliptic_operator.COARSE_MODES + 1):
+        for low, high in ((0.5, 4.0), (0.0, 1e4)):
+            op, state = random_operator(rng, n, low, high)
+            op.derivative(state, random_interior(rng, n))
+            op.adjoint(state, random_interior(rng, n))
+    assert len(applies) == 3 * 2 * elliptic_operator.COARSE_MODES
+    assert 1 <= min(applies) and max(applies) <= 3
+
+
 def benchmark_parameters(n, steps):
     # The operator of the benchmark at n_recon = n and parameters on the
     # segment from the starting guess towards the truth, like iterates.
@@ -388,12 +467,13 @@ def benchmark_parameters(n, steps):
     return op, [truth.c0 + (k / steps) * (truth.c - truth.c0) for k in range(steps + 1)]
 
 
-def backward_error(op, state):
-    # ||L(c) u - b|| / (||L(c)|| ||u|| + ||b||) of the forward solve.
-    interior = state.u.interior
-    residual = apply_stencil(state.c, interior) - op._rhs
-    return np.linalg.norm(residual) / (state.matrix_norm * np.linalg.norm(interior)
-                                       + np.linalg.norm(op._rhs))
+def backward_error(op, state, x=None, rhs=None):
+    # ||L(c) x - b|| / (||L(c)|| ||x|| + ||b||), by default of the forward solve.
+    x = state.u.interior if x is None else x
+    rhs = op._rhs if rhs is None else rhs
+    residual = apply_stencil(state.c, x) - rhs
+    return np.linalg.norm(residual) / (state.matrix_norm * np.linalg.norm(x)
+                                       + np.linalg.norm(rhs))
 
 
 def test_warm_forward_solve_meets_the_cold_bound_and_agrees_with_it():
@@ -410,26 +490,63 @@ def test_warm_forward_solve_meets_the_cold_bound_and_agrees_with_it():
     np.testing.assert_array_equal(warm.u.values[0], cold.u.values[0])
 
 
+def test_warm_derivative_solve_meets_the_cold_bound_and_agrees_with_it(monkeypatch):
+    # F(c1) - F(c0) is F'(c1)(c1 - c0) up to second order: a start that
+    # saves applies and moves the result only within the backward-error bound.
+    op, (c0, c1) = benchmark_parameters(40, 1)
+    state = op.linearize(c1)
+    direction = c1 - c0
+    misfit = state.u - op.linearize(c0).u
+    applies = []
+    inner = elliptic_operator._apply_preconditioner
+
+    def counting(*args):
+        applies[-1] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(elliptic_operator, '_apply_preconditioner', counting)
+    results = []
+    for start in (None, misfit):
+        applies.append(0)
+        results.append(op.derivative(state, direction, start=start).interior)
+    cold, warm = results
+    rhs = -(direction.values * state.u.values)[1:-1, 1:-1]
+    bound = elliptic_operator.BACKWARD_TOL
+    assert backward_error(op, state, cold, rhs) <= bound
+    assert backward_error(op, state, warm, rhs) <= bound
+    gap = apply_stencil(c1, warm - cold)
+    scale = state.matrix_norm * np.linalg.norm(cold) + np.linalg.norm(rhs)
+    assert np.linalg.norm(gap) <= 2.0 * bound * scale
+    assert applies[1] < applies[0]
+
+
 def test_start_from_another_grid_is_rejected():
     op, (c0, _) = benchmark_parameters(6, 1)
     other, (c_other, _) = benchmark_parameters(5, 1)
     with pytest.raises(ValueError, match='start grid'):
         op.linearize(c0, start=other.linearize(c_other))
+    with pytest.raises(ValueError, match='start grid'):
+        op.derivative(op.linearize(c0), c0, start=other.linearize(c_other).u)
 
 
 @pytest.mark.parametrize('factor', [0.0, 1e6, 1e300])
 def test_far_start_still_converges(factor):
     # A start no closer than zero, the zero state or u scaled by 1e6, is not
     # taken: its rounding error would stay in the true residual. At 1e300
-    # the residual norm of the start overflows, which must not warn.
+    # the residual norm of the start overflows, which must not warn. The
+    # derivative solve treats the misfit F(c1) - F(c0), so scaled, alike.
     op, (c0, c1) = benchmark_parameters(40, 1)
     start = op.linearize(c0)
     far = dataclasses.replace(start, u=factor * start.u)
+    cold = op.linearize(c1)
+    far_misfit = factor * (cold.u - start.u)
     with warnings.catch_warnings():
         warnings.simplefilter('error')
         state = op.linearize(c1, start=far)
+        derivative = op.derivative(cold, c1 - c0, start=far_misfit)
     assert backward_error(op, state) <= elliptic_operator.BACKWARD_TOL
-    assert state.u == op.linearize(c1).u
+    assert state.u == cold.u
+    assert derivative == op.derivative(cold, c1 - c0)
 
 
 def test_warm_starts_save_preconditioner_applies(monkeypatch):
@@ -471,7 +588,9 @@ def test_discrete_maximum_principle():
 
 def test_singular_parameter_raises():
     # c equal to minus the smallest eigenvalue of the discrete Laplacian
-    # makes L(c) exactly singular.
+    # makes L(c) exactly singular. In floating point its Galerkin matrix
+    # keeps an eigenvalue of about 1e-15, which the set-up must still judge
+    # singular instead of leaving CG to run out of iterations.
     n = 9
     h = 1.0 / (n + 1)
     lam = 2.0 * (4.0 / h ** 2) * np.sin(np.pi * h / 2.0) ** 2
@@ -480,6 +599,7 @@ def test_singular_parameter_raises():
     with pytest.raises(LinearSolveError) as info:
         EllipticOperator(data)(c)
     assert 'parameter' in str(info.value)
+    assert 'Galerkin matrix' in str(info.value)
 
 
 def test_fine_grid_adjoint_solve_is_accepted():

@@ -58,7 +58,7 @@ class LinearStub:
     def linearize(self, x, start=None):
         return dataclasses.make_dataclass('State', ['u', 'x'])(u=self(x), x=x)
 
-    def derivative(self, state, direction):
+    def derivative(self, state, direction, start=None):
         return self._apply(self.matrix, direction)
 
     def adjoint(self, state, w):
@@ -505,6 +505,26 @@ def test_cone_warning_formats_an_undefined_ratio(caplog):
     assert result.records[0].cone_ratio is None
     messages = [rec.getMessage() for rec in caplog.records]
     assert any('tangential-cone ratio undefined' in m for m in messages)
+
+
+def test_cone_ratio_starts_its_derivative_solve_from_the_misfit():
+    # F(x) - F(truth) is F'(x)(x - truth) up to second order: the monitor
+    # hands it to the derivative solve as the start.
+    class StartRecordingStub(LinearStub):
+        def derivative(self, state, direction, start=None):
+            starts.append((state.u - self(truth), start))
+            return super().derivative(state, direction, start)
+
+    starts = []
+    n = 3
+    truth = GridFunction.full(n, 1.0)
+    op = StartRecordingStub(np.eye(n * n), GridFunction.zeros(n))
+    result = run(op, GridFunction.zeros(n), GridFunction.full(n, 2.0),
+                 hilbert_config(max_outer=1), ground_truth=truth)
+    assert result.records[0].truth_inside is False
+    assert len(starts) == 1
+    misfit, start = starts[0]
+    assert start == misfit and np.any(misfit.values)
 
 
 def test_descent_monitor_flags_increases():
