@@ -22,10 +22,11 @@ kernels of `lp_spaces`, with the dual vectors stacked once per projection;
 the projected point is the one grid function it builds. The norm and the
 duality image of x and the dual norms of the u_k* come from the grid
 functions, which keep them, so the two stages of a step and the solver
-around them compute each once. `project_two_stage`
-projects onto a stripe, a one-plane problem for a point outside it, and
-with a previous stripe adds at most one two-plane problem: the step of
-both solver methods.
+around them compute each once. `project_two_stage(x, stripe, previous,
+space)` projects onto a stripe, a one-plane problem for a point outside
+it, and with a previous stripe adds at most one two-plane problem: the
+step of both solver methods. It returns the point and its coefficients,
+one per plane: two only after a two-plane correction.
 """
 
 import logging
@@ -300,9 +301,9 @@ def project_two_stage(x, stripe, previous, space):
 
     Returns
     -------
-    (GridFunction, tuple, float or None)
-        The projected point, its coefficients (one per plane) and the bound
-        of `previous` met in stage two (None when stage one sufficed).
+    (GridFunction, tuple)
+        The projected point and its coefficients, one per plane: one when
+        stage one sufficed, two after stage two.
     """
     x_first, t_first = x, 0.0
     side = classify(x, stripe, space)
@@ -311,8 +312,8 @@ def project_two_stage(x, stripe, previous, space):
         x_first, (t_first,) = project_intersection(x, [(stripe.u_star, bound)], space)
     side = StripeSide.INSIDE if previous is None else classify(x_first, previous, space)
     if side is StripeSide.INSIDE:
-        return x_first, (float(t_first),), None
+        return x_first, (float(t_first),)
     bound = previous.alpha + (previous.xi if side is StripeSide.ABOVE else -previous.xi)
     planes = [(stripe.u_star, stripe.alpha + stripe.xi), (previous.u_star, bound)]
     x_new, t = project_intersection(x, planes, space, t_init=[t_first, 0.0])
-    return x_new, tuple(float(v) for v in t), bound
+    return x_new, tuple(float(v) for v in t)

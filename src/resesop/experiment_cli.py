@@ -441,7 +441,7 @@ def _cmd_check(args):
     ok = True
 
     f = GridFunction(rng.standard_normal((9, 9)))
-    space = SpaceSpec(cfg.r, cfg.gauge)
+    space = cfg.parameter_space
     jf = duality_map(f, space)
     norm = weighted_norm(f, space)
     pairing_err = abs(dual_pairing(jf, f, space) - norm ** cfg.gauge)
@@ -459,7 +459,7 @@ def _cmd_check(args):
     # instead would add the rounding of that subtraction, about
     # eps ||u|| / delta relative, to the calibration error.
     noise = add_noise(GridFunction.zeros(cfg.n_recon), 5e-4, cfg.s, cfg.seed)
-    space_y = SpaceSpec(cfg.s, 2.0)
+    space_y = cfg.data_space
     calib = abs(weighted_norm(noise, space_y) - 5e-4)
     ok &= _check_line('noise calibration', calib <= 1e-14 * 5e-4)
 
@@ -492,12 +492,8 @@ def _cmd_check(args):
 
 
 def _starting_stripe(op, truth, cfg):
-    space_x = SpaceSpec(cfg.r, cfg.gauge)
-    space_y = SpaceSpec(cfg.s, 2.0)
     state = op.linearize(truth.c0)
-    residual = state.u - truth.u
-    w = duality_map(residual, space_y)
-    return build_stripe(op, state, truth.c0, w, residual, cfg, space_x, space_y)
+    return build_stripe(op, state, truth.c0, state.u - truth.u, cfg)
 
 
 def main(argv=None):

@@ -1,8 +1,9 @@
 """Sequential subspace optimization for nonlinear operator equations.
 
 Each outer iteration linearizes the forward operator at the iterate x_n,
-warm-started from the last state, forms the residual R_n = F(x_n) - y and
-the codomain direction w_n = J_2(R_n), and builds the stripe
+warm-started from the last state, forms the residual R_n = F(x_n) - y, and
+`build_stripe(op, state, x, residual, cfg)` forms the codomain direction
+w_n = J_2(R_n) and the stripe
 
     { x : |<u_n*, x> - alpha_n| <= xi_n },
     u_n* = F'(x_n)* w_n,
@@ -11,11 +12,13 @@ the codomain direction w_n = J_2(R_n), and builds the stripe
 
 whose width accounts for the noise level delta and the tangential-cone
 constant c_tc of the operator; with exact data the width reduces to
-c_tc ||w_n|| ||R_n||. Solutions of F(x) = y lie inside every stripe when the
+c_tc ||w_n|| ||R_n||. The norms are those of `cfg.parameter_space` and
+`cfg.data_space`. Solutions of F(x) = y lie inside every stripe when the
 cone condition holds, and the unconverged iterate always lies strictly
 above its own stripe, so a step is the Bregman projection onto the upper
-bounding hyperplane, optionally corrected by the previous stripe
-(`bregman_geometry.project_two_stage`):
+bounding hyperplane, optionally corrected by the previous stripe: `run`
+calls `bregman_geometry.project_two_stage`, which returns the next iterate
+and one coefficient per plane it met.
 
 * one direction: project x_n onto its stripe (a Landweber step with an
   exact width regulation); the step sees no previous stripe;
@@ -33,6 +36,7 @@ target set of the step, which holds every solution the stripes contain.
 """
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -65,7 +69,6 @@ __all__ = [
     'SolverFailure',
     'DegenerateDirectionError',
     'build_stripe',
-    'resesop_two_dir_step',
     'run',
     'descent_monitor',
 ]
@@ -149,6 +152,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ('A', 'B'):
             raise ValueError("method must be 'A' or 'B'")
+        for name in ('r', 's', 'p_gauge', 'delta', 'tau_factor', 'residual_tol'):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError('{} must be finite, got {}'.format(name, value))
         if not self.r > 1 or not self.s > 1:
             raise ValueError('space exponents must exceed 1')
         if self.p_gauge is not None and not self.p_gauge > 1:
@@ -169,6 +176,16 @@ class SolverConfig:
     def gauge(self):
         """Effective gauge on the parameter space."""
         return self.p_gauge if self.p_gauge is not None else self.r
+
+    @property
+    def parameter_space(self):
+        """SpaceSpec(r, gauge) of the iterates."""
+        return SpaceSpec(self.r, self.gauge)
+
+    @property
+    def data_space(self):
+        """SpaceSpec(s, 2) of the data and the residuals."""
+        return SpaceSpec(self.s, 2.0)
 
     @property
     def tau(self):
@@ -224,7 +241,7 @@ class SolveResult:
     detail: str = ''
 
 
-def build_stripe(op, state, x, w, residual, cfg, space_x, space_y):
+def build_stripe(op, state, x, residual, cfg):
     """Stripe of the current linearization around the iterate x.
 
     Parameters
@@ -232,57 +249,27 @@ def build_stripe(op, state, x, w, residual, cfg, space_x, space_y):
     op : operator with an `adjoint(state, w)` method
     state : linearization state at x (caches u = F(x))
     x : GridFunction
-    w : GridFunction
-        Codomain dual direction, w = J_2(residual).
     residual : GridFunction
-        F(x) - y.
+        F(x) - y; the codomain direction is w = J_2(residual) in
+        `cfg.data_space`.
     cfg : SolverConfig
-    space_x, space_y : SpaceSpec
 
     Raises
     ------
     DegenerateDirectionError
         When the adjoint image of w vanishes.
     """
+    space_y = cfg.data_space
+    w = duality_map(residual, space_y)
     u_star = op.adjoint(state, w)
     if not np.any(u_star.values):
         raise DegenerateDirectionError('adjoint image of the residual direction is zero')
-    alpha = dual_pairing(u_star, x, space_x) - dual_pairing(w, residual, space_y)
+    alpha = (dual_pairing(u_star, x, cfg.parameter_space)
+             - dual_pairing(w, residual, space_y))
     res_norm = weighted_norm(residual, space_y)
     w_norm = weighted_norm(w, space_y.dual())
     xi = (cfg.delta + cfg.cone_constant * (res_norm + cfg.delta)) * w_norm
     return Stripe(u_star, alpha, xi)
-
-
-def resesop_two_dir_step(op, state, x, residual, prev_stripe, cfg, space_x, space_y):
-    """One step of either method: the two-stage projection of the iterate.
-
-    Projects onto the upper bounding hyperplane of the current stripe; when
-    the intermediate point has left the previous stripe, projects the
-    ITERATE onto the intersection of the current upper hyperplane and the
-    violated bounding hyperplane of the previous stripe.
-
-    Parameters
-    ----------
-    prev_stripe : Stripe or None
-        The stripe of the previous iteration (its codomain direction is
-        frozen at creation); None for the one-direction method and on the
-        first iteration.
-
-    Returns (stripe, above-margin, projection): the margin by which x lies
-    above its stripe, and the tuple (next iterate, coefficients, bound of
-    the previous stripe or None) of `project_two_stage`.
-    The iterate must be above its stripe, which holds whenever the stopping
-    rule has not fired.
-    """
-    w = duality_map(residual, space_y)
-    stripe = build_stripe(op, state, x, w, residual, cfg, space_x, space_y)
-    margin = dual_pairing(stripe.u_star, x, space_x) - (stripe.alpha + stripe.xi)
-    if margin <= 0.0:
-        raise GeometryError(
-            'iterate is not strictly above its stripe (margin {:.3g}); '
-            'the stopping rule should have fired'.format(margin))
-    return stripe, margin, project_two_stage(x, stripe, prev_stripe, space_x)
 
 
 class _TruthMonitor:
@@ -291,24 +278,25 @@ class _TruthMonitor:
     `at_iterate` gives the relative error and the Bregman distance to the
     truth. `at_step` adds whether the truth lies inside the stripe, else
     the measured tangential-cone ratio with one WARNING per violation, and,
-    after a two-plane step, the cosine between the two search directions.
+    after a two-plane step, the cosine between the two search directions:
+    `previous` is the stripe that step met, None after a one-plane step.
     """
 
-    def __init__(self, op, truth, cfg, space_x, space_y):
+    def __init__(self, op, truth, cfg):
         self.op, self.truth, self.cfg = op, truth, cfg
-        self.space_x, self.space_y = space_x, space_y
-        self.truth_norm = weighted_norm(truth, space_x)
+        self.space_x, self.space_y = cfg.parameter_space, cfg.data_space
+        self.truth_norm = weighted_norm(truth, self.space_x)
         self.truth_image = None
 
     def at_iterate(self, x):
         return dict(rel_error=weighted_norm(x - self.truth, self.space_x) / self.truth_norm,
                     bregman_to_truth=bregman_distance(x, self.truth, self.space_x))
 
-    def at_step(self, n, state, x, stripe, prev_stripe, bound):
+    def at_step(self, n, state, x, stripe, previous):
         space_x = self.space_x
         fields = self.at_iterate(x)
-        if bound is not None:
-            lifted_prev = inverse_duality_map(prev_stripe.u_star, space_x)
+        if previous is not None:
+            lifted_prev = inverse_duality_map(previous.u_star, space_x)
             denom = (weighted_norm(stripe.u_star, space_x.dual())
                      * weighted_norm(lifted_prev, space_x))
             fields['direction_cosine'] = (
@@ -367,10 +355,8 @@ def run(op, y, x0, cfg, ground_truth=None):
         On linear-solve, projection or geometry failures; carries the
         records collected so far.
     """
-    space_x = SpaceSpec(cfg.r, cfg.gauge)
-    space_y = SpaceSpec(cfg.s, 2.0)
-    monitor = (None if ground_truth is None
-               else _TruthMonitor(op, ground_truth, cfg, space_x, space_y))
+    space_x, space_y = cfg.parameter_space, cfg.data_space
+    monitor = None if ground_truth is None else _TruthMonitor(op, ground_truth, cfg)
     threshold = cfg.stop_threshold
     records = []
     x = x0
@@ -400,16 +386,24 @@ def run(op, y, x0, cfg, ground_truth=None):
                 return SolveResult(iterate=x, records=tuple(records),
                                    stop_reason=reason, n_star=n, detail=detail)
 
-            stripe, margin, (x_next, t, bound) = resesop_two_dir_step(
-                op, state, x, residual, prev_stripe, cfg, space_x, space_y)
+            stripe = build_stripe(op, state, x, residual, cfg)
+            margin = dual_pairing(stripe.u_star, x, space_x) - (stripe.alpha + stripe.xi)
+            if margin <= 0.0:
+                raise GeometryError(
+                    'iterate is not strictly above its stripe (margin {:.3g}); '
+                    'the stopping rule should have fired'.format(margin))
+            x_next, t = project_two_stage(x, stripe, prev_stripe, space_x)
             if max(abs(v) for v in t) > COEFFICIENT_WARN:
                 logger.warning('projection coefficients %s unusually large at n=%d', t, n)
+            # One coefficient per plane: two mean the previous stripe corrected the step.
+            corrected_by = None if len(t) == 1 else prev_stripe
             fields = {} if monitor is None else monitor.at_step(
-                n, state, x, stripe, prev_stripe, bound)
+                n, state, x, stripe, corrected_by)
             records.append(IterationRecord(
                 n=n, residual_norm=res_norm, t_params=t,
-                stripe_widths=(stripe.xi,) if bound is None else (stripe.xi, prev_stripe.xi),
-                step_class=(StepClass.SINGLE_PROJECTION if bound is None
+                stripe_widths=((stripe.xi,) if corrected_by is None
+                               else (stripe.xi, corrected_by.xi)),
+                step_class=(StepClass.SINGLE_PROJECTION if corrected_by is None
                             else StepClass.TWO_PLANE_CORRECTION),
                 above_margin=margin, step_distance=bregman_distance(x, x_next, space_x),
                 wall_time=time.perf_counter() - tic, **fields))

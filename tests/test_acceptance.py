@@ -166,13 +166,13 @@ def test_criterion_3_hilbert_projection_oracles():
         worst = max(worst, _euclidean_gap(projected, closed, space))
 
         xi = float(rng.uniform(0.05, 1.0))
-        stripe_point, _, _ = project_two_stage(x, Stripe(u, alpha, xi), None, space)
+        stripe_point, _ = project_two_stage(x, Stripe(u, alpha, xi), None, space)
         gap = dual_pairing(u, x, space) - alpha
         shift = max(abs(gap) - xi, 0.0) * np.sign(gap) / uu
         worst = max(worst, _euclidean_gap(stripe_point, x - shift * u, space))
 
         stripe, previous = _two_stage_case(rng, x, u, xi, space)
-        pair_point, t, _ = project_two_stage(x, stripe, previous, space)
+        pair_point, t = project_two_stage(x, stripe, previous, space)
         planes_used.add(len(t))
         oracle = _qp_two_stage_oracle(x, stripe, previous, space)
         worst = max(worst, _euclidean_gap(pair_point, oracle, space))
@@ -199,13 +199,13 @@ def test_criterion_4_projection_descent_property():
         elif kind == 1:
             alpha = dual_pairing(u, x, space) - float(rng.uniform(0.5, 3.0))
             xi = float(rng.uniform(0.05, 0.4))
-            projected, _, _ = project_two_stage(x, Stripe(u, alpha, xi), None, space)
+            projected, _ = project_two_stage(x, Stripe(u, alpha, xi), None, space)
             carrier = GridFunction(rng.standard_normal(x.values.shape))
             z = carrier - ((dual_pairing(u, carrier, space) - alpha) / uu) * u
         else:
             stripe, previous = _two_stage_case(rng, x, u, float(rng.uniform(0.05, 0.4)),
                                                space)
-            projected, _, _ = project_two_stage(x, stripe, previous, space)
+            projected, _ = project_two_stage(x, stripe, previous, space)
             # z below the current upper plane and inside the previous stripe
             us = [stripe.u_star, previous.u_star]
             gram = np.array([[dual_pairing(a, b, space) for b in us] for a in us])
@@ -350,6 +350,42 @@ def test_stopping_indices_are_pinned(exact_report_a, exact_report_b,
     assert _verdict('stopping indices of the acceptance runs', observed == expected,
                     'A/B exact {}/{}, noisy {}/{}'.format(
                         *(n_star for n_star, _ in observed)))
+
+
+# Stopping indices of the seed-7 benchmark configurations (the workloads of
+# perfbench/workloads.py): per workload the grid (n_recon, n_data) and, per
+# (method, r, delta), n* of each noise draw. Draw j uses the noise seed
+# 7 + 1_000_003 j; exact data has one draw.
+BENCHMARK_STOPS = {
+    'suite40': ((40, 50), {('A', 1.5, 0.0): (25,), ('B', 1.5, 0.0): (9,),
+                           ('A', 1.5, 5e-4): (27, 23, 25, 23),
+                           ('B', 1.5, 5e-4): (13, 12, 12, 12)}),
+    'grid160': ((160, 200), {('A', 1.5, 0.0): (25,), ('B', 1.5, 0.0): (9,)}),
+    'exponents40': ((40, 50), {('A', 1.2, 5e-4): (23, 25, 27, 25),
+                               ('B', 1.2, 5e-4): (13, 13, 13, 13),
+                               ('A', 3.0, 5e-4): (22, 20, 24, 22),
+                               ('B', 3.0, 5e-4): (11, 11, 13, 11)}),
+}
+
+
+@pytest.mark.parametrize('workload', sorted(BENCHMARK_STOPS))
+def test_benchmark_stopping_indices_are_pinned(workload):
+    # Every configuration is pinned on its own: drifts that cancel in the
+    # per-workload sum of n* still fail here. Noisy runs stop by the
+    # discrepancy principle, exact ones by the residual tolerance.
+    (n_recon, n_data), cases = BENCHMARK_STOPS[workload]
+    observed, expected = {}, {}
+    for (method, r, delta), stops in cases.items():
+        for draw, n_star in enumerate(stops):
+            seed = 7 + 1_000_003 * draw
+            report = run_experiment(ExperimentConfig(
+                method=method, r=r, delta=delta, seed=seed, s=5.0, cone_constant=0.01,
+                tau_factor=1.1, n_recon=n_recon, n_data=n_data))
+            key = (method, r, delta, seed)
+            observed[key] = (report.n_star, report.stop_reason)
+            expected[key] = (n_star, StopReason.DISCREPANCY if delta
+                             else StopReason.RESIDUAL_TOLERANCE)
+    assert observed == expected
 
 
 def test_criterion_8_error_series_monotone(exact_report_a, exact_report_b):

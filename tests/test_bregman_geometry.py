@@ -322,22 +322,22 @@ def test_project_stripe_cases():
     value = dual_pairing(u, x, space)
 
     inside = Stripe(u, value, 0.5)
-    x_same, t, _ = project_two_stage(x, inside, None, space)
+    x_same, t = project_two_stage(x, inside, None, space)
     assert t == (0.0,) and x_same is x
 
     above = Stripe(u, value - 2.0, 0.5)
-    x_new, (t,), _ = project_two_stage(x, above, None, space)
+    x_new, (t,) = project_two_stage(x, above, None, space)
     x_plane, (t_plane,) = project_intersection(x, [(u, above.alpha + above.xi)], space)
     np.testing.assert_allclose(x_new.values, x_plane.values, rtol=1e-12)
     assert t == pytest.approx(t_plane, rel=1e-12)
 
     below = Stripe(u, value + 2.0, 0.5)
-    x_new, _, _ = project_two_stage(x, below, None, space)
+    x_new, _ = project_two_stage(x, below, None, space)
     x_plane, _ = project_intersection(x, [(u, below.alpha - below.xi)], space)
     np.testing.assert_allclose(x_new.values, x_plane.values, rtol=1e-12)
 
     degenerate = Stripe(u, value - 2.0, 0.0)
-    x_new, _, _ = project_two_stage(x, degenerate, None, space)
+    x_new, _ = project_two_stage(x, degenerate, None, space)
     x_plane, _ = project_intersection(x, [(u, degenerate.alpha)], space)
     np.testing.assert_allclose(x_new.values, x_plane.values, rtol=1e-12)
 
@@ -351,7 +351,7 @@ def test_project_stripe_hilbert_oracle():
         u = random_grid(rng, n)
         alpha = float(rng.normal())
         xi = float(rng.uniform(0.0, 0.5))
-        x_new, _, _ = project_two_stage(x, Stripe(u, alpha, xi), None, space)
+        x_new, _ = project_two_stage(x, Stripe(u, alpha, xi), None, space)
         gap = dual_pairing(u, x, space) - alpha
         shift = max(abs(gap) - xi, 0.0) * np.sign(gap)
         expected = x.values - (shift / dual_pairing(u, u, space)) * u.values
@@ -365,9 +365,9 @@ def test_project_two_stage_inside_both_stripes_untouched():
     u1, u2 = random_grid(rng), random_grid(rng)
     stripe = Stripe(u1, dual_pairing(u1, x, space) + 0.5, 1.0)
     previous = Stripe(u2, dual_pairing(u2, x, space) - 0.5, 1.0)
-    x_new, t, bound = project_two_stage(x, stripe, previous, space)
+    x_new, t = project_two_stage(x, stripe, previous, space)
     assert x_new is x
-    assert t == (0.0,) and bound is None
+    assert t == (0.0,)
 
 
 def test_project_two_stage_hilbert_kkt_oracle():
@@ -386,7 +386,7 @@ def test_project_two_stage_hilbert_kkt_oracle():
         prev_xi = float(rng.uniform(0.05, 1.0))
         previous = Stripe(u2, dual_pairing(u2, x, space)
                           - float(rng.uniform(-1.0, 1.0)) * prev_xi, prev_xi)
-        x_new, t, _ = project_two_stage(x, stripe, previous, space)
+        x_new, t = project_two_stage(x, stripe, previous, space)
         planes_used.add(len(t))
         halves = [(u1, stripe.alpha + stripe.xi), (u2, previous.alpha + previous.xi),
                   (-u2, previous.xi - previous.alpha)]
@@ -410,8 +410,10 @@ def test_project_two_stage_perpendicular_normals():
     u1, u2 = GridFunction(left), GridFunction(right)
     stripe = Stripe(u1, dual_pairing(u1, x, space) - 1.25, 0.25)
     previous = Stripe(u2, dual_pairing(u2, x, space) - 0.75, 0.25)
-    x_new, (t1, t2), bound = project_two_stage(x, stripe, previous, space)
-    assert bound == previous.alpha + previous.xi
+    x_new, (t1, t2) = project_two_stage(x, stripe, previous, space)
+    # The result lies on the upper bound of the previous stripe.
+    bound = previous.alpha + previous.xi
+    assert dual_pairing(u2, x_new, space) == pytest.approx(bound, abs=1e-10)
     oracle = kkt_halfspace_oracle(x, [(u1, stripe.alpha + stripe.xi), (u2, bound)], space)
     np.testing.assert_allclose(x_new.values, oracle.values, rtol=1e-8, atol=1e-10)
     assert t1 == pytest.approx(1.0 / dual_pairing(u1, u1, space), rel=1e-7)

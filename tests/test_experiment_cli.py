@@ -175,6 +175,11 @@ class TestExperimentConfig:
                     {'r': 0.5, 'cone_constant': 2.0, 'max_outer': 0, 'delta': -1.0}):
             with pytest.raises(ValueError):
                 ExperimentConfig(**bad)
+        # Infinite settings are refused by name: at inf the stopping rule
+        # fires at once or the stripes degenerate.
+        for name in ('r', 's', 'p_gauge', 'delta', 'tau_factor', 'residual_tol'):
+            with pytest.raises(ValueError, match='^{} must be finite, got inf$'.format(name)):
+                ExperimentConfig(**{name: float('inf')})
 
     def test_gauge_defaults_to_the_norm_exponent(self):
         assert ExperimentConfig().gauge == 1.5
@@ -440,6 +445,10 @@ class TestCommandLine:
         assert main(['run', '--ctc', '1', '--delta', '5e-4']) == 2
         assert capsys.readouterr().err.splitlines() == [
             'error: cone constant must lie in [0, 1), got 1.0']
+        # An infinite tau factor used to stop a noisy run at n* = 0.
+        assert main(['run', '--tau-factor', 'inf', '--delta', '5e-4']) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            'error: tau_factor must be finite, got inf']
         # A negative seed is refused before the noise is synthesized.
         for delta in ('0', '5e-4'):
             assert main(['run', '--seed', '-1', '--delta', delta]) == 2

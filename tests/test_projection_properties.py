@@ -171,7 +171,7 @@ def test_two_stage_step_is_feasible_and_satisfies_the_descent_inequality(r, q, n
     xi, prev_xi = rng.uniform(0.0, 0.5), rng.uniform(0.05, 1.0)
     stripe = Stripe(u, dual_pairing(u, x, space) - xi - rng.uniform(0.1, 2.0), xi)
     previous = Stripe(v, dual_pairing(v, x, space) - rng.uniform(-1.0, 1.0) * prev_xi, prev_xi)
-    x_new, _, _ = project_two_stage(x, stripe, previous, space)
+    x_new, _ = project_two_stage(x, stripe, previous, space)
     upper = stripe.alpha + stripe.xi
     assert dual_pairing(u, x_new, space) - upper <= _feasibility_slack(x, u, upper, space)
     bound = previous.alpha + previous.xi

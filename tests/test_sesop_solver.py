@@ -14,8 +14,8 @@ import logging
 import numpy as np
 import pytest
 
-from resesop import bregman_geometry
-from resesop.bregman_geometry import Stripe
+from resesop import bregman_geometry, sesop_solver
+from resesop.bregman_geometry import Stripe, project_two_stage
 from resesop.elliptic_operator import BvpData, EllipticOperator, LinearSolveError
 from resesop.experiment_cli import ExperimentConfig, run_experiment
 from resesop.lp_spaces import (
@@ -35,7 +35,6 @@ from resesop.sesop_solver import (
     _TruthMonitor,
     build_stripe,
     descent_monitor,
-    resesop_two_dir_step,
     run,
 )
 
@@ -100,6 +99,11 @@ def test_solver_config_gauge_default():
     assert SolverConfig(r=1.5, s=5.0).gauge == 1.5
     assert SolverConfig(r=3.0, s=2.0).gauge == 3.0
     assert SolverConfig(r=1.5, s=5.0, p_gauge=2.0).gauge == 2.0
+    # The two spaces of the method: the gauge on the parameters, 2 on the data.
+    assert SolverConfig(r=1.2).parameter_space == SpaceSpec(1.2, 1.2)
+    cfg = SolverConfig(r=3.0, s=1.5, p_gauge=2.5)
+    assert cfg.parameter_space == SpaceSpec(3.0, 2.5)
+    assert cfg.data_space == SpaceSpec(1.5, 2.0)
 
 
 def test_iteration_record_validation():
@@ -120,7 +124,7 @@ def test_build_stripe_formulas():
     w = duality_map(residual, space_y)
     cfg = SolverConfig(r=1.5, s=5.0, cone_constant=0.02, delta=1e-3,
                        tau_factor=1.2)
-    stripe = build_stripe(op, state, x, w, residual, cfg, space_x, space_y)
+    stripe = build_stripe(op, state, x, residual, cfg)
     u_star = op.adjoint(state, w)
     np.testing.assert_array_equal(stripe.u_star.values, u_star.values)
     expected_alpha = (dual_pairing(u_star, x, space_x)
@@ -134,25 +138,28 @@ def test_build_stripe_formulas():
     assert w_norm == pytest.approx(res_norm, rel=1e-12)
 
     exact_cfg = SolverConfig(r=1.5, s=5.0, cone_constant=0.02)
-    exact = build_stripe(op, state, x, w, residual, exact_cfg, space_x, space_y)
+    exact = build_stripe(op, state, x, residual, exact_cfg)
     assert exact.xi == pytest.approx(0.02 * w_norm * res_norm, rel=1e-14)
     collapsed_cfg = SolverConfig(r=1.5, s=5.0, cone_constant=0.0)
-    assert build_stripe(op, state, x, w, residual, collapsed_cfg,
-                        space_x, space_y).xi == 0.0
+    assert build_stripe(op, state, x, residual, collapsed_cfg).xi == 0.0
 
 
 def test_build_stripe_degenerate_direction():
     n = 3
     op = LinearStub(np.zeros((n * n, n * n)), GridFunction.zeros(n))
-    space = SpaceSpec(2.0, 2.0)
     x = GridFunction.full(n, 1.0)
-    y = GridFunction.zeros(n)
     state = op.linearize(x)
-    residual = state.u - y
-    w = duality_map(residual, space)
-    cfg = hilbert_config()
     with pytest.raises(DegenerateDirectionError):
-        build_stripe(op, state, x, w, residual, cfg, space, space)
+        build_stripe(op, state, x, state.u - GridFunction.zeros(n), hilbert_config())
+
+
+def step(op, state, x, residual, previous, cfg):
+    """The step of `run`: the stripe of x, the margin by which x lies above
+    it, and the two-stage projection (next iterate, coefficients)."""
+    stripe = build_stripe(op, state, x, residual, cfg)
+    space = cfg.parameter_space
+    margin = dual_pairing(stripe.u_star, x, space) - (stripe.alpha + stripe.xi)
+    return stripe, margin, project_two_stage(x, stripe, previous, space)
 
 
 def test_landweber_step_matches_classical_landweber():
@@ -170,15 +177,14 @@ def test_landweber_step_matches_classical_landweber():
     truth = GridFunction.from_interior(rng.standard_normal((n, n)))
     state = op.linearize(x)
     residual = state.u - y
-    stripe, margin, (x_next, t, bound) = resesop_two_dir_step(
-        op, state, x, residual, None, cfg, space, space)
+    stripe, margin, (x_next, t) = step(op, state, x, residual, None, cfg)
     u_star = op.adjoint(state, residual)  # J_2 = identity on both spaces
     t_oracle = (weighted_norm(residual, space) ** 2
                 / weighted_norm(u_star, space) ** 2)
     oracle = GridFunction(x.values - t_oracle * u_star.values)
     np.testing.assert_allclose(x_next.values, oracle.values, rtol=1e-9, atol=1e-12)
     assert t[0] == pytest.approx(t_oracle, rel=1e-9)
-    assert bound is None
+    assert len(t) == 1
     assert margin > 0.0
     # run records the same step
     record = run(op, y, x, hilbert_config(max_outer=1), ground_truth=truth).records[0]
@@ -203,9 +209,8 @@ def two_dir_setup(seed=42, n=4):
 def test_two_dir_step_without_previous_stripe():
     op, space, x, y, state, residual, _ = two_dir_setup()
     cfg = hilbert_config(method='B')
-    stripe, _, (x_next, _, bound) = resesop_two_dir_step(
-        op, state, x, residual, None, cfg, space, space)
-    assert bound is None  # a single projection
+    stripe, _, (x_next, t) = step(op, state, x, residual, None, cfg)
+    assert len(t) == 1  # a single projection
     # with xi = 0 the step must land on the central hyperplane
     assert abs(dual_pairing(stripe.u_star, x_next, space)
                - stripe.alpha) <= 1e-8 * (1.0 + abs(stripe.alpha))
@@ -216,10 +221,8 @@ def test_two_dir_step_keeps_point_inside_previous_stripe():
     cfg = hilbert_config(method='B')
     wide = Stripe(GridFunction.from_interior(rng.standard_normal((4, 4))),
                   0.0, 1e9)  # so wide the intermediate point stays inside
-    _, _, (_, t, bound) = resesop_two_dir_step(
-        op, state, x, residual, wide, cfg, space, space)
-    assert bound is None  # a single projection
-    assert len(t) == 1
+    _, _, (_, t) = step(op, state, x, residual, wide, cfg)
+    assert len(t) == 1  # a single projection
 
 
 def test_two_dir_step_correction_matches_gram_oracle():
@@ -227,19 +230,18 @@ def test_two_dir_step_correction_matches_gram_oracle():
     cfg = hilbert_config(method='B')
     # A narrow previous stripe the intermediate point will violate.
     u_prev = GridFunction.from_interior(rng.standard_normal((4, 4)))
-    x_plane = resesop_two_dir_step(op, state, x, residual, None, cfg,
-                                   space, space)[2][0]
+    x_plane = step(op, state, x, residual, None, cfg)[2][0]
     prev_alpha = dual_pairing(u_prev, x_plane, space) - 5.0
     prev = Stripe(u_prev, prev_alpha, 1e-6)
-    stripe, _, (x_next, t, bound) = resesop_two_dir_step(
-        op, state, x, residual, prev, cfg, space, space)
-    # a two-plane correction; the violated bound was the upper one (x_plane
+    stripe, _, (x_next, t) = step(op, state, x, residual, prev, cfg)
+    # a two-plane correction onto the violated upper bound of prev (x_plane
     # sits far above it)
-    assert bound == prev.alpha + prev.xi
     assert len(t) == 2
+    assert dual_pairing(u_prev, x_next, space) == pytest.approx(
+        prev.alpha + prev.xi, abs=1e-7)
     truth = GridFunction.from_interior(rng.standard_normal((4, 4)))
-    cosine = _TruthMonitor(op, truth, cfg, space, space).at_step(
-        0, state, x, stripe, prev, bound)['direction_cosine']
+    cosine = _TruthMonitor(op, truth, cfg).at_step(
+        0, state, x, stripe, prev)['direction_cosine']
     assert 0.0 <= cosine <= 1.0
     # oracle: metric projection of x onto the two active planes
     planes = [(stripe.u_star, stripe.alpha + stripe.xi),
@@ -250,8 +252,44 @@ def test_two_dir_step_correction_matches_gram_oracle():
     coeffs = np.linalg.solve(gram, gaps)
     oracle = x.values - coeffs[0] * planes[0][0].values - coeffs[1] * planes[1][0].values
     np.testing.assert_allclose(x_next.values, oracle, rtol=1e-7, atol=1e-9)
-    assert dual_pairing(u_prev, x_next, space) == pytest.approx(
-        prev.alpha + prev.xi, abs=1e-7)
+
+
+def test_run_fails_when_the_iterate_is_not_above_its_stripe(monkeypatch):
+    # The stopping rule keeps every unconverged iterate above its stripe;
+    # run checks the margin before each projection. Here the second stripe
+    # is lifted 0.25 above the iterate.
+    inner = sesop_solver.build_stripe
+    built = []
+
+    def lifted(op, state, x, residual, cfg):
+        stripe = inner(op, state, x, residual, cfg)
+        if built:
+            top = dual_pairing(stripe.u_star, x, cfg.parameter_space)
+            stripe = Stripe(stripe.u_star, top - stripe.xi + 0.25, stripe.xi)
+        built.append((stripe, x))
+        return stripe
+
+    rng = np.random.default_rng(53)
+    n = 3
+    op = LinearStub(well_conditioned_matrix(rng, n * n, 0.3), GridFunction.zeros(n))
+    truth = GridFunction.from_interior(rng.standard_normal((n, n)))
+    x0 = truth + GridFunction.full(n, 0.5)
+    cfg = hilbert_config(method='B')
+    first = run(op, op(truth), x0, cfg).records[0]
+    monkeypatch.setattr(sesop_solver, 'build_stripe', lifted)
+    with pytest.raises(SolverFailure) as info:
+        run(op, op(truth), x0, cfg)
+    assert len(built) == 2
+    stripe, x = built[-1]
+    margin = (dual_pairing(stripe.u_star, x, cfg.parameter_space)
+              - (stripe.alpha + stripe.xi))
+    assert margin < 0.0
+    assert 'iterate is not strictly above its stripe (margin {:.3g})'.format(
+        margin) in str(info.value)
+    assert isinstance(info.value.__cause__, bregman_geometry.GeometryError)
+    assert info.value.iterate is x
+    assert [dataclasses.replace(rec, wall_time=0.0) for rec in info.value.records] == [
+        dataclasses.replace(first, wall_time=0.0)]
 
 
 def test_bare_core_needs_only_linearize_and_adjoint():
