@@ -12,7 +12,6 @@ The module doubles as the command line entry point with subcommands
 
 * ``run``   execute a full experiment and write a JSON report plus a CSV of
   the per-iteration series,
-* ``synth`` emit the synthetic fields as plain-text grid files,
 * ``check`` run a quick invariant battery for a configuration.
 
 Reports serialize losslessly: parsing a written report reproduces it.
@@ -23,6 +22,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -57,8 +57,6 @@ __all__ = [
     'add_noise',
     'restrict',
     'run_experiment',
-    'read_grid',
-    'write_grid',
     'read_config_file',
     'main',
 ]
@@ -122,8 +120,11 @@ def add_noise(u, delta, exponent, seed):
 
     A uniform [-1, 1] field v from a seeded 64-bit PCG generator is scaled
     to ||u_noisy - u||_{s,h} = delta; the calibration is exact to rounding.
-    delta = 0 returns u unchanged. The seed must be >= 0.
+    delta = 0 returns u unchanged. The level must be finite and the seed
+    must be >= 0.
     """
+    if not math.isfinite(delta):
+        raise ValueError('noise level must be finite, got {}'.format(delta))
     if delta < 0:
         raise ValueError('noise level must be >= 0')
     if seed < 0:
@@ -310,30 +311,6 @@ def run_experiment(cfg):
     return report
 
 
-def write_grid(f, path):
-    """Plain-text grid file: first line the interior size, then the nodal
-    values row by row."""
-    with open(path, 'w') as handle:
-        handle.write('{}\n'.format(f.n_interior))
-        for row in f.values:
-            handle.write(' '.join('{:.17g}'.format(v) for v in row))
-            handle.write('\n')
-
-
-def read_grid(path):
-    """Inverse of write_grid; validates the node count."""
-    with open(path) as handle:
-        tokens = handle.read().split()
-    if not tokens:
-        raise ValueError('{}: empty grid file'.format(path))
-    n = int(tokens[0])
-    values = np.array([float(tok) for tok in tokens[1:]])
-    if values.size != (n + 2) ** 2:
-        raise ValueError('{}: expected {} values for size {}, found {}'.format(
-            path, (n + 2) ** 2, n, values.size))
-    return GridFunction(values.reshape(n + 2, n + 2))
-
-
 # Configuration-file keys and their types: the ExperimentConfig fields.
 _CONFIG_CASTS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 # Command-line flags whose destination differs from the field name.
@@ -365,7 +342,7 @@ def read_config_file(path):
 
 def _config_from_args(args):
     settings = {}
-    if getattr(args, 'config', None):
+    if args.config:
         settings.update(read_config_file(args.config))
     for field in _CONFIG_CASTS:
         value = getattr(args, _FLAG_NAMES.get(field, field), None)
@@ -413,19 +390,6 @@ def _cmd_run(args):
     if cfg.output_path:
         print('report written to {}'.format(cfg.output_path))
     return 0 if report.stop_reason != StopReason.FAILED else 1
-
-
-def _cmd_synth(args):
-    truth = synth_truth(args.n)
-    fields = {'u': truth.u, 'c': truth.c, 'c0': truth.c0,
-              'f': truth.f, 'g': truth.g}
-    if args.delta > 0:
-        fields['u_noisy'] = add_noise(truth.u, args.delta, args.s, args.seed)
-    for name, grid in fields.items():
-        path = '{}{}.grid'.format(args.prefix, name)
-        write_grid(grid, path)
-        print('wrote {}'.format(path))
-    return 0
 
 
 def _check_line(label, passed, detail=''):
@@ -509,17 +473,6 @@ def main(argv=None):
     _add_config_flags(run_parser)
     run_parser.add_argument('--out', help='report path; a CSV is written alongside')
 
-    synth_parser = commands.add_parser('synth', help='write synthetic grid files')
-    synth_parser.add_argument('--n', type=int, default=50,
-                              help='interior grid size')
-    synth_parser.add_argument('--delta', type=float, default=0.0,
-                              help='also write a noisy state with this level')
-    synth_parser.add_argument('--s', type=float, default=5.0,
-                              help='data-space exponent for the calibration')
-    synth_parser.add_argument('--seed', type=int, default=0)
-    synth_parser.add_argument('--prefix', default='',
-                              help='output filename prefix')
-
     check_parser = commands.add_parser(
         'check', help='run the invariant battery for a configuration')
     _add_config_flags(check_parser)
@@ -530,7 +483,7 @@ def main(argv=None):
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.ERROR,
         format='%(levelname)s %(name)s: %(message)s', stream=sys.stderr)
-    handlers = {'run': _cmd_run, 'synth': _cmd_synth, 'check': _cmd_check}
+    handlers = {'run': _cmd_run, 'check': _cmd_check}
     try:
         return handlers[args.command](args)
     except (ValueError, OSError) as exc:

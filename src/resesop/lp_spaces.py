@@ -50,15 +50,15 @@ def conjugate_exponent(p):
     Parameters
     ----------
     p : float
-        Exponent, must satisfy p > 1.
+        Exponent, must be finite and satisfy p > 1.
 
     Returns
     -------
     float
         p / (p - 1). Self-conjugate for p = 2.
     """
-    if not p > 1:
-        raise ValueError('exponent must satisfy p > 1, got {}'.format(p))
+    if not 1 < p < math.inf:
+        raise ValueError('exponent must be finite and satisfy p > 1, got {}'.format(p))
     return p / (p - 1.0)
 
 
@@ -111,10 +111,10 @@ class GridFunction:
         return cls(np.full((n_interior + 2, n_interior + 2), float(value)))
 
     @classmethod
-    def from_interior(cls, interior, boundary=0.0):
-        """Build a grid function from interior values and a constant boundary."""
+    def from_interior(cls, interior):
+        """Build a grid function from interior values and a zero boundary."""
         interior = np.asarray(interior, dtype=float)
-        values = np.full((interior.shape[0] + 2, interior.shape[1] + 2), float(boundary))
+        values = np.zeros((interior.shape[0] + 2, interior.shape[1] + 2))
         values[1:-1, 1:-1] = interior
         return cls._adopt(values)
 
@@ -175,20 +175,22 @@ class SpaceSpec:
     Parameters
     ----------
     norm_exponent : float
-        Exponent of the norm, > 1 (the space is then uniformly convex and
-        uniformly smooth, so duality maps are single-valued).
+        Exponent of the norm, finite and > 1 (the space is then uniformly
+        convex and uniformly smooth, so duality maps are single-valued).
     gauge_exponent : float
-        Gauge of the duality map J_q, > 1.
+        Gauge of the duality map J_q, finite and > 1.
     """
 
     norm_exponent: float
     gauge_exponent: float
 
     def __post_init__(self):
-        if not self.norm_exponent > 1:
-            raise ValueError('norm exponent must be > 1, got {}'.format(self.norm_exponent))
-        if not self.gauge_exponent > 1:
-            raise ValueError('gauge exponent must be > 1, got {}'.format(self.gauge_exponent))
+        if not 1 < self.norm_exponent < math.inf:
+            raise ValueError('norm exponent must be finite and > 1, got {}'.format(
+                self.norm_exponent))
+        if not 1 < self.gauge_exponent < math.inf:
+            raise ValueError('gauge exponent must be finite and > 1, got {}'.format(
+                self.gauge_exponent))
 
     def dual(self):
         """The dual space: conjugate norm and gauge exponents."""

@@ -8,6 +8,7 @@ contract; loosening them here is a release decision, not a test fix.
 
 import logging
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from resesop.bregman_geometry import (
     project_two_stage,
 )
 from resesop.elliptic_operator import BvpData, EllipticOperator
-from resesop.experiment_cli import ExperimentConfig, run_experiment
+from resesop.experiment_cli import ExperimentConfig, run_experiment, synth_truth
 from resesop.lp_spaces import (
     GridFunction,
     SpaceSpec,
@@ -29,7 +30,13 @@ from resesop.lp_spaces import (
     inverse_duality_map,
     weighted_norm,
 )
-from resesop.sesop_solver import StepClass, StopReason, descent_monitor
+from resesop.sesop_solver import (
+    SolverConfig,
+    StepClass,
+    StopReason,
+    descent_monitor,
+    run,
+)
 
 EXPONENT_PAIRS = ((1.5, 2.0), (2.0, 2.0), (5.0, 2.0), (3.0, 3.0))
 
@@ -467,3 +474,61 @@ def test_criterion_10_step_certificate_bounds_the_descent():
                     '{} runs, {} other stops, {} steps, {} violations, '
                     'smallest ratio {:.3g}'.format(runs, other_stops, counted,
                                                    violations, smallest))
+
+
+class _AffineOracle:
+    """F_lin(x) = F(c) + F'(c)(x - c), the elliptic operator linearized at its
+    truth c: the tangential-cone condition holds with c_tc = 0 exactly."""
+
+    def __init__(self, op, truth):
+        self.op, self.truth = op, truth
+        self.truth_state = op.linearize(truth)
+
+    def __call__(self, x):
+        return self.truth_state.u + self.op.derivative(self.truth_state, x - self.truth)
+
+    def linearize(self, x, start=None):
+        return SimpleNamespace(u=self(x))
+
+    def derivative(self, state, direction, start=None):
+        return self.op.derivative(self.truth_state, direction)
+
+    def adjoint(self, state, w):
+        return self.op.adjoint(self.truth_state, w)
+
+
+def test_criterion_11_exact_affine_oracle():
+    # With an affine operator and exact data every stripe has width zero and
+    # holds the truth. In L2 x L2 method A is then minimal-error steepest
+    # descent, and every step, one- or two-plane, meets Bregman's
+    # Pythagoras: D(x_n, c) - D(x_{n+1}, c) = D(x_n, x_{n+1}).
+    truth = synth_truth(40)
+    oracle = _AffineOracle(EllipticOperator(BvpData(f=truth.f, g=truth.g)), truth.c)
+    y = oracle(truth.c)
+
+    results = {(method, r): run(oracle, y, truth.c0, SolverConfig(
+        method=method, r=r, s=2.0, cone_constant=0.0, residual_tol=1e-12, max_outer=30),
+        ground_truth=truth.c) for r in (1.2, 1.5, 2.0, 3.0) for method in 'AB'}
+
+    hilbert = SpaceSpec(2.0, 2.0)
+    x = truth.c0
+    for _ in range(30):
+        residual = oracle(x) - y
+        gradient = oracle.adjoint(None, residual)
+        step = (weighted_norm(residual, hilbert) / weighted_norm(gradient, hilbert)) ** 2
+        x = x - step * gradient
+    descent_gap = (weighted_norm(results['A', 2.0].iterate - x, hilbert)
+                   / weighted_norm(x, hilbert))
+
+    worst_pythagoras = 0.0
+    two_plane_steps = 0
+    for result in results.values():
+        for now, after in zip(result.records, result.records[1:]):
+            gap = abs(now.bregman_to_truth - after.bregman_to_truth - now.step_distance)
+            worst_pythagoras = max(worst_pythagoras, gap / now.bregman_to_truth)
+            two_plane_steps += now.step_class == StepClass.TWO_PLANE_CORRECTION
+    ok = descent_gap <= 1e-12 and worst_pythagoras <= 1e-12 and two_plane_steps > 0
+    assert _verdict('criterion 11: exact affine oracle', ok,
+                    'steepest descent gap {:.2e}, worst Pythagoras gap {:.2e} '
+                    'over {} two-plane steps'.format(descent_gap, worst_pythagoras,
+                                                     two_plane_steps))

@@ -21,11 +21,9 @@ from resesop.experiment_cli import (
     add_noise,
     main,
     read_config_file,
-    read_grid,
     restrict,
     run_experiment,
     synth_truth,
-    write_grid,
 )
 from resesop.lp_spaces import GridFunction, SpaceSpec, weighted_norm
 from resesop.sesop_solver import SolverConfig, SolverFailure, StopReason
@@ -100,6 +98,14 @@ class TestAddNoise:
             with pytest.raises(ValueError, match='seed must be >= 0'):
                 add_noise(synth_truth(6).u, delta, 5.0, -1)
 
+    def test_non_finite_level_and_exponent_rejected_by_name(self):
+        u = synth_truth(6).u
+        for delta in (np.nan, np.inf):
+            with pytest.raises(ValueError, match='noise level must be finite, got ' + str(delta)):
+                add_noise(u, delta, 5.0, 0)
+        with pytest.raises(ValueError, match='norm exponent .* got inf'):
+            add_noise(u, 1e-3, np.inf, 0)
+
 
 class TestRestrict:
     def test_equal_sizes_identity(self):
@@ -133,26 +139,6 @@ class TestRestrict:
             restrict(u, 20)
         with pytest.raises(ValueError):
             restrict(u, 8, 'spectral')
-
-
-class TestGridFiles:
-    def test_round_trip_is_exact(self, tmp_path):
-        rng = np.random.default_rng(3)
-        grid = GridFunction(rng.standard_normal((7, 7)) * 1e3)
-        path = tmp_path / 'field.grid'
-        write_grid(grid, path)
-        assert read_grid(path) == grid
-        assert path.read_text().splitlines()[0] == '5'
-
-    def test_node_count_mismatch_rejected(self, tmp_path):
-        path = tmp_path / 'broken.grid'
-        path.write_text('3\n1.0 2.0\n')
-        with pytest.raises(ValueError):
-            read_grid(path)
-        empty = tmp_path / 'empty.grid'
-        empty.write_text('')
-        with pytest.raises(ValueError):
-            read_grid(empty)
 
 
 class TestExperimentConfig:
@@ -380,16 +366,21 @@ class TestCommandLine:
         assert csv_lines[0] == 'n,residual,rel_error,step_class'
         assert len(csv_lines) == len(report.records) + 1
 
-    def test_synth_emits_readable_grid_files(self, tmp_path, capsys):
-        code = main(['synth', '--n', '6', '--delta', '1e-3',
-                     '--prefix', str(tmp_path) + '/'])
-        assert code == 0
-        truth = synth_truth(6)
-        assert read_grid(tmp_path / 'u.grid') == truth.u
-        assert read_grid(tmp_path / 'c.grid') == truth.c
-        noisy = read_grid(tmp_path / 'u_noisy.grid')
-        space = SpaceSpec(5.0, 2.0)
-        assert weighted_norm(noisy - truth.u, space) == pytest.approx(1e-3, rel=1e-12)
+    def test_run_exits_1_when_the_solver_fails(self, monkeypatch, tmp_path, capsys):
+        def explode(*args, **kwargs):
+            raise SolverFailure('synthetic breakdown')
+
+        monkeypatch.setattr(experiment_cli, 'run', explode)
+        out = tmp_path / 'failed.json'
+        assert main(['run', '--n-data', '8', '--n-recon', '6', '--out', str(out)]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == (
+            'method A delta=0: stop failed at n*=0, residual n/a, relative error n/a')
+        text = out.read_text()
+        report = ExperimentReport.from_json(text)
+        assert report.stop_reason == StopReason.FAILED
+        assert report.to_json() + '\n' == text
+        assert (tmp_path / 'failed.csv').read_text().splitlines() == [
+            'n,residual,rel_error,step_class']
 
     def test_check_battery_passes_on_the_default_setup(self, capsys):
         code = main(['check', '--n-data', '16', '--n-recon', '12'])
@@ -453,9 +444,6 @@ class TestCommandLine:
         for delta in ('0', '5e-4'):
             assert main(['run', '--seed', '-1', '--delta', delta]) == 2
             assert capsys.readouterr().err.splitlines() == ['error: seed must be >= 0']
-        # The synth subcommand checks its own seed flag the same way.
-        assert main(['synth', '--seed', '-1', '--delta', '1e-3']) == 2
-        assert capsys.readouterr().err.splitlines() == ['error: seed must be >= 0']
 
 
 class TestLogging:

@@ -44,6 +44,9 @@ def test_conjugate_exponent_rejects_bad_input():
     for p in (1.0, 0.5, 0.0, -2.0):
         with pytest.raises(ValueError):
             conjugate_exponent(p)
+    for p in (np.inf, np.nan):
+        with pytest.raises(ValueError, match='got {}'.format(p)):
+            conjugate_exponent(p)
 
 
 def test_grid_function_basic_properties():
@@ -117,8 +120,8 @@ def test_grid_function_constructors():
     assert np.all(z.values == 0.0)
     c = GridFunction.full(3, 2.5)
     assert np.all(c.values == 2.5)
-    f = GridFunction.from_interior(np.ones((3, 3)), boundary=4.0)
-    assert f.values[0, 0] == 4.0
+    f = GridFunction.from_interior(np.ones((3, 3)))
+    assert f.values[0, 0] == 0.0
     assert f.values[2, 2] == 1.0
 
 
@@ -130,6 +133,12 @@ def test_space_spec_validation_and_dual():
         SpaceSpec(1.0, 2.0)
     with pytest.raises(ValueError):
         SpaceSpec(2.0, 1.0)
+    # An infinite exponent would measure a grid of twos as 1.0.
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match='norm exponent .* got {}'.format(bad)):
+            SpaceSpec(bad, 2.0)
+        with pytest.raises(ValueError, match='gauge exponent .* got {}'.format(bad)):
+            SpaceSpec(2.0, bad)
 
 
 def test_one_space_measures_each_grid_with_its_own_weight():
