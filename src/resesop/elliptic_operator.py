@@ -45,7 +45,6 @@ __all__ = [
     'OperatorState',
     'EllipticOperator',
     'LinearSolveError',
-    'apply_stencil',
 ]
 
 # An interior solve is accepted when its normwise backward error
@@ -114,31 +113,10 @@ class OperatorState:
     matrix_norm: float = field(repr=False)
 
 
-def apply_stencil(c, v):
-    """L(c) v = (1/h^2)(4 v_ij - neighbors) + c_ij v_ij on the interior.
-
-    Neighbors on the boundary ring count as zero (homogeneous Dirichlet).
-
-    Parameters
-    ----------
-    c : GridFunction
-        Zero-order coefficient; interior values enter the diagonal.
-    v : ndarray of shape (N, N)
-        Interior values, N the interior size of the grid of c.
-
-    Returns
-    -------
-    ndarray of shape (N, N)
-    """
-    coeff = c.interior
-    if v.shape != coeff.shape:
-        raise ValueError('interior array has shape {}, parameter grid needs {}'.format(
-            v.shape, coeff.shape))
-    return _stencil(coeff, c.h ** 2, v)
-
-
 def _stencil(coeff, h2, v):
-    # apply_stencil on the interior values coeff of c and h2 = h^2, unchecked.
+    # L(c) v = (1/h^2)(4 v_ij - neighbors) + c_ij v_ij on the interior, for
+    # coeff the interior values of c, h2 = h^2 and v of the same shape;
+    # neighbors on the boundary ring count as zero (homogeneous Dirichlet).
     # On the flat row-major array the neighbors are shifts by N and by 1. A
     # shift by 1 also reaches across row ends, so the one edge column it
     # must not touch is saved and put back: the result is exactly that of
@@ -211,8 +189,7 @@ def _preconditioner(c, eigen_sums, mode_products):
             'linear system is singular or not positive definite for {}: so is its '
             'Galerkin matrix on the lowest {} x {} sine modes'.format(_range_text(c), k, k),
             parameter=c)
-    lower_inverse = np.linalg.inv(lower)
-    coarse_inverse = lower_inverse.T @ lower_inverse
+    coarse_inverse = np.linalg.inv(galerkin)
     coarse_inverse = 0.5 * (coarse_inverse + coarse_inverse.T)
     return (1.0 / shifted).astype(np.float32), coarse_inverse.astype(np.float32)
 

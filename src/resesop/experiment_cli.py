@@ -139,49 +139,39 @@ def add_noise(u, delta, exponent, seed):
     return u + (delta / weighted_norm(bump, SpaceSpec(exponent, 2.0))) * bump
 
 
-def _interpolation_rows(n_from, n_to, method):
+def _interpolation_rows(n_from, n_to):
     positions = np.arange(n_to + 2) * (n_from + 1) / (n_to + 1)
     rows = np.zeros((n_to + 2, n_from + 2))
-    if method == 'cubic':
-        base = np.clip(np.floor(positions).astype(int), 1, n_from - 1)
-        t = positions - base
-        weights = (-t * (t - 1.0) * (t - 2.0) / 6.0,
-                   (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
-                   -(t + 1.0) * t * (t - 2.0) / 2.0,
-                   (t + 1.0) * t * (t - 1.0) / 6.0)
-        offsets = (-1, 0, 1, 2)
-    elif method == 'bilinear':
-        base = np.clip(np.floor(positions).astype(int), 0, n_from)
-        t = positions - base
-        weights = (1.0 - t, t)
-        offsets = (0, 1)
-    else:
-        raise ValueError("restriction method must be 'cubic' or 'bilinear'")
-    for offset, weight in zip(offsets, weights):
+    base = np.clip(np.floor(positions).astype(int), 1, n_from - 1)
+    t = positions - base
+    weights = (-t * (t - 1.0) * (t - 2.0) / 6.0,
+               (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
+               -(t + 1.0) * t * (t - 2.0) / 2.0,
+               (t + 1.0) * t * (t - 1.0) / 6.0)
+    for offset, weight in zip((-1, 0, 1, 2), weights):
         rows[np.arange(n_to + 2), base + offset] = weight
     return rows
 
 
-def restrict(data, n_to, method='cubic'):
+def restrict(data, n_to):
     """Resample a grid function onto a coarser nodal grid.
 
-    Tensor-product interpolation row and column wise; 'cubic' reproduces
-    polynomials up to degree three per axis (in particular the exact
-    benchmark state), 'bilinear' reproduces per-cell bilinear data. Equal
-    grid sizes return the input unchanged.
+    Tensor-product cubic interpolation row and column wise, which
+    reproduces polynomials up to degree three per axis, in particular the
+    exact benchmark state. Equal grid sizes return the input unchanged.
     """
     if data.n_interior < n_to:
         raise ValueError('target grid must not be finer than the source')
     if data.n_interior == n_to:
         return data
-    rows = _interpolation_rows(data.n_interior, n_to, method)
+    rows = _interpolation_rows(data.n_interior, n_to)
     return GridFunction(rows @ data.values @ rows.T)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig(SolverConfig):
-    """A SolverConfig plus the grids, the noise seed, the data restriction
-    and the report path; the defaults reproduce the exact-data run.
+    """A SolverConfig plus the grids, the noise seed and the report path;
+    the defaults reproduce the exact-data run.
 
     Parameters
     ----------
@@ -190,9 +180,6 @@ class ExperimentConfig(SolverConfig):
         grid, n_data >= n_recon >= 2.
     seed : int
         Seed >= 0 of the noise generator.
-    restriction : str
-        'cubic' or 'bilinear' resampling of the data onto the
-        reconstruction grid; recorded so alternatives can be compared.
     output_path : str, optional
         JSON report path; a CSV of the series is written alongside.
     """
@@ -200,7 +187,6 @@ class ExperimentConfig(SolverConfig):
     n_data: int = 50
     n_recon: int = 40
     seed: int = 0
-    restriction: str = 'cubic'
     output_path: str = None
 
     def __post_init__(self):
@@ -209,8 +195,6 @@ class ExperimentConfig(SolverConfig):
             raise ValueError('grids must satisfy n_data >= n_recon >= 2')
         if self.seed < 0:
             raise ValueError('seed must be >= 0')
-        if self.restriction not in ('cubic', 'bilinear'):
-            raise ValueError("restriction must be 'cubic' or 'bilinear'")
 
 
 @dataclass(frozen=True)
@@ -219,7 +203,8 @@ class ExperimentReport:
 
     Serializes to JSON via to_json/from_json without loss; write_csv emits
     the per-iteration series for external plotting. from_json also reads
-    older reports: it drops only the RETIRED_RECORD_KEYS.
+    older reports: it drops only the RETIRED_RECORD_KEYS and a config key
+    'restriction' that holds 'cubic', the one restriction left.
     """
 
     config: ExperimentConfig
@@ -238,7 +223,12 @@ class ExperimentReport:
     @classmethod
     def from_json(cls, text):
         payload = json.loads(text)
-        config = ExperimentConfig(**payload.pop('config'))
+        config = payload.pop('config')
+        restriction = config.pop('restriction', 'cubic')
+        if restriction != 'cubic':
+            raise ValueError("report uses the removed option restriction = {!r}; only "
+                             "'cubic' is supported".format(restriction))
+        config = ExperimentConfig(**config)
         records = tuple(
             IterationRecord(**dict({key: value for key, value in entry.items()
                                     if key not in RETIRED_RECORD_KEYS},
@@ -276,7 +266,7 @@ def run_experiment(cfg):
     tic = time.perf_counter()
     fine = synth_truth(cfg.n_data)
     observed = add_noise(fine.u, cfg.delta, cfg.s, cfg.seed)
-    y = restrict(observed, cfg.n_recon, cfg.restriction)
+    y = restrict(observed, cfg.n_recon)
     coarse = synth_truth(cfg.n_recon)
     op = EllipticOperator(BvpData(f=coarse.f, g=coarse.g))
     logger.info('method %s, delta=%g, data grid %d, reconstruction grid %d',
@@ -373,8 +363,6 @@ def _add_config_flags(parser):
                         help='outer iteration budget')
     parser.add_argument('--gauge', type=float,
                         help='parameter-space gauge (default: the exponent r)')
-    parser.add_argument('--restriction', choices=('cubic', 'bilinear'),
-                        help='data restriction method')
 
 
 def _cmd_run(args):
@@ -427,17 +415,11 @@ def _cmd_check(args):
     calib = abs(weighted_norm(noise, space_y) - 5e-4)
     ok &= _check_line('noise calibration', calib <= 1e-14 * 5e-4)
 
-    coarse = restrict(synth_truth(cfg.n_data).u, cfg.n_recon, cfg.restriction)
+    coarse = restrict(synth_truth(cfg.n_data).u, cfg.n_recon)
     restrict_err = float(np.max(np.abs(coarse.values - truth.u.values)))
-    # Cubic restriction reproduces the state, quadratic per axis. Bilinear
-    # interpolation on a data cell of side h_d = 1/(n_data + 1) errs by at
-    # most h_d^2/8 (max|u_xx| + max|u_yy|): the 1-D bound along y, plus
-    # that along x of the y-interpolant, whose u_xx averages u_xx. Here
-    # u_xx = 32 y(1 - y) and u_yy = 32 x(1 - x) are at most 8, so the bound
-    # is 2 h_d^2. Both tolerances add 1e-12 for rounding.
-    tol = 1e-12 if cfg.restriction == 'cubic' else 2.0 / (cfg.n_data + 1) ** 2 + 1e-12
+    # Cubic restriction reproduces the state, quadratic per axis, to rounding.
     ok &= _check_line('restriction reproduces the exact state',
-                      restrict_err <= tol, 'max error {:.3g}'.format(restrict_err))
+                      restrict_err <= 1e-12, 'max error {:.3g}'.format(restrict_err))
 
     op = EllipticOperator(BvpData(f=truth.f, g=truth.g))
     state = op.linearize(truth.c)

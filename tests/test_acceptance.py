@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from resesop import bregman_geometry
 from resesop.bregman_geometry import (
     Stripe,
     project_intersection,
@@ -497,20 +498,32 @@ class _AffineOracle:
         return self.op.adjoint(self.truth_state, w)
 
 
-def test_criterion_11_exact_affine_oracle():
+def test_criterion_11_exact_affine_oracle(monkeypatch):
     # With an affine operator and exact data every stripe has width zero and
     # holds the truth. In L2 x L2 method A is then minimal-error steepest
-    # descent, and every step, one- or two-plane, meets Bregman's
+    # descent, every two-plane step of method B is the metric projection
+    # x - t_1 u_1* - t_2 u_2* with G t = <u*, x> - alpha for the Gram matrix
+    # G_jk = <u_j*, u_k*>, and every step, one- or two-plane, meets Bregman's
     # Pythagoras: D(x_n, c) - D(x_{n+1}, c) = D(x_n, x_{n+1}).
     truth = synth_truth(40)
     oracle = _AffineOracle(EllipticOperator(BvpData(f=truth.f, g=truth.g)), truth.c)
     y = oracle(truth.c)
+    hilbert = SpaceSpec(2.0, 2.0)
+    hilbert_two_plane = []
+    inner = bregman_geometry.project_intersection
+
+    def spy(x, planes, space, t_init=None):
+        x_new, t = inner(x, planes, space, t_init)
+        if len(planes) == 2 and space == hilbert:
+            hilbert_two_plane.append((x, planes, x_new))
+        return x_new, t
+
+    monkeypatch.setattr(bregman_geometry, 'project_intersection', spy)
 
     results = {(method, r): run(oracle, y, truth.c0, SolverConfig(
         method=method, r=r, s=2.0, cone_constant=0.0, residual_tol=1e-12, max_outer=30),
         ground_truth=truth.c) for r in (1.2, 1.5, 2.0, 3.0) for method in 'AB'}
 
-    hilbert = SpaceSpec(2.0, 2.0)
     x = truth.c0
     for _ in range(30):
         residual = oracle(x) - y
@@ -520,6 +533,17 @@ def test_criterion_11_exact_affine_oracle():
     descent_gap = (weighted_norm(results['A', 2.0].iterate - x, hilbert)
                    / weighted_norm(x, hilbert))
 
+    worst_gram = 0.0
+    for x, planes, x_new in hilbert_two_plane:
+        gram = np.array([[dual_pairing(u, v, hilbert) for v, _ in planes]
+                         for u, _ in planes])
+        gaps = np.array([dual_pairing(u, x, hilbert) - alpha for u, alpha in planes])
+        t = np.linalg.solve(gram, gaps)
+        expected = GridFunction(x.values - t[0] * planes[0][0].values
+                                - t[1] * planes[1][0].values)
+        worst_gram = max(worst_gram, weighted_norm(x_new - expected, hilbert)
+                         / weighted_norm(expected, hilbert))
+
     worst_pythagoras = 0.0
     two_plane_steps = 0
     for result in results.values():
@@ -527,8 +551,10 @@ def test_criterion_11_exact_affine_oracle():
             gap = abs(now.bregman_to_truth - after.bregman_to_truth - now.step_distance)
             worst_pythagoras = max(worst_pythagoras, gap / now.bregman_to_truth)
             two_plane_steps += now.step_class == StepClass.TWO_PLANE_CORRECTION
-    ok = descent_gap <= 1e-12 and worst_pythagoras <= 1e-12 and two_plane_steps > 0
+    ok = (descent_gap <= 1e-12 and worst_pythagoras <= 1e-12 and two_plane_steps > 0
+          and worst_gram <= 1e-12 and hilbert_two_plane)
     assert _verdict('criterion 11: exact affine oracle', ok,
                     'steepest descent gap {:.2e}, worst Pythagoras gap {:.2e} '
-                    'over {} two-plane steps'.format(descent_gap, worst_pythagoras,
-                                                     two_plane_steps))
+                    'over {} two-plane steps, worst Gram gap {:.2e} over {} in '
+                    'L2'.format(descent_gap, worst_pythagoras, two_plane_steps,
+                                worst_gram, len(hilbert_two_plane)))

@@ -112,11 +112,10 @@ class TestRestrict:
         u = synth_truth(12).u
         assert restrict(u, 12) is u
 
-    @pytest.mark.parametrize('method', ['cubic', 'bilinear'])
-    def test_reproduces_constants_and_affine_functions(self, method):
+    def test_reproduces_constants_and_affine_functions(self):
         for func in (lambda x, y: np.ones_like(x), lambda x, y: x + y):
             fine = nodal(func, 50)
-            coarse = restrict(fine, 40, method)
+            coarse = restrict(fine, 40)
             np.testing.assert_allclose(coarse.values, nodal(func, 40).values,
                                        rtol=0.0, atol=1e-13)
 
@@ -125,20 +124,9 @@ class TestRestrict:
         np.testing.assert_allclose(coarse.values, synth_truth(40).u.values,
                                    rtol=0.0, atol=1e-12)
 
-    def test_bilinear_loses_curvature_where_cubic_does_not(self):
-        fine = nodal(lambda x, y: x * x * y, 50)
-        exact = nodal(lambda x, y: x * x * y, 40).values
-        cubic_err = np.max(np.abs(restrict(fine, 40, 'cubic').values - exact))
-        bilinear_err = np.max(np.abs(restrict(fine, 40, 'bilinear').values - exact))
-        assert cubic_err <= 1e-13
-        assert bilinear_err > 1e-5
-
-    def test_refinement_and_unknown_methods_rejected(self):
-        u = synth_truth(10).u
+    def test_refinement_rejected(self):
         with pytest.raises(ValueError):
-            restrict(u, 20)
-        with pytest.raises(ValueError):
-            restrict(u, 8, 'spectral')
+            restrict(synth_truth(10).u, 20)
 
 
 class TestExperimentConfig:
@@ -149,8 +137,6 @@ class TestExperimentConfig:
             ExperimentConfig(n_data=10, n_recon=20)
         with pytest.raises(ValueError):
             ExperimentConfig(tau_factor=1.0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(restriction='spline')
         # Solver fields are range-checked when the configuration is built,
         # not first inside run_experiment; c_tc = 1 must not divide by zero.
         for bad in ({'cone_constant': 1.0, 'delta': 5e-4}, {'cone_constant': 1.0},
@@ -183,7 +169,7 @@ class TestExperimentConfig:
         assert issubclass(ExperimentConfig, SolverConfig)
         solver_fields = {f.name for f in dataclasses.fields(SolverConfig)}
         own = set(vars(ExperimentConfig)['__annotations__'])
-        assert own == {'n_data', 'n_recon', 'seed', 'restriction', 'output_path'}
+        assert own == {'n_data', 'n_recon', 'seed', 'output_path'}
         assert not own & solver_fields
         assert {f.name for f in dataclasses.fields(ExperimentConfig)} == own | solver_fields
         assert not {'gauge', 'tau', 'stop_threshold'} & set(vars(ExperimentConfig))
@@ -240,6 +226,27 @@ class TestReports:
         payload['records'][1]['surrogate'] = None
         with pytest.raises(TypeError, match='surrogate'):
             ExperimentReport.from_json(json.dumps(payload))
+
+    def test_report_with_the_removed_restriction_option_still_parses(
+            self, small_report, tmp_path, capsys):
+        # Reports of the code that offered a bilinear restriction record
+        # 'restriction': 'cubic' for every run this code reproduces.
+        payload = json.loads(small_report.to_json())
+        payload['config']['restriction'] = 'cubic'
+        report = ExperimentReport.from_json(json.dumps(payload))
+        assert report == small_report
+        assert 'restriction' not in json.loads(report.to_json())['config']
+        payload['config']['restriction'] = 'bilinear'
+        with pytest.raises(ValueError, match="removed option restriction = 'bilinear'"):
+            ExperimentReport.from_json(json.dumps(payload))
+        # The option is gone from configuration files and flags alike.
+        config_file = tmp_path / 'old.cfg'
+        config_file.write_text('restriction = cubic\n')
+        assert main(['run', '--config', str(config_file)]) == 2
+        assert "unknown key 'restriction'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(['run', '--restriction', 'cubic'])
+        assert exit_info.value.code == 2
 
     def test_written_files(self, small_report, tmp_path):
         json_path = tmp_path / 'report.json'
@@ -329,7 +336,7 @@ class TestConfigFile:
         values = {'method': 'B', 'delta': 1e-3, 'n_data': 14, 'n_recon': 12,
                   'r': 1.8, 's': 4.0, 'cone_constant': 0.02, 'tau_factor': 1.2,
                   'residual_tol': 2e-3, 'seed': 5, 'max_outer': 3, 'p_gauge': 2.5,
-                  'restriction': 'bilinear', 'output_path': None}
+                  'output_path': None}
         fields = dataclasses.fields(ExperimentConfig)
         assert set(values) == {f.name for f in fields}
         assert all(values[f.name] != f.default for f in fields if f.name != 'output_path')
@@ -396,24 +403,15 @@ class TestCommandLine:
         assert main(['check', '--n-recon', '2', '--n-data', '2', '--seed', str(seed)]) == 0
         assert 'FAIL' not in capsys.readouterr().out
 
-    @pytest.mark.parametrize('n_data, n_recon', [(9, 5), (3, 2)])
-    def test_check_battery_bounds_the_bilinear_restriction_on_coarse_grids(
-            self, n_data, n_recon, capsys):
-        # The bilinear error, 0.0157 at 9 -> 5 and 0.0957 at 3 -> 2, is an
-        # interpolation error within 2 h_d^2, not a fault.
-        assert main(['check', '--restriction', 'bilinear', '--n-data', str(n_data),
-                     '--n-recon', str(n_recon)]) == 0
-        assert 'FAIL' not in capsys.readouterr().out
-
-    def test_check_battery_detects_a_bilinear_error_beyond_its_bound(
+    def test_check_battery_detects_a_restriction_error_beyond_its_bound(
             self, monkeypatch, capsys):
-        # At 50 -> 40 the bound 2 h_d^2 is 7.7e-4; an offset of 2e-3 breaks
-        # it, though it lies within the fixed 1e-2 the check used to allow.
-        def offset(data, n_to, method):
-            return restrict(data, n_to, method) + GridFunction.full(n_to, 2e-3)
+        # Cubic restriction reproduces the state to rounding, so the check
+        # allows 1e-12; an offset of 2e-3 breaks that.
+        def offset(data, n_to):
+            return restrict(data, n_to) + GridFunction.full(n_to, 2e-3)
 
         monkeypatch.setattr(experiment_cli, 'restrict', offset)
-        assert main(['check', '--restriction', 'bilinear']) == 1
+        assert main(['check']) == 1
         failed = [line for line in capsys.readouterr().out.splitlines() if 'FAIL' in line]
         assert len(failed) == 1 and failed[0].startswith('restriction')
 
