@@ -124,6 +124,26 @@ class TestRestrict:
         np.testing.assert_allclose(coarse.values, synth_truth(40).u.values,
                                    rtol=0.0, atol=1e-12)
 
+    def test_reproduces_polynomials_of_degree_three_per_axis(self):
+        # Curvature a linear interpolant would lose: x^2 y and x^3 y^3 lie in
+        # the tensor-product cubics, on a fine and on a coarse pair of grids.
+        for func in (lambda x, y: x * x * y, lambda x, y: x ** 3 * y ** 3 - 2.0 * x * y * y):
+            for n_from, n_to in ((50, 40), (9, 5)):
+                coarse = restrict(nodal(func, n_from), n_to)
+                np.testing.assert_allclose(coarse.values, nodal(func, n_to).values,
+                                           rtol=0.0, atol=1e-13)
+
+    def test_error_on_smooth_data_falls_at_fourth_order(self):
+        # Off the cubics the error is an interpolation error of order h^4:
+        # halving the spacing of both grids divides it by about 16.
+        def func(x, y):
+            return np.sin(np.pi * x) * np.exp(y)
+
+        errors = [np.max(np.abs(restrict(nodal(func, 5 * m - 1), 4 * m - 1).values
+                                - nodal(func, 4 * m - 1).values)) for m in (4, 8, 16)]
+        assert errors[0] > 1e-6
+        assert all(coarse / fine > 14.0 for coarse, fine in zip(errors, errors[1:]))
+
     def test_refinement_rejected(self):
         with pytest.raises(ValueError):
             restrict(synth_truth(10).u, 20)
@@ -227,8 +247,7 @@ class TestReports:
         with pytest.raises(TypeError, match='surrogate'):
             ExperimentReport.from_json(json.dumps(payload))
 
-    def test_report_with_the_removed_restriction_option_still_parses(
-            self, small_report, tmp_path, capsys):
+    def test_report_with_the_removed_restriction_option_still_parses(self, small_report):
         # Reports of the code that offered a bilinear restriction record
         # 'restriction': 'cubic' for every run this code reproduces.
         payload = json.loads(small_report.to_json())
@@ -239,14 +258,6 @@ class TestReports:
         payload['config']['restriction'] = 'bilinear'
         with pytest.raises(ValueError, match="removed option restriction = 'bilinear'"):
             ExperimentReport.from_json(json.dumps(payload))
-        # The option is gone from configuration files and flags alike.
-        config_file = tmp_path / 'old.cfg'
-        config_file.write_text('restriction = cubic\n')
-        assert main(['run', '--config', str(config_file)]) == 2
-        assert "unknown key 'restriction'" in capsys.readouterr().err
-        with pytest.raises(SystemExit) as exit_info:
-            main(['run', '--restriction', 'cubic'])
-        assert exit_info.value.code == 2
 
     def test_written_files(self, small_report, tmp_path):
         json_path = tmp_path / 'report.json'
@@ -402,6 +413,25 @@ class TestCommandLine:
         # add_noise(u) - u used to exceed the 1e-14 delta tolerance.
         assert main(['check', '--n-recon', '2', '--n-data', '2', '--seed', str(seed)]) == 0
         assert 'FAIL' not in capsys.readouterr().out
+
+    @pytest.mark.parametrize('n_data, n_recon', [(9, 5), (3, 2)])
+    def test_check_battery_bounds_the_cubic_restriction_on_coarse_grids(
+            self, n_data, n_recon, capsys):
+        # The exact state is quadratic per axis, so its cubic restriction
+        # meets the 1e-12 bound even on grids of a few nodes.
+        assert main(['check', '--n-data', str(n_data), '--n-recon', str(n_recon)]) == 0
+        assert 'FAIL' not in capsys.readouterr().out
+
+    def test_removed_restriction_option_exits_2(self, tmp_path, capsys):
+        # The option is gone from configuration files and flags alike.
+        config_file = tmp_path / 'old.cfg'
+        config_file.write_text('restriction = cubic\n')
+        assert main(['run', '--config', str(config_file)]) == 2
+        assert "unknown key 'restriction'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(['run', '--restriction', 'cubic'])
+        assert exit_info.value.code == 2
+        assert 'unrecognized arguments: --restriction' in capsys.readouterr().err
 
     def test_check_battery_detects_a_restriction_error_beyond_its_bound(
             self, monkeypatch, capsys):
