@@ -133,12 +133,13 @@ def _well_conditioned(hessian):
 
 
 def _dual_objective(x, jx, u, alphas, space, h):
-    """The map t -> (h(t), grad h(t), Hessian, x_t) with
-    x_t = J_inv(J(x) - sum_k t_k u_k*), or None where h(t) or its gradient
-    is not finite (an overflow, also one of x_t). x and jx = J(x) are flat
-    arrays on a grid of spacing h, the u_k* are the rows of u with offsets
-    alphas. One inverse duality evaluation gives all four values (none at
-    t = 0, where x_t = x). With
+    """The map (t, out) -> (h(t), grad h(t), Hessian, x_t) with
+    x_t = J_inv(J(x) - sum_k t_k u_k*) written into `out`, or None where
+    h(t) or its gradient is not finite (an overflow, also one of x_t). x
+    and jx = J(x) are flat arrays on a grid of spacing h, the u_k* are the
+    rows of u with offsets alphas. One inverse duality evaluation gives all
+    four values (none at t = 0, where x_t = x and `out` is not written).
+    The arrays it computes in are allocated once, here. With
     g = J(x) - sum_k t_k u_k*, r* and q* the dual norm and gauge exponents
     and J_inv(g) = ||g||_*^(q*-r*) |g|^(r*-1) sign(g),
 
@@ -152,10 +153,11 @@ def _dual_objective(x, jx, u, alphas, space, h):
     dual = space.dual()
     r_conj, q_conj = dual.norm_exponent, dual.gauge_exponent
     weight = h ** 2
+    g, weights, rows = np.empty_like(jx), np.empty_like(jx), np.empty_like(u)
 
-    def objective(t):
-        g = jx - t @ u
-        x_t = x if not t.any() else _array_duality_map(g, r_conj, q_conj, h)
+    def objective(t, out):
+        np.subtract(jx, np.matmul(t, u, out=g), out=g)
+        x_t = x if not t.any() else _array_duality_map(g, r_conj, q_conj, h, out=out)
         pairs = weight * (u @ x_t)
         power = weight * float(g @ x_t)  # ||g||_*^q*
         value = power / q_conj + float(t @ alphas)
@@ -164,10 +166,11 @@ def _dual_objective(x, jx, u, alphas, space, h):
         zero = g == 0.0
         if power == 0.0 or (r_conj < 2.0 and u[:, zero].any()):
             return value, alphas - pairs, None, x_t
-        fill = power ** (1.0 - 2.0 / q_conj) if r_conj == 2.0 else 0.0
-        weights = (r_conj - 1.0) * np.divide(x_t, g, out=np.full_like(g, fill),
-                                             where=~zero)
-        hessian = weight * (u * weights) @ u.T
+        weights.fill(power ** (1.0 - 2.0 / q_conj) if r_conj == 2.0 else 0.0)
+        np.divide(x_t, g, out=weights, where=~zero)
+        np.multiply(weights, r_conj - 1.0, out=weights)
+        np.multiply(u, weights, out=rows)
+        hessian = np.multiply(rows, weight, out=rows) @ u.T
         if q_conj != r_conj:
             hessian += (q_conj - r_conj) * np.outer(pairs, pairs) / power
         return (value, alphas - pairs,
@@ -192,7 +195,8 @@ def _minimize(x, u, dual_norms, alphas, space, t_init=None):
     the gradient any more, a point feasible to FEAS_TOL is accepted. The
     dual vectors are the rows of u, with offsets alphas and dual norms
     dual_norms. A point already on every plane is returned itself with
-    t = 0.
+    t = 0. The points x_t alternate between two arrays of this call: the
+    accepted one and the one trials are written to.
     """
     x_flat = x.values.ravel()
     norm_x = weighted_norm(x, space)
@@ -204,14 +208,15 @@ def _minimize(x, u, dual_norms, alphas, space, t_init=None):
     objective = _dual_objective(x_flat, duality_map(x, space).values.ravel(), u, alphas,
                                 space, x.h)
     t = np.zeros(len(u))
+    buffers = np.empty_like(x_flat), np.empty_like(x_flat)
     # An extreme t may overflow; such a trial is not finite and is rejected.
     with np.errstate(over='ignore', invalid='ignore'):
-        start = objective(t)
+        start = objective(t, buffers[0])
         if t_init is not None:
             # From far uphill each Newton step may only halve t; one value at
             # t = 0 (which needs no inverse duality map) rules that start out.
             t_warm = np.array(t_init, dtype=float)
-            warm = objective(t_warm)
+            warm = objective(t_warm, buffers[0])
             if warm is not None and (start is None or warm[0] <= start[0]):
                 t, start = t_warm, warm
         if start is None:
@@ -219,6 +224,7 @@ def _minimize(x, u, dual_norms, alphas, space, t_init=None):
         value, grad, hessian, x_t = start
         converged = False
         for _ in range(MAX_NEWTON_ITERS):
+            spare = buffers[1] if x_t is buffers[0] else buffers[0]
             direction = -grad
             if hessian is not None and _well_conditioned(hessian):
                 # One plane: the quotient, bit-identical to np.linalg.solve.
@@ -228,7 +234,7 @@ def _minimize(x, u, dual_norms, alphas, space, t_init=None):
                     direction = newton
             grad_norm = _euclidean_norm(grad)
             if grad_norm <= GRAD_TOL * scale:
-                polished = objective(t + direction)
+                polished = objective(t + direction, spare)
                 if polished is not None and _euclidean_norm(polished[1]) <= grad_norm:
                     t, x_t = t + direction, polished[3]
                 converged = True
@@ -238,7 +244,7 @@ def _minimize(x, u, dual_norms, alphas, space, t_init=None):
             # noise of h; the allowance keeps the backtracking from stalling.
             noise = 1e-14 * (1.0 + abs(value))
             for step in BACKTRACK_STEPS:
-                trial = objective(t + step * direction)
+                trial = objective(t + step * direction, spare)
                 if (trial is not None and trial[0] <= value + 1e-4 * step * slope + noise
                         and float(trial[1] @ direction) <= -0.5 * slope):
                     break
@@ -252,7 +258,7 @@ def _minimize(x, u, dual_norms, alphas, space, t_init=None):
         if not converged:
             raise ConvergenceError('Bregman projection did not converge',
                                    last_t=t, grad_norm=_euclidean_norm(grad))
-    return GridFunction._adopt(x_t.reshape(x.values.shape)), t
+    return GridFunction._adopt(x_t.copy().reshape(x.values.shape)), t
 
 
 def project_intersection(x, planes, space, t_init=None):

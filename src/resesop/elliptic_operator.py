@@ -31,7 +31,10 @@ both sides, to the accuracy of the solves. The forward solve can start
 from the u of another state, such as that of the previous iterate, and the
 derivative solve from a guess of its result; a start moves the solution
 only within the backward-error bound. The adjoint solve starts from zero.
-The right-hand side of the Dirichlet data is built once per operator.
+The right-hand side of the Dirichlet data is built once per operator, and
+so are the arrays that CG writes to: a solve allocates only the solution it
+returns. An operator therefore owns its CG buffers, and one operator must
+not solve from two threads at once.
 """
 
 from dataclasses import dataclass, field
@@ -113,27 +116,30 @@ class OperatorState:
     matrix_norm: float = field(repr=False)
 
 
-def _stencil(coeff, h2, v):
+def _stencil(coeff, h2, v, out, scratch):
     # L(c) v = (1/h^2)(4 v_ij - neighbors) + c_ij v_ij on the interior, for
     # coeff the interior values of c, h2 = h^2 and v of the same shape;
     # neighbors on the boundary ring count as zero (homogeneous Dirichlet).
-    # On the flat row-major array the neighbors are shifts by N and by 1. A
-    # shift by 1 also reaches across row ends, so the one edge column it
-    # must not touch is saved and put back: the result is exactly that of
-    # four 2-D slice subtractions, in the same order.
+    # Written into `out` and returned; `scratch` is overwritten. Both are
+    # C-contiguous and share no memory with v or coeff. On the flat
+    # row-major array the neighbors are shifts by N and by 1. A shift by 1
+    # also reaches across row ends, so the one edge column it must not touch
+    # is saved and put back: the result is exactly that of four 2-D slice
+    # subtractions, in the same order.
     n = v.shape[1]
-    laplace = 4.0 * v
+    laplace = np.multiply(v, 4.0, out=out)
     flat, v_flat = laplace.ravel(), v.ravel()
+    edge = scratch[0]
     flat[n:] -= v_flat[:-n]
     flat[:-n] -= v_flat[n:]
-    edge = laplace[:, 0].copy()
+    edge[:] = laplace[:, 0]
     flat[1:] -= v_flat[:-1]
     laplace[:, 0] = edge
-    edge = laplace[:, -1].copy()
+    edge[:] = laplace[:, -1]
     flat[:-1] -= v_flat[1:]
     laplace[:, -1] = edge
     laplace /= h2
-    laplace += coeff * v
+    laplace += np.multiply(coeff, v, out=scratch)
     return laplace
 
 
@@ -191,70 +197,109 @@ def _preconditioner(c, eigen_sums, mode_products):
             parameter=c)
     coarse_inverse = np.linalg.inv(galerkin)
     coarse_inverse = 0.5 * (coarse_inverse + coarse_inverse.T)
-    return (1.0 / shifted).astype(np.float32), coarse_inverse.astype(np.float32)
+    return (np.divide(1.0, shifted, out=shifted).astype(np.float32),
+            coarse_inverse.astype(np.float32))
 
 
-def _apply_preconditioner(basis, inverse_eigenvalues, coarse_inverse, r):
+def _apply_preconditioner(basis, inverse_eigenvalues, coarse_inverse, r, out, work):
     """The two-level preconditioner applied to r by four float32 matmuls in
-    the sine basis, with the inverse Galerkin matrix on the coarse modes."""
-    spectral = basis @ r.astype(np.float32) @ basis
+    the sine basis, with the inverse Galerkin matrix on the coarse modes.
+    Written into the float64 array `out` and returned; `work` is a pair of
+    float32 arrays of the shape of r, overwritten."""
+    first, second = work
     k = min(COARSE_MODES, len(basis))
-    scaled = spectral * inverse_eigenvalues
+    np.copyto(first, r, casting='same_kind')
+    spectral = np.matmul(np.matmul(basis, first, out=second), basis, out=first)
+    scaled = np.multiply(spectral, inverse_eigenvalues, out=second)
     scaled[:k, :k] = (coarse_inverse @ spectral[:k, :k].ravel()).reshape(k, k)
-    return (basis @ scaled @ basis).astype(float)
+    np.matmul(np.matmul(basis, scaled, out=first), basis, out=second)
+    np.copyto(out, second)
+    return out
+
+
+class _Workspace:
+    """The arrays one interior solve on an N x N interior writes to: the
+    scaled right-hand side, the contiguous copy of c, the cold and the warm
+    (solution, residual) pairs, the CG direction, its image, the
+    preconditioned residual z, a scratch array and the two float32 arrays
+    of the preconditioner apply. Nothing a solve reads from it was left by
+    an earlier solve."""
+
+    def __init__(self, n):
+        def grid(dtype=float):
+            return np.empty((n, n), dtype=dtype)
+
+        self.rhs, self.coeff = grid(), grid()
+        self.cold, self.warm = (grid(), grid()), (grid(), grid())
+        self.direction, self.image, self.z, self.scratch = grid(), grid(), grid(), grid()
+        self.spectral = grid(np.float32), grid(np.float32)
 
 
 def _interior_solve(c, basis, inverse_eigenvalues, coarse_inverse, matrix_norm, rhs,
-                    start=None):
+                    work, start=None):
     """Solve L(c) x = rhs on the interior by preconditioned CG and check x.
 
     Each iteration first tests the recursive residual and only then
     preconditions it, so a solve of k iterations applies the preconditioner
-    k times and the stencil k + 1 times (the last for the true residual).
-    CG starts from `start` only when its residual, one more stencil apply,
-    is below that of zero: a farther start leaves its rounding error in x.
-    A start so far that its residual norm overflows fails that test quietly.
+    k times and the stencil k + 1 times (the last for the true residual),
+    k + 2 times from a start. CG starts from `start` only when its
+    residual, one more stencil apply, is below that of zero: a farther
+    start leaves its rounding error in x. A start so far that its residual
+    norm overflows fails that test quietly. Every intermediate array is one
+    of the _Workspace `work` of the grid; only the returned x is new.
     """
     if start is not None and start.shape != rhs.shape:
         raise ValueError('start grid has interior {}, data grid needs {}'.format(
             start.shape, rhs.shape))
+    scratch = work.scratch
     # CG runs on rhs scaled by a power of two (exactly) to entries below
     # one, so the residuals stay in float32 range whatever the size of rhs.
-    rhs_scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(rhs)))[1]))
-    rhs = rhs / rhs_scale
+    rhs_scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(rhs, out=scratch)))[1]))
+    rhs = np.divide(rhs, rhs_scale, out=work.rhs)
     rhs_norm = _euclidean_norm(rhs)
-    coeff, h2 = np.ascontiguousarray(c.interior), c.h ** 2
-    solution = np.zeros_like(rhs)
-    residual = rhs.copy()
+    coeff, h2 = work.coeff, c.h ** 2
+    np.copyto(coeff, c.interior)
+    solution, residual = work.cold
+    solution.fill(0.0)
+    np.copyto(residual, rhs)
     if start is not None:
+        warm, warm_residual = work.warm
         with np.errstate(over='ignore', invalid='ignore'):
-            warm = start / rhs_scale
-            warm_residual = rhs - _stencil(coeff, h2, warm)
+            np.divide(start, rhs_scale, out=warm)
+            _stencil(coeff, h2, warm, warm_residual, scratch)
+            np.subtract(rhs, warm_residual, out=warm_residual)
             warm_norm = _euclidean_norm(warm_residual)
         if warm_norm < rhs_norm:
             solution, residual = warm, warm_residual
-    direction = rz = None
+    direction, image, z = work.direction, work.image, work.z
+    rz = None
     for _ in range(CG_MAX_ITERS):
         if _euclidean_norm(residual) <= CG_STOP_FRACTION * BACKWARD_TOL * (
                 matrix_norm * _euclidean_norm(solution) + rhs_norm):
             break
-        z = _apply_preconditioner(basis, inverse_eigenvalues, coarse_inverse, residual)
+        _apply_preconditioner(basis, inverse_eigenvalues, coarse_inverse, residual, z,
+                              work.spectral)
         rz, rz_old = float(np.vdot(residual, z)), rz
-        direction = z if direction is None else z + (rz / rz_old) * direction
-        image = _stencil(coeff, h2, direction)
+        if rz_old is None:
+            np.copyto(direction, z)
+        else:
+            direction *= rz / rz_old
+            direction += z
+        _stencil(coeff, h2, direction, image, scratch)
         curvature = float(np.vdot(direction, image))
         if not curvature > 0.0:
             raise LinearSolveError(
                 'conjugate gradients lost positive curvature ({:.3g}) for {}'.format(
                     curvature, _range_text(c)), parameter=c)
         step = rz / curvature
-        solution += step * direction
-        residual -= step * image
+        solution += np.multiply(direction, step, out=scratch)
+        residual -= np.multiply(image, step, out=scratch)
     else:
         raise LinearSolveError(
             'conjugate gradients did not converge in {} iterations for {}'.format(
                 CG_MAX_ITERS, _range_text(c)), parameter=c)
-    true_residual = _euclidean_norm(_stencil(coeff, h2, solution) - rhs)
+    true_residual = _euclidean_norm(
+        np.subtract(_stencil(coeff, h2, solution, image, scratch), rhs, out=image))
     scale = matrix_norm * _euclidean_norm(solution)
     if (not np.isfinite(solution).all()
             or true_residual > BACKWARD_TOL * (scale + rhs_norm)
@@ -304,6 +349,7 @@ class EllipticOperator:
         self._neighbor_sums = (axis[:, None] + axis[None, :]) / data.f.h ** 2
         self._rhs = _boundary_rhs(data)
         self._rhs.setflags(write=False)
+        self._work = _Workspace(n)
 
     def __call__(self, c):
         """Evaluate F(c): the full grid function u with the Dirichlet ring
@@ -319,9 +365,13 @@ class EllipticOperator:
                 c.values.shape, data.f.values.shape))
         inverse_eigenvalues, coarse_inverse = _preconditioner(c, self._eigen_sums,
                                                               self._mode_products)
-        matrix_norm = float(np.max(np.abs(4.0 / c.h ** 2 + c.interior) + self._neighbor_sums))
+        # The row sums of |L(c)|, in the scratch array of the solves.
+        row_sums = np.add(c.interior, 4.0 / c.h ** 2, out=self._work.scratch)
+        np.abs(row_sums, out=row_sums)
+        row_sums += self._neighbor_sums
+        matrix_norm = float(row_sums.max())
         interior = _interior_solve(c, self._basis, inverse_eigenvalues, coarse_inverse,
-                                   matrix_norm, self._rhs,
+                                   matrix_norm, self._rhs, self._work,
                                    None if start is None else start.u.interior)
         values = data.g.values.copy()
         values[1:-1, 1:-1] = interior
@@ -339,7 +389,7 @@ class EllipticOperator:
         rhs = -(direction.values * state.u.values)[1:-1, 1:-1]
         return GridFunction.from_interior(_interior_solve(
             state.c, self._basis, state.inverse_eigenvalues, state.coarse_inverse,
-            state.matrix_norm, rhs, None if start is None else start.interior))
+            state.matrix_norm, rhs, self._work, None if start is None else start.interior))
 
     def adjoint(self, state, w):
         """Adjoint F'(c)* applied to a codomain vector w.
@@ -347,10 +397,13 @@ class EllipticOperator:
         Evaluates -u * L(c)^{-1} w with a zero-boundary interior solve; the
         result is a dual vector over the parameter space.
         """
-        lifted = GridFunction.from_interior(_interior_solve(
+        values = np.zeros_like(state.u.values)
+        values[1:-1, 1:-1] = _interior_solve(
             state.c, self._basis, state.inverse_eigenvalues, state.coarse_inverse,
-            state.matrix_norm, w.interior))
-        return GridFunction._adopt(-state.u.values * lifted.values)
+            state.matrix_norm, w.interior, self._work)
+        # -(u * lifted) is (-u) * lifted bit for bit, signed zeros included.
+        values *= state.u.values
+        return GridFunction._adopt(np.negative(values, out=values))
 
     def norm_estimate(self, state, max_iters=100, tol=1e-12):
         """Lanczos estimate of the norm of F'(c); the solver never calls it.

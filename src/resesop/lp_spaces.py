@@ -209,35 +209,51 @@ def _array_norm(values, p, h):
     """Kernel of :func:`weighted_norm` on a plain float array of any shape."""
     if p == 2.0:
         return h * _euclidean_norm(values)
-    total = float((np.abs(values) ** p).sum())
+    powers = np.abs(values)
+    powers **= p
+    total = float(powers.sum())
     return h ** (2.0 / p) * total ** (1.0 / p)
 
 
-def _array_duality_map(values, r, q, h, norm=None):
+def _array_duality_map(values, r, q, h, norm=None, out=None):
     """Kernel of :func:`duality_map` on a plain float array of any shape.
 
-    Returns a new array, or `values` itself when r = q = 2. Only q != r
-    needs the norm, which the caller may pass in; with q = r the zero test
-    is (max |v|)^r == 0, which holds exactly when every |v|^r underflows,
-    as the norm would. A norm that is not finite gives an image that is
-    not finite either. The scalar factor is a numpy float, so an overflow
-    gives inf under the caller's ``np.errstate`` instead of raising.
+    Writes the image into `out`, a float array of the shape of `values`
+    that shares no memory with it, or into a new array when `out` is None,
+    and returns it; with r = q = 2 and no `out` it returns `values` itself.
+    Only q != r needs the norm, which the caller may pass in; with q = r
+    the zero test is (max |v|)^r == 0, which holds exactly when every
+    |v|^r underflows, as the norm would. A norm that is not finite gives
+    an image that is not finite either. The scalar factor is a numpy float,
+    so an overflow gives inf under the caller's ``np.errstate`` instead of
+    raising. Elsewhere the image is |v|^(r-1) sign(v), times ||v||^(q-r)
+    when q != r, bit for bit; |v| is taken once, and the power and the
+    sign are applied to it in place.
     """
     if q == r:
-        if np.max(np.abs(values)) ** r == 0.0:
-            return np.zeros_like(values)
-        if r == 2.0:
-            return values
+        # max |v| = max(max v, -min v), without an array of |v|.
+        vanishes = max(values.max(), -values.min()) ** r == 0.0
+        if r == 2.0 and not vanishes:
+            if out is None:
+                return values
+            np.copyto(out, values)
+            return out
     else:
         if norm is None:
             norm = _array_norm(values, r, h)
-        if norm == 0.0:
-            return np.zeros_like(values)
-        if not math.isfinite(norm):
-            return np.full_like(values, np.nan)
-    g = np.abs(values) ** (r - 1.0) * np.sign(values)
-    if q != r:
-        g = np.float64(norm) ** (q - r) * g
+        vanishes = norm == 0.0
+    g = np.abs(values, out=out)
+    if vanishes:
+        g.fill(0.0)
+    elif q != r and not math.isfinite(norm):
+        g.fill(np.nan)
+    else:
+        g **= r - 1.0
+        # sign(v) is 0 at v = 0 and at -0.0, where |v|^(r-1) is 0 already,
+        # so only negative entries change; x * -1 is -x exactly, also at 0.
+        np.negative(g, out=g, where=values < 0.0)
+        if q != r:
+            g *= np.float64(norm) ** (q - r)
     return g
 
 

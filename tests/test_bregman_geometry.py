@@ -178,7 +178,8 @@ def test_objective_gradient_matches_finite_differences():
                 x.values.ravel(), jx.values.ravel(),
                 np.array([u.values.ravel() for u, _ in planes]),
                 np.array([alpha for _, alpha in planes]), space, x.h)
-            _, grad, hessian, _ = objective(t)
+            out = np.empty(x.values.size)
+            _, grad, hessian, _ = objective(t, out)
             np.testing.assert_allclose(hessian, hessian.T, rtol=1e-12, atol=1e-14)
             for j in range(2):
                 step = 1e-6 * (1.0 + abs(t[j]))
@@ -186,8 +187,8 @@ def test_objective_gradient_matches_finite_differences():
                 t_hi[j] += step
                 t_lo = t.copy()
                 t_lo[j] -= step
-                value_hi, grad_hi, _, _ = objective(t_hi)
-                value_lo, grad_lo, _, _ = objective(t_lo)
+                value_hi, grad_hi, _, _ = objective(t_hi, out)
+                value_lo, grad_lo, _, _ = objective(t_lo, out)
                 fd = (value_hi - value_lo) / (2.0 * step)
                 assert grad[j] == pytest.approx(fd, rel=1e-4, abs=1e-7)
                 np.testing.assert_allclose(hessian[:, j], (grad_hi - grad_lo) / (2.0 * step),
@@ -202,10 +203,11 @@ def test_objective_has_no_value_where_it_overflows():
     x, u = random_grid(rng, 3), random_grid(rng, 3)
     objective = _dual_objective(x.values.ravel(), duality_map(x, space).values.ravel(),
                                 u.values.ravel()[None, :], np.array([0.3]), space, x.h)
+    out = np.empty(x.values.size)
     with np.errstate(over='ignore', invalid='ignore'):
-        assert objective(np.array([1e200])) is None
-        assert objective(np.array([-1e200])) is None
-    value, grad, hessian, x_t = objective(np.array([0.1]))
+        assert objective(np.array([1e200]), out) is None
+        assert objective(np.array([-1e200]), out) is None
+    value, grad, hessian, x_t = objective(np.array([0.1]), out)
     assert np.isfinite(value) and np.isfinite(grad).all() and np.isfinite(x_t).all()
     assert hessian is not None
 
@@ -285,6 +287,46 @@ def test_project_intersection_general_exponent_feasibility():
             feas = 1e-8 * (1.0 + abs(alpha)
                            + weighted_norm(u, space.dual()) * weighted_norm(x, space))
             assert abs(dual_pairing(u, x_new, space) - alpha) <= feas
+
+
+@pytest.mark.parametrize('r, q', [(1.5, 1.5), (3.0, 2.0), (2.0, 2.0)])
+def test_a_second_projection_leaves_the_first_result_alone(r, q):
+    # A projection computes its points in arrays of its own: a second one,
+    # onto one plane or two, leaves the first result unchanged and shares
+    # no memory with it, and repeating the first gives the same bits.
+    rng = np.random.default_rng(48)
+    space = SpaceSpec(r, q)
+    x = random_grid(rng, 6, scale=2.0)
+    planes = [(random_grid(rng, 6), float(rng.normal())) for _ in range(3)]
+    first, t_first = project_intersection(x, planes[:1], space)
+    assert t_first[0] != 0.0
+    kept = first.values.copy()
+    second, _ = project_intersection(x, planes[1:], space)
+    assert first.values.tobytes() == kept.tobytes()
+    assert not np.shares_memory(first.values, second.values)
+    assert not np.shares_memory(first.values, x.values)
+    again, _ = project_intersection(x, planes[:1], space)
+    assert again.values.tobytes() == kept.tobytes()
+
+
+def test_projected_point_is_the_image_of_its_coefficients_bitwise():
+    # The iteration keeps the accepted point while it writes trials to a
+    # second array: the point returned is exactly x_t of the t returned,
+    # also where the last trial or the final polishing step was rejected.
+    rng = np.random.default_rng(49)
+    for r, q in [(1.5, 1.5), (3.0, 3.0), (1.2, 2.0), (6.0, 6.0)]:
+        space = SpaceSpec(r, q)
+        for k in (1, 2):
+            for _ in range(15):
+                x = random_grid(rng, 5, scale=float(rng.uniform(0.3, 3.0)))
+                planes = [(random_grid(rng, 5), float(rng.normal())) for _ in range(k)]
+                x_new, t = project_intersection(x, planes, space)
+                objective = _dual_objective(
+                    x.values.ravel(), duality_map(x, space).values.ravel(),
+                    np.array([u.values.ravel() for u, _ in planes]),
+                    np.array([alpha for _, alpha in planes]), space, x.h)
+                x_t = objective(t, np.empty(x.values.size))[3]
+                assert x_new.values.tobytes() == x_t.tobytes()
 
 
 def test_project_intersection_warns_on_parallel_directions(caplog):

@@ -39,7 +39,8 @@ def random_interior(rng, n, scale=1.0):
 
 def stencil(c, v):
     """L(c) v on the interior, by the kernel that CG runs."""
-    return elliptic_operator._stencil(c.interior, c.h ** 2, v)
+    return elliptic_operator._stencil(c.interior, c.h ** 2, v, np.empty(v.shape),
+                                      np.empty(v.shape))
 
 
 def dense_matrix(c):
@@ -104,7 +105,7 @@ def test_cg_solve_matches_dense_solve():
         def solve(b):
             return elliptic_operator._interior_solve(
                 c, op._basis, state.inverse_eigenvalues, state.coarse_inverse,
-                state.matrix_norm, b)
+                state.matrix_norm, b, op._work)
 
         solution = solve(rhs).ravel()
         matrix = dense_matrix(c)
@@ -163,7 +164,7 @@ def dense_preconditioner(op, state):
         unit[k] = 1.0
         columns.append(elliptic_operator._apply_preconditioner(
             op._basis, state.inverse_eigenvalues, state.coarse_inverse,
-            unit.reshape(n, n)).ravel())
+            unit.reshape(n, n), np.empty((n, n)), op._work.spectral).ravel())
     return np.array(columns).T
 
 
@@ -378,19 +379,42 @@ def slice_stencil(coeff, h2, v):
     return laplace
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize('n', [1, 2, 3, 40])
 def test_stencil_equals_the_slice_reference_bitwise(n):
+    # Whatever `out` and `scratch` held before, NaN here, is overwritten.
     rng = np.random.default_rng(37)
     c = GridFunction(rng.uniform(-1.0, 3.0, (n + 2, n + 2)))
     v = rng.standard_normal((n, n))
     v[rng.random((n, n)) < 0.3] = -0.0
     v[0, 0] = -0.0
     expected = slice_stencil(c.interior, c.h ** 2, v)
-    for result in (stencil(c, v),
-                   elliptic_operator._stencil(np.ascontiguousarray(c.interior),
-                                              c.h ** 2, v)):
-        assert np.array_equal(result, expected)
-        assert np.array_equal(np.signbit(result), np.signbit(expected))
+    for coeff in (c.interior, np.ascontiguousarray(c.interior)):
+        out, scratch = np.full((n, n), np.nan), np.full((n, n), np.nan)
+        assert elliptic_operator._stencil(coeff, c.h ** 2, v, out, scratch) is out
+        assert same_bits(out, expected)
+
+
+@pytest.mark.parametrize('n', [1, 2, 7, 12, 40])
+def test_preconditioner_apply_equals_the_allocating_formula_bitwise(n):
+    # The apply writes into `out` and its two float32 work arrays, which
+    # hold NaN beforehand; the bits are those of the formula with a new
+    # array per operation.
+    op, state = random_operator(np.random.default_rng(45), n, 0.5, 4.0)
+    r = np.random.default_rng(46).standard_normal((n, n))
+    basis, k = op._basis, min(elliptic_operator.COARSE_MODES, n)
+    spectral = basis @ r.astype(np.float32) @ basis
+    scaled = spectral * state.inverse_eigenvalues
+    scaled[:k, :k] = (state.coarse_inverse @ spectral[:k, :k].ravel()).reshape(k, k)
+    expected = (basis @ scaled @ basis).astype(float)
+    out = np.full((n, n), np.nan)
+    work = np.full((n, n), np.nan, np.float32), np.full((n, n), np.nan, np.float32)
+    assert elliptic_operator._apply_preconditioner(
+        basis, state.inverse_eigenvalues, state.coarse_inverse, r, out, work) is out
+    assert same_bits(out, expected)
 
 
 def test_cg_preconditions_once_per_iteration(monkeypatch):
@@ -573,6 +597,68 @@ def test_warm_starts_save_preconditioner_applies(monkeypatch):
     assert warm[0] == cold[0]
     assert all(w < c for w, c in zip(warm[1:], cold[1:]))
     assert sum(warm) < sum(cold)
+
+
+def workspace_arrays(op):
+    # Every array of the operator's CG workspace.
+    return [array for item in vars(op._work).values()
+            for array in (item if isinstance(item, tuple) else (item,))]
+
+
+def returned_arrays(*results):
+    # The arrays of states and grid functions that the operator returned.
+    arrays = []
+    for result in results:
+        if isinstance(result, GridFunction):
+            arrays.append(result.values)
+        else:
+            arrays += [result.u.values, result.inverse_eigenvalues, result.coarse_inverse]
+    return arrays
+
+
+def test_workspace_reuse_is_not_observable(monkeypatch):
+    # An operator solves in arrays it allocated once. Nothing it returns
+    # shares memory with them or with anything else it returned, and a
+    # cold solve gives the bits of a fresh operator's after a warm solve,
+    # a derivative, an adjoint, a solve that raised partway, and after
+    # every workspace array was filled with NaN.
+    op, (c0, c1) = benchmark_parameters(40, 1)
+    w = random_interior(np.random.default_rng(47), 40)
+    fresh = EllipticOperator(op.data)
+    reference = fresh.linearize(c1)
+    expected = [reference.u.values, fresh.derivative(reference, c1 - c0).values,
+                fresh.adjoint(reference, w).values]
+
+    def cold_solves_match():
+        state = op.linearize(c1)
+        results.extend([state, op.derivative(state, c1 - c0), op.adjoint(state, w)])
+        return all(same_bits(a, b) for a, b in zip(
+            [state.u.values, results[-2].values, results[-1].values], expected))
+
+    def failing_solve():
+        with monkeypatch.context() as patch:
+            patch.setattr(elliptic_operator, 'CG_MAX_ITERS', 1)
+            with pytest.raises(LinearSolveError, match='did not converge'):
+                op.linearize(c1)
+
+    def poisoned_workspace():
+        for array in workspace_arrays(op):
+            array.fill(np.nan)
+
+    start = op.linearize(c0)
+    results = [start]
+    events = [lambda: results.append(op.linearize(c1, start=start)),
+              lambda: results.append(op.derivative(start, c1 - c0)),
+              lambda: results.append(op.adjoint(start, w)),
+              failing_solve, poisoned_workspace]
+    for event in events:
+        event()
+        assert cold_solves_match()
+    arrays, workspace = returned_arrays(*results), workspace_arrays(op)
+    assert len(workspace) == 12
+    for j, array in enumerate(arrays):
+        assert not any(np.shares_memory(array, other) for other in arrays[j + 1:])
+        assert not any(np.shares_memory(array, other) for other in workspace)
 
 
 def test_discrete_maximum_principle():

@@ -323,6 +323,50 @@ def test_array_duality_map_is_the_identity_in_the_hilbert_case():
     assert duality_map(f, SpaceSpec(2.0, 2.0)) is f
 
 
+def allocating_norm(v, p, h):
+    # The formula of the weighted norm, one new array per operation.
+    if p == 2.0:
+        return h * np.linalg.norm(v)
+    return h ** (2.0 / p) * float((np.abs(v) ** p).sum()) ** (1.0 / p)
+
+
+def allocating_duality_map(v, r, q, h):
+    # The formula of the duality map, one new array per operation.
+    image = np.abs(v) ** (r - 1.0) * np.sign(v)
+    if q != r:
+        image = np.float64(allocating_norm(v, r, h)) ** (q - r) * image
+    return image
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize('q', ['r', 2.0, 4.0])
+@pytest.mark.parametrize('r', KERNEL_EXPONENTS)
+def test_in_place_kernels_equal_the_allocating_formula_bitwise(r, q):
+    # The kernels take |v| once and apply the power and the sign in place;
+    # the bits, signed zeros included, are those of |v|^(r-1) sign(v) (times
+    # ||v||^(q-r)), whatever `out` held before. The inputs hold +0, -0,
+    # negative entries and negative ones whose power underflows to -0.
+    q = r if q == 'r' else q
+    rng = np.random.default_rng(44)
+    h = 1.0 / 11.0
+    v = 3.0 * rng.standard_normal(144)
+    v[:4] = 0.0, -0.0, -1e-300, 1e-300
+    v[rng.random(144) < 0.1] = 0.0
+    assert (v < 0.0).any() and np.signbit(v[1])
+    expected = v if r == q == 2.0 else allocating_duality_map(v, r, q, h)
+    if r == q == 2.0:
+        assert _array_duality_map(v, r, q, h) is v
+    else:
+        assert same_bits(_array_duality_map(v, r, q, h), expected)
+    out = np.full_like(v, np.nan)
+    assert _array_duality_map(v, r, q, h, out=out) is out
+    assert same_bits(out, expected)
+    assert _array_norm(v, r, h) == allocating_norm(v, r, h)
+
+
 def test_norm_and_duality_map_are_stored_on_the_grid_function(monkeypatch):
     # The public maps return the kernels' values, computed once per grid
     # function and space: a second call runs no kernel.
