@@ -161,6 +161,13 @@ def test_project_hyperplane_rejects_zero_direction():
                              SpaceSpec(2.0, 2.0))
 
 
+def dual_objective(x, planes, space):
+    # The dual objective of projecting x onto the planes, as _minimize builds it.
+    return _dual_objective(x.values.ravel(), duality_map(x, space).values.ravel(),
+                           np.array([u.values.ravel() for u, _ in planes]),
+                           np.array([alpha for _, alpha in planes]), space, x.h)
+
+
 def test_objective_gradient_matches_finite_differences():
     # Central differences of h check the gradient, central differences of
     # the gradient check the analytic Hessian, including its rank-one term
@@ -171,13 +178,9 @@ def test_objective_gradient_matches_finite_differences():
             n = 3
             space = SpaceSpec(r, q)
             x = random_grid(rng, n, scale=2.0)
-            jx = duality_map(x, space)
             planes = [(random_grid(rng, n), float(rng.normal())) for _ in range(2)]
             t = rng.normal(size=2) * 0.3
-            objective = _dual_objective(
-                x.values.ravel(), jx.values.ravel(),
-                np.array([u.values.ravel() for u, _ in planes]),
-                np.array([alpha for _, alpha in planes]), space, x.h)
+            objective = dual_objective(x, planes, space)
             out = np.empty(x.values.size)
             _, grad, hessian, _ = objective(t, out)
             np.testing.assert_allclose(hessian, hessian.T, rtol=1e-12, atol=1e-14)
@@ -321,11 +324,7 @@ def test_projected_point_is_the_image_of_its_coefficients_bitwise():
                 x = random_grid(rng, 5, scale=float(rng.uniform(0.3, 3.0)))
                 planes = [(random_grid(rng, 5), float(rng.normal())) for _ in range(k)]
                 x_new, t = project_intersection(x, planes, space)
-                objective = _dual_objective(
-                    x.values.ravel(), duality_map(x, space).values.ravel(),
-                    np.array([u.values.ravel() for u, _ in planes]),
-                    np.array([alpha for _, alpha in planes]), space, x.h)
-                x_t = objective(t, np.empty(x.values.size))[3]
+                x_t = dual_objective(x, planes, space)(t, np.empty(x.values.size))[3]
                 assert x_new.values.tobytes() == x_t.tobytes()
 
 
