@@ -106,9 +106,9 @@ class GeometryError(RuntimeError):
     """The requested target set is empty or inconsistent."""
 
 
-def classify(x, stripe, space):
+def classify(x, stripe):
     """Locate x relative to a stripe: ABOVE, INSIDE (boundary closed) or BELOW."""
-    value = dual_pairing(stripe.u_star, x, space)
+    value = dual_pairing(stripe.u_star, x)
     if value > stripe.alpha + stripe.xi:
         return StripeSide.ABOVE
     if value < stripe.alpha - stripe.xi:
@@ -312,11 +312,11 @@ def project_two_stage(x, stripe, previous, space):
         stage one sufficed, two after stage two.
     """
     x_first, t_first = x, 0.0
-    side = classify(x, stripe, space)
+    side = classify(x, stripe)
     if side is not StripeSide.INSIDE:
         bound = stripe.alpha + (stripe.xi if side is StripeSide.ABOVE else -stripe.xi)
         x_first, (t_first,) = project_intersection(x, [(stripe.u_star, bound)], space)
-    side = StripeSide.INSIDE if previous is None else classify(x_first, previous, space)
+    side = StripeSide.INSIDE if previous is None else classify(x_first, previous)
     if side is StripeSide.INSIDE:
         return x_first, (float(t_first),)
     bound = previous.alpha + (previous.xi if side is StripeSide.ABOVE else -previous.xi)

@@ -15,12 +15,14 @@ the preconditioner is the exact inverse of L(c). It is applied in single
 precision, which halves the cost of its four dense matmuls. It only steers
 CG: the recursion, the stencil apply and the final check of the true
 residual run in double precision, so an accepted solve meets the same
-backward-error bound as with an exact preconditioner. The sine basis, the
-eigenvalues of -laplace_h and the mode products of the Galerkin matrix
-depend only on N, so each operator builds them once for the grid of its
-data. Per parameter, `linearize` computes only c_bar, the shifted inverse
-eigenvalues, the inverse Galerkin matrix and the norm of L(c), which the
-derivative and adjoint reuse:
+backward-error bound as with an exact preconditioner.
+
+What depends only on N, the sine basis, the eigenvalues of -laplace_h, the
+mode products of the Galerkin matrix and the arrays that CG writes to, each
+operator builds once for the grid of its data. What depends on c, c_bar,
+the shifted inverse eigenvalues, the inverse Galerkin matrix and the norm
+of L(c), `linearize` sets up once per parameter, in the one linear system
+that the state holds and that F, the derivative and the adjoint solve with:
 
     F'(c) d = -L(c)^{-1} (d * u),      F'(c)* w = -u * L(c)^{-1} w,
 
@@ -31,10 +33,10 @@ both sides, to the accuracy of the solves. The forward solve can start
 from the u of another state, such as that of the previous iterate, and the
 derivative solve from a guess of its result; a start moves the solution
 only within the backward-error bound. The adjoint solve starts from zero.
-The right-hand side of the Dirichlet data is built once per operator, and
-so are the arrays that CG writes to: a solve allocates only the solution it
-returns. An operator therefore owns its CG buffers, and one operator must
-not solve from two threads at once.
+The right-hand side of the Dirichlet data is built once per operator. A
+solve allocates only the solution it returns, so the states of one
+operator share its CG buffers, and one operator must not solve from two
+threads at once.
 """
 
 from dataclasses import dataclass, field
@@ -103,17 +105,13 @@ class BvpData:
 
 @dataclass(frozen=True, eq=False)
 class OperatorState:
-    """Parameter c with the cached solution u = F(c) and what the solves
-    with L(c) reuse: the float32 preconditioner in the sine basis of the
-    operator (the inverse eigenvalues 1/(lambda_j + lambda_k + c_bar), zero
-    on the coarse modes, and the inverse Galerkin matrix of L(c) on those),
-    and the infinity norm of L(c), a bound on its 2-norm as L(c) is symmetric."""
+    """Parameter c with the cached solution u = F(c) and the linear system
+    L(c), set up once by `EllipticOperator.linearize`, that the derivative
+    and the adjoint solve with."""
 
     c: GridFunction
     u: GridFunction
-    inverse_eigenvalues: np.ndarray = field(repr=False)
-    coarse_inverse: np.ndarray = field(repr=False)
-    matrix_norm: float = field(repr=False)
+    system: '_System' = field(repr=False)
 
 
 def _stencil(coeff, h2, v, out, scratch):
@@ -148,168 +146,183 @@ def _range_text(parameter):
         parameter.values.min(), parameter.values.max())
 
 
-def _sine_basis(n):
-    """Orthonormal sine basis S of the 1-D -laplace_h on N interior nodes,
-    float64, and the eigenvalues lambda_j + lambda_k of the 2-D one."""
-    k = np.arange(1, n + 1)
-    h = 1.0 / (n + 1)
-    # sin(pi m / (N+1)) with m = jk reduced mod 2(N+1) keeps the argument
-    # small and the basis exactly symmetric.
-    basis = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * (n + 1)))
-                                            / (n + 1))
-    eigenvalues = (4.0 / h ** 2) * np.sin(0.5 * np.pi * k / (n + 1)) ** 2
-    return basis, eigenvalues[:, None] + eigenvalues[None, :]
-
-
-def _preconditioner(c, eigen_sums, mode_products):
-    """The float32 inverse eigenvalues 1/(lambda_j + lambda_k + c_bar),
-    zero on the K x K coarse modes, and the inverse of the Galerkin matrix
-    G = diag(lambda_a + lambda_b) + Phi^T diag(c) Phi of L(c) on those,
-    built from the 1-D mode products Q = S_ia S_ia'. Raises LinearSolveError
-    unless, in float64, the shifted eigenvalues are positive and G has a
-    Cholesky factor that keeps L(c) below COND_LIMIT."""
-    coeff = c.interior
-    k = min(COARSE_MODES, len(eigen_sums))
-    c_bar = 0.5 * (coeff.min() + coeff.max())
-    shifted = eigen_sums + c_bar
-    # The coarse modes are solved exactly; an infinite shift zeroes them.
-    shifted[:k, :k] = np.inf
-    if not shifted.min() > 0.0:
-        raise LinearSolveError(
-            'linear system is not positive definite for {}: lambda_min + c_bar = '
-            '{:.3g}'.format(_range_text(c), shifted.min()), parameter=c)
-    # (Q^T C Q)[(a, a'), (b, b')] = sum_ij c_ij S_ia S_ia' S_jb S_jb'.
-    coupling = (mode_products.T @ coeff @ mode_products).reshape(k, k, k, k)
-    galerkin = (np.diag(eigen_sums[:k, :k].ravel())
-                + coupling.transpose(0, 2, 1, 3).reshape(k * k, k * k))
-    try:
-        lower = np.linalg.cholesky(galerkin)
-    except np.linalg.LinAlgError:
-        lower = None
-    # lambda_min(L(c)) <= lambda_min(G) <= min_a l_aa^2 for the Cholesky factor
-    # l of G, and max_a G_aa <= ||G|| <= ||L(c)||, so an l_aa^2 below
-    # max_a G_aa / COND_LIMIT makes L(c) numerically singular.
-    if (lower is None or not lower.diagonal().min() ** 2
-            > galerkin.diagonal().max() / COND_LIMIT):
-        raise LinearSolveError(
-            'linear system is singular or not positive definite for {}: so is its '
-            'Galerkin matrix on the lowest {} x {} sine modes'.format(_range_text(c), k, k),
-            parameter=c)
-    coarse_inverse = np.linalg.inv(galerkin)
-    coarse_inverse = 0.5 * (coarse_inverse + coarse_inverse.T)
-    return (np.divide(1.0, shifted, out=shifted).astype(np.float32),
-            coarse_inverse.astype(np.float32))
-
-
-def _apply_preconditioner(basis, inverse_eigenvalues, coarse_inverse, r, out, work):
-    """The two-level preconditioner applied to r by four float32 matmuls in
-    the sine basis, with the inverse Galerkin matrix on the coarse modes.
-    Written into the float64 array `out` and returned; `work` is a pair of
-    float32 arrays of the shape of r, overwritten."""
-    first, second = work
-    k = min(COARSE_MODES, len(basis))
-    np.copyto(first, r, casting='same_kind')
-    spectral = np.matmul(np.matmul(basis, first, out=second), basis, out=first)
-    scaled = np.multiply(spectral, inverse_eigenvalues, out=second)
-    scaled[:k, :k] = (coarse_inverse @ spectral[:k, :k].ravel()).reshape(k, k)
-    np.matmul(np.matmul(basis, scaled, out=first), basis, out=second)
-    np.copyto(out, second)
-    return out
-
-
-class _Workspace:
-    """The arrays one interior solve on an N x N interior writes to: the
-    scaled right-hand side, the contiguous copy of c, the cold and the warm
-    (solution, residual) pairs, the CG direction, its image, the
-    preconditioned residual z, a scratch array and the two float32 arrays
-    of the preconditioner apply. Nothing a solve reads from it was left by
-    an earlier solve."""
+class _Grid:
+    """What the solves with L(c) on an N x N interior need that depends only
+    on N: the float32 sine basis S, the eigenvalues lambda_j + lambda_k of
+    the 2-D -laplace_h, the number K of coarse modes per axis, the 1-D mode
+    products S_ia S_ia' of the K x K coarse modes, the row sums of |L(c)|
+    off the diagonal, and the arrays CG writes to: the scaled right-hand
+    side, the contiguous copy of c, the solution and its residual, the
+    direction, its image, the preconditioned residual z, a scratch array
+    and the two float32 arrays of the preconditioner apply. The arrays
+    computed from N are read-only; nothing a solve reads from the buffers
+    was left by an earlier solve."""
 
     def __init__(self, n):
+        j = np.arange(1, n + 1)
+        h = 1.0 / (n + 1)
+        # sin(pi m / (N+1)) with m = jk reduced mod 2(N+1) keeps the argument
+        # small and the basis exactly symmetric.
+        basis = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(j, j) % (2 * (n + 1)))
+                                                / (n + 1))
+        eigenvalues = (4.0 / h ** 2) * np.sin(0.5 * np.pi * j / (n + 1)) ** 2
+        self.eigen_sums = eigenvalues[:, None] + eigenvalues[None, :]
+        self.basis = basis.astype(np.float32)
+        self.coarse_modes = k = min(COARSE_MODES, n)
+        self.mode_products = (basis[:, :k, None] * basis[:, None, :k]).reshape(n, k * k)
+        # 1/h^2 per interior neighbor.
+        axis = np.minimum(np.arange(n), 1) + np.minimum(np.arange(n)[::-1], 1)
+        self.neighbor_sums = (axis[:, None] + axis[None, :]) / h ** 2
+        for array in (self.eigen_sums, self.basis, self.mode_products, self.neighbor_sums):
+            array.setflags(write=False)
+
         def grid(dtype=float):
             return np.empty((n, n), dtype=dtype)
 
-        self.rhs, self.coeff = grid(), grid()
-        self.cold, self.warm = (grid(), grid()), (grid(), grid())
+        self.rhs, self.coeff, self.solution, self.residual = grid(), grid(), grid(), grid()
         self.direction, self.image, self.z, self.scratch = grid(), grid(), grid(), grid()
         self.spectral = grid(np.float32), grid(np.float32)
 
 
-def _interior_solve(c, basis, inverse_eigenvalues, coarse_inverse, matrix_norm, rhs,
-                    work, start=None):
-    """Solve L(c) x = rhs on the interior by preconditioned CG and check x.
+class _System:
+    """The linear system L(c) = -laplace_h + diag(c) of one parameter c on
+    the interior of a grid, set up once: the float32 inverse eigenvalues
+    1/(lambda_j + lambda_k + c_bar), zero on the K x K coarse modes, the
+    float32 inverse of the Galerkin matrix
+    G = diag(lambda_a + lambda_b) + Phi^T diag(c) Phi of L(c) on those,
+    built from the mode products Q = S_ia S_ia' of the _Grid, and the
+    infinity norm of L(c), a bound on its 2-norm as L(c) is symmetric.
+    Raises LinearSolveError unless, in float64, the shifted eigenvalues are
+    positive and G has a Cholesky factor that keeps L(c) below COND_LIMIT.
+    Its solves write to the buffers of the _Grid."""
 
-    Each iteration first tests the recursive residual and only then
-    preconditions it, so a solve of k iterations applies the preconditioner
-    k times and the stencil k + 1 times (the last for the true residual),
-    k + 2 times from a start. CG starts from `start` only when its
-    residual, one more stencil apply, is below that of zero: a farther
-    start leaves its rounding error in x. A start so far that its residual
-    norm overflows fails that test quietly. Every intermediate array is one
-    of the _Workspace `work` of the grid; only the returned x is new.
-    """
-    if start is not None and start.shape != rhs.shape:
-        raise ValueError('start grid has interior {}, data grid needs {}'.format(
-            start.shape, rhs.shape))
-    scratch = work.scratch
-    # CG runs on rhs scaled by a power of two (exactly) to entries below
-    # one, so the residuals stay in float32 range whatever the size of rhs.
-    rhs_scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(rhs, out=scratch)))[1]))
-    rhs = np.divide(rhs, rhs_scale, out=work.rhs)
-    rhs_norm = _euclidean_norm(rhs)
-    coeff, h2 = work.coeff, c.h ** 2
-    np.copyto(coeff, c.interior)
-    solution, residual = work.cold
-    solution.fill(0.0)
-    np.copyto(residual, rhs)
-    if start is not None:
-        warm, warm_residual = work.warm
-        with np.errstate(over='ignore', invalid='ignore'):
-            np.divide(start, rhs_scale, out=warm)
-            _stencil(coeff, h2, warm, warm_residual, scratch)
-            np.subtract(rhs, warm_residual, out=warm_residual)
-            warm_norm = _euclidean_norm(warm_residual)
-        if warm_norm < rhs_norm:
-            solution, residual = warm, warm_residual
-    direction, image, z = work.direction, work.image, work.z
-    rz = None
-    for _ in range(CG_MAX_ITERS):
-        if _euclidean_norm(residual) <= CG_STOP_FRACTION * BACKWARD_TOL * (
-                matrix_norm * _euclidean_norm(solution) + rhs_norm):
-            break
-        _apply_preconditioner(basis, inverse_eigenvalues, coarse_inverse, residual, z,
-                              work.spectral)
-        rz, rz_old = float(np.vdot(residual, z)), rz
-        if rz_old is None:
-            np.copyto(direction, z)
-        else:
-            direction *= rz / rz_old
-            direction += z
-        _stencil(coeff, h2, direction, image, scratch)
-        curvature = float(np.vdot(direction, image))
-        if not curvature > 0.0:
+    def __init__(self, c, grid):
+        self.c, self.grid = c, grid
+        coeff = c.interior
+        k = grid.coarse_modes
+        c_bar = 0.5 * (coeff.min() + coeff.max())
+        shifted = grid.eigen_sums + c_bar
+        # The coarse modes are solved exactly; an infinite shift zeroes them.
+        shifted[:k, :k] = np.inf
+        if not shifted.min() > 0.0:
             raise LinearSolveError(
-                'conjugate gradients lost positive curvature ({:.3g}) for {}'.format(
-                    curvature, _range_text(c)), parameter=c)
-        step = rz / curvature
-        solution += np.multiply(direction, step, out=scratch)
-        residual -= np.multiply(image, step, out=scratch)
-    else:
-        raise LinearSolveError(
-            'conjugate gradients did not converge in {} iterations for {}'.format(
-                CG_MAX_ITERS, _range_text(c)), parameter=c)
-    true_residual = _euclidean_norm(
-        np.subtract(_stencil(coeff, h2, solution, image, scratch), rhs, out=image))
-    scale = matrix_norm * _euclidean_norm(solution)
-    if (not np.isfinite(solution).all()
-            or true_residual > BACKWARD_TOL * (scale + rhs_norm)
-            or scale > COND_LIMIT * rhs_norm):
-        raise LinearSolveError(
-            'linear system is singular or severely ill-conditioned for {} '
-            '(residual {:.3g}, ||A|| ||x|| / ||b|| {:.3g})'.format(
-                _range_text(c), rhs_scale * true_residual, scale / rhs_norm),
-            parameter=c)
-    return rhs_scale * solution
+                'linear system is not positive definite for {}: lambda_min + c_bar = '
+                '{:.3g}'.format(_range_text(c), shifted.min()), parameter=c)
+        # (Q^T C Q)[(a, a'), (b, b')] = sum_ij c_ij S_ia S_ia' S_jb S_jb'.
+        coupling = (grid.mode_products.T @ coeff @ grid.mode_products).reshape(k, k, k, k)
+        galerkin = (np.diag(grid.eigen_sums[:k, :k].ravel())
+                    + coupling.transpose(0, 2, 1, 3).reshape(k * k, k * k))
+        try:
+            lower = np.linalg.cholesky(galerkin)
+        except np.linalg.LinAlgError:
+            lower = None
+        # lambda_min(L(c)) <= lambda_min(G) <= min_a l_aa^2 for the Cholesky factor
+        # l of G, and max_a G_aa <= ||G|| <= ||L(c)||, so an l_aa^2 below
+        # max_a G_aa / COND_LIMIT makes L(c) numerically singular.
+        if (lower is None or not lower.diagonal().min() ** 2
+                > galerkin.diagonal().max() / COND_LIMIT):
+            raise LinearSolveError(
+                'linear system is singular or not positive definite for {}: so is its '
+                'Galerkin matrix on the lowest {} x {} sine modes'.format(
+                    _range_text(c), k, k), parameter=c)
+        coarse_inverse = np.linalg.inv(galerkin)
+        coarse_inverse = 0.5 * (coarse_inverse + coarse_inverse.T)
+        self.inverse_eigenvalues = np.divide(1.0, shifted, out=shifted).astype(np.float32)
+        self.coarse_inverse = coarse_inverse.astype(np.float32)
+        # The row sums of |L(c)|, in the scratch array of the solves.
+        row_sums = np.add(coeff, 4.0 / c.h ** 2, out=grid.scratch)
+        np.abs(row_sums, out=row_sums)
+        row_sums += grid.neighbor_sums
+        self.norm = float(row_sums.max())
+
+    def precondition(self, r, out):
+        """The two-level preconditioner applied to r by four float32 matmuls
+        in the sine basis, with the inverse Galerkin matrix on the coarse
+        modes. Written into the float64 array `out` and returned."""
+        grid = self.grid
+        basis, k = grid.basis, grid.coarse_modes
+        first, second = grid.spectral
+        np.copyto(first, r, casting='same_kind')
+        spectral = np.matmul(np.matmul(basis, first, out=second), basis, out=first)
+        scaled = np.multiply(spectral, self.inverse_eigenvalues, out=second)
+        scaled[:k, :k] = (self.coarse_inverse @ spectral[:k, :k].ravel()).reshape(k, k)
+        np.matmul(np.matmul(basis, scaled, out=first), basis, out=second)
+        np.copyto(out, second)
+        return out
+
+    def solve(self, rhs, start=None):
+        """Solve L(c) x = rhs on the interior by preconditioned CG and check x.
+
+        Each iteration first tests the recursive residual and only then
+        preconditions it, so a solve of k iterations applies the
+        preconditioner k times and the stencil k + 1 times (the last for the
+        true residual), k + 2 times from a start. CG starts from `start`
+        only when its residual, one more stencil apply, is below that of
+        zero: a farther start leaves its rounding error in x, and the zero
+        start overwrites it. A start so far that its residual norm
+        overflows fails that test quietly. Every intermediate array is a
+        buffer of the _Grid; only the returned x is new.
+        """
+        if start is not None and start.shape != rhs.shape:
+            raise ValueError('start grid has interior {}, data grid needs {}'.format(
+                start.shape, rhs.shape))
+        c, grid, matrix_norm = self.c, self.grid, self.norm
+        scratch = grid.scratch
+        # CG runs on rhs scaled by a power of two (exactly) to entries below
+        # one, so the residuals stay in float32 range whatever the size of rhs.
+        rhs_scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(rhs, out=scratch)))[1]))
+        rhs = np.divide(rhs, rhs_scale, out=grid.rhs)
+        rhs_norm = _euclidean_norm(rhs)
+        coeff, h2 = grid.coeff, c.h ** 2
+        np.copyto(coeff, c.interior)
+        solution, residual = grid.solution, grid.residual
+        if start is not None:
+            with np.errstate(over='ignore', invalid='ignore'):
+                np.divide(start, rhs_scale, out=solution)
+                _stencil(coeff, h2, solution, residual, scratch)
+                np.subtract(rhs, residual, out=residual)
+                warm_norm = _euclidean_norm(residual)
+        if start is None or not warm_norm < rhs_norm:
+            solution.fill(0.0)
+            np.copyto(residual, rhs)
+        direction, image, z = grid.direction, grid.image, grid.z
+        rz = None
+        for _ in range(CG_MAX_ITERS):
+            if _euclidean_norm(residual) <= CG_STOP_FRACTION * BACKWARD_TOL * (
+                    matrix_norm * _euclidean_norm(solution) + rhs_norm):
+                break
+            self.precondition(residual, z)
+            rz, rz_old = float(np.vdot(residual, z)), rz
+            if rz_old is None:
+                np.copyto(direction, z)
+            else:
+                direction *= rz / rz_old
+                direction += z
+            _stencil(coeff, h2, direction, image, scratch)
+            curvature = float(np.vdot(direction, image))
+            if not curvature > 0.0:
+                raise LinearSolveError(
+                    'conjugate gradients lost positive curvature ({:.3g}) for {}'.format(
+                        curvature, _range_text(c)), parameter=c)
+            step = rz / curvature
+            solution += np.multiply(direction, step, out=scratch)
+            residual -= np.multiply(image, step, out=scratch)
+        else:
+            raise LinearSolveError(
+                'conjugate gradients did not converge in {} iterations for {}'.format(
+                    CG_MAX_ITERS, _range_text(c)), parameter=c)
+        true_residual = _euclidean_norm(
+            np.subtract(_stencil(coeff, h2, solution, image, scratch), rhs, out=image))
+        scale = matrix_norm * _euclidean_norm(solution)
+        if (not np.isfinite(solution).all()
+                or true_residual > BACKWARD_TOL * (scale + rhs_norm)
+                or scale > COND_LIMIT * rhs_norm):
+            raise LinearSolveError(
+                'linear system is singular or severely ill-conditioned for {} '
+                '(residual {:.3g}, ||A|| ||x|| / ||b|| {:.3g})'.format(
+                    _range_text(c), rhs_scale * true_residual, scale / rhs_norm),
+                parameter=c)
+        return rhs_scale * solution
 
 
 def _boundary_rhs(data):
@@ -339,17 +352,14 @@ class EllipticOperator:
 
     def __init__(self, data):
         self.data = data
-        n = data.f.n_interior
-        basis, self._eigen_sums = _sine_basis(n)
-        self._basis = basis.astype(np.float32)
-        k = min(COARSE_MODES, n)
-        self._mode_products = (basis[:, :k, None] * basis[:, None, :k]).reshape(n, k * k)
-        # Row sums of |L(c)| off the diagonal: 1/h^2 per interior neighbor.
-        axis = np.minimum(np.arange(n), 1) + np.minimum(np.arange(n)[::-1], 1)
-        self._neighbor_sums = (axis[:, None] + axis[None, :]) / data.f.h ** 2
         self._rhs = _boundary_rhs(data)
         self._rhs.setflags(write=False)
-        self._work = _Workspace(n)
+        self._grid = _Grid(data.f.n_interior)
+
+    def _check_grid(self, f, name):
+        if f.values.shape != self.data.f.values.shape:
+            raise ValueError('{} grid {} does not match data grid {}'.format(
+                name, f.values.shape, self.data.f.values.shape))
 
     def __call__(self, c):
         """Evaluate F(c): the full grid function u with the Dirichlet ring
@@ -357,39 +367,27 @@ class EllipticOperator:
         return self.linearize(c).u
 
     def linearize(self, c, start=None):
-        """Solve for u = F(c), warm-started from the u of a `start` state, and
-        set up the preconditioner of L(c) once; returns the state for F, F', F'*."""
-        data = self.data
-        if c.values.shape != data.f.values.shape:
-            raise ValueError('parameter grid {} does not match data grid {}'.format(
-                c.values.shape, data.f.values.shape))
-        inverse_eigenvalues, coarse_inverse = _preconditioner(c, self._eigen_sums,
-                                                              self._mode_products)
-        # The row sums of |L(c)|, in the scratch array of the solves.
-        row_sums = np.add(c.interior, 4.0 / c.h ** 2, out=self._work.scratch)
-        np.abs(row_sums, out=row_sums)
-        row_sums += self._neighbor_sums
-        matrix_norm = float(row_sums.max())
-        interior = _interior_solve(c, self._basis, inverse_eigenvalues, coarse_inverse,
-                                   matrix_norm, self._rhs, self._work,
-                                   None if start is None else start.u.interior)
-        values = data.g.values.copy()
-        values[1:-1, 1:-1] = interior
-        return OperatorState(c=c, u=GridFunction._adopt(values),
-                             inverse_eigenvalues=inverse_eigenvalues,
-                             coarse_inverse=coarse_inverse, matrix_norm=matrix_norm)
+        """Set up the linear system L(c) once and solve it for u = F(c),
+        warm-started from the u of a `start` state; returns the state for
+        F, F', F'*."""
+        self._check_grid(c, 'parameter')
+        system = _System(c, self._grid)
+        values = self.data.g.values.copy()
+        values[1:-1, 1:-1] = system.solve(self._rhs,
+                                          None if start is None else start.u.interior)
+        return OperatorState(c=c, u=GridFunction._adopt(values), system=system)
 
     def derivative(self, state, direction, start=None):
         """Directional derivative F'(c) applied to `direction`.
 
         Solves -L(c)^{-1}(direction * u) on the interior with zero boundary,
-        reusing the preconditioner of the state, from the interior of the
-        grid function `start` when that is closer than zero.
+        with the system of the state, from the interior of the grid function
+        `start` when that is closer than zero.
         """
+        self._check_grid(direction, 'direction')
         rhs = -(direction.values * state.u.values)[1:-1, 1:-1]
-        return GridFunction.from_interior(_interior_solve(
-            state.c, self._basis, state.inverse_eigenvalues, state.coarse_inverse,
-            state.matrix_norm, rhs, self._work, None if start is None else start.interior))
+        return GridFunction.from_interior(state.system.solve(
+            rhs, None if start is None else start.interior))
 
     def adjoint(self, state, w):
         """Adjoint F'(c)* applied to a codomain vector w.
@@ -397,10 +395,9 @@ class EllipticOperator:
         Evaluates -u * L(c)^{-1} w with a zero-boundary interior solve; the
         result is a dual vector over the parameter space.
         """
+        self._check_grid(w, 'codomain vector')
         values = np.zeros_like(state.u.values)
-        values[1:-1, 1:-1] = _interior_solve(
-            state.c, self._basis, state.inverse_eigenvalues, state.coarse_inverse,
-            state.matrix_norm, w.interior, self._work)
+        values[1:-1, 1:-1] = state.system.solve(w.interior)
         # -(u * lifted) is (-u) * lifted bit for bit, signed zeros included.
         values *= state.u.values
         return GridFunction._adopt(np.negative(values, out=values))

@@ -396,7 +396,7 @@ def _cmd_check(args):
     space = cfg.parameter_space
     jf = duality_map(f, space)
     norm = weighted_norm(f, space)
-    pairing_err = abs(dual_pairing(jf, f, space) - norm ** cfg.gauge)
+    pairing_err = abs(dual_pairing(jf, f) - norm ** cfg.gauge)
     ok &= _check_line('duality pairing identity', pairing_err <= 1e-10 * norm ** cfg.gauge)
     back = inverse_duality_map(jf, space)
     ok &= _check_line('duality map round trip',
@@ -426,12 +426,12 @@ def _cmd_check(args):
     direction = GridFunction.from_interior(
         rng.standard_normal((cfg.n_recon, cfg.n_recon)))
     w = GridFunction.from_interior(rng.standard_normal((cfg.n_recon, cfg.n_recon)))
-    lhs = dual_pairing(w, op.derivative(state, direction), space_y)
-    rhs = dual_pairing(op.adjoint(state, w), direction, space)
+    lhs = dual_pairing(w, op.derivative(state, direction))
+    rhs = dual_pairing(op.adjoint(state, w), direction)
     ok &= _check_line('derivative/adjoint pairing',
                       abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs)))
 
-    side = classify(truth.c0, _starting_stripe(op, truth, cfg), space)
+    side = classify(truth.c0, _starting_stripe(op, truth, cfg))
     ok &= _check_line('starting iterate above its stripe',
                       side is StripeSide.ABOVE, side.name.lower())
     return 0 if ok else 1

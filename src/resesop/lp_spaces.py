@@ -276,8 +276,8 @@ def weighted_norm(f, space):
     return norm
 
 
-def dual_pairing(g, f, space):
-    """Quadrature-weighted pairing h^2 * sum_ij g_ij f_ij.
+def dual_pairing(g, f):
+    """Quadrature-weighted pairing h^2 * sum_ij g_ij f_ij, h that of the grid.
 
     Consistent with :func:`weighted_norm`, so that the extremal property
     <J(f), f> = ||J(f)||_* ||f|| holds discretely.
@@ -361,7 +361,7 @@ def bregman_distance(x, x_new, space):
     norm_x = weighted_norm(x, space)
     norm_new = weighted_norm(x_new, space)
     d = (norm_new ** q / q + norm_x ** q / q_conj
-         - dual_pairing(duality_map(x, space), x_new, space))
+         - dual_pairing(duality_map(x, space), x_new))
     scale = 1.0 + norm_x ** q + norm_new ** q
     if abs(d) <= BREGMAN_CLAMP * scale:
         return 0.0

@@ -264,8 +264,7 @@ def build_stripe(op, state, x, residual, cfg):
     u_star = op.adjoint(state, w)
     if not np.any(u_star.values):
         raise DegenerateDirectionError('adjoint image of the residual direction is zero')
-    alpha = (dual_pairing(u_star, x, cfg.parameter_space)
-             - dual_pairing(w, residual, space_y))
+    alpha = dual_pairing(u_star, x) - dual_pairing(w, residual)
     res_norm = weighted_norm(residual, space_y)
     w_norm = weighted_norm(w, space_y.dual())
     xi = (cfg.delta + cfg.cone_constant * (res_norm + cfg.delta)) * w_norm
@@ -301,8 +300,8 @@ class _TruthMonitor:
                      * weighted_norm(lifted_prev, space_x))
             fields['direction_cosine'] = (
                 None if denom == 0.0
-                else abs(dual_pairing(stripe.u_star, lifted_prev, space_x)) / denom)
-        fields['truth_inside'] = classify(self.truth, stripe, space_x) is StripeSide.INSIDE
+                else abs(dual_pairing(stripe.u_star, lifted_prev)) / denom)
+        fields['truth_inside'] = classify(self.truth, stripe) is StripeSide.INSIDE
         if not fields['truth_inside']:
             if self.truth_image is None:
                 self.truth_image = self.op(self.truth)
@@ -387,7 +386,7 @@ def run(op, y, x0, cfg, ground_truth=None):
                                    stop_reason=reason, n_star=n, detail=detail)
 
             stripe = build_stripe(op, state, x, residual, cfg)
-            margin = dual_pairing(stripe.u_star, x, space_x) - (stripe.alpha + stripe.xi)
+            margin = dual_pairing(stripe.u_star, x) - (stripe.alpha + stripe.xi)
             if margin <= 0.0:
                 raise GeometryError(
                     'iterate is not strictly above its stripe (margin {:.3g}); '

@@ -64,7 +64,7 @@ def test_criterion_1_duality_map_identities():
             mapped = duality_map(f, space)
             norm = weighted_norm(f, space)
             defects = (
-                abs(dual_pairing(mapped, f, space) - norm ** q) / norm ** q,
+                abs(dual_pairing(mapped, f) - norm ** q) / norm ** q,
                 abs(weighted_norm(mapped, space.dual()) - norm ** (q - 1.0))
                 / norm ** (q - 1.0),
                 weighted_norm(inverse_duality_map(mapped, space) - f, space) / norm,
@@ -80,7 +80,7 @@ def bregman_form_one(x, x_new, space):
     q = space.gauge_exponent
     return (weighted_norm(x_new, space) ** q / q
             - weighted_norm(x, space) ** q / q
-            - dual_pairing(duality_map(x, space), x_new - x, space))
+            - dual_pairing(duality_map(x, space), x_new - x))
 
 
 def bregman_form_three(x, x_new, space):
@@ -88,7 +88,7 @@ def bregman_form_three(x, x_new, space):
     q_conj = conjugate_exponent(q)
     return ((weighted_norm(x, space) ** q - weighted_norm(x_new, space) ** q) / q_conj
             + dual_pairing(duality_map(x_new, space) - duality_map(x, space),
-                           x_new, space))
+                           x_new))
 
 
 def test_criterion_2_bregman_form_equivalence():
@@ -122,10 +122,10 @@ def _euclidean_gap(a, b, space):
 def _two_stage_case(rng, x, u, xi, space):
     """A current stripe of direction u with x above it and a random
     previous stripe with x inside it."""
-    stripe = Stripe(u, dual_pairing(u, x, space) - xi - float(rng.uniform(0.3, 2.0)), xi)
+    stripe = Stripe(u, dual_pairing(u, x) - xi - float(rng.uniform(0.3, 2.0)), xi)
     second = GridFunction(rng.standard_normal(x.values.shape))
     prev_xi = float(rng.uniform(0.05, 1.0))
-    previous = Stripe(second, dual_pairing(second, x, space)
+    previous = Stripe(second, dual_pairing(second, x)
                       - float(rng.uniform(-1.0, 1.0)) * prev_xi, prev_xi)
     return stripe, previous
 
@@ -140,8 +140,8 @@ def _qp_two_stage_oracle(x, stripe, previous, space):
     best = None
     for active in ((), (0,), (1,), (2,), (0, 1), (0, 2)):
         us = [constraints[k][0] for k in active]
-        gram = np.array([[dual_pairing(a, b, space) for b in us] for a in us])
-        gaps = np.array([dual_pairing(constraints[k][0], x, space)
+        gram = np.array([[dual_pairing(a, b) for b in us] for a in us])
+        gaps = np.array([dual_pairing(constraints[k][0], x)
                          - constraints[k][1] for k in active])
         coeffs = np.linalg.solve(gram, gaps) if active else np.zeros(0)
         if np.any(coeffs < -1e-12):
@@ -149,7 +149,7 @@ def _qp_two_stage_oracle(x, stripe, previous, space):
         candidate = x
         for coeff, direction in zip(coeffs, us):
             candidate = candidate - float(coeff) * direction
-        if any(dual_pairing(u, candidate, space) - alpha > 1e-10
+        if any(dual_pairing(u, candidate) - alpha > 1e-10
                for u, alpha in constraints):
             continue
         distance = weighted_norm(candidate - x, space)
@@ -167,15 +167,15 @@ def test_criterion_3_hilbert_projection_oracles():
         space = SpaceSpec(2.0, 2.0)
         u = GridFunction(rng.standard_normal(x.values.shape))
         alpha = float(rng.normal())
-        uu = dual_pairing(u, u, space)
+        uu = dual_pairing(u, u)
 
         projected, _ = project_intersection(x, [(u, alpha)], space)
-        closed = x - ((dual_pairing(u, x, space) - alpha) / uu) * u
+        closed = x - ((dual_pairing(u, x) - alpha) / uu) * u
         worst = max(worst, _euclidean_gap(projected, closed, space))
 
         xi = float(rng.uniform(0.05, 1.0))
         stripe_point, _ = project_two_stage(x, Stripe(u, alpha, xi), None, space)
-        gap = dual_pairing(u, x, space) - alpha
+        gap = dual_pairing(u, x) - alpha
         shift = max(abs(gap) - xi, 0.0) * np.sign(gap) / uu
         worst = max(worst, _euclidean_gap(stripe_point, x - shift * u, space))
 
@@ -197,31 +197,31 @@ def test_criterion_4_projection_descent_property():
         x = random_grid(rng, max_interior=6)
         space = SpaceSpec(1.5, 2.0)
         u = GridFunction(rng.standard_normal(x.values.shape))
-        uu = dual_pairing(u, u, space)
+        uu = dual_pairing(u, u)
         kind = index % 3
         if kind == 0:
-            alpha = dual_pairing(u, x, space) - float(rng.uniform(0.5, 3.0))
+            alpha = dual_pairing(u, x) - float(rng.uniform(0.5, 3.0))
             projected, _ = project_intersection(x, [(u, alpha)], space)
             carrier = GridFunction(rng.standard_normal(x.values.shape))
-            z = carrier - ((dual_pairing(u, carrier, space) - alpha) / uu) * u
+            z = carrier - ((dual_pairing(u, carrier) - alpha) / uu) * u
         elif kind == 1:
-            alpha = dual_pairing(u, x, space) - float(rng.uniform(0.5, 3.0))
+            alpha = dual_pairing(u, x) - float(rng.uniform(0.5, 3.0))
             xi = float(rng.uniform(0.05, 0.4))
             projected, _ = project_two_stage(x, Stripe(u, alpha, xi), None, space)
             carrier = GridFunction(rng.standard_normal(x.values.shape))
-            z = carrier - ((dual_pairing(u, carrier, space) - alpha) / uu) * u
+            z = carrier - ((dual_pairing(u, carrier) - alpha) / uu) * u
         else:
             stripe, previous = _two_stage_case(rng, x, u, float(rng.uniform(0.05, 0.4)),
                                                space)
             projected, _ = project_two_stage(x, stripe, previous, space)
             # z below the current upper plane and inside the previous stripe
             us = [stripe.u_star, previous.u_star]
-            gram = np.array([[dual_pairing(a, b, space) for b in us] for a in us])
+            gram = np.array([[dual_pairing(a, b) for b in us] for a in us])
             carrier = GridFunction(rng.standard_normal(x.values.shape))
             targets = np.array([
                 stripe.alpha + stripe.xi - float(rng.uniform(0.1, 1.0)),
                 previous.alpha + float(rng.uniform(-1.0, 1.0)) * previous.xi])
-            gaps = np.array([dual_pairing(v, carrier, space) for v in us]) - targets
+            gaps = np.array([dual_pairing(v, carrier) for v in us]) - targets
             coeffs = np.linalg.solve(gram, gaps)
             z = carrier
             for coeff, direction in zip(coeffs, us):
@@ -248,7 +248,6 @@ def test_criterion_5_operator_checks():
     worst_adjoint = 0.0
     worst_exact = 0.0
     min_order = np.inf
-    space_x = SpaceSpec(1.5, 2.0)
     space_y = SpaceSpec(5.0, 2.0)
     for n in (5, 10, 20):
         c = _smooth_positive_parameter(rng, n)
@@ -271,8 +270,8 @@ def test_criterion_5_operator_checks():
         for _ in range(34):
             direction = GridFunction.from_interior(rng.standard_normal((n, n)))
             w = GridFunction.from_interior(rng.standard_normal((n, n)))
-            lhs = dual_pairing(w, op.derivative(state, direction), space_y)
-            rhs = dual_pairing(op.adjoint(state, w), direction, space_x)
+            lhs = dual_pairing(w, op.derivative(state, direction))
+            rhs = dual_pairing(op.adjoint(state, w), direction)
             worst_adjoint = max(worst_adjoint,
                                 abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
 
@@ -535,9 +534,9 @@ def test_criterion_11_exact_affine_oracle(monkeypatch):
 
     worst_gram = 0.0
     for x, planes, x_new in hilbert_two_plane:
-        gram = np.array([[dual_pairing(u, v, hilbert) for v, _ in planes]
+        gram = np.array([[dual_pairing(u, v) for v, _ in planes]
                          for u, _ in planes])
-        gaps = np.array([dual_pairing(u, x, hilbert) - alpha for u, alpha in planes])
+        gaps = np.array([dual_pairing(u, x) - alpha for u, alpha in planes])
         t = np.linalg.solve(gram, gaps)
         expected = GridFunction(x.values - t[0] * planes[0][0].values
                                 - t[1] * planes[1][0].values)

@@ -44,8 +44,8 @@ def hilbert_space(n):
 
 def gram_projection(x, planes, space):
     """Metric projection onto an intersection of planes: Gram solve oracle."""
-    gram = np.array([[dual_pairing(u, v, space) for v, _ in planes] for u, _ in planes])
-    gaps = np.array([dual_pairing(u, x, space) - alpha for u, alpha in planes])
+    gram = np.array([[dual_pairing(u, v) for v, _ in planes] for u, _ in planes])
+    gaps = np.array([dual_pairing(u, x) - alpha for u, alpha in planes])
     coeffs = np.linalg.solve(gram, gaps)
     values = x.values.copy()
     for c, (u, _) in zip(coeffs, planes):
@@ -70,7 +70,7 @@ def kkt_halfspace_oracle(x, halves, space, masks=None):
                 continue
         else:
             z = x
-        if all(dual_pairing(u, z, space) - alpha <= slack for u, alpha in halves):
+        if all(dual_pairing(u, z) - alpha <= slack for u, alpha in halves):
             return z
     raise AssertionError('KKT enumeration found no feasible point')
 
@@ -79,9 +79,9 @@ def affine_member(rng, planes, space, n):
     """Random point lying exactly on every plane (for descent-property z)."""
     base = random_grid(rng, n)
     directions = [random_grid(rng, n) for _ in planes]
-    matrix = np.array([[dual_pairing(u, d, space) for d in directions]
+    matrix = np.array([[dual_pairing(u, d) for d in directions]
                        for u, _ in planes])
-    rhs = np.array([alpha - dual_pairing(u, base, space) for u, alpha in planes])
+    rhs = np.array([alpha - dual_pairing(u, base) for u, alpha in planes])
     coeffs = np.linalg.solve(matrix, rhs)
     values = base.values.copy()
     for c, d in zip(coeffs, directions):
@@ -93,13 +93,12 @@ def test_classify_boundary_cases():
     # N=1 grid, weight 1/4: constant functions give dyadic pairings, so the
     # stripe boundary comparisons below are exact in floating point.
     u = GridFunction.full(1, 1.0)
-    space = hilbert_space(1)
     stripe = Stripe(u, 2.0, 0.25)
-    assert dual_pairing(u, GridFunction.full(1, 1.0), space) == 2.25
-    assert classify(GridFunction.full(1, 1.0), stripe, space) is StripeSide.INSIDE
-    assert classify(GridFunction.full(1, 8.0 / 9.0), stripe, space) is StripeSide.INSIDE
-    assert classify(GridFunction.full(1, 2.0), stripe, space) is StripeSide.ABOVE
-    assert classify(GridFunction.zeros(1), stripe, space) is StripeSide.BELOW
+    assert dual_pairing(u, GridFunction.full(1, 1.0)) == 2.25
+    assert classify(GridFunction.full(1, 1.0), stripe) is StripeSide.INSIDE
+    assert classify(GridFunction.full(1, 8.0 / 9.0), stripe) is StripeSide.INSIDE
+    assert classify(GridFunction.full(1, 2.0), stripe) is StripeSide.ABOVE
+    assert classify(GridFunction.zeros(1), stripe) is StripeSide.BELOW
 
 
 def test_stripe_validation():
@@ -119,8 +118,8 @@ def test_project_hyperplane_hilbert_oracle():
         u = random_grid(rng, n)
         alpha = float(rng.normal())
         x_new, (t,) = project_intersection(x, [(u, alpha)], space)
-        gap = dual_pairing(u, x, space) - alpha
-        t_expected = gap / dual_pairing(u, u, space)
+        gap = dual_pairing(u, x) - alpha
+        t_expected = gap / dual_pairing(u, u)
         expected = GridFunction(x.values - t_expected * u.values)
         np.testing.assert_allclose(x_new.values, expected.values, rtol=1e-8, atol=1e-10)
         assert t == pytest.approx(t_expected, rel=1e-8, abs=1e-12)
@@ -131,7 +130,7 @@ def test_project_hyperplane_already_on_plane():
     x = random_grid(rng)
     u = random_grid(rng)
     space = SpaceSpec(1.5, 2.0)
-    alpha = dual_pairing(u, x, space)
+    alpha = dual_pairing(u, x)
     x_new, (t,) = project_intersection(x, [(u, alpha)], space)
     assert t == 0.0
     assert x_new is x
@@ -149,7 +148,7 @@ def test_project_hyperplane_feasibility_and_idempotence():
             x_new, _ = project_intersection(x, [(u, alpha)], space)
             norm_u = weighted_norm(u, space.dual())
             feas = 1e-8 * (1.0 + abs(alpha) + norm_u * weighted_norm(x, space))
-            assert abs(dual_pairing(u, x_new, space) - alpha) <= feas
+            assert abs(dual_pairing(u, x_new) - alpha) <= feas
             again, _ = project_intersection(x_new, [(u, alpha)], space)
             assert weighted_norm(again - x_new, space) < 1e-8
 
@@ -259,8 +258,8 @@ def test_project_intersection_hilbert_orthogonal_oracle():
     planes = [(GridFunction(left), 0.7), (GridFunction(right), -0.4)]
     x_new, t = project_intersection(x, planes, space)
     for coeff, (u, alpha) in zip(t, planes):
-        gap = dual_pairing(u, x, space) - alpha
-        assert coeff == pytest.approx(gap / dual_pairing(u, u, space), rel=1e-8, abs=1e-10)
+        gap = dual_pairing(u, x) - alpha
+        assert coeff == pytest.approx(gap / dual_pairing(u, u), rel=1e-8, abs=1e-10)
     oracle, _ = gram_projection(x, planes, space)
     np.testing.assert_allclose(x_new.values, oracle.values, rtol=1e-8, atol=1e-10)
 
@@ -289,7 +288,7 @@ def test_project_intersection_general_exponent_feasibility():
         for u, alpha in planes:
             feas = 1e-8 * (1.0 + abs(alpha)
                            + weighted_norm(u, space.dual()) * weighted_norm(x, space))
-            assert abs(dual_pairing(u, x_new, space) - alpha) <= feas
+            assert abs(dual_pairing(u, x_new) - alpha) <= feas
 
 
 @pytest.mark.parametrize('r, q', [(1.5, 1.5), (3.0, 2.0), (2.0, 2.0)])
@@ -360,7 +359,7 @@ def test_project_stripe_cases():
     space = SpaceSpec(1.5, 2.0)
     x = random_grid(rng, n)
     u = random_grid(rng, n)
-    value = dual_pairing(u, x, space)
+    value = dual_pairing(u, x)
 
     inside = Stripe(u, value, 0.5)
     x_same, t = project_two_stage(x, inside, None, space)
@@ -393,9 +392,9 @@ def test_project_stripe_hilbert_oracle():
         alpha = float(rng.normal())
         xi = float(rng.uniform(0.0, 0.5))
         x_new, _ = project_two_stage(x, Stripe(u, alpha, xi), None, space)
-        gap = dual_pairing(u, x, space) - alpha
+        gap = dual_pairing(u, x) - alpha
         shift = max(abs(gap) - xi, 0.0) * np.sign(gap)
-        expected = x.values - (shift / dual_pairing(u, u, space)) * u.values
+        expected = x.values - (shift / dual_pairing(u, u)) * u.values
         np.testing.assert_allclose(x_new.values, expected, rtol=1e-8, atol=1e-10)
 
 
@@ -404,8 +403,8 @@ def test_project_two_stage_inside_both_stripes_untouched():
     x = random_grid(rng)
     space = SpaceSpec(1.5, 2.0)
     u1, u2 = random_grid(rng), random_grid(rng)
-    stripe = Stripe(u1, dual_pairing(u1, x, space) + 0.5, 1.0)
-    previous = Stripe(u2, dual_pairing(u2, x, space) - 0.5, 1.0)
+    stripe = Stripe(u1, dual_pairing(u1, x) + 0.5, 1.0)
+    previous = Stripe(u2, dual_pairing(u2, x) - 0.5, 1.0)
     x_new, t = project_two_stage(x, stripe, previous, space)
     assert x_new is x
     assert t == (0.0,)
@@ -423,9 +422,9 @@ def test_project_two_stage_hilbert_kkt_oracle():
         x = random_grid(rng, n, scale=float(rng.uniform(0.3, 3.0)))
         u1, u2 = random_grid(rng, n), random_grid(rng, n)
         xi = float(rng.uniform(0.0, 0.5))
-        stripe = Stripe(u1, dual_pairing(u1, x, space) - xi - float(rng.uniform(0.1, 2.0)), xi)
+        stripe = Stripe(u1, dual_pairing(u1, x) - xi - float(rng.uniform(0.1, 2.0)), xi)
         prev_xi = float(rng.uniform(0.05, 1.0))
-        previous = Stripe(u2, dual_pairing(u2, x, space)
+        previous = Stripe(u2, dual_pairing(u2, x)
                           - float(rng.uniform(-1.0, 1.0)) * prev_xi, prev_xi)
         x_new, t = project_two_stage(x, stripe, previous, space)
         planes_used.add(len(t))
@@ -449,16 +448,16 @@ def test_project_two_stage_perpendicular_normals():
     right = np.zeros((n + 2, n + 2))
     right[3:, :] = rng.standard_normal((2, n + 2))
     u1, u2 = GridFunction(left), GridFunction(right)
-    stripe = Stripe(u1, dual_pairing(u1, x, space) - 1.25, 0.25)
-    previous = Stripe(u2, dual_pairing(u2, x, space) - 0.75, 0.25)
+    stripe = Stripe(u1, dual_pairing(u1, x) - 1.25, 0.25)
+    previous = Stripe(u2, dual_pairing(u2, x) - 0.75, 0.25)
     x_new, (t1, t2) = project_two_stage(x, stripe, previous, space)
     # The result lies on the upper bound of the previous stripe.
     bound = previous.alpha + previous.xi
-    assert dual_pairing(u2, x_new, space) == pytest.approx(bound, abs=1e-10)
+    assert dual_pairing(u2, x_new) == pytest.approx(bound, abs=1e-10)
     oracle = kkt_halfspace_oracle(x, [(u1, stripe.alpha + stripe.xi), (u2, bound)], space)
     np.testing.assert_allclose(x_new.values, oracle.values, rtol=1e-8, atol=1e-10)
-    assert t1 == pytest.approx(1.0 / dual_pairing(u1, u1, space), rel=1e-7)
-    assert t2 == pytest.approx(0.5 / dual_pairing(u2, u2, space), rel=1e-7)
+    assert t1 == pytest.approx(1.0 / dual_pairing(u1, u1), rel=1e-7)
+    assert t2 == pytest.approx(0.5 / dual_pairing(u2, u2), rel=1e-7)
 
 
 def test_descent_property_hyperplane():

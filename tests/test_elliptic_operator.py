@@ -98,15 +98,11 @@ def test_cg_solve_matches_dense_solve():
     rng = np.random.default_rng(36)
     cases = ((1, 0.5, 4.0), (7, 0.5, 4.0), (40, 0.5, 4.0), (7, 0.0, 1e4), (40, 0.0, 1e4))
     for n, low, high in cases:
-        op, state = random_operator(rng, n, low, high)
+        _, state = random_operator(rng, n, low, high)
         c = state.c
         rhs = rng.standard_normal((n, n))
 
-        def solve(b):
-            return elliptic_operator._interior_solve(
-                c, op._basis, state.inverse_eigenvalues, state.coarse_inverse,
-                state.matrix_norm, b, op._work)
-
+        solve = state.system.solve
         solution = solve(rhs).ravel()
         matrix = dense_matrix(c)
         residual = np.linalg.norm(matrix @ solution - rhs.ravel())
@@ -155,16 +151,15 @@ def test_indefinite_galerkin_block_raises():
     assert info.value.parameter is c
 
 
-def dense_preconditioner(op, state):
+def dense_preconditioner(state):
     # The preconditioner as a dense (N^2, N^2) array, built from unit vectors.
     n = state.c.n_interior
     columns = []
     for k in range(n * n):
         unit = np.zeros(n * n)
         unit[k] = 1.0
-        columns.append(elliptic_operator._apply_preconditioner(
-            op._basis, state.inverse_eigenvalues, state.coarse_inverse,
-            unit.reshape(n, n), np.empty((n, n)), op._work.spectral).ravel())
+        columns.append(state.system.precondition(unit.reshape(n, n),
+                                                 np.empty((n, n))).ravel())
     return np.array(columns).T
 
 
@@ -174,8 +169,8 @@ def test_preconditioner_is_symmetric_positive_definite(n, low, high):
     # CG needs a symmetric positive definite preconditioner; its float32
     # apply keeps the symmetry to about 1e-7. Up to N = COARSE_MODES every
     # mode is coarse, so it is the inverse of L(c) to float32 accuracy.
-    op, state = random_operator(np.random.default_rng(39), n, low, high)
-    matrix = dense_preconditioner(op, state)
+    _, state = random_operator(np.random.default_rng(39), n, low, high)
+    matrix = dense_preconditioner(state)
     assert np.linalg.norm(matrix - matrix.T) <= 1e-6 * np.linalg.norm(matrix)
     np.linalg.cholesky(0.5 * (matrix + matrix.T))
     if n <= elliptic_operator.COARSE_MODES:
@@ -295,12 +290,11 @@ def test_adjoint_pairing_identity():
     rng = np.random.default_rng(34)
     for n in (5, 10, 20):
         op, state = make_linearization(n)
-        space = SpaceSpec(2.0, 2.0)
         for _ in range(10):
             direction = random_interior(rng, n)
             w = random_interior(rng, n)
-            lhs = dual_pairing(w, op.derivative(state, direction), space)
-            rhs = dual_pairing(op.adjoint(state, w), direction, space)
+            lhs = dual_pairing(w, op.derivative(state, direction))
+            rhs = dual_pairing(op.adjoint(state, w), direction)
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-14)
 
 
@@ -400,20 +394,21 @@ def test_stencil_equals_the_slice_reference_bitwise(n):
 
 @pytest.mark.parametrize('n', [1, 2, 7, 12, 40])
 def test_preconditioner_apply_equals_the_allocating_formula_bitwise(n):
-    # The apply writes into `out` and its two float32 work arrays, which
-    # hold NaN beforehand; the bits are those of the formula with a new
-    # array per operation.
+    # The apply writes into `out` and the two float32 work arrays of the
+    # grid, which hold NaN beforehand; the bits are those of the formula
+    # with a new array per operation.
     op, state = random_operator(np.random.default_rng(45), n, 0.5, 4.0)
+    system = state.system
     r = np.random.default_rng(46).standard_normal((n, n))
-    basis, k = op._basis, min(elliptic_operator.COARSE_MODES, n)
+    basis, k = op._grid.basis, min(elliptic_operator.COARSE_MODES, n)
     spectral = basis @ r.astype(np.float32) @ basis
-    scaled = spectral * state.inverse_eigenvalues
-    scaled[:k, :k] = (state.coarse_inverse @ spectral[:k, :k].ravel()).reshape(k, k)
+    scaled = spectral * system.inverse_eigenvalues
+    scaled[:k, :k] = (system.coarse_inverse @ spectral[:k, :k].ravel()).reshape(k, k)
     expected = (basis @ scaled @ basis).astype(float)
     out = np.full((n, n), np.nan)
-    work = np.full((n, n), np.nan, np.float32), np.full((n, n), np.nan, np.float32)
-    assert elliptic_operator._apply_preconditioner(
-        basis, state.inverse_eigenvalues, state.coarse_inverse, r, out, work) is out
+    for work in op._grid.spectral:
+        work.fill(np.nan)
+    assert system.precondition(r, out) is out
     assert same_bits(out, expected)
 
 
@@ -435,12 +430,13 @@ def test_cg_preconditions_once_per_iteration(monkeypatch):
         solves.append({name: counts[name] - before[name] for name in counts})
         return result
 
-    solve = elliptic_operator._interior_solve
-    monkeypatch.setattr(elliptic_operator, '_apply_preconditioner',
-                        counting('preconditioner', elliptic_operator._apply_preconditioner))
+    system = elliptic_operator._System
+    solve = system.solve
+    monkeypatch.setattr(system, 'precondition',
+                        counting('preconditioner', system.precondition))
     monkeypatch.setattr(elliptic_operator, '_stencil',
                         counting('stencil', elliptic_operator._stencil))
-    monkeypatch.setattr(elliptic_operator, '_interior_solve', recorded)
+    monkeypatch.setattr(system, 'solve', recorded)
     op, state = make_linearization(12)
     rng = np.random.default_rng(38)
     op.derivative(state, random_interior(rng, 12))
@@ -459,8 +455,8 @@ def test_small_grids_solve_in_at_most_three_applies(monkeypatch):
     # With every mode coarse the float32 preconditioner is the inverse of
     # L(c) to about 1e-7, so each CG iteration gains about seven digits.
     applies = []
-    inner_apply = elliptic_operator._apply_preconditioner
-    inner_solve = elliptic_operator._interior_solve
+    inner_apply = elliptic_operator._System.precondition
+    inner_solve = elliptic_operator._System.solve
 
     def counting(*args):
         applies[-1] += 1
@@ -470,8 +466,8 @@ def test_small_grids_solve_in_at_most_three_applies(monkeypatch):
         applies.append(0)
         return inner_solve(*args)
 
-    monkeypatch.setattr(elliptic_operator, '_apply_preconditioner', counting)
-    monkeypatch.setattr(elliptic_operator, '_interior_solve', recorded)
+    monkeypatch.setattr(elliptic_operator._System, 'precondition', counting)
+    monkeypatch.setattr(elliptic_operator._System, 'solve', recorded)
     rng = np.random.default_rng(40)
     for n in range(1, elliptic_operator.COARSE_MODES + 1):
         for low, high in ((0.5, 4.0), (0.0, 1e4)):
@@ -495,7 +491,7 @@ def backward_error(op, state, x=None, rhs=None):
     x = state.u.interior if x is None else x
     rhs = op._rhs if rhs is None else rhs
     residual = stencil(state.c, x) - rhs
-    return np.linalg.norm(residual) / (state.matrix_norm * np.linalg.norm(x)
+    return np.linalg.norm(residual) / (state.system.norm * np.linalg.norm(x)
                                        + np.linalg.norm(rhs))
 
 
@@ -508,7 +504,7 @@ def test_warm_forward_solve_meets_the_cold_bound_and_agrees_with_it():
     assert backward_error(op, warm) <= bound
     # The two solutions differ by no more than the two bounds allow.
     gap = stencil(c1, warm.u.interior - cold.u.interior)
-    scale = cold.matrix_norm * np.linalg.norm(cold.u.interior) + np.linalg.norm(op._rhs)
+    scale = cold.system.norm * np.linalg.norm(cold.u.interior) + np.linalg.norm(op._rhs)
     assert np.linalg.norm(gap) <= 2.0 * bound * scale
     np.testing.assert_array_equal(warm.u.values[0], cold.u.values[0])
 
@@ -521,13 +517,13 @@ def test_warm_derivative_solve_meets_the_cold_bound_and_agrees_with_it(monkeypat
     direction = c1 - c0
     misfit = state.u - op.linearize(c0).u
     applies = []
-    inner = elliptic_operator._apply_preconditioner
+    inner = elliptic_operator._System.precondition
 
     def counting(*args):
         applies[-1] += 1
         return inner(*args)
 
-    monkeypatch.setattr(elliptic_operator, '_apply_preconditioner', counting)
+    monkeypatch.setattr(elliptic_operator._System, 'precondition', counting)
     results = []
     for start in (None, misfit):
         applies.append(0)
@@ -538,7 +534,7 @@ def test_warm_derivative_solve_meets_the_cold_bound_and_agrees_with_it(monkeypat
     assert backward_error(op, state, cold, rhs) <= bound
     assert backward_error(op, state, warm, rhs) <= bound
     gap = stencil(c1, warm - cold)
-    scale = state.matrix_norm * np.linalg.norm(cold) + np.linalg.norm(rhs)
+    scale = state.system.norm * np.linalg.norm(cold) + np.linalg.norm(rhs)
     assert np.linalg.norm(gap) <= 2.0 * bound * scale
     assert applies[1] < applies[0]
 
@@ -550,6 +546,35 @@ def test_start_from_another_grid_is_rejected():
         op.linearize(c0, start=other.linearize(c_other))
     with pytest.raises(ValueError, match='start grid'):
         op.derivative(op.linearize(c0), c0, start=other.linearize(c_other).u)
+
+
+def test_argument_from_another_grid_is_rejected():
+    # Both messages name both grids. A one-node codomain vector would
+    # otherwise be broadcast over the interior of the 8 x 8 operator.
+    op = EllipticOperator(BvpData(f=GridFunction.full(8, 1.0), g=GridFunction.zeros(8)))
+    state = op.linearize(GridFunction.full(8, 1.0))
+    other = GridFunction.full(1, 2.0)
+    with pytest.raises(ValueError, match=r'direction grid \(3, 3\) does not match data '
+                                         r'grid \(10, 10\)'):
+        op.derivative(state, other)
+    with pytest.raises(ValueError, match=r'codomain vector grid \(3, 3\) does not match '
+                                         r'data grid \(10, 10\)'):
+        op.adjoint(state, other)
+
+
+def test_a_later_set_up_leaves_an_earlier_state_alone():
+    # A state keeps its own system: after a second parameter's set-up and
+    # solve on the same operator, the derivative and the adjoint of the
+    # first state give a fresh operator's bits.
+    op, (c0, c1) = benchmark_parameters(40, 1)
+    w = random_interior(np.random.default_rng(48), 40)
+    first = op.linearize(c0)
+    op.linearize(c1)
+    fresh = EllipticOperator(op.data)
+    reference = fresh.linearize(c0)
+    assert same_bits(op.derivative(first, c1 - c0).values,
+                     fresh.derivative(reference, c1 - c0).values)
+    assert same_bits(op.adjoint(first, w).values, fresh.adjoint(reference, w).values)
 
 
 @pytest.mark.parametrize('factor', [0.0, 1e6, 1e300])
@@ -577,13 +602,13 @@ def test_warm_starts_save_preconditioner_applies(monkeypatch):
     # chain saves iterations in every solve after the first.
     op, parameters = benchmark_parameters(40, 3)
     applies = []
-    inner = elliptic_operator._apply_preconditioner
+    inner = elliptic_operator._System.precondition
 
     def counting(*args):
         applies[-1] += 1
         return inner(*args)
 
-    monkeypatch.setattr(elliptic_operator, '_apply_preconditioner', counting)
+    monkeypatch.setattr(elliptic_operator._System, 'precondition', counting)
 
     def chain(warm):
         counts, state = [], None
@@ -600,9 +625,11 @@ def test_warm_starts_save_preconditioner_applies(monkeypatch):
 
 
 def workspace_arrays(op):
-    # Every array of the operator's CG workspace.
-    return [array for item in vars(op._work).values()
-            for array in (item if isinstance(item, tuple) else (item,))]
+    # Every array the solves of the operator write to: the writable arrays
+    # of its grid (those that depend only on N are read-only).
+    return [array for item in vars(op._grid).values()
+            for array in (item if isinstance(item, tuple) else (item,))
+            if isinstance(array, np.ndarray) and array.flags.writeable]
 
 
 def returned_arrays(*results):
@@ -612,7 +639,8 @@ def returned_arrays(*results):
         if isinstance(result, GridFunction):
             arrays.append(result.values)
         else:
-            arrays += [result.u.values, result.inverse_eigenvalues, result.coarse_inverse]
+            arrays += [result.u.values, result.system.inverse_eigenvalues,
+                       result.system.coarse_inverse]
     return arrays
 
 
@@ -655,7 +683,7 @@ def test_workspace_reuse_is_not_observable(monkeypatch):
         event()
         assert cold_solves_match()
     arrays, workspace = returned_arrays(*results), workspace_arrays(op)
-    assert len(workspace) == 12
+    assert len(workspace) == 10
     for j, array in enumerate(arrays):
         assert not any(np.shares_memory(array, other) for other in arrays[j + 1:])
         assert not any(np.shares_memory(array, other) for other in workspace)

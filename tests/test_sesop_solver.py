@@ -115,7 +115,6 @@ def test_build_stripe_formulas():
     rng = np.random.default_rng(40)
     n = 4
     op = LinearStub(rng.standard_normal((n * n, n * n)), GridFunction.zeros(n))
-    space_x = SpaceSpec(1.5, 2.0)
     space_y = SpaceSpec(5.0, 2.0)
     x = GridFunction.from_interior(rng.standard_normal((n, n)))
     y = GridFunction.from_interior(rng.standard_normal((n, n)))
@@ -127,8 +126,7 @@ def test_build_stripe_formulas():
     stripe = build_stripe(op, state, x, residual, cfg)
     u_star = op.adjoint(state, w)
     np.testing.assert_array_equal(stripe.u_star.values, u_star.values)
-    expected_alpha = (dual_pairing(u_star, x, space_x)
-                      - dual_pairing(w, residual, space_y))
+    expected_alpha = dual_pairing(u_star, x) - dual_pairing(w, residual)
     assert stripe.alpha == pytest.approx(expected_alpha, rel=1e-14)
     res_norm = weighted_norm(residual, space_y)
     w_norm = weighted_norm(w, space_y.dual())
@@ -158,7 +156,7 @@ def step(op, state, x, residual, previous, cfg):
     it, and the two-stage projection (next iterate, coefficients)."""
     stripe = build_stripe(op, state, x, residual, cfg)
     space = cfg.parameter_space
-    margin = dual_pairing(stripe.u_star, x, space) - (stripe.alpha + stripe.xi)
+    margin = dual_pairing(stripe.u_star, x) - (stripe.alpha + stripe.xi)
     return stripe, margin, project_two_stage(x, stripe, previous, space)
 
 
@@ -199,25 +197,24 @@ def test_landweber_step_matches_classical_landweber():
 def two_dir_setup(seed=42, n=4):
     rng = np.random.default_rng(seed)
     op = LinearStub(rng.standard_normal((n * n, n * n)), GridFunction.zeros(n))
-    space = SpaceSpec(2.0, 2.0)
     x = GridFunction.from_interior(rng.standard_normal((n, n)))
     y = GridFunction.from_interior(rng.standard_normal((n, n)))
     state = op.linearize(x)
-    return op, space, x, y, state, state.u - y, rng
+    return op, x, y, state, state.u - y, rng
 
 
 def test_two_dir_step_without_previous_stripe():
-    op, space, x, y, state, residual, _ = two_dir_setup()
+    op, x, y, state, residual, _ = two_dir_setup()
     cfg = hilbert_config(method='B')
     stripe, _, (x_next, t) = step(op, state, x, residual, None, cfg)
     assert len(t) == 1  # a single projection
     # with xi = 0 the step must land on the central hyperplane
-    assert abs(dual_pairing(stripe.u_star, x_next, space)
+    assert abs(dual_pairing(stripe.u_star, x_next)
                - stripe.alpha) <= 1e-8 * (1.0 + abs(stripe.alpha))
 
 
 def test_two_dir_step_keeps_point_inside_previous_stripe():
-    op, space, x, y, state, residual, rng = two_dir_setup(seed=43)
+    op, x, y, state, residual, rng = two_dir_setup(seed=43)
     cfg = hilbert_config(method='B')
     wide = Stripe(GridFunction.from_interior(rng.standard_normal((4, 4))),
                   0.0, 1e9)  # so wide the intermediate point stays inside
@@ -226,18 +223,18 @@ def test_two_dir_step_keeps_point_inside_previous_stripe():
 
 
 def test_two_dir_step_correction_matches_gram_oracle():
-    op, space, x, y, state, residual, rng = two_dir_setup(seed=44)
+    op, x, y, state, residual, rng = two_dir_setup(seed=44)
     cfg = hilbert_config(method='B')
     # A narrow previous stripe the intermediate point will violate.
     u_prev = GridFunction.from_interior(rng.standard_normal((4, 4)))
     x_plane = step(op, state, x, residual, None, cfg)[2][0]
-    prev_alpha = dual_pairing(u_prev, x_plane, space) - 5.0
+    prev_alpha = dual_pairing(u_prev, x_plane) - 5.0
     prev = Stripe(u_prev, prev_alpha, 1e-6)
     stripe, _, (x_next, t) = step(op, state, x, residual, prev, cfg)
     # a two-plane correction onto the violated upper bound of prev (x_plane
     # sits far above it)
     assert len(t) == 2
-    assert dual_pairing(u_prev, x_next, space) == pytest.approx(
+    assert dual_pairing(u_prev, x_next) == pytest.approx(
         prev.alpha + prev.xi, abs=1e-7)
     truth = GridFunction.from_interior(rng.standard_normal((4, 4)))
     cosine = _TruthMonitor(op, truth, cfg).at_step(
@@ -246,9 +243,9 @@ def test_two_dir_step_correction_matches_gram_oracle():
     # oracle: metric projection of x onto the two active planes
     planes = [(stripe.u_star, stripe.alpha + stripe.xi),
               (prev.u_star, prev.alpha + prev.xi)]
-    gram = np.array([[dual_pairing(u, v, space) for v, _ in planes]
+    gram = np.array([[dual_pairing(u, v) for v, _ in planes]
                      for u, _ in planes])
-    gaps = np.array([dual_pairing(u, x, space) - a for u, a in planes])
+    gaps = np.array([dual_pairing(u, x) - a for u, a in planes])
     coeffs = np.linalg.solve(gram, gaps)
     oracle = x.values - coeffs[0] * planes[0][0].values - coeffs[1] * planes[1][0].values
     np.testing.assert_allclose(x_next.values, oracle, rtol=1e-7, atol=1e-9)
@@ -264,7 +261,7 @@ def test_run_fails_when_the_iterate_is_not_above_its_stripe(monkeypatch):
     def lifted(op, state, x, residual, cfg):
         stripe = inner(op, state, x, residual, cfg)
         if built:
-            top = dual_pairing(stripe.u_star, x, cfg.parameter_space)
+            top = dual_pairing(stripe.u_star, x)
             stripe = Stripe(stripe.u_star, top - stripe.xi + 0.25, stripe.xi)
         built.append((stripe, x))
         return stripe
@@ -281,7 +278,7 @@ def test_run_fails_when_the_iterate_is_not_above_its_stripe(monkeypatch):
         run(op, op(truth), x0, cfg)
     assert len(built) == 2
     stripe, x = built[-1]
-    margin = (dual_pairing(stripe.u_star, x, cfg.parameter_space)
+    margin = (dual_pairing(stripe.u_star, x)
               - (stripe.alpha + stripe.xi))
     assert margin < 0.0
     assert 'iterate is not strictly above its stripe (margin {:.3g})'.format(
