@@ -45,6 +45,7 @@ from .sesop_solver import (
     SolverConfig,
     SolverFailure,
     StopReason,
+    TruthMonitor,
     build_stripe,
     run,
 )
@@ -272,7 +273,7 @@ def run_experiment(cfg):
     logger.info('method %s, delta=%g, data grid %d, reconstruction grid %d',
                 cfg.method, cfg.delta, cfg.n_data, cfg.n_recon)
     try:
-        result = run(op, y, coarse.c0, cfg, ground_truth=coarse.c)
+        result = run(op, y, coarse.c0, cfg, monitors=[TruthMonitor(op, coarse.c, cfg)])
         records = result.records
         stop_reason = result.stop_reason
         detail = result.detail

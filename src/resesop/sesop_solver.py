@@ -33,6 +33,8 @@ Each step records its Bregman step distance D(x_n, x_{n+1}): by the
 three-point inequality of Bregman projections (Schoepfer, Louis & Schuster
 2006), D(x_{n+1}, z) <= D(x_n, z) - D(x_n, x_{n+1}) for every z in the
 target set of the step, which holds every solution the stripes contain.
+Other record fields come from monitors attached to `run`, such as
+`TruthMonitor`, which compares the iterates with a known solution.
 """
 
 import logging
@@ -68,6 +70,7 @@ __all__ = [
     'StopReason',
     'SolverFailure',
     'DegenerateDirectionError',
+    'TruthMonitor',
     'build_stripe',
     'run',
     'descent_monitor',
@@ -204,11 +207,10 @@ class IterationRecord:
 
     The record written at the stopping index has no step fields (empty
     coefficient tuple, step_class None). step_distance is the Bregman
-    distance D(x_n, x_{n+1}) of the step. The diagnostic fields rel_error,
-    bregman_to_truth, truth_inside, cone_ratio and direction_cosine are
-    filled only when `run` was given a ground truth, and are None
-    otherwise. cone_ratio is measured only when the truth fell outside the
-    stripe of the iteration; direction_cosine only after a two-plane step.
+    distance D(x_n, x_{n+1}) of the step. A `TruthMonitor` attached to `run`
+    fills rel_error, bregman_to_truth and truth_inside, cone_ratio when the
+    truth fell outside the stripe and direction_cosine after a two-plane
+    step; without one they are None.
     """
 
     n: int
@@ -271,14 +273,14 @@ def build_stripe(op, state, x, residual, cfg):
     return Stripe(u_star, alpha, xi)
 
 
-class _TruthMonitor:
-    """The record columns that compare the iterates with a known truth.
+class TruthMonitor:
+    """Monitor of `run` that compares the iterates with a known truth.
 
-    `at_iterate` gives the relative error and the Bregman distance to the
-    truth. `at_step` adds whether the truth lies inside the stripe, else
-    the measured tangential-cone ratio with one WARNING per violation, and,
-    after a two-plane step, the cosine between the two search directions:
-    `previous` is the stripe that step met, None after a one-plane step.
+    Every record gets the relative error and the Bregman distance to the
+    truth; a step record also whether the truth lies inside the stripe,
+    else the tangential-cone ratio measured by the operator's `__call__` and
+    `derivative(state, d, start)` with one WARNING per violation, and after
+    a two-plane step the cosine between the two directions.
     """
 
     def __init__(self, op, truth, cfg):
@@ -287,20 +289,18 @@ class _TruthMonitor:
         self.truth_norm = weighted_norm(truth, self.space_x)
         self.truth_image = None
 
-    def at_iterate(self, x):
-        return dict(rel_error=weighted_norm(x - self.truth, self.space_x) / self.truth_norm,
-                    bregman_to_truth=bregman_distance(x, self.truth, self.space_x))
-
-    def at_step(self, n, state, x, stripe, previous):
+    def __call__(self, n, state, x, stripe=None, previous=None):
         space_x = self.space_x
-        fields = self.at_iterate(x)
+        fields = dict(rel_error=weighted_norm(x - self.truth, space_x) / self.truth_norm,
+                      bregman_to_truth=bregman_distance(x, self.truth, space_x))
+        if stripe is None:
+            return fields
         if previous is not None:
-            lifted_prev = inverse_duality_map(previous.u_star, space_x)
+            lifted = inverse_duality_map(previous.u_star, space_x)
             denom = (weighted_norm(stripe.u_star, space_x.dual())
-                     * weighted_norm(lifted_prev, space_x))
-            fields['direction_cosine'] = (
-                None if denom == 0.0
-                else abs(dual_pairing(stripe.u_star, lifted_prev)) / denom)
+                     * weighted_norm(lifted, space_x))
+            fields['direction_cosine'] = (None if denom == 0.0 else
+                                          abs(dual_pairing(stripe.u_star, lifted)) / denom)
         fields['truth_inside'] = classify(self.truth, stripe) is StripeSide.INSIDE
         if not fields['truth_inside']:
             if self.truth_image is None:
@@ -309,19 +309,17 @@ class _TruthMonitor:
             # Tangential cone: F'(x)(x - x_true) is the misfit to second order.
             linearized = self.op.derivative(state, x - self.truth, start=misfit)
             denominator = weighted_norm(misfit, self.space_y)
-            fields['cone_ratio'] = (None if denominator == 0.0 else
-                                    weighted_norm(misfit - linearized, self.space_y)
-                                    / denominator)
-            ratio = fields['cone_ratio']
-            logger.warning(
-                'ground truth outside the stripe at n=%d: measured '
-                'tangential-cone ratio %s against configured %.4g', n,
-                'undefined' if ratio is None else '{:.4g}'.format(ratio),
-                self.cfg.cone_constant)
+            fields['cone_ratio'] = ratio = (
+                None if denominator == 0.0
+                else weighted_norm(misfit - linearized, self.space_y) / denominator)
+            logger.warning('ground truth outside the stripe at n=%d: measured tangential-cone '
+                           'ratio %s against configured %.4g', n,
+                           'undefined' if ratio is None else '{:.4g}'.format(ratio),
+                           self.cfg.cone_constant)
         return fields
 
 
-def run(op, y, x0, cfg, ground_truth=None):
+def run(op, y, x0, cfg, monitors=()):
     """Iterate until the stopping rule fires, the budget runs out, or the
     iterates stagnate.
 
@@ -329,18 +327,18 @@ def run(op, y, x0, cfg, ground_truth=None):
     ----------
     op : forward operator
         The method needs `linearize(x, start)`, whose state has `u` = F(x)
-        (`start`: the previous state or None), and `adjoint(state, w)`. The
-        diagnostics of a ground truth also call `__call__` and
-        `derivative(state, d, start)`, `start` a guess of F'(x) d or None.
+        (`start`: the previous state or None), and `adjoint(state, w)`.
     y : GridFunction
         Data (possibly noisy).
     x0 : GridFunction
         Starting parameter.
     cfg : SolverConfig
-    ground_truth : GridFunction, optional
-        Fills the diagnostic columns of the records: relative error,
-        Bregman distance, stripe containment, cone ratio and direction
-        cosine. Without it they stay None.
+    monitors : sequence of callables
+        `monitor(n, state, x, stripe, previous)` returns a dict of further
+        fields of record n, for x = x_n and its state: `stripe` is None exactly
+        at the stopping record, `previous` the stripe a two-plane step met or
+        None. A monitor keeping state n gets state n + 1 at the next call.
+        Its failures end the run as the method's do.
 
     Returns
     -------
@@ -355,7 +353,6 @@ def run(op, y, x0, cfg, ground_truth=None):
         records collected so far.
     """
     space_x, space_y = cfg.parameter_space, cfg.data_space
-    monitor = None if ground_truth is None else _TruthMonitor(op, ground_truth, cfg)
     threshold = cfg.stop_threshold
     records = []
     x = x0
@@ -367,46 +364,40 @@ def run(op, y, x0, cfg, ground_truth=None):
             state = op.linearize(x, start=state)
             residual = state.u - y
             res_norm = weighted_norm(residual, space_y)
-
-            if res_norm <= threshold or n == cfg.max_outer:
-                fields = {} if monitor is None else monitor.at_iterate(x)
-                records.append(IterationRecord(
-                    n=n, residual_norm=res_norm, wall_time=time.perf_counter() - tic,
-                    **fields))
-                if res_norm <= threshold:
-                    reason = (StopReason.DISCREPANCY if cfg.delta > 0
-                              else StopReason.RESIDUAL_TOLERANCE)
-                    detail = ''
-                else:
-                    reason = StopReason.NOT_CONVERGED
-                    detail = ('iteration budget of {} exhausted with residual {:.6g} '
-                              'above threshold {:.6g}'.format(cfg.max_outer, res_norm,
-                                                              threshold))
+            stop = res_norm <= threshold or n == cfg.max_outer
+            fields, stripe, corrected_by = {}, None, None
+            if not stop:
+                stripe = build_stripe(op, state, x, residual, cfg)
+                margin = dual_pairing(stripe.u_star, x) - (stripe.alpha + stripe.xi)
+                if margin <= 0.0:
+                    raise GeometryError(
+                        'iterate is not strictly above its stripe (margin {:.3g}); '
+                        'the stopping rule should have fired'.format(margin))
+                x_next, t = project_two_stage(x, stripe, prev_stripe, space_x)
+                if max(abs(v) for v in t) > COEFFICIENT_WARN:
+                    logger.warning('projection coefficients %s unusually large at n=%d', t, n)
+                # One coefficient per plane: two mean the previous stripe corrected the step.
+                corrected_by = None if len(t) == 1 else prev_stripe
+                fields = dict(
+                    t_params=t,
+                    stripe_widths=((stripe.xi,) if corrected_by is None
+                                   else (stripe.xi, corrected_by.xi)),
+                    step_class=(StepClass.SINGLE_PROJECTION if corrected_by is None
+                                else StepClass.TWO_PLANE_CORRECTION),
+                    above_margin=margin, step_distance=bregman_distance(x, x_next, space_x))
+            for monitor in monitors:
+                fields.update(monitor(n, state, x, stripe, corrected_by))
+            records.append(IterationRecord(n=n, residual_norm=res_norm,
+                                           wall_time=time.perf_counter() - tic, **fields))
+            if stop:
+                reason = (StopReason.NOT_CONVERGED if res_norm > threshold
+                          else StopReason.DISCREPANCY if cfg.delta > 0
+                          else StopReason.RESIDUAL_TOLERANCE)
+                detail = ('' if res_norm <= threshold else
+                          'iteration budget of {} exhausted with residual {:.6g} above '
+                          'threshold {:.6g}'.format(cfg.max_outer, res_norm, threshold))
                 return SolveResult(iterate=x, records=tuple(records),
                                    stop_reason=reason, n_star=n, detail=detail)
-
-            stripe = build_stripe(op, state, x, residual, cfg)
-            margin = dual_pairing(stripe.u_star, x) - (stripe.alpha + stripe.xi)
-            if margin <= 0.0:
-                raise GeometryError(
-                    'iterate is not strictly above its stripe (margin {:.3g}); '
-                    'the stopping rule should have fired'.format(margin))
-            x_next, t = project_two_stage(x, stripe, prev_stripe, space_x)
-            if max(abs(v) for v in t) > COEFFICIENT_WARN:
-                logger.warning('projection coefficients %s unusually large at n=%d', t, n)
-            # One coefficient per plane: two mean the previous stripe corrected the step.
-            corrected_by = None if len(t) == 1 else prev_stripe
-            fields = {} if monitor is None else monitor.at_step(
-                n, state, x, stripe, corrected_by)
-            records.append(IterationRecord(
-                n=n, residual_norm=res_norm, t_params=t,
-                stripe_widths=((stripe.xi,) if corrected_by is None
-                               else (stripe.xi, corrected_by.xi)),
-                step_class=(StepClass.SINGLE_PROJECTION if corrected_by is None
-                            else StepClass.TWO_PLANE_CORRECTION),
-                above_margin=margin, step_distance=bregman_distance(x, x_next, space_x),
-                wall_time=time.perf_counter() - tic, **fields))
-
             if weighted_norm(x_next - x, space_x) < STAGNATION_TOL * weighted_norm(x, space_x):
                 stagnant += 1
                 if stagnant >= STAGNATION_LIMIT:

@@ -35,6 +35,7 @@ from resesop.sesop_solver import (
     SolverConfig,
     StepClass,
     StopReason,
+    TruthMonitor,
     descent_monitor,
     run,
 )
@@ -519,9 +520,12 @@ def test_criterion_11_exact_affine_oracle(monkeypatch):
 
     monkeypatch.setattr(bregman_geometry, 'project_intersection', spy)
 
-    results = {(method, r): run(oracle, y, truth.c0, SolverConfig(
-        method=method, r=r, s=2.0, cone_constant=0.0, residual_tol=1e-12, max_outer=30),
-        ground_truth=truth.c) for r in (1.2, 1.5, 2.0, 3.0) for method in 'AB'}
+    configs = {(method, r): SolverConfig(method=method, r=r, s=2.0, cone_constant=0.0,
+                                         residual_tol=1e-12, max_outer=30)
+               for r in (1.2, 1.5, 2.0, 3.0) for method in 'AB'}
+    results = {key: run(oracle, y, truth.c0, cfg,
+                        monitors=[TruthMonitor(oracle, truth.c, cfg)])
+               for key, cfg in configs.items()}
 
     x = truth.c0
     for _ in range(30):

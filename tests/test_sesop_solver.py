@@ -17,12 +17,19 @@ import pytest
 from resesop import bregman_geometry, sesop_solver
 from resesop.bregman_geometry import Stripe, project_two_stage
 from resesop.elliptic_operator import BvpData, EllipticOperator, LinearSolveError
-from resesop.experiment_cli import ExperimentConfig, run_experiment
+from resesop.experiment_cli import (
+    ExperimentConfig,
+    add_noise,
+    restrict,
+    run_experiment,
+    synth_truth,
+)
 from resesop.lp_spaces import (
     GridFunction,
     SpaceSpec,
     dual_pairing,
     duality_map,
+    inverse_duality_map,
     weighted_norm,
 )
 from resesop.sesop_solver import (
@@ -32,7 +39,7 @@ from resesop.sesop_solver import (
     SolverFailure,
     StepClass,
     StopReason,
-    _TruthMonitor,
+    TruthMonitor,
     build_stripe,
     descent_monitor,
     run,
@@ -73,6 +80,11 @@ def hilbert_config(**kwargs):
                     residual_tol=1e-9, max_outer=50, method='A')
     defaults.update(kwargs)
     return SolverConfig(**defaults)
+
+
+def monitored_run(op, y, x0, cfg, truth):
+    """`run` with a TruthMonitor of `truth` attached."""
+    return run(op, y, x0, cfg, monitors=[TruthMonitor(op, truth, cfg)])
 
 
 def test_solver_config_validation():
@@ -185,7 +197,7 @@ def test_landweber_step_matches_classical_landweber():
     assert len(t) == 1
     assert margin > 0.0
     # run records the same step
-    record = run(op, y, x, hilbert_config(max_outer=1), ground_truth=truth).records[0]
+    record = monitored_run(op, y, x, hilbert_config(max_outer=1), truth).records[0]
     assert record.step_class == StepClass.SINGLE_PROJECTION
     assert record.t_params == t
     assert record.above_margin == margin
@@ -237,8 +249,7 @@ def test_two_dir_step_correction_matches_gram_oracle():
     assert dual_pairing(u_prev, x_next) == pytest.approx(
         prev.alpha + prev.xi, abs=1e-7)
     truth = GridFunction.from_interior(rng.standard_normal((4, 4)))
-    cosine = _TruthMonitor(op, truth, cfg).at_step(
-        0, state, x, stripe, prev)['direction_cosine']
+    cosine = TruthMonitor(op, truth, cfg)(0, state, x, stripe, prev)['direction_cosine']
     assert 0.0 <= cosine <= 1.0
     # oracle: metric projection of x onto the two active planes
     planes = [(stripe.u_star, stripe.alpha + stripe.xi),
@@ -304,7 +315,7 @@ def test_bare_core_needs_only_linearize_and_adjoint():
     x0 = truth + GridFunction.full(n, 0.5)
     cfg = hilbert_config(residual_tol=1e-6, max_outer=400, method='B',
                          cone_constant=0.01)
-    monitored = run(full, full(truth), x0, cfg, ground_truth=truth)
+    monitored = monitored_run(full, full(truth), x0, cfg, truth)
     bare = run(BareStub(full), full(truth), x0, cfg)
     assert bare.stop_reason == StopReason.RESIDUAL_TOLERANCE
     assert bare.n_star == monitored.n_star
@@ -349,7 +360,7 @@ def test_run_stops_immediately_at_solution():
     n = 4
     op = identity_stub(n)
     truth = GridFunction.full(n, 2.0)
-    result = run(op, op(truth), truth, hilbert_config(), ground_truth=truth)
+    result = monitored_run(op, op(truth), truth, hilbert_config(), truth)
     assert result.stop_reason == StopReason.RESIDUAL_TOLERANCE
     assert result.n_star == 0
     assert len(result.records) == 1
@@ -371,7 +382,7 @@ def test_run_discrepancy_principle_series():
     cfg = hilbert_config(delta=delta, cone_constant=0.01,
                          tau_factor=1.1, method='A')
     x0 = truth + GridFunction.full(n, 0.8)
-    result = run(op, y, x0, cfg, ground_truth=truth)
+    result = monitored_run(op, y, x0, cfg, truth)
     assert result.stop_reason == StopReason.DISCREPANCY
     threshold = cfg.stop_threshold
     assert result.records[-1].residual_norm <= threshold
@@ -437,8 +448,8 @@ def test_run_is_deterministic():
     y = op(truth)
     x0 = GridFunction.zeros(n)
     cfg = hilbert_config(residual_tol=1e-8, method='B', max_outer=300)
-    first = run(op, y, x0, cfg, ground_truth=truth)
-    second = run(op, y, x0, cfg, ground_truth=truth)
+    first = monitored_run(op, y, x0, cfg, truth)
+    second = monitored_run(op, y, x0, cfg, truth)
     assert first.n_star == second.n_star
     assert first.iterate == second.iterate
     for a, b in zip(first.records, second.records):
@@ -483,6 +494,25 @@ def test_run_wraps_operator_failure_with_partial_records():
         run(op, op(truth), GridFunction.zeros(n),
             hilbert_config(residual_tol=1e-13))
     assert len(info.value.records) == 2
+    assert info.value.iterate is not None
+    assert isinstance(info.value.__cause__, LinearSolveError)
+
+
+def test_a_monitor_failure_ends_the_run_with_the_records_so_far():
+    def failing(n, state, x, stripe=None, previous=None):
+        if n == 2:
+            raise LinearSolveError('synthetic monitor breakdown', parameter=x)
+        return {}
+
+    rng = np.random.default_rng(49)
+    n = 3
+    op = LinearStub(np.eye(n * n) + 0.1 * rng.standard_normal((n * n, n * n)),
+                    GridFunction.zeros(n))
+    truth = GridFunction.from_interior(rng.standard_normal((n, n)))
+    with pytest.raises(SolverFailure) as info:
+        run(op, op(truth), GridFunction.zeros(n), hilbert_config(residual_tol=1e-13),
+            monitors=[failing])
+    assert [rec.n for rec in info.value.records] == [0, 1]
     assert info.value.iterate is not None
     assert isinstance(info.value.__cause__, LinearSolveError)
 
@@ -534,8 +564,8 @@ def test_cone_warning_formats_an_undefined_ratio(caplog):
     n = 3
     truth = GridFunction.full(n, 1.0)
     with caplog.at_level(logging.WARNING, logger='resesop.sesop_solver'):
-        result = run(identity_stub(n), GridFunction.zeros(n), truth,
-                     hilbert_config(max_outer=1), ground_truth=truth)
+        result = monitored_run(identity_stub(n), GridFunction.zeros(n), truth,
+                               hilbert_config(max_outer=1), truth)
     assert result.records[0].truth_inside is False
     assert result.records[0].cone_ratio is None
     messages = [rec.getMessage() for rec in caplog.records]
@@ -554,8 +584,8 @@ def test_cone_ratio_starts_its_derivative_solve_from_the_misfit():
     n = 3
     truth = GridFunction.full(n, 1.0)
     op = StartRecordingStub(np.eye(n * n), GridFunction.zeros(n))
-    result = run(op, GridFunction.zeros(n), GridFunction.full(n, 2.0),
-                 hilbert_config(max_outer=1), ground_truth=truth)
+    result = monitored_run(op, GridFunction.zeros(n), GridFunction.full(n, 2.0),
+                           hilbert_config(max_outer=1), truth)
     assert result.records[0].truth_inside is False
     assert len(starts) == 1
     misfit, start = starts[0]
@@ -588,11 +618,75 @@ def test_run_on_small_elliptic_instance():
     x0 = GridFunction.full(n, 2.0)
     cfg = SolverConfig(r=1.5, s=5.0, p_gauge=1.5, cone_constant=0.01,
                        residual_tol=1e-6, max_outer=200, method='B')
-    result = run(op, y, x0, cfg, ground_truth=truth)
+    result = monitored_run(op, y, x0, cfg, truth)
     assert result.stop_reason == StopReason.RESIDUAL_TOLERANCE
     assert result.records[-1].rel_error < result.records[0].rel_error
     assert all(rec.above_margin > 0.0 for rec in result.records[:-1])
     assert descent_monitor(result.records) == []
+
+
+def suite40_instance(method, delta):
+    """Operator, data, start and truth of a seed-7 suite40 configuration,
+    built as `run_experiment` builds them."""
+    cfg = ExperimentConfig(method=method, delta=delta, seed=7, n_recon=40, n_data=50)
+    y = restrict(add_noise(synth_truth(cfg.n_data).u, cfg.delta, cfg.s, cfg.seed),
+                 cfg.n_recon)
+    coarse = synth_truth(cfg.n_recon)
+    return EllipticOperator(BvpData(f=coarse.f, g=coarse.g)), y, coarse.c0, coarse.c, cfg
+
+
+@pytest.mark.parametrize('delta', [0.0, 5e-4])
+@pytest.mark.parametrize('method', ['A', 'B'])
+def test_truth_monitor_leaves_the_method_unchanged_on_the_reference_operator(method, delta):
+    # The cone-ratio solve shares the operator's CG buffers and the
+    # iterates' memoized norms; the method's fields must not notice.
+    op, y, x0, truth, cfg = suite40_instance(method, delta)
+    bare = run(op, y, x0, cfg)
+    op, y, x0, truth, cfg = suite40_instance(method, delta)
+    monitored = monitored_run(op, y, x0, cfg, truth)
+    assert bare.n_star == monitored.n_star
+    assert bare.stop_reason == monitored.stop_reason
+    assert bare.iterate == monitored.iterate
+    for name in ('residual_norm', 't_params', 'stripe_widths', 'step_class',
+                 'above_margin', 'step_distance'):
+        assert [getattr(rec, name) for rec in bare.records] == [
+            getattr(rec, name) for rec in monitored.records], name
+    assert all(rec.rel_error is None for rec in bare.records)
+    assert all(rec.rel_error is not None for rec in monitored.records)
+
+
+def test_a_truth_free_monitor_attaches_without_changes_to_run():
+    # The cosine between the two directions of a two-plane step needs no
+    # truth; a monitor computes it from the stripes run hands over.
+    calls = []
+
+    def cosine_monitor(n, state, x, stripe=None, previous=None):
+        calls.append((n, state, x, stripe, previous))
+        if previous is None:
+            return {}
+        space = cfg.parameter_space
+        lifted = inverse_duality_map(previous.u_star, space)
+        denom = weighted_norm(stripe.u_star, space.dual()) * weighted_norm(lifted, space)
+        return {'direction_cosine': abs(dual_pairing(stripe.u_star, lifted)) / denom}
+
+    op, y, x0, truth, cfg = suite40_instance('B', 0.0)
+    result = run(op, y, x0, cfg, monitors=[cosine_monitor])
+    records = result.records
+    assert [n for n, *_ in calls] == [rec.n for rec in records] == list(range(len(records)))
+    assert [stripe is None for *_, stripe, _ in calls] == [False] * (len(calls) - 1) + [True]
+    two_plane = [rec.step_class == StepClass.TWO_PLANE_CORRECTION for rec in records]
+    assert [previous is not None for *_, previous in calls] == two_plane
+    assert any(two_plane)
+    # Each call sees the state of its own iterate, so a monitor that keeps
+    # the last state sees both ends of the step between them.
+    assert all(state.c is x for _, state, x, _, _ in calls)
+    assert len({id(state) for _, state, *_ in calls}) == len(calls)
+    assert all((rec.direction_cosine is not None) == step for rec, step in zip(records, two_plane))
+    op, y, x0, truth, cfg = suite40_instance('B', 0.0)
+    monitored = monitored_run(op, y, x0, cfg, truth)
+    assert [rec.direction_cosine for rec in records] == [
+        rec.direction_cosine for rec in monitored.records]
+    assert all(rec.rel_error is None for rec in records)
 
 
 def test_two_direction_run_with_singular_dual_weights():

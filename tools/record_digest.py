@@ -8,26 +8,23 @@ stopping indices n* and one SHA-256 over the repr of every report and
 record field except `wall_time`. repr round-trips a float exactly and keeps
 the sign of zero, so two revisions with equal digests produced equal
 reports. It exits 1, with the reason on stderr, when a run fails.
+
+`report_digest` is that field rule; importing this module runs nothing and
+imports neither numpy nor resesop, so tools/ab_compare.py digests the
+reports of any source tree with it.
 """
 
+import dataclasses
+import hashlib
 import os
-
-# One BLAS thread, fixed before numpy is first imported, as in the benchmark.
-os.environ.update({'OMP_NUM_THREADS': '1', 'OPENBLAS_NUM_THREADS': '1',
-                   'MKL_NUM_THREADS': '1'})
-
-import dataclasses  # noqa: E402
-import hashlib  # noqa: E402
-import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
+import sys
+from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / 'src'), str(ROOT)]
-
-from perfbench.workloads import WHY, configs  # noqa: E402
-from resesop import ExperimentConfig, run_experiment  # noqa: E402
-
 SEED = 7
+# One BLAS thread, as in the benchmark; set before numpy is first imported.
+ONE_BLAS_THREAD = {'OMP_NUM_THREADS': '1', 'OPENBLAS_NUM_THREADS': '1',
+                   'MKL_NUM_THREADS': '1'}
 
 
 def report_fields(report):
@@ -39,20 +36,32 @@ def report_fields(report):
     return fields
 
 
+def report_digest(reports):
+    """SHA-256 (hex) over the repr of the fields of each report, in order."""
+    digest = hashlib.sha256()
+    for report in reports:
+        digest.update(repr(report_fields(report)).encode())
+    return digest.hexdigest()
+
+
 def main():
+    os.environ.update(ONE_BLAS_THREAD)
+    sys.path[:0] = [str(ROOT / 'src'), str(ROOT)]
+    from perfbench.workloads import WHY, configs
+    from resesop import ExperimentConfig, run_experiment
+
     failed = False
     for workload in WHY:
-        digest = hashlib.sha256()
-        n_star_sum = 0
+        reports = []
         for label, fields, _ in configs(workload, SEED):
             report = run_experiment(ExperimentConfig(**fields))
             if report.stop_reason == 'failed':
                 print('{}: {} failed: {}'.format(workload, label, report.detail),
                       file=sys.stderr)
                 failed = True
-            n_star_sum += report.n_star
-            digest.update(repr(report_fields(report)).encode())
-        print('{} n*={} sha256={}'.format(workload, n_star_sum, digest.hexdigest()))
+            reports.append(report)
+        print('{} n*={} sha256={}'.format(workload, sum(r.n_star for r in reports),
+                                          report_digest(reports)))
     return 1 if failed else 0
 
 
