@@ -132,13 +132,6 @@ def _well_conditioned(hessian):
     return small > EPS * big
 
 
-def _combination(t, u, out):
-    """sum_k t_k u_k* into `out`, bit for bit as np.matmul(t, u, out=out) sums it;
-    one plane is a product plus 0 (a -0 product sums to +0), not matmul's slow path."""
-    return (np.add(np.multiply(u[0], t[0], out=out), 0.0, out=out) if len(t) == 1
-            else np.matmul(t, u, out=out))
-
-
 def _dual_objective(x, jx, u, alphas, space, h):
     """The map (t, out) -> (h(t), grad h(t), Hessian, x_t) with
     x_t = J_inv(J(x) - sum_k t_k u_k*) written into `out`, or None where
@@ -163,7 +156,7 @@ def _dual_objective(x, jx, u, alphas, space, h):
     g, weights, rows = np.empty_like(jx), np.empty_like(jx), np.empty_like(u)
 
     def objective(t, out):
-        np.subtract(jx, _combination(t, u, g), out=g)
+        np.subtract(jx, np.matmul(t, u, out=g), out=g)
         x_t = x if not t.any() else _array_duality_map(g, r_conj, q_conj, h, out=out)
         pairs = weight * (u @ x_t)
         power = weight * float(g @ x_t)  # ||g||_*^q*

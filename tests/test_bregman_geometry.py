@@ -214,40 +214,6 @@ def test_objective_has_no_value_where_it_overflows():
     assert hessian is not None
 
 
-@pytest.mark.parametrize('r, q', [(2.0, 2.0), (1.5, 1.5), (3.0, 2.0), (2.0, 3.0), (1.2, 4.0)])
-def test_one_plane_objective_is_the_matmul_form_bit_for_bit(monkeypatch, r, q):
-    # One plane sums t_0 u_0* with a product instead of matmul. Value,
-    # gradient, Hessian and point must keep every bit, also the sign of a
-    # zero: x, hence J(x), and u_0* have -0 and +0 entries (matmul sums a
-    # -0 product to +0, and at r = q = 2 the point copies g's zeros), and
-    # `out` starts as NaN.
-    rng = np.random.default_rng(31)
-    x_values, u_values = rng.standard_normal((2, 6, 6))
-    x_values[1:3, 1:5] = [[0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0]]
-    u_values[1:3, 1:5] = [[0.0, 0.0, -0.0, -0.0], [0.0, -0.0, 0.0, -0.0]]
-    u_values[0, :] = 0.0
-    x, u = GridFunction(x_values), GridFunction(u_values)
-    space = SpaceSpec(r, q)
-
-    def evaluations():
-        objective = dual_objective(x, [(u, 0.3)], space)
-        outputs = []
-        for t in (0.7, -0.7, 1e-3, -2.0, 0.0, -0.0):
-            out = np.full(x.values.size, np.nan)
-            outputs.append([None if value is None else np.array(value)
-                            for value in objective(np.array([t]), out)])
-        return outputs
-
-    product = evaluations()
-    monkeypatch.setattr(bregman_geometry, '_combination',
-                        lambda t, u, out: np.matmul(t, u, out=out))
-    for evaluated, reference in zip(product, evaluations()):
-        for value, expected in zip(evaluated, reference):
-            assert (value is None) == (expected is None)
-            if value is not None:
-                assert value.tobytes() == expected.tobytes()
-
-
 def test_hessian_judgement_agrees_with_the_condition_number():
     # The eigenvalue test stands for np.linalg.cond(H) < 1/eps, which an
     # SVD used to decide: random symmetric matrices (mostly indefinite),

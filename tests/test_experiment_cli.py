@@ -380,6 +380,13 @@ class TestCommandLine:
         assert 'stop residual_tolerance' in stdout
         report = ExperimentReport.from_json(out.read_text())
         assert report.stop_reason == StopReason.RESIDUAL_TOLERANCE
+        # run_experiment attaches the truth monitor: its columns fill every
+        # record, and the stopping record carries no step fields.
+        assert all(rec.rel_error is not None and rec.bregman_to_truth is not None
+                   for rec in report.records)
+        last = report.records[-1]
+        assert (last.t_params, last.stripe_widths, last.step_class, last.step_distance,
+                last.truth_inside, last.cone_ratio) == ((), (), None, None, None, None)
         csv_lines = (tmp_path / 'exp.csv').read_text().splitlines()
         assert csv_lines[0] == 'n,residual,rel_error,step_class'
         assert len(csv_lines) == len(report.records) + 1

@@ -20,8 +20,10 @@ interquartile range (IQR) of the pass times, the rounds it won, the sum of
 n* and the digest of its reports by tools/record_digest.py's field rule
 (the report path left out, so the digests equal that script's for seed 7).
 The verdict is a two-sided sign test on the rounds won at the 5% level:
-'slower' or 'faster' for the change, else 'neutral'; the gap between the
-medians is also compared with the parent's IQR. The last line is the whole
+'slower' or 'faster' for the change, else 'neutral'. It is the only
+verdict: on grid160 the gap between the medians stayed within the parent's
+IQR in all 10 runs with a planted 5% slowdown (BENCH_monitors.json), so
+that test cannot tell a 5% change from none. The last line is the whole
 summary as JSON. It exits 1 when a run fails or a side's records differ
 between its passes. It changes no setting outside its own processes.
 """
@@ -130,10 +132,9 @@ def compare(workers, workload, rounds, seed):
             n_star=sorted({reply['n_star'] for reply in replies[side]}),
             digests=sorted({reply['digest'] for reply in replies[side]}),
             failed=sorted({label for reply in replies[side] for label in reply['failed']}))
-    gap = summary['change']['median_s'] - summary['parent']['median_s']
     p_value = sign_test(change_wins, rounds)
     summary.update(
-        median_gap_s=gap, gap_within_parent_iqr=abs(gap) <= summary['parent']['iqr_s'],
+        median_gap_s=summary['change']['median_s'] - summary['parent']['median_s'],
         round_ratio_median=statistics.median(
             c / p for p, c in zip(times['parent'], times['change'])),
         sign_test_p=p_value,
@@ -156,11 +157,10 @@ def print_summary(summary):
             '/'.join(map(str, s['n_star'])), ' '.join(s['digests'])))
         if s['failed']:
             print('  {} FAILED: {}'.format(side, ', '.join(s['failed'])))
-    print('  median gap {:+.4f} s ({} the parent IQR), median per-round ratio {:.3f}, '
+    print('  median gap {:+.4f} s, median per-round ratio {:.3f}, '
           'sign test p = {:.3g}: {}; records {}'.format(
-              summary['median_gap_s'],
-              'within' if summary['gap_within_parent_iqr'] else 'beyond',
-              summary['round_ratio_median'], summary['sign_test_p'], summary['verdict'],
+              summary['median_gap_s'], summary['round_ratio_median'],
+              summary['sign_test_p'], summary['verdict'],
               'equal' if summary['records_equal'] else 'DIFFER'))
 
 
