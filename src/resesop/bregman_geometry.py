@@ -17,16 +17,19 @@ so the first-order condition is exactly feasibility of x_new. Any number of
 planes is solved by one safeguarded Newton iteration with the analytic
 Hessian of h and Armijo backtracking, and `project_intersection` is the one
 routine that computes a projection: with one plane it is the hyperplane
-projection. The iteration runs on flat float arrays through the array
-kernels of `lp_spaces`, with the dual vectors stacked once per projection;
-the projected point is the one grid function it builds. The norm and the
-duality image of x and the dual norms of the u_k* come from the grid
-functions, which keep them, so the two stages of a step and the solver
-around them compute each once. `project_two_stage(x, stripe, previous,
-space)` projects onto a stripe, a one-plane problem for a point outside
-it, and with a previous stripe adds at most one two-plane problem: the
-step of both solver methods. It returns the point and its coefficients,
-one per plane: two only after a two-plane correction.
+projection. The iteration runs on flat float arrays, with J(x) and the
+dual vectors stacked once per projection; one evaluation of h, its
+gradient and its Hessian raises |J(x) - sum_k t_k u_k*| to one power and
+takes three matrix-vector products, and the coefficients, the gradient and
+the Hessian are Python floats. The projected point is the one grid
+function it builds. The norm and the duality image of x and the dual norms
+of the u_k* come from the grid functions, which keep them, so the two
+stages of a step and the solver around them compute each once.
+`project_two_stage(x, stripe, previous, space)` projects onto a stripe, a
+one-plane problem for a point outside it, and with a previous stripe adds
+at most one two-plane problem: the step of both solver methods. It returns
+the point and its coefficients, one per plane: two only after a two-plane
+correction.
 """
 
 import logging
@@ -38,7 +41,6 @@ import numpy as np
 
 from .lp_spaces import (
     GridFunction,
-    _array_duality_map,
     _euclidean_norm,
     dual_pairing,
     duality_map,
@@ -64,7 +66,7 @@ PARALLEL_COS = 1.0 - 1e-12
 # Newton iteration: gradient tolerance times the problem scale, budget.
 GRAD_TOL = 1e-12
 MAX_NEWTON_ITERS = 200
-BACKTRACK_STEPS = 0.5 ** np.arange(60)  # Armijo trial steps 1, 1/2, ..., 2^-59
+BACKTRACK_STEPS = [0.5 ** i for i in range(60)]  # Armijo trial steps 1, ..., 2^-59
 EPS = np.finfo(float).eps  # a Hessian with condition number >= 1/EPS is singular
 
 
@@ -117,69 +119,167 @@ def classify(x, stripe):
 
 
 def _well_conditioned(hessian):
-    """Whether the symmetric `hessian` has 2-norm condition number
-    max|lambda| / min|lambda| below 1/eps, judged by its eigenvalues: in
-    closed form for one and two planes, by eigvalsh beyond."""
+    """Whether the symmetric `hessian`, a k x k nested sequence, has 2-norm
+    condition number below 1/eps: in closed form from the eigenvalues for
+    one and two planes, beyond that by the singular values. On
+    near-singular 3 x 3 matrices their ratio min/max is within about
+    0.7 eps of the exact one, that of eigvalsh's eigenvalues only within
+    1.5 eps, more than the threshold eps itself."""
     if len(hessian) == 1:
-        big = small = abs(float(hessian[0, 0]))
+        big = small = abs(float(hessian[0][0]))
     elif len(hessian) == 2:
-        (a, b), (_, d) = hessian.tolist()
+        (a, b), (_, d) = hessian
         big = abs(0.5 * (a + d)) + math.hypot(0.5 * (a - d), b)
         small = abs(a * d - b * b) / big if big > 0.0 else 0.0
     else:
-        moduli = np.abs(np.linalg.eigvalsh(hessian))
-        big, small = float(moduli.max()), float(moduli.min())
+        values = np.linalg.svd(np.asarray(hessian, dtype=float), compute_uv=False)
+        big, small = float(values[0]), float(values[-1])
     return small > EPS * big
 
 
-def _dual_objective(x, jx, u, alphas, space, h):
+def _newton_step(hessian, grad):
+    """The solution d of H d = -grad, for the Hessian as a nested list:
+    the quotient for one plane, Gaussian elimination with partial pivoting
+    for two, np.linalg.solve beyond."""
+    if len(grad) == 1:
+        return [-grad[0] / hessian[0][0]]
+    if len(grad) == 2:
+        (a, b), (c, d) = hessian
+        first, second = -grad[0], -grad[1]
+        if abs(c) > abs(a):
+            a, b, c, d, first, second = c, d, a, b, second, first
+        ratio = c / a
+        y = (second - ratio * first) / (d - ratio * b)
+        return [(first - b * y) / a, y]
+    return np.linalg.solve(np.array(hessian), -np.array(grad)).tolist()
+
+
+def _dot(a, b):
+    return sum(p * q for p, q in zip(a, b))
+
+
+def _norm(values):
+    return math.sqrt(_dot(values, values))
+
+
+def _dual_objective(rows, alphas, space, h):
     """The map (t, out) -> (h(t), grad h(t), Hessian, x_t) with
     x_t = J_inv(J(x) - sum_k t_k u_k*) written into `out`, or None where
-    h(t) or its gradient is not finite (an overflow, also one of x_t). x
-    and jx = J(x) are flat arrays on a grid of spacing h, the u_k* are the
-    rows of u with offsets alphas. One inverse duality evaluation gives all
-    four values (none at t = 0, where x_t = x and `out` is not written).
-    The arrays it computes in are allocated once, here. With
-    g = J(x) - sum_k t_k u_k*, r* and q* the dual norm and gauge exponents
-    and J_inv(g) = ||g||_*^(q*-r*) |g|^(r*-1) sign(g),
+    h(t) or its gradient is not finite (an overflow, also one of x_t).
+    `rows` stacks flat arrays on a grid of spacing h: J(x), the u_k*, whose
+    offsets are `alphas`, and last a row each evaluation overwrites with g.
+    t, h(t), the gradient and the Hessian are Python floats and lists. The
+    caller ignores floating-point overflow, invalid and divide warnings
+    (`np.errstate`). With g = J(x) - sum_k t_k u_k*, r* and q* the dual
+    norm and gauge exponents, w = |g|^(r*-2), c = ||g||_*^(q*-r*) and
+    <., .> the h^2-weighted pairing,
 
-        H_jk = <u_j*, DJ_inv(g) u_k*>,
-        DJ_inv(g) = diag((r* - 1) x_t / g) + (q* - r*) x_t x_t^T / ||g||_*^q*,
+        x_t = c g w,
+        H_jk = (r* - 1) c <u_j* u_k*, w>
+               + (q* - r*) <u_j*, x_t> <u_k*, x_t> / ||g||_*^q*,
 
     the rank-one term vanishing when the gauge equals the norm exponent.
-    The Hessian is None where it is unbounded: r* < 2 with g = 0 at an entry
-    some u_k* touches, g = 0 altogether, or an overflow.
+    So one evaluation writes g by one product of [1, -t] with the rows
+    [J(x); u], takes |g| once and raises it to one power; one product of
+    the rows [u; g] with g w gives the pairings of x_t and
+    ||g||_*^q* = c <g, g w>, and one of the rows u_j* u_k* (j <= k, formed
+    once here) with w gives the Hessian. The arrays it computes in are
+    allocated once, here. Where w is infinite, at zeros of g with r* < 2
+    (or entries so small that their power overflows), x_t takes the value
+    |g|^(r*-1) sign(g) of J_inv; the Hessian is None where it is
+    unbounded: at such an entry that some u_k* touches or where g is not
+    zero, for g = 0 altogether, or on an overflow.
     """
     dual = space.dual()
     r_conj, q_conj = dual.norm_exponent, dual.gauge_exponent
     weight = h ** 2
-    g, weights, rows = np.empty_like(jx), np.empty_like(jx), np.empty_like(u)
+    k = len(rows) - 2
+    u, g, paired = rows[1:k + 1], rows[k + 1], rows[1:]
+    entries = [(j, l) for j in range(k) for l in range(j, k)]
+    products = np.empty((len(entries), rows.shape[1]))
+    for row, (j, l) in zip(products, entries):
+        np.multiply(u[j], u[l], out=row)
+    powers = np.empty_like(g)
+    coefficients = np.empty(k + 1)
+    coefficients[0] = 1.0
+    norm_scale = weight ** (1.0 / r_conj)
 
     def objective(t, out):
-        np.subtract(jx, np.matmul(t, u, out=g), out=g)
-        x_t = x if not t.any() else _array_duality_map(g, r_conj, q_conj, h, out=out)
-        pairs = weight * (u @ x_t)
-        power = weight * float(g @ x_t)  # ||g||_*^q*
-        value = power / q_conj + float(t @ alphas)
-        if not (math.isfinite(value) and np.isfinite(pairs).all()):
+        np.negative(t, out=coefficients[1:])
+        np.matmul(coefficients, rows[:k + 1], out=g)
+        np.power(np.abs(g, out=powers), r_conj - 2.0, out=powers)
+        y = np.multiply(g, powers, out=out)
+        sums = (paired @ y).tolist()
+        curvatures = (products @ powers).tolist()
+        unbounded = False
+        if r_conj < 2.0 and not math.isfinite(sum(sums) + sum(curvatures)):
+            infinite = np.isinf(powers)
+            if infinite.any():
+                small = g[infinite]
+                y[infinite] = np.copysign(np.abs(small) ** (r_conj - 1.0), small)
+                sums = (paired @ y).tolist()
+                unbounded = bool(small.any() or u[:, infinite].any())
+                if not unbounded:
+                    powers[infinite] = 0.0
+                    curvatures = (products @ powers).tolist()
+        total = sums[-1]  # sum |g|^r*
+        factor = 1.0  # ||g||_*^(q*-r*)
+        if total == 0.0:
+            y.fill(0.0)  # g vanishes, as far as its power can tell
+        elif q_conj != r_conj:
+            factor = float(np.float64(norm_scale * total ** (1.0 / r_conj))
+                           ** (q_conj - r_conj))
+            np.multiply(y, factor, out=y)
+        scale = weight * factor
+        power = scale * total  # ||g||_*^q*
+        value = power / q_conj + _dot(t, alphas)
+        pairs = [scale * s for s in sums[:-1]]
+        if not (math.isfinite(value) and math.isfinite(sum(pairs))):
             return None
-        zero = g == 0.0
-        if power == 0.0 or (r_conj < 2.0 and u[:, zero].any()):
-            return value, alphas - pairs, None, x_t
-        weights.fill(power ** (1.0 - 2.0 / q_conj) if r_conj == 2.0 else 0.0)
-        np.divide(x_t, g, out=weights, where=~zero)
-        np.multiply(weights, r_conj - 1.0, out=weights)
-        np.multiply(u, weights, out=rows)
-        hessian = np.multiply(rows, weight, out=rows) @ u.T
-        if q_conj != r_conj:
-            hessian += (q_conj - r_conj) * np.outer(pairs, pairs) / power
-        return (value, alphas - pairs,
-                hessian if np.isfinite(hessian).all() else None, x_t)
+        grad = [alpha - pair for alpha, pair in zip(alphas, pairs)]
+        if unbounded or power == 0.0:
+            return value, grad, None, y
+        hessian = [[0.0] * k for _ in range(k)]
+        curve = scale * (r_conj - 1.0)
+        rank_one = (q_conj - r_conj) / power
+        for (j, l), curvature in zip(entries, curvatures):
+            entry = curve * curvature
+            if q_conj != r_conj:
+                entry += rank_one * pairs[j] * pairs[l]
+            hessian[j][l] = hessian[l][j] = entry
+        if not math.isfinite(sum(map(sum, hessian))):
+            return value, grad, None, y
+        return value, grad, hessian, y
 
     return objective
 
 
-def _minimize(x, u, dual_norms, alphas, space, t_init=None):
+def _gradient_floor(x_t, t, rows, r_conj, h):
+    """The rounding floor of the computed gradient at t, one entry per plane,
+    for `rows` as `_dual_objective` takes them.
+
+    g = J(x) - sum_k t_k u_k* is a sum of terms of size
+    m = |J(x)| + sum_k |t_k u_k*|, so its entries carry errors of EPS m,
+    and where they cancel to far below m no representable t gives a better
+    g. Through the diagonal of DJ_inv such an error moves x_t by
+    (r* - 1) |x_t / g| EPS m to first order, by at most the Hoelder bound
+    ||g||_*^(q* - r*) (2 EPS m)^(r* - 1) for r* < 2, where DJ_inv is
+    unbounded at zeros of g, and the gradient h^2 <u_j*, x_t> by the sum
+    of those moves weighted by |u_j*|.
+    """
+    jx, u = rows[0], rows[1:-1]
+    errors = EPS * (np.abs(jx) + np.abs(t) @ np.abs(u))
+    moduli = np.abs(jx - np.asarray(t) @ u)
+    big = moduli.argmax()
+    factor = np.abs(x_t[big]) / moduli[big] ** (r_conj - 1.0)  # NaN for g = 0
+    moves = (r_conj - 1.0) * moduli ** (r_conj - 2.0) * errors
+    if r_conj < 2.0:
+        # fmin, not minimum: 0 * inf at an exact zero of g and of m is NaN.
+        np.fmin(moves, (2.0 * errors) ** (r_conj - 1.0), out=moves)
+    return (h ** 2 * float(factor)) * (np.abs(u) @ moves)
+
+
+def _minimize(x, rows, dual_norms, alphas, space, t_init=None):
     """Safeguarded Newton iteration for the coefficients t minimizing h.
 
     A gradient step replaces the Newton step where the Hessian is unbounded
@@ -192,73 +292,83 @@ def _minimize(x, u, dual_norms, alphas, space, t_init=None):
     `t_init`; it then starts from 0, and a start where h is not finite
     raises ConvergenceError. Once the gradient meets the tolerance, one
     more full step takes t to rounding accuracy. When no step improves h or
-    the gradient any more, a point feasible to FEAS_TOL is accepted. The
-    dual vectors are the rows of u, with offsets alphas and dual norms
-    dual_norms. A point already on every plane is returned itself with
-    t = 0. The points x_t alternate between two arrays of this call: the
-    accepted one and the one trials are written to.
+    the gradient any more, t is accepted if the gradient is within FEAS_TOL
+    of the scale or at the rounding floor of its computation (see
+    `_gradient_floor`). `rows` holds the dual vectors in its rows 1 to k,
+    with offsets alphas and dual norms dual_norms; this call writes J(x)
+    into row 0, and the evaluations g into the last row. A point already
+    on every plane is returned itself with t = 0. t, the gradient, the
+    Hessian and the steps are Python floats; the points x_t alternate
+    between two arrays of this call, the accepted one and the one trials
+    are written to, and the last accepted one becomes the projected point
+    without a copy.
     """
     x_flat = x.values.ravel()
     norm_x = weighted_norm(x, space)
+    alpha_list = alphas.tolist()
     scale = max([1.0] + [1.0 + abs(alpha) + norm * norm_x
-                         for norm, alpha in zip(dual_norms, alphas.tolist())])
-    gaps = np.array([x.h ** 2 * float((row * x_flat).sum()) for row in u]) - alphas
+                         for norm, alpha in zip(dual_norms, alpha_list)])
+    gaps = np.array([x.h ** 2 * float((row * x_flat).sum()) for row in rows[1:-1]]) - alphas
     if _euclidean_norm(gaps) <= GRAD_TOL * scale:
-        return x, np.zeros(len(u))
-    objective = _dual_objective(x_flat, duality_map(x, space).values.ravel(), u, alphas,
-                                space, x.h)
-    t = np.zeros(len(u))
+        return x, np.zeros(len(alphas))
+    rows[0] = duality_map(x, space).values.ravel()
+    objective = _dual_objective(rows, alpha_list, space, x.h)
+    t = [0.0] * len(alphas)
     buffers = np.empty_like(x_flat), np.empty_like(x_flat)
     # An extreme t may overflow; such a trial is not finite and is rejected.
-    with np.errstate(over='ignore', invalid='ignore'):
+    with np.errstate(over='ignore', invalid='ignore', divide='ignore'):
         start = objective(t, buffers[0])
         if t_init is not None:
-            # From far uphill each Newton step may only halve t; one value at
-            # t = 0 (which needs no inverse duality map) rules that start out.
-            t_warm = np.array(t_init, dtype=float)
-            warm = objective(t_warm, buffers[0])
+            # From far uphill each Newton step may only halve t; the value at
+            # t = 0 rules that start out.
+            t_warm = [float(v) for v in t_init]
+            warm = objective(t_warm, buffers[1])
             if warm is not None and (start is None or warm[0] <= start[0]):
                 t, start = t_warm, warm
         if start is None:
-            raise ConvergenceError('dual objective is not finite at the start', last_t=t)
+            raise ConvergenceError('dual objective is not finite at the start',
+                                   last_t=np.array(t))
         value, grad, hessian, x_t = start
         converged = False
         for _ in range(MAX_NEWTON_ITERS):
             spare = buffers[1] if x_t is buffers[0] else buffers[0]
-            direction = -grad
+            direction = [-v for v in grad]
             if hessian is not None and _well_conditioned(hessian):
-                # One plane: the quotient, bit-identical to np.linalg.solve.
-                newton = (-grad / hessian[0, 0] if len(grad) == 1
-                          else np.linalg.solve(hessian, -grad))
-                if float(newton @ grad) < 0.0:
+                newton = _newton_step(hessian, grad)
+                if _dot(newton, grad) < 0.0:
                     direction = newton
-            grad_norm = _euclidean_norm(grad)
+            grad_norm = _norm(grad)
             if grad_norm <= GRAD_TOL * scale:
-                polished = objective(t + direction, spare)
-                if polished is not None and _euclidean_norm(polished[1]) <= grad_norm:
-                    t, x_t = t + direction, polished[3]
+                t_full = [a + b for a, b in zip(t, direction)]
+                polished = objective(t_full, spare)
+                if polished is not None and _norm(polished[1]) <= grad_norm:
+                    t, x_t = t_full, polished[3]
                 converged = True
                 break
-            slope = float(grad @ direction)
+            slope = _dot(grad, direction)
             # Near the minimum the predicted decrease drops below the rounding
             # noise of h; the allowance keeps the backtracking from stalling.
             noise = 1e-14 * (1.0 + abs(value))
             for step in BACKTRACK_STEPS:
-                trial = objective(t + step * direction, spare)
+                t_trial = [a + step * b for a, b in zip(t, direction)]
+                trial = objective(t_trial, spare)
                 if (trial is not None and trial[0] <= value + 1e-4 * step * slope + noise
-                        and float(trial[1] @ direction) <= -0.5 * slope):
+                        and _dot(trial[1], direction) <= -0.5 * slope):
                     break
-            if trial is None or (trial[0] > value - noise
-                                 and _euclidean_norm(trial[1]) >= grad_norm):
-                # Neither h nor the gradient improves: t is at the rounding limit.
-                converged = grad_norm <= FEAS_TOL * scale
+            if trial is None or (trial[0] > value - noise and _norm(trial[1]) >= grad_norm):
+                # Neither h nor the gradient improves: t is at the rounding
+                # limit, feasible if the gradient is within FEAS_TOL of the
+                # scale or at the rounding floor of its computation.
+                converged = (grad_norm <= FEAS_TOL * scale
+                             or grad_norm <= _euclidean_norm(_gradient_floor(
+                                 x_t, t, rows, space.dual().norm_exponent, x.h)))
                 break
-            t = t + step * direction
+            t = t_trial
             value, grad, hessian, x_t = trial
         if not converged:
             raise ConvergenceError('Bregman projection did not converge',
-                                   last_t=t, grad_norm=_euclidean_norm(grad))
-    return GridFunction._adopt(x_t.copy().reshape(x.values.shape)), t
+                                   last_t=np.array(t), grad_norm=_norm(grad))
+    return GridFunction._adopt(x_t.reshape(x.values.shape)), np.array(t)
 
 
 def project_intersection(x, planes, space, t_init=None):
@@ -276,7 +386,11 @@ def project_intersection(x, planes, space, t_init=None):
     planes = list(planes)
     if not planes:
         raise ValueError('at least one plane is required')
-    u = np.array([u_star.values.ravel() for u_star, _ in planes])
+    # The rows [J(x); u_1*, ..., u_k*; g] of `_dual_objective`, stacked once.
+    rows = np.empty((len(planes) + 2, x.values.size))
+    for row, (u_star, _) in zip(rows[1:], planes):
+        row[:] = u_star.values.ravel()
+    u = rows[1:-1]
     alphas = np.array([alpha for _, alpha in planes], dtype=float)
     if not u.any(axis=1).all():
         raise ValueError('hyperplane requires a nonzero dual vector')
@@ -286,9 +400,9 @@ def project_intersection(x, planes, space, t_init=None):
            for j, a in enumerate(u) for b in u[j + 1:]):
         logger.warning('numerically parallel dual directions in intersection '
                        'projection; falling back to the first plane')
-        x_new, t = _minimize(x, u[:1], dual_norms[:1], alphas[:1], space)
+        x_new, t = project_intersection(x, planes[:1], space)
         return x_new, np.append(t, np.zeros(len(planes) - 1))
-    return _minimize(x, u, dual_norms, alphas, space, t_init)
+    return _minimize(x, rows, dual_norms, alphas, space, t_init)
 
 
 def project_two_stage(x, stripe, previous, space):

@@ -4,18 +4,23 @@ The boundary value problem is discretized with the 5-point stencil on the
 (N+2) x (N+2) grid; Dirichlet values are eliminated into the right-hand
 side, leaving a symmetric system L(c) = -laplace_h + diag(c) over the N^2
 interior nodes. L(c) is never assembled: it is applied as a stencil and
-solved by preconditioned conjugate gradients. The orthonormal sine basis
-S_jk = sqrt(2/(N+1)) sin(pi j k/(N+1)) diagonalizes -laplace_h + c_bar I,
-c_bar the midrange of c (the fast Poisson solver of Buzbee, Golub & Nielson
-1970, used for a nonseparable operator as in Concus & Golub 1973), whose
-exact inverse preconditions all but the lowest K x K modes. There the shift
-errs most, so those modes are solved exactly, with the inverse Galerkin
-matrix of L(c) on them (a coarse space as in Nicolaides 1987); for N <= K
-the preconditioner is the exact inverse of L(c). It is applied in single
-precision, which halves the cost of its four dense matmuls. It only steers
-CG: the recursion, the stencil apply and the final check of the true
-residual run in double precision, so an accepted solve meets the same
-backward-error bound as with an exact preconditioner.
+solved by preconditioned conjugate gradients, which run on h^2 L(c), whose
+stencil is (4 + h^2 c) v minus the four neighbors, with no divide; the
+right-hand sides and the norm of L(c) are scaled to match, and the
+Dirichlet values enter the forward right-hand side as g itself.
+
+The orthonormal sine basis S_jk = sqrt(2/(N+1)) sin(pi j k/(N+1))
+diagonalizes -laplace_h + c_bar I, c_bar the midrange of c (the fast
+Poisson solver of Buzbee, Golub & Nielson 1970, used for a nonseparable
+operator as in Concus & Golub 1973), whose exact inverse preconditions all
+but the lowest K x K modes. There the shift errs most, so those modes are
+solved exactly, with the inverse Galerkin matrix of L(c) on them (a coarse
+space as in Nicolaides 1987); for N <= K the preconditioner is the exact
+inverse of L(c). It is applied in single precision, which halves the cost
+of its four dense matmuls. It only steers CG: the recursion, the stencil
+apply and the final check of the true residual run in double precision,
+so an accepted solve meets the same backward-error bound as with an exact
+preconditioner.
 
 What depends only on N, the sine basis, the eigenvalues of -laplace_h, the
 mode products of the Galerkin matrix and the arrays that CG writes to, each
@@ -33,7 +38,7 @@ both sides, to the accuracy of the solves. The forward solve can start
 from the u of another state, such as that of the previous iterate, and the
 derivative solve from a guess of its result; a start moves the solution
 only within the backward-error bound. The adjoint solve starts from zero.
-The right-hand side of the Dirichlet data is built once per operator. A
+The right-hand side of the forward solve is built once per operator. A
 solve allocates only the solution it returns, so the states of one
 operator share its CG buffers, and one operator must not solve from two
 threads at once.
@@ -114,18 +119,19 @@ class OperatorState:
     system: '_System' = field(repr=False)
 
 
-def _stencil(coeff, h2, v, out, scratch):
-    # L(c) v = (1/h^2)(4 v_ij - neighbors) + c_ij v_ij on the interior, for
-    # coeff the interior values of c, h2 = h^2 and v of the same shape;
-    # neighbors on the boundary ring count as zero (homogeneous Dirichlet).
-    # Written into `out` and returned; `scratch` is overwritten. Both are
-    # C-contiguous and share no memory with v or coeff. On the flat
+def _stencil(diagonal, v, out, scratch):
+    # h^2 L(c) v = (4 + h^2 c_ij) v_ij - neighbors on the interior, for
+    # diagonal = 4 + h^2 c on the interior and v of the same shape: five
+    # passes over the grid and no divide. Neighbors on the boundary ring
+    # count as zero (homogeneous Dirichlet). Written into `out` and
+    # returned; the first row of `scratch` is overwritten. Both are
+    # C-contiguous and share no memory with v or diagonal. On the flat
     # row-major array the neighbors are shifts by N and by 1. A shift by 1
     # also reaches across row ends, so the one edge column it must not touch
     # is saved and put back: the result is exactly that of four 2-D slice
     # subtractions, in the same order.
     n = v.shape[1]
-    laplace = np.multiply(v, 4.0, out=out)
+    laplace = np.multiply(diagonal, v, out=out)
     flat, v_flat = laplace.ravel(), v.ravel()
     edge = scratch[0]
     flat[n:] -= v_flat[:-n]
@@ -136,8 +142,6 @@ def _stencil(coeff, h2, v, out, scratch):
     edge[:] = laplace[:, -1]
     flat[:-1] -= v_flat[1:]
     laplace[:, -1] = edge
-    laplace /= h2
-    laplace += np.multiply(coeff, v, out=scratch)
     return laplace
 
 
@@ -152,7 +156,7 @@ class _Grid:
     the 2-D -laplace_h, the number K of coarse modes per axis, the 1-D mode
     products S_ia S_ia' of the K x K coarse modes, the row sums of |L(c)|
     off the diagonal, and the arrays CG writes to: the scaled right-hand
-    side, the contiguous copy of c, the solution and its residual, the
+    side, the stencil diagonal 4 + h^2 c, the solution and its residual, the
     direction, its image, the preconditioned residual z, a scratch array
     and the two float32 arrays of the preconditioner apply. The arrays
     computed from N are read-only; nothing a solve reads from the buffers
@@ -179,7 +183,7 @@ class _Grid:
         def grid(dtype=float):
             return np.empty((n, n), dtype=dtype)
 
-        self.rhs, self.coeff, self.solution, self.residual = grid(), grid(), grid(), grid()
+        self.rhs, self.diagonal, self.solution, self.residual = grid(), grid(), grid(), grid()
         self.direction, self.image, self.z, self.scratch = grid(), grid(), grid(), grid()
         self.spectral = grid(np.float32), grid(np.float32)
 
@@ -251,9 +255,12 @@ class _System:
         return out
 
     def solve(self, rhs, start=None):
-        """Solve L(c) x = rhs on the interior by preconditioned CG and check x.
+        """Solve L(c) x = b on the interior by preconditioned CG and check x.
 
-        Each iteration first tests the recursive residual and only then
+        CG runs on h^2 L(c) x = h^2 b, whose stencil needs no divide, so
+        `rhs` is h^2 b and the gates scale the norm of L(c) by h^2; the
+        preconditioner, which approximates L(c)^{-1}, is used as it is,
+        since preconditioned CG does not depend on its scale. Each iteration first tests the recursive residual and only then
         preconditions it, so a solve of k iterations applies the
         preconditioner k times and the stencil k + 1 times (the last for the
         true residual), k + 2 times from a start. CG starts from `start`
@@ -266,20 +273,22 @@ class _System:
         if start is not None and start.shape != rhs.shape:
             raise ValueError('start grid has interior {}, data grid needs {}'.format(
                 start.shape, rhs.shape))
-        c, grid, matrix_norm = self.c, self.grid, self.norm
+        c, grid = self.c, self.grid
+        h2 = c.h ** 2
+        matrix_norm = h2 * self.norm
         scratch = grid.scratch
         # CG runs on rhs scaled by a power of two (exactly) to entries below
         # one, so the residuals stay in float32 range whatever the size of rhs.
         rhs_scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(rhs, out=scratch)))[1]))
         rhs = np.divide(rhs, rhs_scale, out=grid.rhs)
         rhs_norm = _euclidean_norm(rhs)
-        coeff, h2 = grid.coeff, c.h ** 2
-        np.copyto(coeff, c.interior)
+        diagonal = np.multiply(c.interior, h2, out=grid.diagonal)
+        diagonal += 4.0
         solution, residual = grid.solution, grid.residual
         if start is not None:
             with np.errstate(over='ignore', invalid='ignore'):
                 np.divide(start, rhs_scale, out=solution)
-                _stencil(coeff, h2, solution, residual, scratch)
+                _stencil(diagonal, solution, residual, scratch)
                 np.subtract(rhs, residual, out=residual)
                 warm_norm = _euclidean_norm(residual)
         if start is None or not warm_norm < rhs_norm:
@@ -298,7 +307,7 @@ class _System:
             else:
                 direction *= rz / rz_old
                 direction += z
-            _stencil(coeff, h2, direction, image, scratch)
+            _stencil(diagonal, direction, image, scratch)
             curvature = float(np.vdot(direction, image))
             if not curvature > 0.0:
                 raise LinearSolveError(
@@ -312,7 +321,7 @@ class _System:
                 'conjugate gradients did not converge in {} iterations for {}'.format(
                     CG_MAX_ITERS, _range_text(c)), parameter=c)
         true_residual = _euclidean_norm(
-            np.subtract(_stencil(coeff, h2, solution, image, scratch), rhs, out=image))
+            np.subtract(_stencil(diagonal, solution, image, scratch), rhs, out=image))
         scale = matrix_norm * _euclidean_norm(solution)
         if (not np.isfinite(solution).all()
                 or true_residual > BACKWARD_TOL * (scale + rhs_norm)
@@ -320,21 +329,21 @@ class _System:
             raise LinearSolveError(
                 'linear system is singular or severely ill-conditioned for {} '
                 '(residual {:.3g}, ||A|| ||x|| / ||b|| {:.3g})'.format(
-                    _range_text(c), rhs_scale * true_residual, scale / rhs_norm),
+                    _range_text(c), rhs_scale * true_residual / h2, scale / rhs_norm),
                 parameter=c)
         return rhs_scale * solution
 
 
 def _boundary_rhs(data):
-    # Dirichlet elimination: neighbors on the boundary ring move to the RHS.
+    # h^2 f with the Dirichlet elimination: neighbors on the boundary ring
+    # move to the right-hand side of h^2 L(c) u, as g itself.
     f = data.f
     g = data.g.values
-    h2 = f.h ** 2
-    rhs = f.interior.copy()
-    rhs[0, :] += g[0, 1:-1] / h2
-    rhs[-1, :] += g[-1, 1:-1] / h2
-    rhs[:, 0] += g[1:-1, 0] / h2
-    rhs[:, -1] += g[1:-1, -1] / h2
+    rhs = f.h ** 2 * f.interior
+    rhs[0, :] += g[0, 1:-1]
+    rhs[-1, :] += g[-1, 1:-1]
+    rhs[:, 0] += g[1:-1, 0]
+    rhs[:, -1] += g[1:-1, -1]
     return rhs
 
 
@@ -385,7 +394,7 @@ class EllipticOperator:
         `start` when that is closer than zero.
         """
         self._check_grid(direction, 'direction')
-        rhs = -(direction.values * state.u.values)[1:-1, 1:-1]
+        rhs = (direction.values * state.u.values)[1:-1, 1:-1] * -state.c.h ** 2
         return GridFunction.from_interior(state.system.solve(
             rhs, None if start is None else start.interior))
 
@@ -397,7 +406,7 @@ class EllipticOperator:
         """
         self._check_grid(w, 'codomain vector')
         values = np.zeros_like(state.u.values)
-        values[1:-1, 1:-1] = state.system.solve(w.interior)
+        values[1:-1, 1:-1] = state.system.solve(w.interior * state.c.h ** 2)
         # -(u * lifted) is (-u) * lifted bit for bit, signed zeros included.
         values *= state.u.values
         return GridFunction._adopt(np.negative(values, out=values))

@@ -103,7 +103,9 @@ def synth_truth(n):
     if n < 2:
         raise ValueError('grid size must be >= 2')
     coords = np.linspace(0.0, 1.0, n + 2)
-    x, y = np.meshgrid(coords, coords, indexing='ij')
+    # A column and a row: every field below broadcasts to the full grid, and
+    # each entry is computed as from the meshgrid arrays, bit for bit.
+    x, y = coords[:, None], coords[None, :]
     quartic = 16.0 * x * (x - 1.0) * y * (1.0 - y)
     u = quartic + 1.0
     c = (1.5 * np.sin(2.0 * np.pi * x) * np.sin(3.0 * np.pi * y)

@@ -11,7 +11,7 @@ identities of the gauge-q duality mapping hold exactly on the grid:
 where ||.||_* is the norm with the conjugate exponent on the same grid, and
 J_2 on a space with norm exponent 2 is the identity. The norm and the
 duality map are thin wrappers over private kernels on plain float arrays of
-any shape, which the projection layer calls on flat arrays directly.
+any shape.
 
 A space is fixed by its two exponents, the norm exponent r and the gauge q
 of J_q; the weight belongs to the grid, so every function here takes h
@@ -215,12 +215,10 @@ def _array_norm(values, p, h):
     return h ** (2.0 / p) * total ** (1.0 / p)
 
 
-def _array_duality_map(values, r, q, h, norm=None, out=None):
+def _array_duality_map(values, r, q, h, norm=None):
     """Kernel of :func:`duality_map` on a plain float array of any shape.
 
-    Writes the image into `out`, a float array of the shape of `values`
-    that shares no memory with it, or into a new array when `out` is None,
-    and returns it; with r = q = 2 and no `out` it returns `values` itself.
+    Returns the image as a new array, or `values` itself with r = q = 2.
     Only q != r needs the norm, which the caller may pass in; with q = r
     the zero test is (max |v|)^r == 0, which holds exactly when every
     |v|^r underflows, as the norm would. A norm that is not finite gives
@@ -234,15 +232,12 @@ def _array_duality_map(values, r, q, h, norm=None, out=None):
         # max |v| = max(max v, -min v), without an array of |v|.
         vanishes = max(values.max(), -values.min()) ** r == 0.0
         if r == 2.0 and not vanishes:
-            if out is None:
-                return values
-            np.copyto(out, values)
-            return out
+            return values
     else:
         if norm is None:
             norm = _array_norm(values, r, h)
         vanishes = norm == 0.0
-    g = np.abs(values, out=out)
+    g = np.abs(values)
     if vanishes:
         g.fill(0.0)
     elif q != r and not math.isfinite(norm):

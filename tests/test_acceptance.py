@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from resesop import bregman_geometry
+from resesop import bregman_geometry, elliptic_operator
 from resesop.bregman_geometry import (
     Stripe,
     project_intersection,
@@ -376,24 +376,67 @@ BENCHMARK_STOPS = {
 }
 
 
-@pytest.mark.parametrize('workload', sorted(BENCHMARK_STOPS))
-def test_benchmark_stopping_indices_are_pinned(workload):
+# Per seed-7 pass of each workload: preconditioner applies, stencil
+# applies, projections (Newton solves of the dual objective) and
+# evaluations of the dual objective. A change that makes an inner
+# iteration cheaper must not buy that with more of them.
+BENCHMARK_COUNTS = {'suite40': (1573, 2166, 233, 1081), 'grid160': (311, 455, 42, 201),
+                    'exponents40': (2378, 3252, 367, 1818)}
+
+
+@pytest.fixture(scope='module', params=sorted(BENCHMARK_STOPS))
+def benchmark_pass(request):
+    # One seed-7 pass of a workload: (n*, stop reason) per configuration and
+    # the operation counts of BENCHMARK_COUNTS.
+    workload = request.param
+    (n_recon, n_data), cases = BENCHMARK_STOPS[workload]
+    counts = {'applies': 0, 'stencils': 0, 'projections': 0, 'evaluations': 0}
+
+    def counted(name, function):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapped
+
+    def counted_objective(*args):
+        return counted('evaluations', inner_objective(*args))
+
+    inner_objective = bregman_geometry._dual_objective
+    stops = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(elliptic_operator._System, 'precondition',
+                      counted('applies', elliptic_operator._System.precondition))
+        patch.setattr(elliptic_operator, '_stencil',
+                      counted('stencils', elliptic_operator._stencil))
+        patch.setattr(bregman_geometry, '_minimize',
+                      counted('projections', bregman_geometry._minimize))
+        patch.setattr(bregman_geometry, '_dual_objective', counted_objective)
+        for method, r, delta in cases:
+            for draw in range(len(cases[method, r, delta])):
+                seed = 7 + 1_000_003 * draw
+                report = run_experiment(ExperimentConfig(
+                    method=method, r=r, delta=delta, seed=seed, s=5.0, cone_constant=0.01,
+                    tau_factor=1.1, n_recon=n_recon, n_data=n_data))
+                stops[method, r, delta, seed] = (report.n_star, report.stop_reason)
+    return workload, stops, tuple(counts.values())
+
+
+def test_benchmark_stopping_indices_are_pinned(benchmark_pass):
     # Every configuration is pinned on its own: drifts that cancel in the
     # per-workload sum of n* still fail here. Noisy runs stop by the
     # discrepancy principle, exact ones by the residual tolerance.
-    (n_recon, n_data), cases = BENCHMARK_STOPS[workload]
-    observed, expected = {}, {}
-    for (method, r, delta), stops in cases.items():
+    workload, observed, _ = benchmark_pass
+    expected = {}
+    for (method, r, delta), stops in BENCHMARK_STOPS[workload][1].items():
         for draw, n_star in enumerate(stops):
-            seed = 7 + 1_000_003 * draw
-            report = run_experiment(ExperimentConfig(
-                method=method, r=r, delta=delta, seed=seed, s=5.0, cone_constant=0.01,
-                tau_factor=1.1, n_recon=n_recon, n_data=n_data))
-            key = (method, r, delta, seed)
-            observed[key] = (report.n_star, report.stop_reason)
-            expected[key] = (n_star, StopReason.DISCREPANCY if delta
-                             else StopReason.RESIDUAL_TOLERANCE)
+            expected[method, r, delta, 7 + 1_000_003 * draw] = (
+                n_star, StopReason.DISCREPANCY if delta else StopReason.RESIDUAL_TOLERANCE)
     assert observed == expected
+
+
+def test_benchmark_operation_counts_are_pinned(benchmark_pass):
+    workload, _, counts = benchmark_pass
+    assert counts == BENCHMARK_COUNTS[workload]
 
 
 def test_criterion_8_error_series_monotone(exact_report_a, exact_report_b):

@@ -10,8 +10,10 @@ Hessian, and the descent property.
 
 import logging
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resesop import bregman_geometry
 from resesop.bregman_geometry import (
@@ -27,6 +29,7 @@ from resesop.bregman_geometry import (
 from resesop.lp_spaces import (
     GridFunction,
     SpaceSpec,
+    _array_duality_map,
     bregman_distance,
     dual_pairing,
     duality_map,
@@ -160,11 +163,24 @@ def test_project_hyperplane_rejects_zero_direction():
                              SpaceSpec(2.0, 2.0))
 
 
+def stacked(jx, u):
+    # The rows [J(x); u_1*, ..., u_k*; g] that _dual_objective takes.
+    rows = np.empty((len(u) + 2, len(jx)))
+    rows[0], rows[1:-1] = jx, u
+    return rows
+
+
 def dual_objective(x, planes, space):
     # The dual objective of projecting x onto the planes, as _minimize builds it.
-    return _dual_objective(x.values.ravel(), duality_map(x, space).values.ravel(),
-                           np.array([u.values.ravel() for u, _ in planes]),
-                           np.array([alpha for _, alpha in planes]), space, x.h)
+    return _dual_objective(
+        stacked(duality_map(x, space).values.ravel(), [u.values.ravel() for u, _ in planes]),
+        [alpha for _, alpha in planes], space, x.h)
+
+
+def as_arrays(evaluation):
+    # An evaluation with its gradient and Hessian (lists of floats) as arrays.
+    value, grad, hessian, x_t = evaluation
+    return value, np.array(grad), None if hessian is None else np.array(hessian), x_t
 
 
 def test_objective_gradient_matches_finite_differences():
@@ -181,7 +197,7 @@ def test_objective_gradient_matches_finite_differences():
             t = rng.normal(size=2) * 0.3
             objective = dual_objective(x, planes, space)
             out = np.empty(x.values.size)
-            _, grad, hessian, _ = objective(t, out)
+            _, grad, hessian, _ = as_arrays(objective(t.tolist(), out))
             np.testing.assert_allclose(hessian, hessian.T, rtol=1e-12, atol=1e-14)
             for j in range(2):
                 step = 1e-6 * (1.0 + abs(t[j]))
@@ -189,8 +205,8 @@ def test_objective_gradient_matches_finite_differences():
                 t_hi[j] += step
                 t_lo = t.copy()
                 t_lo[j] -= step
-                value_hi, grad_hi, _, _ = objective(t_hi, out)
-                value_lo, grad_lo, _, _ = objective(t_lo, out)
+                value_hi, grad_hi, _, _ = as_arrays(objective(t_hi.tolist(), out))
+                value_lo, grad_lo, _, _ = as_arrays(objective(t_lo.tolist(), out))
                 fd = (value_hi - value_lo) / (2.0 * step)
                 assert grad[j] == pytest.approx(fd, rel=1e-4, abs=1e-7)
                 np.testing.assert_allclose(hessian[:, j], (grad_hi - grad_lo) / (2.0 * step),
@@ -203,20 +219,119 @@ def test_objective_has_no_value_where_it_overflows():
     rng = np.random.default_rng(19)
     space = SpaceSpec(1.5, 1.5)
     x, u = random_grid(rng, 3), random_grid(rng, 3)
-    objective = _dual_objective(x.values.ravel(), duality_map(x, space).values.ravel(),
-                                u.values.ravel()[None, :], np.array([0.3]), space, x.h)
+    objective = dual_objective(x, [(u, 0.3)], space)
     out = np.empty(x.values.size)
-    with np.errstate(over='ignore', invalid='ignore'):
-        assert objective(np.array([1e200]), out) is None
-        assert objective(np.array([-1e200]), out) is None
-    value, grad, hessian, x_t = objective(np.array([0.1]), out)
+    with np.errstate(over='ignore', invalid='ignore', divide='ignore'):
+        assert objective([1e200], out) is None
+        assert objective([-1e200], out) is None
+        value, grad, hessian, x_t = as_arrays(objective([0.1], out))
     assert np.isfinite(value) and np.isfinite(grad).all() and np.isfinite(x_t).all()
     assert hessian is not None
 
 
+def allocating_objective(jx, u, alphas, space, h, t):
+    # The dual objective at t by the formula with a new array per operation:
+    # x_t from the duality-map kernel, the Hessian weights x_t / g, masked
+    # at zeros of g.
+    dual = space.dual()
+    r_conj, q_conj = dual.norm_exponent, dual.gauge_exponent
+    t, alphas = np.asarray(t, dtype=float), np.asarray(alphas, dtype=float)
+    g = jx - t @ u
+    x_t = _array_duality_map(g, r_conj, q_conj, h)
+    pairs = h ** 2 * (u @ x_t)
+    power = h ** 2 * float(g @ x_t)
+    value = power / q_conj + float(t @ alphas)
+    if not (np.isfinite(value) and np.isfinite(pairs).all()):
+        return None
+    zero = g == 0.0
+    if power == 0.0 or (r_conj < 2.0 and u[:, zero].any()):
+        return value, alphas - pairs, None, x_t
+    at_zero = power ** (1.0 - 2.0 / q_conj) if r_conj == 2.0 else 0.0
+    weights = np.where(zero, at_zero, x_t / np.where(zero, 1.0, g))
+    hessian = (r_conj - 1.0) * h ** 2 * (u * weights) @ u.T
+    if q_conj != r_conj:
+        hessian += (q_conj - r_conj) * np.outer(pairs, pairs) / power
+    return value, alphas - pairs, hessian if np.isfinite(hessian).all() else None, x_t
+
+
+def assert_same_evaluation(new, reference, alphas):
+    # Value, gradient, Hessian and x_t agree to 1e-12 relative: the gradient
+    # alpha - <u*, x_t> relative to its two terms, the Hessian to its largest
+    # entry.
+    assert (new is None) == (reference is None)
+    if new is None:
+        return
+    value, grad, hessian, x_t = as_arrays(new)
+    ref_value, ref_grad, ref_hessian, ref_x_t = reference
+    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+    terms = np.abs(alphas) + np.abs(ref_grad - alphas)
+    assert (np.abs(grad - ref_grad) <= 1e-12 * terms).all()
+    assert (hessian is None) == (ref_hessian is None)
+    if hessian is not None:
+        assert np.abs(hessian - ref_hessian).max() <= 1e-12 * np.abs(ref_hessian).max()
+    assert (np.abs(x_t - ref_x_t) <= 1e-12 * np.abs(ref_x_t)).all()
+
+
+def test_evaluation_equals_the_allocating_formula():
+    # One power of |g| and three products against stacked rows give what the
+    # duality map and the masked weights give: for random exponents in
+    # [1.2, 6] (r* < 2, r* > 2 and q != r), 1-3 planes, t = 0 and t away
+    # from it, and r = 2, where w = |g|^0 = 1.
+    rng = np.random.default_rng(53)
+    exponents = [tuple(rng.uniform(1.2, 6.0, 2)) for _ in range(30)]
+    exponents += [(2.0, 2.0), (2.0, 3.5), (2.0, 1.3), (4.0, 4.0), (1.3, 1.3)]
+    for r, q in exponents:
+        space = SpaceSpec(r, q)
+        for k in (1, 2, 3):
+            x = random_grid(rng, 4, scale=2.0)
+            jx = duality_map(x, space).values.ravel()
+            u = rng.standard_normal((k, x.values.size))
+            alphas = rng.normal(size=k)
+            objective = _dual_objective(stacked(jx, u), alphas.tolist(), space, x.h)
+            for t in (np.zeros(k), 0.3 * rng.normal(size=k)):
+                out = np.full(x.values.size, np.nan)
+                new = objective(t.tolist(), out)
+                assert new[3] is out
+                assert_same_evaluation(
+                    new, allocating_objective(jx, u, alphas, space, x.h, t), alphas)
+
+
+@pytest.mark.parametrize('r, q', [(3.0, 3.0), (5.0, 2.0), (4.0, 6.0), (2.0, 2.0),
+                                  (1.5, 1.5), (1.2, 4.0)])
+def test_evaluation_at_zeros_of_g_and_overflow_equals_the_allocating_formula(r, q):
+    # Exact zeros of g: one that no u_k* touches (there J(x) = 0) and, at a
+    # t where sum_k t_k u_k* meets J(x) exactly, one that they touch. With
+    # r* < 2 (r > 2) |g|^(r*-2) is infinite there: x_t is 0, and the
+    # Hessian is finite at the untouched zero and None at the touched one.
+    # g = 0 altogether has no Hessian, and far out x_t overflows for r <= 2.
+    space = SpaceSpec(r, q)
+    rng = np.random.default_rng(54)
+    h = 1.0 / 4.0
+    for k in (1, 2, 3):
+        jx = rng.standard_normal(9)
+        u = rng.standard_normal((k, 9))
+        alphas = rng.normal(size=k)
+        jx[0], u[:, 0] = 0.0, 0.0
+        u[:, 1], jx[1] = 1.0, 0.125 * k
+        touching = np.full(k, 0.125)
+        cases = [(jx, 0.3 * rng.normal(size=k)), (jx, touching), (np.zeros(9), np.zeros(k)),
+                 (jx, np.full(k, 1e200)), (jx, np.full(k, -1e200))]
+        with np.errstate(over='ignore', invalid='ignore', divide='ignore'):
+            for dual_x, t in cases:
+                objective = _dual_objective(stacked(dual_x, u), alphas.tolist(), space, h)
+                new = objective(t.tolist(), np.empty(9))
+                reference = allocating_objective(dual_x, u, alphas, space, h, t)
+                assert_same_evaluation(new, reference, alphas)
+                if t is touching:
+                    assert new[3][:2].tolist() == [0.0, 0.0]
+                    assert (new[2] is None) == (r > 2.0)
+                if abs(t[0]) == 1e200 and r <= 2.0:
+                    assert new is None
+
+
 def test_hessian_judgement_agrees_with_the_condition_number():
-    # The eigenvalue test stands for np.linalg.cond(H) < 1/eps, which an
-    # SVD used to decide: random symmetric matrices (mostly indefinite),
+    # The closed form for one and two planes and the singular values beyond
+    # stand for np.linalg.cond(H) < 1/eps: random symmetric matrices (mostly indefinite),
     # exactly singular and indefinite ones, and matrices with condition
     # number 1e15-1e17 around the threshold 4.5e15. Those are diagonal, up
     # to a permutation, so that both sides see their exact spectrum; for a
@@ -242,6 +357,32 @@ def test_hessian_judgement_agrees_with_the_condition_number():
     decisions = [_well_conditioned(m) for m in cases]
     assert decisions == [bool(np.linalg.cond(m) < limit) for m in cases]
     assert 0 < sum(decisions) < len(cases)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), log_cond=st.floats(15.0, 17.0),
+       middle=st.floats(0.0, 1.0), log_scale=st.floats(-3.0, 3.0))
+def test_three_plane_hessian_judgement_agrees_with_exact_arithmetic(seed, log_cond, middle,
+                                                                    log_scale):
+    # Rotated positive definite 3 x 3 matrices with condition number
+    # 1e15-1e17, around the threshold 1/eps = 4.5e15, judged against the
+    # eigenvalues of the stored matrix in 60-digit arithmetic. The ratio of
+    # the smallest to the largest singular value is off by up to about
+    # 0.7 eps (3000 such matrices), so only matrices whose exact ratio lies
+    # within a factor two of eps may go either way; eigvalsh, off by up to
+    # about 1.5 eps, misjudges some outside that band.
+    rotation, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    spectrum = 10.0 ** log_scale * 10.0 ** (-log_cond * np.array([0.0, middle, 1.0]))
+    hessian = (rotation * spectrum) @ rotation.T
+    hessian = 0.5 * (hessian + hessian.T)
+    with mpmath.workdps(60):
+        moduli = sorted(abs(value) for value in mpmath.eigsy(
+            mpmath.matrix(hessian.tolist()), eigvals_only=True))
+        ratio = float(moduli[0] / moduli[-1])
+    eps = np.finfo(float).eps
+    if not 0.5 * eps <= ratio <= 2.0 * eps:
+        assert _well_conditioned(hessian) == (ratio > eps)
+    assert _well_conditioned(hessian.tolist()) == _well_conditioned(hessian)
 
 
 def test_project_intersection_hilbert_orthogonal_oracle():
@@ -323,7 +464,7 @@ def test_projected_point_is_the_image_of_its_coefficients_bitwise():
                 x = random_grid(rng, 5, scale=float(rng.uniform(0.3, 3.0)))
                 planes = [(random_grid(rng, 5), float(rng.normal())) for _ in range(k)]
                 x_new, t = project_intersection(x, planes, space)
-                x_t = dual_objective(x, planes, space)(t, np.empty(x.values.size))[3]
+                x_t = dual_objective(x, planes, space)(t.tolist(), np.empty(x.values.size))[3]
                 assert x_new.values.tobytes() == x_t.tobytes()
 
 

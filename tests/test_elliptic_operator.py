@@ -11,6 +11,7 @@ genuine truncation error exhibiting second-order convergence.
 """
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -38,20 +39,20 @@ def random_interior(rng, n, scale=1.0):
 
 
 def stencil(c, v):
-    """L(c) v on the interior, by the kernel that CG runs."""
-    return elliptic_operator._stencil(c.interior, c.h ** 2, v, np.empty(v.shape),
+    """h^2 L(c) v on the interior, by the kernel that CG runs."""
+    return elliptic_operator._stencil(4.0 + c.h ** 2 * c.interior, v, np.empty(v.shape),
                                       np.empty(v.shape))
 
 
 def dense_matrix(c):
     """L(c) as a dense (N^2, N^2) array, column k the stencil applied to the
-    k-th unit vector (interior nodes ordered row-major)."""
+    k-th unit vector (interior nodes ordered row-major) over h^2."""
     n = c.n_interior
     columns = []
     for k in range(n * n):
         unit = np.zeros(n * n)
         unit[k] = 1.0
-        columns.append(stencil(c, unit.reshape(n, n)).ravel())
+        columns.append(stencil(c, unit.reshape(n, n)).ravel() / c.h ** 2)
     return np.array(columns).T
 
 
@@ -102,7 +103,10 @@ def test_cg_solve_matches_dense_solve():
         c = state.c
         rhs = rng.standard_normal((n, n))
 
-        solve = state.system.solve
+        def solve(b):
+            # CG takes the right-hand side of h^2 L(c) x = h^2 b.
+            return state.system.solve(c.h ** 2 * b)
+
         solution = solve(rhs).ravel()
         matrix = dense_matrix(c)
         residual = np.linalg.norm(matrix @ solution - rhs.ravel())
@@ -361,15 +365,14 @@ def test_norm_estimate_from_sign_start_handles_a_sign_changing_state():
                                                     rel=1e-12)
 
 
-def slice_stencil(coeff, h2, v):
-    # Reference: the five-point stencil by four 2-D slice subtractions.
-    laplace = 4.0 * v
+def slice_stencil(diagonal, v):
+    # Reference: the h^2-scaled five-point stencil, the diagonal 4 + h^2 c
+    # times v minus four 2-D slices.
+    laplace = diagonal * v
     laplace[1:, :] -= v[:-1, :]
     laplace[:-1, :] -= v[1:, :]
     laplace[:, 1:] -= v[:, :-1]
     laplace[:, :-1] -= v[:, 1:]
-    laplace /= h2
-    laplace += coeff * v
     return laplace
 
 
@@ -385,11 +388,10 @@ def test_stencil_equals_the_slice_reference_bitwise(n):
     v = rng.standard_normal((n, n))
     v[rng.random((n, n)) < 0.3] = -0.0
     v[0, 0] = -0.0
-    expected = slice_stencil(c.interior, c.h ** 2, v)
-    for coeff in (c.interior, np.ascontiguousarray(c.interior)):
-        out, scratch = np.full((n, n), np.nan), np.full((n, n), np.nan)
-        assert elliptic_operator._stencil(coeff, c.h ** 2, v, out, scratch) is out
-        assert same_bits(out, expected)
+    diagonal = 4.0 + c.h ** 2 * c.interior
+    out, scratch = np.full((n, n), np.nan), np.full((n, n), np.nan)
+    assert elliptic_operator._stencil(diagonal, v, out, scratch) is out
+    assert same_bits(out, slice_stencil(diagonal, v))
 
 
 @pytest.mark.parametrize('n', [1, 2, 7, 12, 40])
@@ -487,12 +489,13 @@ def benchmark_parameters(n, steps):
 
 
 def backward_error(op, state, x=None, rhs=None):
-    # ||L(c) x - b|| / (||L(c)|| ||x|| + ||b||), by default of the forward solve.
+    # ||A x - b|| / (||A|| ||x|| + ||b||) for A = h^2 L(c) and b the h^2-scaled
+    # right-hand side, by default of the forward solve.
     x = state.u.interior if x is None else x
     rhs = op._rhs if rhs is None else rhs
     residual = stencil(state.c, x) - rhs
-    return np.linalg.norm(residual) / (state.system.norm * np.linalg.norm(x)
-                                       + np.linalg.norm(rhs))
+    scale = state.c.h ** 2 * state.system.norm
+    return np.linalg.norm(residual) / (scale * np.linalg.norm(x) + np.linalg.norm(rhs))
 
 
 def test_warm_forward_solve_meets_the_cold_bound_and_agrees_with_it():
@@ -504,7 +507,8 @@ def test_warm_forward_solve_meets_the_cold_bound_and_agrees_with_it():
     assert backward_error(op, warm) <= bound
     # The two solutions differ by no more than the two bounds allow.
     gap = stencil(c1, warm.u.interior - cold.u.interior)
-    scale = cold.system.norm * np.linalg.norm(cold.u.interior) + np.linalg.norm(op._rhs)
+    scale = (c1.h ** 2 * cold.system.norm * np.linalg.norm(cold.u.interior)
+             + np.linalg.norm(op._rhs))
     assert np.linalg.norm(gap) <= 2.0 * bound * scale
     np.testing.assert_array_equal(warm.u.values[0], cold.u.values[0])
 
@@ -529,12 +533,12 @@ def test_warm_derivative_solve_meets_the_cold_bound_and_agrees_with_it(monkeypat
         applies.append(0)
         results.append(op.derivative(state, direction, start=start).interior)
     cold, warm = results
-    rhs = -(direction.values * state.u.values)[1:-1, 1:-1]
+    rhs = (direction.values * state.u.values)[1:-1, 1:-1] * -c1.h ** 2
     bound = elliptic_operator.BACKWARD_TOL
     assert backward_error(op, state, cold, rhs) <= bound
     assert backward_error(op, state, warm, rhs) <= bound
     gap = stencil(c1, warm - cold)
-    scale = state.system.norm * np.linalg.norm(cold) + np.linalg.norm(rhs)
+    scale = c1.h ** 2 * state.system.norm * np.linalg.norm(cold) + np.linalg.norm(rhs)
     assert np.linalg.norm(gap) <= 2.0 * bound * scale
     assert applies[1] < applies[0]
 
@@ -697,6 +701,25 @@ def test_discrete_maximum_principle():
     g = GridFunction(rng.uniform(0.0, 1.0, (n + 2, n + 2)))
     u = EllipticOperator(BvpData(f=f, g=g))(c)
     assert np.all(u.values >= -1e-13)
+
+
+def test_solve_error_reports_the_residual_of_the_unscaled_system(monkeypatch):
+    # CG runs on h^2 L(c) x = h^2 b, and a rejected solve reports the
+    # residual ||L(c) x - b|| of the system it was asked to solve. With no
+    # condition number accepted, the solve that succeeded before fails its
+    # last check on the same x.
+    rng = np.random.default_rng(55)
+    _, state = random_operator(rng, 7, 0.5, 4.0)
+    h2 = state.c.h ** 2
+    rhs = h2 * rng.standard_normal((7, 7))
+    x = state.system.solve(rhs)
+    monkeypatch.setattr(elliptic_operator, 'COND_LIMIT', 0.0)
+    with pytest.raises(LinearSolveError, match='ill-conditioned') as info:
+        state.system.solve(rhs)
+    reported = float(re.search(r'residual ([^,]+),', str(info.value)).group(1))
+    residual = np.linalg.norm(stencil(state.c, x) - rhs) / h2
+    assert residual > 0.0
+    assert reported == pytest.approx(residual, rel=5e-3)
 
 
 def test_singular_parameter_raises():

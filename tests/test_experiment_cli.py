@@ -69,6 +69,26 @@ class TestSynthTruth:
         with pytest.raises(ValueError):
             synth_truth(1)
 
+    @pytest.mark.parametrize('n', [2, 5, 40, 50, 160, 200, 321])
+    def test_fields_equal_the_meshgrid_formula_bitwise(self, n):
+        # The fields broadcast from one column and one row of coordinates;
+        # their bits, signs of zero included, are those of the formula on
+        # the full meshgrid arrays.
+        coords = np.linspace(0.0, 1.0, n + 2)
+        x, y = np.meshgrid(coords, coords, indexing='ij')
+        quartic = 16.0 * x * (x - 1.0) * y * (1.0 - y)
+        u = quartic + 1.0
+        c = (1.5 * np.sin(2.0 * np.pi * x) * np.sin(3.0 * np.pi * y)
+             + 3.0 * ((x - 0.5) ** 2 + (y - 0.5) ** 2) + 2.0)
+        c0 = 3.0 * ((x - 0.5) ** 2 + (y - 0.5) ** 2) + 2.0 + 0.5 * quartic
+        laplacian = 32.0 * (x * (1.0 - x) + y * (1.0 - y))
+        f = -laplacian + c * u
+        truth = synth_truth(n)
+        for field, expected in ((truth.u, u), (truth.c, c), (truth.c0, c0), (truth.f, f),
+                                (truth.g, np.ones_like(u))):
+            assert field.values.shape == expected.shape
+            assert field.values.tobytes() == expected.tobytes()
+
 
 class TestAddNoise:
     @pytest.mark.parametrize('delta', [5e-4, 1e-2, 3.0])
