@@ -329,6 +329,25 @@ def test_evaluation_at_zeros_of_g_and_overflow_equals_the_allocating_formula(r, 
                     assert new is None
 
 
+@pytest.mark.parametrize('q', [150.0, 2.0])
+def test_evaluation_where_the_power_of_a_tiny_entry_overflows(q):
+    # At r = 150 (r* = 1.0067) an entry 1e-320 of g has |g|^(r*-2) = inf
+    # but |g|^(r*-1) = 0.007: x_t takes that value of J_inv there, and the
+    # Hessian, unbounded at that entry, is None.
+    space = SpaceSpec(150.0, q)
+    rng = np.random.default_rng(56)
+    jx = rng.standard_normal(9)
+    jx[2] = 1e-320
+    u = rng.standard_normal((2, 9))
+    alphas = rng.normal(size=2)
+    objective = _dual_objective(stacked(jx, u), alphas.tolist(), space, 0.25)
+    with np.errstate(over='ignore', invalid='ignore', divide='ignore'):
+        new = objective([0.0, 0.0], np.empty(9))
+        reference = allocating_objective(jx, u, alphas, space, 0.25, np.zeros(2))
+    assert_same_evaluation(new, reference, alphas)
+    assert new[2] is None and new[3][2] != 0.0
+
+
 def test_hessian_judgement_agrees_with_the_condition_number():
     # The closed form for one and two planes and the singular values beyond
     # stand for np.linalg.cond(H) < 1/eps: random symmetric matrices (mostly indefinite),
