@@ -118,40 +118,34 @@ def classify(x, stripe):
     return StripeSide.INSIDE
 
 
-def _well_conditioned(hessian):
-    """Whether the symmetric `hessian`, a k x k nested sequence, has 2-norm
-    condition number below 1/eps: in closed form from the eigenvalues for
-    one and two planes, beyond that by the singular values. On
-    near-singular 3 x 3 matrices their ratio min/max is within about
-    0.7 eps of the exact one, that of eigvalsh's eigenvalues only within
-    1.5 eps, more than the threshold eps itself."""
-    if len(hessian) == 1:
-        big = small = abs(float(hessian[0][0]))
-    elif len(hessian) == 2:
-        (a, b), (_, d) = hessian
-        big = abs(0.5 * (a + d)) + math.hypot(0.5 * (a - d), b)
-        small = abs(a * d - b * b) / big if big > 0.0 else 0.0
-    else:
-        values = np.linalg.svd(np.asarray(hessian, dtype=float), compute_uv=False)
-        big, small = float(values[0]), float(values[-1])
-    return small > EPS * big
-
-
 def _newton_step(hessian, grad):
-    """The solution d of H d = -grad, for the Hessian as a nested list:
-    the quotient for one plane, Gaussian elimination with partial pivoting
-    for two, np.linalg.solve beyond."""
+    """The solution d of H d = -grad for the symmetric Hessian, a k x k
+    nested sequence, or None where its 2-norm condition number is 1/eps or
+    more. One plane takes the quotient; two judge by the eigenvalues in
+    closed form and solve by Gaussian elimination with partial pivoting;
+    more judge by the singular values and solve by np.linalg.solve. On
+    near-singular 3 x 3 matrices the ratio min/max of the singular values
+    is within about 0.7 eps of the exact one, that of eigvalsh's
+    eigenvalues only within 1.5 eps, more than the threshold eps itself."""
     if len(grad) == 1:
-        return [-grad[0] / hessian[0][0]]
+        a = hessian[0][0]
+        return None if a == 0.0 else [-grad[0] / a]
     if len(grad) == 2:
         (a, b), (c, d) = hessian
+        big = abs(0.5 * (a + d)) + math.hypot(0.5 * (a - d), b)
+        if not (big > 0.0 and abs(a * d - b * b) / big > EPS * big):
+            return None
         first, second = -grad[0], -grad[1]
         if abs(c) > abs(a):
             a, b, c, d, first, second = c, d, a, b, second, first
         ratio = c / a
         y = (second - ratio * first) / (d - ratio * b)
         return [(first - b * y) / a, y]
-    return np.linalg.solve(np.array(hessian), -np.array(grad)).tolist()
+    hessian = np.asarray(hessian, dtype=float)
+    values = np.linalg.svd(hessian, compute_uv=False)
+    if not values[-1] > EPS * values[0]:
+        return None
+    return np.linalg.solve(hessian, -np.array(grad)).tolist()
 
 
 def _dot(a, b):
@@ -332,11 +326,11 @@ def _minimize(x, rows, dual_norms, alphas, space, t_init=None):
         converged = False
         for _ in range(MAX_NEWTON_ITERS):
             spare = buffers[1] if x_t is buffers[0] else buffers[0]
-            direction = [-v for v in grad]
-            if hessian is not None and _well_conditioned(hessian):
-                newton = _newton_step(hessian, grad)
-                if _dot(newton, grad) < 0.0:
-                    direction = newton
+            newton = None if hessian is None else _newton_step(hessian, grad)
+            if newton is not None and _dot(newton, grad) < 0.0:
+                direction = newton
+            else:
+                direction = [-v for v in grad]
             grad_norm = _norm(grad)
             if grad_norm <= GRAD_TOL * scale:
                 t_full = [a + b for a, b in zip(t, direction)]

@@ -220,8 +220,8 @@ class ExperimentReport:
     records: tuple
 
     def to_json(self):
-        payload = dataclasses.asdict(self)
-        return json.dumps(payload, indent=2)
+        # The fields in place: dataclasses.asdict would deep-copy them first.
+        return json.dumps(self, default=vars, indent=2)
 
     @classmethod
     def from_json(cls, text):

@@ -9,22 +9,20 @@ identities of the gauge-q duality mapping hold exactly on the grid:
     <J_q(f), f> = ||f||^q,    ||J_q(f)||_* = ||f||^(q - 1),
 
 where ||.||_* is the norm with the conjugate exponent on the same grid, and
-J_2 on a space with norm exponent 2 is the identity. The norm and the
-duality map are thin wrappers over private kernels on plain float arrays of
-any shape.
+J_2 on a space with norm exponent 2 is the identity.
 
 A space is fixed by its two exponents, the norm exponent r and the gauge q
 of J_q; the weight belongs to the grid, so every function here takes h
 from the grid function it measures, and one space measures grids of any
-size. Because a grid function is immutable, the wrappers store each norm
-and each duality image on the grid function they measure, keyed by the
+size. Because a grid function is immutable, the norm and the duality map
+compute on its values and store each result on it, keyed by the
 exponents: the method asks for the norm and the duality image of the same
 iterate in several places, and each is computed once.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,53 +203,6 @@ def _euclidean_norm(values):
     return math.sqrt(flat.dot(flat))
 
 
-def _array_norm(values, p, h):
-    """Kernel of :func:`weighted_norm` on a plain float array of any shape."""
-    if p == 2.0:
-        return h * _euclidean_norm(values)
-    powers = np.abs(values)
-    powers **= p
-    total = float(powers.sum())
-    return h ** (2.0 / p) * total ** (1.0 / p)
-
-
-def _array_duality_map(values, r, q, h, norm=None):
-    """Kernel of :func:`duality_map` on a plain float array of any shape.
-
-    Returns the image as a new array, or `values` itself with r = q = 2.
-    Only q != r needs the norm, which the caller may pass in; with q = r
-    the zero test is (max |v|)^r == 0, which holds exactly when every
-    |v|^r underflows, as the norm would. A norm that is not finite gives
-    an image that is not finite either. The scalar factor is a numpy float,
-    so an overflow gives inf under the caller's ``np.errstate`` instead of
-    raising. Elsewhere the image is |v|^(r-1) sign(v), times ||v||^(q-r)
-    when q != r, bit for bit; |v| is taken once, and the power and the
-    sign are applied to it in place.
-    """
-    if q == r:
-        # max |v| = max(max v, -min v), without an array of |v|.
-        vanishes = max(values.max(), -values.min()) ** r == 0.0
-        if r == 2.0 and not vanishes:
-            return values
-    else:
-        if norm is None:
-            norm = _array_norm(values, r, h)
-        vanishes = norm == 0.0
-    g = np.abs(values)
-    if vanishes:
-        g.fill(0.0)
-    elif q != r and not math.isfinite(norm):
-        g.fill(np.nan)
-    else:
-        g **= r - 1.0
-        # sign(v) is 0 at v = 0 and at -0.0, where |v|^(r-1) is 0 already,
-        # so only negative entries change; x * -1 is -x exactly, also at 0.
-        np.negative(g, out=g, where=values < 0.0)
-        if q != r:
-            g *= np.float64(norm) ** (q - r)
-    return g
-
-
 def weighted_norm(f, space):
     """Weighted p-norm h^(2/p) * (sum_ij |f_ij|^p)^(1/p) over all nodes.
 
@@ -264,10 +215,17 @@ def weighted_norm(f, space):
 
     The norm is stored on `f`, keyed by p.
     """
-    key = ('norm', space.norm_exponent)
+    p = space.norm_exponent
+    key = ('norm', p)
     norm = f._memo.get(key)
     if norm is None:
-        norm = f._memo[key] = _array_norm(f.values, space.norm_exponent, f.h)
+        if p == 2.0:
+            norm = f.h * _euclidean_norm(f.values)
+        else:
+            powers = np.abs(f.values)
+            powers **= p
+            norm = f.h ** (2.0 / p) * float(powers.sum()) ** (1.0 / p)
+        f._memo[key] = norm
     return norm
 
 
@@ -305,16 +263,42 @@ def duality_map(f, space):
         Dual vector on the same grid; pair it with ``space.dual()``. It is
         stored on `f`, keyed by the exponents, except where it is `f` itself
         (r = q = 2).
+
+    Raises
+    ------
+    ValueError
+        Where the image overflows, or ||f|| with q != r.
     """
     r, q = space.norm_exponent, space.gauge_exponent
     key = ('dual', r, q)
     image = f._memo.get(key)
-    if image is None:
-        norm = None if q == r else weighted_norm(f, space)
-        g = _array_duality_map(f.values, r, q, f.h, norm)
-        if g is f.values:
-            return f  # the r = q = 2 identity: storing f on itself is a cycle
-        image = f._memo[key] = GridFunction._adopt(g)
+    if image is not None:
+        return image
+    values = f.values
+    if q == r:
+        # The norm is 0 exactly when every |f_ij|^r underflows, that is when
+        # (max |f|)^r does; max |f| = max(max f, -min f), without an array.
+        vanishes = max(values.max(), -values.min()) ** r == 0.0
+        if r == 2.0 and not vanishes:
+            return f  # the identity: storing f on itself would be a cycle
+    else:
+        norm = weighted_norm(f, space)
+        if not math.isfinite(norm):
+            raise ValueError('the norm of the grid function overflows')
+        vanishes = norm == 0.0
+    g = np.abs(values)
+    if vanishes:
+        g.fill(0.0)
+    else:
+        # |f|^(r-1) sign(f), with the power and the sign applied in place:
+        # sign(f) is 0 at f = 0 and at -0.0, where |f|^(r-1) is 0 already,
+        # so only negative entries change; x * -1 is -x exactly, also at 0.
+        g **= r - 1.0
+        np.negative(g, out=g, where=values < 0.0)
+        if q != r:
+            # A numpy float: an overflow gives inf, which _adopt refuses.
+            g *= np.float64(norm) ** (q - r)
+    image = f._memo[key] = GridFunction._adopt(g)
     return image
 
 

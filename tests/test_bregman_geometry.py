@@ -21,7 +21,7 @@ from resesop.bregman_geometry import (
     Stripe,
     StripeSide,
     _dual_objective,
-    _well_conditioned,
+    _newton_step,
     classify,
     project_intersection,
     project_two_stage,
@@ -29,7 +29,6 @@ from resesop.bregman_geometry import (
 from resesop.lp_spaces import (
     GridFunction,
     SpaceSpec,
-    _array_duality_map,
     bregman_distance,
     dual_pairing,
     duality_map,
@@ -231,13 +230,21 @@ def test_objective_has_no_value_where_it_overflows():
 
 def allocating_objective(jx, u, alphas, space, h, t):
     # The dual objective at t by the formula with a new array per operation:
-    # x_t from the duality-map kernel, the Hessian weights x_t / g, masked
-    # at zeros of g.
+    # x_t = ||g||_*^(q*-r*) |g|^(r*-1) sign(g), 0 where every |g|^r*
+    # underflows and not finite where ||g||_* overflows, and the Hessian
+    # weights x_t / g, masked at zeros of g.
     dual = space.dual()
     r_conj, q_conj = dual.norm_exponent, dual.gauge_exponent
     t, alphas = np.asarray(t, dtype=float), np.asarray(alphas, dtype=float)
     g = jx - t @ u
-    x_t = _array_duality_map(g, r_conj, q_conj, h)
+    total = float((np.abs(g) ** r_conj).sum())
+    if total == 0.0:
+        x_t = np.zeros_like(g)
+    else:
+        x_t = np.abs(g) ** (r_conj - 1.0) * np.sign(g)
+        if q_conj != r_conj:
+            norm = np.float64(h ** (2.0 / r_conj) * total ** (1.0 / r_conj))
+            x_t = x_t * (norm ** (q_conj - r_conj) if np.isfinite(norm) else np.nan)
     pairs = h ** 2 * (u @ x_t)
     power = h ** 2 * float(g @ x_t)
     value = power / q_conj + float(t @ alphas)
@@ -349,8 +356,9 @@ def test_evaluation_where_the_power_of_a_tiny_entry_overflows(q):
 
 
 def test_hessian_judgement_agrees_with_the_condition_number():
-    # The closed form for one and two planes and the singular values beyond
-    # stand for np.linalg.cond(H) < 1/eps: random symmetric matrices (mostly indefinite),
+    # A Newton step is taken exactly where np.linalg.cond(H) < 1/eps, judged
+    # in closed form for one and two planes and by the singular values
+    # beyond: random symmetric matrices (mostly indefinite),
     # exactly singular and indefinite ones, and matrices with condition
     # number 1e15-1e17 around the threshold 4.5e15. Those are diagonal, up
     # to a permutation, so that both sides see their exact spectrum; for a
@@ -373,9 +381,14 @@ def test_hessian_judgement_agrees_with_the_condition_number():
     for cond in (1e15, 2e15, 4e15, 5e15, 1e16, 1e17):
         cases += [np.diag([1.0, 1.0 / cond]), np.diag([-1.0 / cond, 3.0]),
                   np.diag([1.0, -0.5, 1.0 / cond]), np.diag([2.0 / cond, 2.0, -1.0])]
-    decisions = [_well_conditioned(m) for m in cases]
+    steps = [_newton_step(m, np.ones(len(m))) for m in cases]
+    decisions = [step is not None for step in steps]
     assert decisions == [bool(np.linalg.cond(m) < limit) for m in cases]
     assert 0 < sum(decisions) < len(cases)
+    for m, step in zip(cases, steps):
+        if step is not None:  # H d = -grad, to a backward error of rounding size
+            scale = np.abs(m).max() * np.abs(step).max() + 1.0
+            assert np.abs(m @ step + 1.0).max() <= 1e-12 * scale
 
 
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
@@ -394,14 +407,16 @@ def test_three_plane_hessian_judgement_agrees_with_exact_arithmetic(seed, log_co
     spectrum = 10.0 ** log_scale * 10.0 ** (-log_cond * np.array([0.0, middle, 1.0]))
     hessian = (rotation * spectrum) @ rotation.T
     hessian = 0.5 * (hessian + hessian.T)
+    grad = np.ones(3)
     with mpmath.workdps(60):
         moduli = sorted(abs(value) for value in mpmath.eigsy(
             mpmath.matrix(hessian.tolist()), eigvals_only=True))
         ratio = float(moduli[0] / moduli[-1])
     eps = np.finfo(float).eps
     if not 0.5 * eps <= ratio <= 2.0 * eps:
-        assert _well_conditioned(hessian) == (ratio > eps)
-    assert _well_conditioned(hessian.tolist()) == _well_conditioned(hessian)
+        assert (_newton_step(hessian, grad) is None) == (ratio <= eps)
+    assert (_newton_step(hessian.tolist(), grad.tolist()) is None) == (
+        _newton_step(hessian, grad) is None)
 
 
 def test_project_intersection_hilbert_orthogonal_oracle():

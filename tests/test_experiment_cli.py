@@ -26,7 +26,7 @@ from resesop.experiment_cli import (
     synth_truth,
 )
 from resesop.lp_spaces import GridFunction, SpaceSpec, weighted_norm
-from resesop.sesop_solver import SolverConfig, SolverFailure, StopReason
+from resesop.sesop_solver import IterationRecord, SolverConfig, SolverFailure, StopReason
 
 
 def nodal(func, n):
@@ -224,6 +224,22 @@ def small_report():
 class TestReports:
     def test_json_round_trip_is_lossless(self, small_report):
         assert ExperimentReport.from_json(small_report.to_json()) == small_report
+
+    def test_json_text_is_that_of_the_asdict_formula(self):
+        # The report serializes its fields in place with the same bytes as
+        # json.dumps of dataclasses.asdict, on None, bools, tuples, floats,
+        # strings and the nested config.
+        config = ExperimentConfig(method='B', delta=5e-4, seed=3, p_gauge=None,
+                                  output_path='out.json')
+        records = (
+            IterationRecord(n=0, residual_norm=0.25, rel_error=0.5, t_params=(1.5, -0.0),
+                            stripe_widths=(1e-300, 2.0), step_class='two_plane',
+                            truth_inside=True, cone_ratio=float('inf')),
+            IterationRecord(n=1, residual_norm=1e-3, truth_inside=False))
+        report = ExperimentReport(config=config, n_star=1, stop_reason=StopReason.DISCREPANCY,
+                                  detail='a "quoted" detail', wall_time=0.125,
+                                  final_residual=1e-3, final_rel_error=None, records=records)
+        assert report.to_json() == json.dumps(dataclasses.asdict(report), indent=2)
 
     def test_report_written_before_the_step_certificate_still_parses(self):
         # A report of the code that recorded the decrease surrogate and gamma

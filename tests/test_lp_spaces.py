@@ -9,12 +9,9 @@ import itertools
 import numpy as np
 import pytest
 
-from resesop import lp_spaces
 from resesop.lp_spaces import (
     GridFunction,
     SpaceSpec,
-    _array_duality_map,
-    _array_norm,
     bregman_distance,
     conjugate_exponent,
     dual_pairing,
@@ -210,7 +207,7 @@ def test_duality_map_hilbert_identity():
     rng = np.random.default_rng(3)
     f = random_grid(rng)
     space = SpaceSpec(2.0, 2.0)
-    np.testing.assert_array_equal(duality_map(f, space).values, f.values)
+    assert duality_map(f, space) is f
 
 
 def test_duality_map_zero_convention():
@@ -292,34 +289,18 @@ KERNEL_EXPONENTS = (1.2, 1.5, 2.0, 3.0, 6.0)
 
 
 @pytest.mark.parametrize('r, q', itertools.product(KERNEL_EXPONENTS, repeat=2))
-def test_array_kernels_agree_bitwise_with_the_grid_functions(r, q):
-    # The projection layer calls the kernels on flattened arrays; on every
-    # grid, including one of more than 8192 nodes, they give the same bits
-    # as the public maps on the grid function.
+def test_duality_maps_round_trip_and_send_zero_to_zero_on_every_grid(r, q):
+    # On every grid, including one of more than 8192 nodes, J_inv(J(f)) is f
+    # up to rounding, and the zero grid has norm 0 and is its own image.
     rng = np.random.default_rng(41)
     for n in (1, 6, 100):
         f = random_grid(rng, n, scale=3.0)
         space = SpaceSpec(r, q)
-        dual = space.dual()
-        flat = f.values.ravel()
-        assert _array_norm(flat, r, f.h) == weighted_norm(f, space)
-        image = _array_duality_map(flat, r, q, f.h)
-        assert np.array_equal(image, duality_map(f, space).values.ravel())
-        g = GridFunction(image.reshape(f.values.shape))
-        assert np.array_equal(
-            _array_duality_map(image, dual.norm_exponent, dual.gauge_exponent, f.h),
-            inverse_duality_map(g, space).values.ravel())
-        zero = np.zeros_like(flat)
-        assert _array_norm(zero, r, f.h) == 0.0 == weighted_norm(GridFunction.zeros(n), space)
-        assert np.array_equal(_array_duality_map(zero, r, q, f.h), zero)
-        assert duality_map(GridFunction.zeros(n), space) == GridFunction.zeros(n)
-
-
-def test_array_duality_map_is_the_identity_in_the_hilbert_case():
-    f = random_grid(np.random.default_rng(42))
-    flat = f.values.ravel()
-    assert _array_duality_map(flat, 2.0, 2.0, f.h) is flat
-    assert duality_map(f, SpaceSpec(2.0, 2.0)) is f
+        back = inverse_duality_map(duality_map(f, space), space)
+        np.testing.assert_allclose(back.values, f.values, rtol=1e-12, atol=0.0)
+        zero = GridFunction.zeros(n)
+        assert weighted_norm(zero, space) == 0.0
+        assert duality_map(zero, space) == zero
 
 
 def allocating_norm(v, p, h):
@@ -343,58 +324,51 @@ def same_bits(a, b):
 
 @pytest.mark.parametrize('q', ['r', 2.0, 4.0])
 @pytest.mark.parametrize('r', KERNEL_EXPONENTS)
-def test_in_place_kernels_equal_the_allocating_formula_bitwise(r, q):
-    # The kernels take |v| once and apply the power and the sign in place;
-    # the bits, signed zeros included, are those of |v|^(r-1) sign(v) (times
-    # ||v||^(q-r)). The inputs hold +0, -0, negative entries and negative
-    # ones whose power underflows to -0.
+def test_in_place_maps_equal_the_allocating_formula_bitwise(r, q):
+    # The duality map takes |f| once and applies the power and the sign in
+    # place; the bits, signed zeros included, are those of
+    # |f|^(r-1) sign(f) (times ||f||^(q-r)). The inputs hold +0, -0,
+    # negative entries and negative ones whose power underflows to -0.
     q = r if q == 'r' else q
     rng = np.random.default_rng(44)
-    h = 1.0 / 11.0
     v = 3.0 * rng.standard_normal(144)
     v[:4] = 0.0, -0.0, -1e-300, 1e-300
     v[rng.random(144) < 0.1] = 0.0
     assert (v < 0.0).any() and np.signbit(v[1])
+    f = GridFunction(v.reshape(12, 12))
+    assert f.h == 1.0 / 11.0
+    space = SpaceSpec(r, q)
     if r == q == 2.0:
-        assert _array_duality_map(v, r, q, h) is v
+        assert duality_map(f, space) is f
     else:
-        assert same_bits(_array_duality_map(v, r, q, h), allocating_duality_map(v, r, q, h))
-    assert _array_norm(v, r, h) == allocating_norm(v, r, h)
+        assert same_bits(duality_map(f, space).values,
+                         allocating_duality_map(v, r, q, f.h).reshape(12, 12))
+    assert weighted_norm(f, space) == allocating_norm(v, r, f.h)
 
 
-def test_norm_and_duality_map_are_stored_on_the_grid_function(monkeypatch):
-    # The public maps return the kernels' values, computed once per grid
-    # function and space: a second call runs no kernel.
-    from resesop import lp_spaces
-    calls = []
-
-    def counting(function):
-        def wrapped(*args):
-            calls.append(function.__name__)
-            return function(*args)
-        return wrapped
-
-    monkeypatch.setattr(lp_spaces, '_array_norm', counting(_array_norm))
-    monkeypatch.setattr(lp_spaces, '_array_duality_map', counting(_array_duality_map))
+def test_norm_and_duality_map_are_stored_on_the_grid_function():
+    # Each is computed once per grid function and space: a second call
+    # returns the stored object, and a value planted in the store comes back
+    # unchanged. The dual space is another key.
     f = random_grid(np.random.default_rng(43), scale=2.0)
     for r, q in [(1.5, 2.0), (5.0, 2.0), (3.0, 3.0), (1.5, 1.5)]:
         space = SpaceSpec(r, q)
         norm, image = weighted_norm(f, space), duality_map(f, space)
-        assert norm == _array_norm(f.values, r, f.h)
-        assert np.array_equal(image.values, _array_duality_map(f.values, r, q, f.h))
-        del calls[:]
-        assert weighted_norm(f, space) == norm
+        assert norm == allocating_norm(f.values, r, f.h)
+        assert weighted_norm(f, space) is norm
         assert duality_map(f, space) is image
-        assert calls == []
-    # The dual space is another key.
+    planted_norm, planted_image = 123.0, GridFunction.zeros(f.n_interior)
+    f._memo[('norm', 4.0)] = planted_norm
+    f._memo[('dual', 4.0, 2.0)] = planted_image
+    assert weighted_norm(f, SpaceSpec(4.0, 2.0)) is planted_norm
+    assert duality_map(f, SpaceSpec(4.0, 2.0)) is planted_image
     dual = SpaceSpec(1.5, 2.0).dual()
-    assert weighted_norm(f, dual) == _array_norm(f.values, dual.norm_exponent, f.h)
-    assert np.array_equal(duality_map(f, dual).values, _array_duality_map(
-        f.values, dual.norm_exponent, dual.gauge_exponent, f.h))
+    assert weighted_norm(f, dual) == allocating_norm(f.values, dual.norm_exponent, f.h)
+    assert duality_map(f, dual) is not duality_map(f, SpaceSpec(1.5, 2.0))
 
 
 def test_duality_map_sends_underflowing_grids_to_zero():
-    # With q = r the kernel takes no norm; the zero test (max |v|)^r == 0
+    # With q = r the map takes no norm; the zero test (max |f|)^r == 0
     # holds exactly when the norm would be 0, so a subnormal grid still
     # maps to zeros.
     tiny = GridFunction.full(4, 1e-310)
@@ -406,11 +380,13 @@ def test_duality_map_sends_underflowing_grids_to_zero():
     assert np.all(duality_map(small, space).values == 1e-200)
 
 
-def test_duality_map_with_an_overflowing_norm_is_not_finite():
-    # For q != r the image scales with ||v||^(q - r); where that norm
-    # overflows, a finite image (inf^(q - r) = 0 for q < r) would be wrong.
-    huge = np.full(9, 1e60)  # |v|^6 overflows, |v|^5 does not
+def test_duality_map_with_an_overflowing_norm_is_refused():
+    # For q != r the image scales with ||f||^(q - r); where that norm
+    # overflows, a finite image (inf^(q - r) = 0 for q < r) would be wrong,
+    # so the map raises. With q = r it takes no norm, and |f|^(r-1) is finite.
+    huge = GridFunction.full(1, 1e60)  # |f|^6 overflows, |f|^5 does not
     with np.errstate(over='ignore'):
-        assert not np.isfinite(_array_duality_map(huge, 6.0, 2.0, 0.25)).any()
-        assert not np.isfinite(_array_duality_map(huge, 6.0, 8.0, 0.25)).any()
-        assert np.isfinite(_array_duality_map(huge, 6.0, 6.0, 0.25)).all()
+        for q in (2.0, 8.0):
+            with pytest.raises(ValueError):
+                duality_map(huge, SpaceSpec(6.0, q))
+        assert np.isfinite(duality_map(huge, SpaceSpec(6.0, 6.0)).values).all()

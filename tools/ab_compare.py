@@ -4,28 +4,35 @@
         [--workloads suite40 grid160 exponents40] [--rounds 50] [--seed 7]
 
 A tree is a checkout of this repository (from `git archive` or `git
-clone`). The tool starts one long-lived worker process per tree, with BLAS
-on one thread; each imports resesop and perfbench from its own tree. A pass
+clone`). The tool runs one worker process per tree at a time, with BLAS on
+one thread; each imports resesop and perfbench from its own tree. A pass
 runs every configuration of `perfbench.workloads.configs(workload, seed)`
 once with `run_experiment`, writing the report files the workload asks
 for, and its time is the sum of the `run_experiment` times, as perfbench's
-`pass_s`. Per workload each worker makes one untimed warm-up pass, then
-the two alternate, one pass each per round, with the order swapped every
-round, so both sides see the same drift of a shared host. The default 50
-rounds are calibrated on grid160 (BENCH_monitors.json); with 30, one of
-three comparisons of a tree with itself won 20 rounds, outside 35-65%.
+`pass_s`. The rounds of a workload are spread over fresh worker pairs,
+PAIR_ROUNDS rounds each: a pair starts, each worker makes one untimed
+warm-up pass, then the two alternate, one pass each per round, with the
+order swapped every round, so both sides see the same drift of a shared
+host; then the pair exits. With one long-lived pair for all rounds, a
+fixed difference between its two processes counted once per round: a
+suite40 tree against a copy of itself was called faster in two of four
+runs (BENCH_kernels.json). With the pairs (BENCH_abpairs.json) every self
+run was neutral, but on suite40, where a pass's IQR is about a quarter of
+its median, 50 rounds missed a planted 5% slowdown that 100 rounds caught;
+the default 50 rounds are calibrated on grid160 (BENCH_monitors.json).
 
 Per workload it prints, for each side, the median, minimum and
-interquartile range (IQR) of the pass times, the rounds it won, the sum of
-n* and the digest of its reports by tools/record_digest.py's field rule
-(the report path left out, so the digests equal that script's for seed 7).
-The verdict is a two-sided sign test on the rounds won at the 5% level:
-'slower' or 'faster' for the change, else 'neutral'. It is the only
-verdict: on grid160 the gap between the medians stayed within the parent's
-IQR in all 10 runs with a planted 5% slowdown (BENCH_monitors.json), so
-that test cannot tell a 5% change from none. The last line is the whole
-summary as JSON. It exits 1 when a run fails or a side's records differ
-between its passes. It changes no setting outside its own processes.
+interquartile range (IQR) of the pass times, the rounds it won in all and
+per pair, the sum of n* and the digest of its reports by
+tools/record_digest.py's field rule (the report path left out, so the
+digests equal that script's for seed 7). The verdict is a two-sided sign
+test on the rounds won at the 5% level: 'slower' or 'faster' for the
+change, else 'neutral'. It is the only verdict: on grid160 the gap
+between the medians stayed within the parent's IQR in all 10 runs with a
+planted 5% slowdown (BENCH_monitors.json), so that test cannot tell a 5%
+change from none. The last line is the whole summary as JSON. It exits 1
+when a run fails or a side's records differ between its passes. It
+changes no setting outside its own processes.
 """
 
 import argparse
@@ -47,6 +54,7 @@ from record_digest import ONE_BLAS_THREAD, report_digest  # noqa: E402
 
 SIDES = ('parent', 'change')
 SIGNIFICANCE = 0.05
+PAIR_ROUNDS = 10  # rounds per worker pair; each block of this many starts a fresh pair
 
 
 def sign_test(wins, rounds):
@@ -113,22 +121,35 @@ class Worker:
         self.process.wait()
 
 
-def compare(workers, workload, rounds, seed):
-    """Warm-up, then `rounds` alternating rounds; the summary of one workload."""
-    for side in SIDES:
-        workers[side].run_pass(workload, seed)
+def compare(trees, workload, rounds, seed, start=Worker):
+    """`rounds` alternating rounds over fresh worker pairs, each warmed up
+    first; the summary of one workload. `start(tree)` starts a worker."""
     replies = {side: [] for side in SIDES}
-    for k in range(rounds):
-        for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-            replies[side].append(workers[side].run_pass(workload, seed))
+    for first in range(0, rounds, PAIR_ROUNDS):
+        workers = {}
+        try:
+            for side in SIDES:
+                workers[side] = start(trees[side])
+            for side in SIDES:
+                workers[side].run_pass(workload, seed)
+            for k in range(first, min(first + PAIR_ROUNDS, rounds)):
+                for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
+                    replies[side].append(workers[side].run_pass(workload, seed))
+        finally:
+            for worker in workers.values():
+                worker.close()
     times = {side: [reply['seconds'] for reply in replies[side]] for side in SIDES}
-    change_wins = sum(c < p for p, c in zip(times['parent'], times['change']))
+    won = {'change': [c < p for p, c in zip(times['parent'], times['change'])]}
+    won['parent'] = [not change for change in won['change']]
+    change_wins = sum(won['change'])
     summary = {'workload': workload, 'rounds': rounds, 'seed': seed}
     for side in SIDES:
         low, median, high = statistics.quantiles(times[side], n=4, method='inclusive')
         summary[side] = dict(
             median_s=median, min_s=min(times[side]), iqr_s=high - low,
-            won=change_wins if side == 'change' else rounds - change_wins,
+            won=sum(won[side]),
+            won_per_pair=[sum(won[side][k:k + PAIR_ROUNDS])
+                          for k in range(0, rounds, PAIR_ROUNDS)],
             n_star=sorted({reply['n_star'] for reply in replies[side]}),
             digests=sorted({reply['digest'] for reply in replies[side]}),
             failed=sorted({label for reply in replies[side] for label in reply['failed']}))
@@ -155,6 +176,7 @@ def print_summary(summary):
             side, s['median_s'], s['min_s'], s['iqr_s'],
             '{}/{}'.format(s['won'], summary['rounds']),
             '/'.join(map(str, s['n_star'])), ' '.join(s['digests'])))
+        print('          won per pair: {}'.format(' '.join(map(str, s['won_per_pair']))))
         if s['failed']:
             print('  {} FAILED: {}'.format(side, ', '.join(s['failed'])))
     print('  median gap {:+.4f} s, median per-round ratio {:.3f}, '
@@ -185,17 +207,11 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
-    workers = {}
-    try:
-        for side, tree in zip(SIDES, (args.parent_tree, args.change_tree)):
-            workers[side] = Worker(tree.resolve())
-        summaries = []
-        for workload in args.workloads:
-            summaries.append(compare(workers, workload, args.rounds, args.seed))
-            print_summary(summaries[-1])
-    finally:
-        for side in workers:
-            workers[side].close()
+    trees = dict(zip(SIDES, (args.parent_tree.resolve(), args.change_tree.resolve())))
+    summaries = []
+    for workload in args.workloads:
+        summaries.append(compare(trees, workload, args.rounds, args.seed))
+        print_summary(summaries[-1])
     print(json.dumps(summaries))
     bad = any(summary[side]['failed'] or len(summary[side]['digests']) != 1
               for summary in summaries for side in SIDES)
