@@ -348,7 +348,7 @@ def _boundary_rhs(data):
 
 
 class EllipticOperator:
-    """The forward map c -> u of the elliptic problem, with linearization.
+    """The forward map c -> u of the elliptic problem, evaluated by `linearize`.
 
     Evaluations raise :class:`LinearSolveError` when L(c) is not positive
     definite or numerically singular, or a solve is not backward stable.
@@ -370,15 +370,10 @@ class EllipticOperator:
             raise ValueError('{} grid {} does not match data grid {}'.format(
                 name, f.values.shape, self.data.f.values.shape))
 
-    def __call__(self, c):
-        """Evaluate F(c): the full grid function u with the Dirichlet ring
-        taken from the data."""
-        return self.linearize(c).u
-
     def linearize(self, c, start=None):
-        """Set up the linear system L(c) once and solve it for u = F(c),
-        warm-started from the u of a `start` state; returns the state for
-        F, F', F'*."""
+        """Set up L(c) once and solve it for u = F(c), with the Dirichlet
+        ring of the data, warm-started from the u of a `start` state;
+        returns the state for F, F', F'*."""
         self._check_grid(c, 'parameter')
         system = _System(c, self._grid)
         values = self.data.g.values.copy()

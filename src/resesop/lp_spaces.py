@@ -277,8 +277,10 @@ def duality_map(f, space):
     values = f.values
     if q == r:
         # The norm is 0 exactly when every |f_ij|^r underflows, that is when
-        # (max |f|)^r does; max |f| = max(max f, -min f), without an array.
-        vanishes = max(values.max(), -values.min()) ** r == 0.0
+        # (max |f|)^r does, which needs max |f| < 1 (the power cannot overflow
+        # there); max |f| = max(max f, -min f), without an array.
+        peak = max(values.max(), -values.min())
+        vanishes = peak < 1.0 and peak ** r == 0.0
         if r == 2.0 and not vanishes:
             return f  # the identity: storing f on itself would be a cycle
     else:

@@ -278,9 +278,9 @@ class TruthMonitor:
 
     Every record gets the relative error and the Bregman distance to the
     truth; a step record also whether the truth lies inside the stripe,
-    else the tangential-cone ratio measured by the operator's `__call__` and
-    `derivative(state, d, start)` with one WARNING per violation, and after
-    a two-plane step the cosine between the two directions.
+    else the tangential-cone ratio with one WARNING per violation, and after
+    a two-plane step the cosine between the two directions. `op` follows the
+    operator protocol of `run`; F(truth) is the `u` of `linearize(truth)`.
     """
 
     def __init__(self, op, truth, cfg):
@@ -291,7 +291,8 @@ class TruthMonitor:
 
     def __call__(self, n, state, x, stripe=None, previous=None):
         space_x = self.space_x
-        fields = dict(rel_error=weighted_norm(x - self.truth, space_x) / self.truth_norm,
+        error = x - self.truth
+        fields = dict(rel_error=weighted_norm(error, space_x) / self.truth_norm,
                       bregman_to_truth=bregman_distance(x, self.truth, space_x))
         if stripe is None:
             return fields
@@ -304,10 +305,10 @@ class TruthMonitor:
         fields['truth_inside'] = classify(self.truth, stripe) is StripeSide.INSIDE
         if not fields['truth_inside']:
             if self.truth_image is None:
-                self.truth_image = self.op(self.truth)
+                self.truth_image = self.op.linearize(self.truth).u
             misfit = state.u - self.truth_image
             # Tangential cone: F'(x)(x - x_true) is the misfit to second order.
-            linearized = self.op.derivative(state, x - self.truth, start=misfit)
+            linearized = self.op.derivative(state, error, start=misfit)
             denominator = weighted_norm(misfit, self.space_y)
             fields['cone_ratio'] = ratio = (
                 None if denominator == 0.0
@@ -325,9 +326,10 @@ def run(op, y, x0, cfg, monitors=()):
 
     Parameters
     ----------
-    op : forward operator
-        The method needs `linearize(x, start)`, whose state has `u` = F(x)
-        (`start`: the previous state or None), and `adjoint(state, w)`.
+    op : operator
+        Any operator with the three methods of the protocol in README's
+        "Library" section; `run` calls `linearize(x, start)`, with the
+        previous state as `start` (None at the first), and `adjoint(state, w)`.
     y : GridFunction
         Data (possibly noisy).
     x0 : GridFunction

@@ -260,7 +260,7 @@ def test_criterion_5_operator_checks():
                         GridFunction(1.0 + 2.0 * xg - 0.5 * yg)):
             data = BvpData(f=GridFunction(c.values * u_exact.values),
                            g=u_exact)
-            solved = EllipticOperator(data)(c)
+            solved = EllipticOperator(data).linearize(c).u
             worst_exact = max(worst_exact,
                               float(np.max(np.abs(solved.values - u_exact.values))))
 
@@ -281,7 +281,7 @@ def test_criterion_5_operator_checks():
         epsilons = np.array([1e-1, 5e-2, 2.5e-2, 1.25e-2])
         remainders = []
         for eps in epsilons:
-            perturbed = op(c + float(eps) * direction)
+            perturbed = op.linearize(c + float(eps) * direction).u
             linear = state.u + float(eps) * op.derivative(state, direction)
             remainders.append(weighted_norm(perturbed - linear, space_y))
         slopes = (np.diff(np.log(remainders)) / np.diff(np.log(epsilons)))
@@ -528,11 +528,9 @@ class _AffineOracle:
         self.op, self.truth = op, truth
         self.truth_state = op.linearize(truth)
 
-    def __call__(self, x):
-        return self.truth_state.u + self.op.derivative(self.truth_state, x - self.truth)
-
     def linearize(self, x, start=None):
-        return SimpleNamespace(u=self(x))
+        return SimpleNamespace(
+            u=self.truth_state.u + self.op.derivative(self.truth_state, x - self.truth))
 
     def derivative(self, state, direction, start=None):
         return self.op.derivative(self.truth_state, direction)
@@ -550,7 +548,7 @@ def test_criterion_11_exact_affine_oracle(monkeypatch):
     # Pythagoras: D(x_n, c) - D(x_{n+1}, c) = D(x_n, x_{n+1}).
     truth = synth_truth(40)
     oracle = _AffineOracle(EllipticOperator(BvpData(f=truth.f, g=truth.g)), truth.c)
-    y = oracle(truth.c)
+    y = oracle.linearize(truth.c).u
     hilbert = SpaceSpec(2.0, 2.0)
     hilbert_two_plane = []
     inner = bregman_geometry.project_intersection
@@ -572,7 +570,7 @@ def test_criterion_11_exact_affine_oracle(monkeypatch):
 
     x = truth.c0
     for _ in range(30):
-        residual = oracle(x) - y
+        residual = oracle.linearize(x).u - y
         gradient = oracle.adjoint(None, residual)
         step = (weighted_norm(residual, hilbert) / weighted_norm(gradient, hilbert)) ** 2
         x = x - step * gradient

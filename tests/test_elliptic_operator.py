@@ -135,7 +135,7 @@ def test_indefinite_parameter_raises():
     c = GridFunction.full(n, -3.0 * lam)
     data = BvpData(f=GridFunction.full(n, 1.0), g=GridFunction.zeros(n))
     with pytest.raises(LinearSolveError) as info:
-        EllipticOperator(data)(c)
+        EllipticOperator(data).linearize(c)
     assert 'parameter' in str(info.value)
     assert info.value.parameter is c
 
@@ -151,7 +151,7 @@ def test_indefinite_galerkin_block_raises():
     c = GridFunction(values)
     data = BvpData(f=GridFunction.full(n, 1.0), g=GridFunction.zeros(n))
     with pytest.raises(LinearSolveError, match='Galerkin matrix') as info:
-        EllipticOperator(data)(c)
+        EllipticOperator(data).linearize(c)
     assert info.value.parameter is c
 
 
@@ -185,7 +185,7 @@ def test_preconditioner_is_symmetric_positive_definite(n, low, high):
 def test_solve_forward_constant_one():
     n = 6
     data = BvpData(f=GridFunction.zeros(n), g=GridFunction.full(n, 1.0))
-    u = EllipticOperator(data)(GridFunction.zeros(n))
+    u = EllipticOperator(data).linearize(GridFunction.zeros(n)).u
     np.testing.assert_allclose(u.values, 1.0, atol=1e-13)
 
 
@@ -194,7 +194,7 @@ def test_solve_forward_affine_exact():
     n = 7
     truth = nodal(lambda x, y: x + y, n)
     data = BvpData(f=GridFunction.zeros(n), g=truth)
-    u = EllipticOperator(data)(GridFunction.zeros(n))
+    u = EllipticOperator(data).linearize(GridFunction.zeros(n)).u
     np.testing.assert_allclose(u.values, truth.values, atol=1e-12)
 
 
@@ -203,14 +203,14 @@ def test_solve_forward_constant_solution_with_reaction():
     n = 5
     c = GridFunction(rng.uniform(0.5, 3.0, (n + 2, n + 2)))
     data = BvpData(f=GridFunction(c.values.copy()), g=GridFunction.full(n, 1.0))
-    u = EllipticOperator(data)(c)
+    u = EllipticOperator(data).linearize(c).u
     np.testing.assert_allclose(u.values, 1.0, atol=1e-12)
 
 
 def test_solve_forward_shape_mismatch():
     data = BvpData(f=GridFunction.zeros(3), g=GridFunction.zeros(3))
     with pytest.raises(ValueError):
-        EllipticOperator(data)(GridFunction.zeros(4))
+        EllipticOperator(data).linearize(GridFunction.zeros(4))
 
 
 def test_bvp_data_shape_validation():
@@ -226,7 +226,7 @@ def test_quadratic_per_variable_solution_is_exact():
         lap = nodal(lambda x, y: 32.0 * (x * (1.0 - x) + y * (1.0 - y)), n)
         c = nodal(lambda x, y: 2.0 + x + 0.5 * y * y, n)
         f = GridFunction(-lap.values + c.values * u_true.values)
-        u = EllipticOperator(BvpData(f=f, g=u_true))(c)
+        u = EllipticOperator(BvpData(f=f, g=u_true)).linearize(c).u
         space = SpaceSpec(2.0, 2.0)
         assert weighted_norm(u - u_true, space) <= 1e-12
 
@@ -238,7 +238,7 @@ def test_second_order_grid_convergence_on_trig_solution():
         u_true = nodal(lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y), n)
         c = nodal(lambda x, y: 2.0 + x * y, n)
         f = GridFunction((2.0 * np.pi ** 2 + c.values) * u_true.values)
-        u = EllipticOperator(BvpData(f=f, g=u_true))(c)
+        u = EllipticOperator(BvpData(f=f, g=u_true)).linearize(c).u
         space = SpaceSpec(2.0, 2.0)
         errors.append(weighted_norm(u - u_true, space))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
@@ -276,7 +276,7 @@ def test_derivative_taylor_remainder_order():
     epsilons = np.array([1e-1, 5e-2, 2.5e-2, 1.25e-2, 6.25e-3])
     remainders = []
     for eps in epsilons:
-        perturbed = op(GridFunction(state.c.values + eps * direction.values))
+        perturbed = op.linearize(GridFunction(state.c.values + eps * direction.values)).u
         remainder = GridFunction(
             perturbed.values - state.u.values - eps * deriv.values)
         remainders.append(weighted_norm(remainder, space))
@@ -699,7 +699,7 @@ def test_discrete_maximum_principle():
     c = GridFunction(rng.uniform(0.0, 2.0, (n + 2, n + 2)))
     f = GridFunction(rng.uniform(0.0, 1.0, (n + 2, n + 2)))
     g = GridFunction(rng.uniform(0.0, 1.0, (n + 2, n + 2)))
-    u = EllipticOperator(BvpData(f=f, g=g))(c)
+    u = EllipticOperator(BvpData(f=f, g=g)).linearize(c).u
     assert np.all(u.values >= -1e-13)
 
 
@@ -733,7 +733,7 @@ def test_singular_parameter_raises():
     c = GridFunction.full(n, -lam)
     data = BvpData(f=GridFunction.full(n, 1.0), g=GridFunction.zeros(n))
     with pytest.raises(LinearSolveError) as info:
-        EllipticOperator(data)(c)
+        EllipticOperator(data).linearize(c)
     assert 'parameter' in str(info.value)
     assert 'Galerkin matrix' in str(info.value)
 

@@ -61,7 +61,7 @@ class TestSynthTruth:
     def test_fields_satisfy_the_discrete_problem(self):
         # the exact state is biquadratic, so the stencil reproduces it
         truth = synth_truth(24)
-        solved = EllipticOperator(BvpData(f=truth.f, g=truth.g))(truth.c)
+        solved = EllipticOperator(BvpData(f=truth.f, g=truth.g)).linearize(truth.c).u
         np.testing.assert_allclose(solved.values, truth.u.values,
                                    rtol=0.0, atol=1e-10)
 

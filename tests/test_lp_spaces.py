@@ -383,10 +383,11 @@ def test_duality_map_sends_underflowing_grids_to_zero():
 def test_duality_map_with_an_overflowing_norm_is_refused():
     # For q != r the image scales with ||f||^(q - r); where that norm
     # overflows, a finite image (inf^(q - r) = 0 for q < r) would be wrong,
-    # so the map raises. With q = r it takes no norm, and |f|^(r-1) is finite.
+    # so the map raises. With q = r it takes no norm, and |f|^(r-1) is finite:
+    # it raises no overflow warning either, which the suite makes an error.
     huge = GridFunction.full(1, 1e60)  # |f|^6 overflows, |f|^5 does not
     with np.errstate(over='ignore'):
         for q in (2.0, 8.0):
             with pytest.raises(ValueError):
                 duality_map(huge, SpaceSpec(6.0, q))
-        assert np.isfinite(duality_map(huge, SpaceSpec(6.0, 6.0)).values).all()
+    assert np.isfinite(duality_map(huge, SpaceSpec(6.0, 6.0)).values).all()

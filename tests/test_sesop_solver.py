@@ -58,11 +58,9 @@ class LinearStub:
         interior = matrix @ grid.interior.ravel()
         return GridFunction.from_interior(interior.reshape(self.n, self.n))
 
-    def __call__(self, x):
-        return self.offset + self._apply(self.matrix, x)
-
     def linearize(self, x, start=None):
-        return dataclasses.make_dataclass('State', ['u', 'x'])(u=self(x), x=x)
+        return dataclasses.make_dataclass('State', ['u', 'x'])(
+            u=self.offset + self._apply(self.matrix, x), x=x)
 
     def derivative(self, state, direction, start=None):
         return self._apply(self.matrix, direction)
@@ -283,10 +281,11 @@ def test_run_fails_when_the_iterate_is_not_above_its_stripe(monkeypatch):
     truth = GridFunction.from_interior(rng.standard_normal((n, n)))
     x0 = truth + GridFunction.full(n, 0.5)
     cfg = hilbert_config(method='B')
-    first = run(op, op(truth), x0, cfg).records[0]
+    y = op.linearize(truth).u
+    first = run(op, y, x0, cfg).records[0]
     monkeypatch.setattr(sesop_solver, 'build_stripe', lifted)
     with pytest.raises(SolverFailure) as info:
-        run(op, op(truth), x0, cfg)
+        run(op, y, x0, cfg)
     assert len(built) == 2
     stripe, x = built[-1]
     margin = (dual_pairing(stripe.u_star, x)
@@ -315,8 +314,9 @@ def test_bare_core_needs_only_linearize_and_adjoint():
     x0 = truth + GridFunction.full(n, 0.5)
     cfg = hilbert_config(residual_tol=1e-6, max_outer=400, method='B',
                          cone_constant=0.01)
-    monitored = monitored_run(full, full(truth), x0, cfg, truth)
-    bare = run(BareStub(full), full(truth), x0, cfg)
+    y = full.linearize(truth).u
+    monitored = monitored_run(full, y, x0, cfg, truth)
+    bare = run(BareStub(full), y, x0, cfg)
     assert bare.stop_reason == StopReason.RESIDUAL_TOLERANCE
     assert bare.n_star == monitored.n_star
     assert bare.iterate == monitored.iterate
@@ -348,7 +348,9 @@ def test_run_starts_each_linearization_from_the_previous_state():
     n = 3
     op = RecordingStub(well_conditioned_matrix(rng, n * n, 0.3), GridFunction.zeros(n))
     truth = GridFunction.from_interior(rng.standard_normal((n, n)))
-    result = run(op, op(truth), truth + GridFunction.full(n, 0.5),
+    y = op.linearize(truth).u
+    op.calls.clear()  # only the calls of the run
+    result = run(op, y, truth + GridFunction.full(n, 0.5),
                  hilbert_config(residual_tol=1e-6, max_outer=400, method='B'))
     starts = [start for start, _ in op.calls]
     assert len(starts) == result.n_star + 1 > 2
@@ -360,7 +362,7 @@ def test_run_stops_immediately_at_solution():
     n = 4
     op = identity_stub(n)
     truth = GridFunction.full(n, 2.0)
-    result = monitored_run(op, op(truth), truth, hilbert_config(), truth)
+    result = monitored_run(op, op.linearize(truth).u, truth, hilbert_config(), truth)
     assert result.stop_reason == StopReason.RESIDUAL_TOLERANCE
     assert result.n_star == 0
     assert len(result.records) == 1
@@ -378,7 +380,7 @@ def test_run_discrepancy_principle_series():
     noise = GridFunction.from_interior(rng.standard_normal((n, n)))
     delta = 1e-3
     noise = noise * (delta / weighted_norm(noise, space))
-    y = op(truth) + noise
+    y = op.linearize(truth).u + noise
     cfg = hilbert_config(delta=delta, cone_constant=0.01,
                          tau_factor=1.1, method='A')
     x0 = truth + GridFunction.full(n, 0.8)
@@ -404,7 +406,7 @@ def test_run_two_direction_converges_no_slower():
     matrix = well_conditioned_matrix(rng, n * n, 0.3)
     truth = GridFunction.from_interior(rng.standard_normal((n, n)))
     op = LinearStub(matrix, GridFunction.zeros(n))
-    y = op(truth)
+    y = op.linearize(truth).u
     x0 = truth + GridFunction.full(n, 0.5)
     single = run(op, y, x0, hilbert_config(residual_tol=1e-6, max_outer=400))
     double = run(op, y, x0, hilbert_config(residual_tol=1e-6, max_outer=400,
@@ -432,7 +434,7 @@ def test_every_projection_goes_through_project_intersection(monkeypatch):
     matrix = well_conditioned_matrix(rng, n * n, 0.3)
     truth = GridFunction.from_interior(rng.standard_normal((n, n)))
     op = LinearStub(matrix, GridFunction.zeros(n))
-    result = run(op, op(truth), truth + GridFunction.full(n, 0.5),
+    result = run(op, op.linearize(truth).u, truth + GridFunction.full(n, 0.5),
                  hilbert_config(residual_tol=1e-6, max_outer=400, method='B'))
     steps = [rec.step_class for rec in result.records if rec.step_class is not None]
     assert calls.count(1) == len(steps)
@@ -445,7 +447,7 @@ def test_run_is_deterministic():
     matrix = well_conditioned_matrix(rng, n * n, 0.2)
     truth = GridFunction.from_interior(rng.standard_normal((n, n)))
     op = LinearStub(matrix, GridFunction.zeros(n))
-    y = op(truth)
+    y = op.linearize(truth).u
     x0 = GridFunction.zeros(n)
     cfg = hilbert_config(residual_tol=1e-8, method='B', max_outer=300)
     first = monitored_run(op, y, x0, cfg, truth)
@@ -464,7 +466,7 @@ def test_run_budget_exhaustion_is_flagged_not_raised():
     matrix = np.eye(n * n) + 0.2 * rng.standard_normal((n * n, n * n))
     op = LinearStub(matrix, GridFunction.zeros(n))
     truth = GridFunction.from_interior(rng.standard_normal((n, n)))
-    result = run(op, op(truth), GridFunction.zeros(n),
+    result = run(op, op.linearize(truth).u, GridFunction.zeros(n),
                  hilbert_config(residual_tol=1e-14, max_outer=3))
     assert result.stop_reason == StopReason.NOT_CONVERGED
     assert result.n_star == 3
@@ -490,9 +492,10 @@ def test_run_wraps_operator_failure_with_partial_records():
     op = FailingStub(np.eye(n * n) + 0.1 * rng.standard_normal((n * n, n * n)),
                      GridFunction.zeros(n), fail_at=2)
     truth = GridFunction.from_interior(rng.standard_normal((n, n)))
+    y = op.linearize(truth).u
+    op.calls = 0  # the run's third linearization fails
     with pytest.raises(SolverFailure) as info:
-        run(op, op(truth), GridFunction.zeros(n),
-            hilbert_config(residual_tol=1e-13))
+        run(op, y, GridFunction.zeros(n), hilbert_config(residual_tol=1e-13))
     assert len(info.value.records) == 2
     assert info.value.iterate is not None
     assert isinstance(info.value.__cause__, LinearSolveError)
@@ -510,7 +513,7 @@ def test_a_monitor_failure_ends_the_run_with_the_records_so_far():
                     GridFunction.zeros(n))
     truth = GridFunction.from_interior(rng.standard_normal((n, n)))
     with pytest.raises(SolverFailure) as info:
-        run(op, op(truth), GridFunction.zeros(n), hilbert_config(residual_tol=1e-13),
+        run(op, op.linearize(truth).u, GridFunction.zeros(n), hilbert_config(residual_tol=1e-13),
             monitors=[failing])
     assert [rec.n for rec in info.value.records] == [0, 1]
     assert info.value.iterate is not None
@@ -523,9 +526,6 @@ def test_run_stagnation_guard():
 
         def __init__(self, n):
             super().__init__(np.eye(n * n), GridFunction.full(n, 1.0))
-
-        def __call__(self, x):
-            return self.offset
 
         def linearize(self, x, start=None):
             return dataclasses.make_dataclass('State', ['u', 'x'])(
@@ -552,7 +552,7 @@ def test_run_warns_on_huge_coefficients(caplog):
     op = TinyAdjointStub(np.eye(n * n), GridFunction.zeros(n))
     truth = GridFunction.from_interior(np.random.default_rng(50).standard_normal((n, n)))
     with caplog.at_level(logging.WARNING, logger='resesop.sesop_solver'):
-        run(op, op(truth), GridFunction.zeros(n),
+        run(op, op.linearize(truth).u, GridFunction.zeros(n),
             hilbert_config(residual_tol=1e-10, max_outer=5))
     assert any('unusually large' in rec.message for rec in caplog.records)
 
@@ -577,7 +577,7 @@ def test_cone_ratio_starts_its_derivative_solve_from_the_misfit():
     # hands it to the derivative solve as the start.
     class StartRecordingStub(LinearStub):
         def derivative(self, state, direction, start=None):
-            starts.append((state.u - self(truth), start))
+            starts.append((state.u - self.linearize(truth).u, start))
             return super().derivative(state, direction, start)
 
     starts = []
@@ -614,7 +614,7 @@ def test_run_on_small_elliptic_instance():
     f = GridFunction.full(n, 5.0)
     g = GridFunction.full(n, 1.0)
     op = EllipticOperator(BvpData(f=f, g=g))
-    y = op(truth)
+    y = op.linearize(truth).u
     x0 = GridFunction.full(n, 2.0)
     cfg = SolverConfig(r=1.5, s=5.0, p_gauge=1.5, cone_constant=0.01,
                        residual_tol=1e-6, max_outer=200, method='B')
@@ -653,6 +653,37 @@ def test_truth_monitor_leaves_the_method_unchanged_on_the_reference_operator(met
             getattr(rec, name) for rec in monitored.records], name
     assert all(rec.rel_error is None for rec in bare.records)
     assert all(rec.rel_error is not None for rec in monitored.records)
+
+
+class ProtocolStub:
+    """The operator protocol and nothing more: `linearize`, `derivative` and
+    `adjoint`, delegated to a reference operator. It is not callable."""
+
+    def __init__(self, op):
+        self.op = op
+
+    def linearize(self, x, start=None):
+        return self.op.linearize(x, start)
+
+    def derivative(self, state, direction, start=None):
+        return self.op.derivative(state, direction, start)
+
+    def adjoint(self, state, w):
+        return self.op.adjoint(state, w)
+
+
+def test_run_and_the_truth_monitor_need_only_the_three_method_protocol():
+    # F(truth) of the cone ratio comes from `linearize`, as every F does.
+    op, y, x0, truth, cfg = suite40_instance('B', 0.0)
+    reference = monitored_run(op, y, x0, cfg, truth)
+    op, y, x0, truth, cfg = suite40_instance('B', 0.0)
+    stub = ProtocolStub(op)
+    assert not callable(stub)
+    result = monitored_run(stub, y, x0, cfg, truth)
+    assert [dataclasses.replace(rec, wall_time=0.0) for rec in result.records] == [
+        dataclasses.replace(rec, wall_time=0.0) for rec in reference.records]
+    assert result.iterate == reference.iterate
+    assert any(rec.cone_ratio is not None for rec in result.records)
 
 
 def test_a_truth_free_monitor_attaches_without_changes_to_run():
