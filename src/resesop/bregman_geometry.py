@@ -284,7 +284,9 @@ def _minimize(x, rows, dual_norms, alphas, space, t_init=None):
     point where h is not finite fails like an Armijo trial. The iteration
     starts from `t_init` unless h is lower at t = 0 or not finite at
     `t_init`; it then starts from 0, and a start where h is not finite
-    raises ConvergenceError. Once the gradient meets the tolerance, one
+    raises ConvergenceError. Without `t_init`, one plane at x = 0, where
+    the Hessian vanishes at t = 0, takes the exact minimizer of its
+    pure-power h as `t_init`. Once the gradient meets the tolerance, one
     more full step takes t to rounding accuracy. When no step improves h or
     the gradient any more, t is accepted if the gradient is within FEAS_TOL
     of the scale or at the rounding floor of its computation (see
@@ -312,6 +314,13 @@ def _minimize(x, rows, dual_norms, alphas, space, t_init=None):
     # An extreme t may overflow; such a trial is not finite and is rejected.
     with np.errstate(over='ignore', invalid='ignore', divide='ignore'):
         start = objective(t, buffers[0])
+        if (t_init is None and len(t) == 1 and start is not None and start[2] is None
+                and not rows[0].any()):
+            # J(x) = 0: h is the pure power ||u*||_*^q* |t|^q* / q* - t gap,
+            # with Hessian 0 at t = 0; start at its exact minimizer.
+            q_conj = space.dual().gauge_exponent
+            ratio = abs(gaps[0]) / np.float64(dual_norms[0]) ** q_conj
+            t_init = [math.copysign(float(ratio ** (1.0 / (q_conj - 1.0))), gaps[0])]
         if t_init is not None:
             # From far uphill each Newton step may only halve t; the value at
             # t = 0 rules that start out.

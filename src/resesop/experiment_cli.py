@@ -267,9 +267,9 @@ def run_experiment(cfg):
     series are written there.
     """
     tic = time.perf_counter()
-    fine = synth_truth(cfg.n_data)
-    observed = add_noise(fine.u, cfg.delta, cfg.s, cfg.seed)
-    y = restrict(observed, cfg.n_recon)
+    # Of the data grid only the restricted data are kept.
+    y = restrict(add_noise(synth_truth(cfg.n_data).u, cfg.delta, cfg.s, cfg.seed),
+                 cfg.n_recon)
     coarse = synth_truth(cfg.n_recon)
     op = EllipticOperator(BvpData(f=coarse.f, g=coarse.g))
     logger.info('method %s, delta=%g, data grid %d, reconstruction grid %d',

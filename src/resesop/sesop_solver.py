@@ -400,7 +400,7 @@ def run(op, y, x0, cfg, monitors=()):
                           'threshold {:.6g}'.format(cfg.max_outer, res_norm, threshold))
                 return SolveResult(iterate=x, records=tuple(records),
                                    stop_reason=reason, n_star=n, detail=detail)
-            if weighted_norm(x_next - x, space_x) < STAGNATION_TOL * weighted_norm(x, space_x):
+            if weighted_norm(x_next - x, space_x) <= STAGNATION_TOL * weighted_norm(x, space_x):
                 stagnant += 1
                 if stagnant >= STAGNATION_LIMIT:
                     return SolveResult(

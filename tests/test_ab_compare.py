@@ -1,6 +1,7 @@
-"""Tests for tools/ab_compare.py: its sign test and its schedule of worker pairs.
+"""Tests for tools/ab_compare.py: its sign test, its schedule of worker
+processes, and one real worker on this repository's tree.
 
-The schedule runs against a stub worker, so no tree is timed here.
+The schedule runs against a stub `run_side`, so it times no tree.
 """
 
 import importlib.util
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / 'tools' / 'ab_compare.py'
+REPO = Path(__file__).resolve().parent.parent
+TOOL = REPO / 'tools' / 'ab_compare.py'
 spec = importlib.util.spec_from_file_location('ab_compare', TOOL)
 ab_compare = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ab_compare)
@@ -37,60 +39,50 @@ def test_sign_test_reference_values():
     assert ab_compare.sign_test(0, 5) == 0.0625
 
 
-def test_rounds_alternate_and_a_fresh_pair_starts_every_pair_rounds():
-    # 25 rounds with pairs of 10: three pairs of workers (10, 10 and 5
-    # rounds), each warmed up by one untimed pass per side and closed at the
-    # end. The order swaps every round. The change is faster with the first
-    # and third pair and slower with the second, which the wins per pair show.
-    assert ab_compare.PAIR_ROUNDS == 10
-    log, started = [], []
+def test_each_round_runs_both_sides_once_in_alternating_order():
+    # Five rounds: each calls run_side once per side, the parent first in
+    # even rounds and the change first in odd ones. The change is faster in
+    # every round but round 2, a tie, which goes to the parent.
+    log = []
 
-    class Stub:
-        def __init__(self, tree):
-            started.append(tree)
-            self.tree, self.number = tree, len(started)
+    def stub(tree, workload, seed):
+        assert (workload, seed) == ('suite40', 7)
+        log.append(tree)
+        fast = tree == 'change' and len(log) not in (5, 6)
+        return dict(seconds=0.5 if fast else 1.0, n_star=3, digest='d', failed=[])
 
-        def run_pass(self, workload, seed):
-            assert (workload, seed) == ('suite40', 7)
-            log.append((self.number, self.tree))
-            fast = self.tree == 'change' and self.number != 4
-            return dict(seconds=0.5 if fast else 1.0, n_star=3, digest='d', failed=[])
-
-        def close(self):
-            log.append((self.number, 'closed'))
-
-    trees = {'parent': 'parent', 'change': 'change'}
-    summary = ab_compare.compare(trees, 'suite40', 25, 7, start=Stub)
-    assert started == ['parent', 'change'] * 3
-    expected = []
-    for pair, first in enumerate(range(0, 25, 10)):
-        order = [(2 * pair + 1, 'parent'), (2 * pair + 2, 'change')]
-        expected += order
-        for k in range(first, min(first + 10, 25)):
-            expected += order if k % 2 == 0 else order[::-1]
-        expected += [(number, 'closed') for number, _ in order]
-    assert log == expected
-    assert summary['change']['won_per_pair'] == [10, 0, 5]
-    assert summary['parent']['won_per_pair'] == [0, 10, 0]
-    assert (summary['change']['won'], summary['parent']['won']) == (15, 10)
+    summary = ab_compare.compare({'parent': 'parent', 'change': 'change'}, 'suite40', 5, 7,
+                                 run_side=stub)
+    assert log == ['parent', 'change', 'change', 'parent', 'parent', 'change',
+                   'change', 'parent', 'parent', 'change']
+    assert (summary['change']['won'], summary['parent']['won']) == (4, 1)
     assert summary['records_equal'] and summary['verdict'] == 'neutral'
 
 
-def test_a_failing_pass_closes_both_workers():
-    closed = []
-
-    class Failing:
-        def __init__(self, tree):
-            self.tree = tree
-
-        def run_pass(self, workload, seed):
-            if self.tree == 'change':
-                raise RuntimeError('worker exited')
-            return dict(seconds=1.0, n_star=1, digest='d', failed=[])
-
-        def close(self):
-            closed.append(self.tree)
+def test_a_failing_side_raises():
+    def failing(tree, workload, seed):
+        if tree == 'change':
+            raise RuntimeError('worker exited')
+        return dict(seconds=1.0, n_star=1, digest='d', failed=[])
 
     with pytest.raises(RuntimeError):
-        ab_compare.compare({'parent': 'p', 'change': 'change'}, 'suite40', 4, 7, start=Failing)
-    assert closed == ['p', 'change']
+        ab_compare.compare({'parent': 'p', 'change': 'change'}, 'suite40', 4, 7,
+                           run_side=failing)
+
+
+def test_a_worker_without_its_tree_raises(tmp_path):
+    # An empty directory holds neither resesop nor perfbench; the worker
+    # must not fall back to another tree's, and its exit ends the comparison.
+    with pytest.raises(RuntimeError, match='exited with'):
+        ab_compare.run_side(tmp_path, 'grid160', 7)
+
+
+def test_a_real_worker_times_perfbench_own_pass_on_this_tree():
+    # One fresh worker process on this repository: perfbench.run.run_pass
+    # of grid160 at seed 7, with the n* sum and digest that
+    # tools/record_digest.py prints.
+    reply = ab_compare.run_side(REPO, 'grid160', 7)
+    assert reply['n_star'] == 34 and reply['failed'] == []
+    assert reply['digest'] == (
+        'adad65a33290cf0c9232dd4385e8e67d60091e8ee10cdb3f158250acf7814a92')
+    assert reply['seconds'] > 0.0

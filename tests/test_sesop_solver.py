@@ -543,6 +543,20 @@ def test_run_stagnation_guard():
     assert 'stalled' in result.detail
 
 
+def test_a_null_step_at_zero_counts_as_stagnant(monkeypatch):
+    # At x = 0 the stagnation test compares a step of norm 0 with
+    # STAGNATION_TOL * 0; a step that does not move must still count, or the
+    # run spins to its budget.
+    monkeypatch.setattr(sesop_solver, 'project_two_stage',
+                        lambda x, stripe, previous, space: (x, (0.0,)))
+    n = 3
+    op = identity_stub(n)
+    result = run(op, op.linearize(GridFunction.full(n, 1.0)).u, GridFunction.zeros(n),
+                 hilbert_config(max_outer=20))
+    assert result.stop_reason == StopReason.STAGNATED
+    assert result.n_star == 3 and len(result.records) == 3
+
+
 def test_run_warns_on_huge_coefficients(caplog):
     class TinyAdjointStub(LinearStub):
         def adjoint(self, state, w):
@@ -623,6 +637,18 @@ def test_run_on_small_elliptic_instance():
     assert result.records[-1].rel_error < result.records[0].rel_error
     assert all(rec.above_margin > 0.0 for rec in result.records[:-1])
     assert descent_monitor(result.records) == []
+
+
+@pytest.mark.parametrize('r', [1.1, 1.2, 1.3, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize('method', ['A', 'B'])
+def test_a_zero_start_reaches_the_residual_tolerance(method, r):
+    # At x = 0, J(x) = 0, so the first projection's dual objective is a pure
+    # power whose Hessian vanishes at t = 0; at r <= 1.2 a gradient step from
+    # there could not reach its minimizer, and the run failed at step 0.
+    truth = synth_truth(40)
+    op = EllipticOperator(BvpData(truth.f, truth.g))
+    result = run(op, truth.u, GridFunction.zeros(40), SolverConfig(method=method, r=r))
+    assert result.stop_reason == StopReason.RESIDUAL_TOLERANCE
 
 
 def suite40_instance(method, delta):

@@ -1,60 +1,59 @@
-"""Compare the pass times of two source trees, pass by pass, in one command.
+"""Compare the pass times of two source trees, round by round, in one command.
 
     python3 tools/ab_compare.py PARENT_TREE CHANGE_TREE \
         [--workloads suite40 grid160 exponents40] [--rounds 50] [--seed 7]
 
 A tree is a checkout of this repository (from `git archive` or `git
-clone`). The tool runs one worker process per tree at a time, with BLAS on
-one thread; each imports resesop and perfbench from its own tree. A pass
-runs every configuration of `perfbench.workloads.configs(workload, seed)`
-once with `run_experiment`, writing the report files the workload asks
-for, and its time is the sum of the `run_experiment` times, as perfbench's
-`pass_s`. The rounds of a workload are spread over fresh worker pairs,
-PAIR_ROUNDS rounds each: a pair starts, each worker makes one untimed
-warm-up pass, then the two alternate, one pass each per round, with the
-order swapped every round, so both sides see the same drift of a shared
-host; then the pair exits. With one long-lived pair for all rounds, a
-fixed difference between its two processes counted once per round: a
-suite40 tree against a copy of itself was called faster in two of four
-runs (BENCH_kernels.json). With the pairs (BENCH_abpairs.json) every self
-run was neutral, but on suite40, where a pass's IQR is about a quarter of
-its median, 50 rounds missed a planted 5% slowdown that 100 rounds caught;
-the default 50 rounds are calibrated on grid160 (BENCH_monitors.json).
+clone`). Each round starts one fresh worker process per tree, one after the
+other, with the order swapped every round, so both sides see the same drift
+of a shared host. A worker,
+
+    python3 tools/ab_compare.py --worker TREE WORKLOAD SEED
+
+imports resesop and perfbench from TREE, makes one untimed warm-up pass and
+one timed pass with that tree's own `perfbench.run.run_pass` (the
+benchmark's configurations, report files and output gate, on one BLAS
+thread), and prints one JSON line: the pass time, the sum of n*, the digest
+of its reports by tools/record_digest.py's field rule (the report path left
+out, so the digests equal that script's for seed 7) and the labels that
+failed the gate. No two rounds share a process, since a worker's pass
+time is bimodal from process to process (BENCH_protocol.json): a worker
+serving several rounds would count one process difference once per round.
+BENCH_abcompare.json holds the calibration: copies of one tree stay
+neutral, and a planted 5% slowdown is called slower at 50 rounds, the
+default. But a copy that differs by one comment line was called slower on
+grid160 and faster on exponents40, so a verdict of a few per cent does not
+show that the code itself is faster or slower.
 
 Per workload it prints, for each side, the median, minimum and
-interquartile range (IQR) of the pass times, the rounds it won in all and
-per pair, the sum of n* and the digest of its reports by
-tools/record_digest.py's field rule (the report path left out, so the
-digests equal that script's for seed 7). The verdict is a two-sided sign
-test on the rounds won at the 5% level: 'slower' or 'faster' for the
-change, else 'neutral'. It is the only verdict: on grid160 the gap
-between the medians stayed within the parent's IQR in all 10 runs with a
-planted 5% slowdown (BENCH_monitors.json), so that test cannot tell a 5%
-change from none. The last line is the whole summary as JSON. It exits 1
-when a run fails or a side's records differ between its passes. It
-changes no setting outside its own processes.
+interquartile range (IQR) of the pass times, the rounds it won, the sum of
+n* and the digest. The verdict is a two-sided sign test on the rounds won
+at the 5% level: 'slower' or 'faster' for the change, else 'neutral'. It
+is the only verdict: on grid160 the gap between the medians stayed within
+the parent's IQR in all 10 runs with a planted 5% slowdown
+(BENCH_monitors.json), so that test cannot tell a 5% change from none. The
+last line is the whole summary as JSON. It exits 1 when a run fails the
+gate or a side's records differ between rounds, and stops with an error
+when a worker fails. It changes no setting outside its own processes.
 """
 
 import argparse
 import dataclasses
 import json
 import math
-import os
 import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
 sys.path.insert(0, str(TOOLS))
 
-from record_digest import ONE_BLAS_THREAD, report_digest  # noqa: E402
+from record_digest import report_digest  # noqa: E402
 
 SIDES = ('parent', 'change')
 SIGNIFICANCE = 0.05
-PAIR_ROUNDS = 10  # rounds per worker pair; each block of this many starts a fresh pair
 
 
 def sign_test(wins, rounds):
@@ -64,92 +63,55 @@ def sign_test(wins, rounds):
     return min(1.0, p)
 
 
-def worker(tree):
-    """Serve passes on stdin/stdout: one JSON request and reply per line."""
-    replies = sys.stdout
-    sys.stdout = sys.stderr  # nothing but replies reaches the pipe
+def worker(tree, workload, seed):
+    """One warm-up and one timed pass of `tree`; prints the reply line."""
     sys.path[:0] = [str(tree / 'src'), str(tree)]
-    from perfbench.workloads import configs, report_paths, silence_library_logging
+    from perfbench import run as bench  # fixes one BLAS thread before numpy loads
     import resesop
-    silence_library_logging()
-    if Path(resesop.__file__).resolve().parent != tree / 'src' / 'resesop':
-        sys.exit('ab_compare: resesop imported from {}, not from {}'.format(
-            resesop.__file__, tree))
+    bench.silence_library_logging()
+    for module, root in ((resesop, tree / 'src'), (bench, tree)):
+        if not Path(module.__file__).resolve().is_relative_to(root):
+            sys.exit('ab_compare: {} imported from {}, not from {}'.format(
+                module.__name__, module.__file__, root))
     with tempfile.TemporaryDirectory() as directory:
-        for line in sys.stdin:
-            request = json.loads(line)
-            reports, failed, seconds = [], [], 0.0
-            for label, fields, writes in configs(request['workload'], request['seed']):
-                path = report_paths(directory, len(reports))[0] if writes else None
-                cfg = resesop.ExperimentConfig(output_path=path, **fields)
-                tic = time.perf_counter()
-                reports.append(resesop.run_experiment(cfg))
-                seconds += time.perf_counter() - tic
-                if reports[-1].stop_reason == 'failed':
-                    failed.append(label)
-            # The digest of record_digest.py's runs, which write no report.
-            digest = report_digest(dataclasses.replace(
-                report, config=dataclasses.replace(report.config, output_path=None))
-                for report in reports)
-            replies.write(json.dumps(dict(
-                seconds=seconds, n_star=sum(report.n_star for report in reports),
-                digest=digest, failed=failed)) + '\n')
-            replies.flush()
+        bench.run_pass(resesop, workload, seed, 0, directory)
+        ops = bench.run_pass(resesop, workload, seed, 1, directory)
+    # The digest of record_digest.py's runs, which write no report.
+    digest = report_digest(dataclasses.replace(
+        op.report, config=dataclasses.replace(op.report.config, output_path=None))
+        for op in ops)
+    print(json.dumps(dict(
+        seconds=sum(op.seconds for op in ops),
+        n_star=sum(op.report.n_star for op in ops),
+        digest=digest, failed=[op.label for op in ops if op.reasons])))
 
 
-class Worker:
-    """One worker process for one tree."""
-
-    def __init__(self, tree):
-        self.tree = tree
-        env = dict(os.environ, **ONE_BLAS_THREAD)
-        self.process = subprocess.Popen(
-            [sys.executable, str(Path(__file__).resolve()), '--worker', str(tree)],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True)
-
-    def run_pass(self, workload, seed):
-        self.process.stdin.write(json.dumps(dict(workload=workload, seed=seed)) + '\n')
-        self.process.stdin.flush()
-        line = self.process.stdout.readline()
-        if not line:
-            raise RuntimeError('worker for {} exited with {}'.format(
-                self.tree, self.process.wait()))
-        return json.loads(line)
-
-    def close(self):
-        self.process.stdin.close()
-        self.process.wait()
+def run_side(tree, workload, seed):
+    """The reply of one fresh worker process for `tree`."""
+    done = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), '--worker', str(tree),
+         workload, str(seed)], capture_output=True, text=True, check=False)
+    if done.returncode != 0:
+        raise RuntimeError('worker for {} exited with {}: {}'.format(
+            tree, done.returncode, done.stderr.strip()[-2000:]))
+    return json.loads(done.stdout.splitlines()[-1])
 
 
-def compare(trees, workload, rounds, seed, start=Worker):
-    """`rounds` alternating rounds over fresh worker pairs, each warmed up
-    first; the summary of one workload. `start(tree)` starts a worker."""
+def compare(trees, workload, rounds, seed, run_side=run_side):
+    """`rounds` rounds of one fresh worker per side, the order swapped
+    every round; the summary of one workload."""
     replies = {side: [] for side in SIDES}
-    for first in range(0, rounds, PAIR_ROUNDS):
-        workers = {}
-        try:
-            for side in SIDES:
-                workers[side] = start(trees[side])
-            for side in SIDES:
-                workers[side].run_pass(workload, seed)
-            for k in range(first, min(first + PAIR_ROUNDS, rounds)):
-                for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-                    replies[side].append(workers[side].run_pass(workload, seed))
-        finally:
-            for worker in workers.values():
-                worker.close()
+    for k in range(rounds):
+        for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
+            replies[side].append(run_side(trees[side], workload, seed))
     times = {side: [reply['seconds'] for reply in replies[side]] for side in SIDES}
-    won = {'change': [c < p for p, c in zip(times['parent'], times['change'])]}
-    won['parent'] = [not change for change in won['change']]
-    change_wins = sum(won['change'])
+    change_wins = sum(c < p for p, c in zip(times['parent'], times['change']))
+    won = {'parent': rounds - change_wins, 'change': change_wins}
     summary = {'workload': workload, 'rounds': rounds, 'seed': seed}
     for side in SIDES:
         low, median, high = statistics.quantiles(times[side], n=4, method='inclusive')
         summary[side] = dict(
-            median_s=median, min_s=min(times[side]), iqr_s=high - low,
-            won=sum(won[side]),
-            won_per_pair=[sum(won[side][k:k + PAIR_ROUNDS])
-                          for k in range(0, rounds, PAIR_ROUNDS)],
+            median_s=median, min_s=min(times[side]), iqr_s=high - low, won=won[side],
             n_star=sorted({reply['n_star'] for reply in replies[side]}),
             digests=sorted({reply['digest'] for reply in replies[side]}),
             failed=sorted({label for reply in replies[side] for label in reply['failed']}))
@@ -176,7 +138,6 @@ def print_summary(summary):
             side, s['median_s'], s['min_s'], s['iqr_s'],
             '{}/{}'.format(s['won'], summary['rounds']),
             '/'.join(map(str, s['n_star'])), ' '.join(s['digests'])))
-        print('          won per pair: {}'.format(' '.join(map(str, s['won_per_pair']))))
         if s['failed']:
             print('  {} FAILED: {}'.format(side, ', '.join(s['failed'])))
     print('  median gap {:+.4f} s, median per-round ratio {:.3f}, '
@@ -220,6 +181,6 @@ def main(argv=None):
 
 if __name__ == '__main__':
     if sys.argv[1:2] == ['--worker']:
-        worker(Path(sys.argv[2]))
+        worker(Path(sys.argv[2]).resolve(), sys.argv[3], int(sys.argv[4]))
     else:
         sys.exit(main())
