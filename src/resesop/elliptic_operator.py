@@ -26,8 +26,8 @@ What depends only on N, the sine basis, the eigenvalues of -laplace_h, the
 mode products of the Galerkin matrix and the arrays that CG writes to, each
 operator builds once for the grid of its data. What depends on c, c_bar,
 the shifted inverse eigenvalues, the inverse Galerkin matrix and the norm
-of L(c), `linearize` sets up once per parameter, in the one linear system
-that the state holds and that F, the derivative and the adjoint solve with:
+of L(c), the state that `linearize` returns sets up once per parameter;
+F, the derivative and the adjoint solve with that state:
 
     F'(c) d = -L(c)^{-1} (d * u),      F'(c)* w = -u * L(c)^{-1} w,
 
@@ -44,7 +44,7 @@ operator share its CG buffers, and one operator must not solve from two
 threads at once.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -108,17 +108,6 @@ class BvpData:
                 self.f.values.shape, self.g.values.shape))
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorState:
-    """Parameter c with the cached solution u = F(c) and the linear system
-    L(c), set up once by `EllipticOperator.linearize`, that the derivative
-    and the adjoint solve with."""
-
-    c: GridFunction
-    u: GridFunction
-    system: '_System' = field(repr=False)
-
-
 def _stencil(diagonal, v, out, scratch):
     # h^2 L(c) v = (4 + h^2 c_ij) v_ij - neighbors on the interior, for
     # diagonal = 4 + h^2 c on the interior and v of the same shape: five
@@ -150,62 +139,26 @@ def _range_text(parameter):
         parameter.values.min(), parameter.values.max())
 
 
-class _Grid:
-    """What the solves with L(c) on an N x N interior need that depends only
-    on N: the float32 sine basis S, the eigenvalues lambda_j + lambda_k of
-    the 2-D -laplace_h, the number K of coarse modes per axis, the 1-D mode
-    products S_ia S_ia' of the K x K coarse modes, the row sums of |L(c)|
-    off the diagonal, and the arrays CG writes to: the scaled right-hand
-    side, the stencil diagonal 4 + h^2 c, the solution and its residual, the
-    direction, its image, the preconditioned residual z, a scratch array
-    and the two float32 arrays of the preconditioner apply. The arrays
-    computed from N are read-only; nothing a solve reads from the buffers
-    was left by an earlier solve."""
-
-    def __init__(self, n):
-        j = np.arange(1, n + 1)
-        h = 1.0 / (n + 1)
-        # sin(pi m / (N+1)) with m = jk reduced mod 2(N+1) keeps the argument
-        # small and the basis exactly symmetric.
-        basis = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(j, j) % (2 * (n + 1)))
-                                                / (n + 1))
-        eigenvalues = (4.0 / h ** 2) * np.sin(0.5 * np.pi * j / (n + 1)) ** 2
-        self.eigen_sums = eigenvalues[:, None] + eigenvalues[None, :]
-        self.basis = basis.astype(np.float32)
-        self.coarse_modes = k = min(COARSE_MODES, n)
-        self.mode_products = (basis[:, :k, None] * basis[:, None, :k]).reshape(n, k * k)
-        # 1/h^2 per interior neighbor.
-        axis = np.minimum(np.arange(n), 1) + np.minimum(np.arange(n)[::-1], 1)
-        self.neighbor_sums = (axis[:, None] + axis[None, :]) / h ** 2
-        for array in (self.eigen_sums, self.basis, self.mode_products, self.neighbor_sums):
-            array.setflags(write=False)
-
-        def grid(dtype=float):
-            return np.empty((n, n), dtype=dtype)
-
-        self.rhs, self.diagonal, self.solution, self.residual = grid(), grid(), grid(), grid()
-        self.direction, self.image, self.z, self.scratch = grid(), grid(), grid(), grid()
-        self.spectral = grid(np.float32), grid(np.float32)
-
-
-class _System:
-    """The linear system L(c) = -laplace_h + diag(c) of one parameter c on
-    the interior of a grid, set up once: the float32 inverse eigenvalues
+class OperatorState:
+    """Parameter c with the solution u = F(c) and the linear system
+    L(c) = -laplace_h + diag(c), which the derivative and the adjoint solve
+    with. Built only by `EllipticOperator.linearize`, which sets L(c) up
+    once and solves it for u, from the u of a `start` state; immutable.
+    The set-up of `operator` and c: the float32 inverse eigenvalues
     1/(lambda_j + lambda_k + c_bar), zero on the K x K coarse modes, the
     float32 inverse of the Galerkin matrix
     G = diag(lambda_a + lambda_b) + Phi^T diag(c) Phi of L(c) on those,
-    built from the mode products Q = S_ia S_ia' of the _Grid, and the
+    built from the mode products Q = S_ia S_ia' of the operator, and the
     infinity norm of L(c), a bound on its 2-norm as L(c) is symmetric.
     Raises LinearSolveError unless, in float64, the shifted eigenvalues are
     positive and G has a Cholesky factor that keeps L(c) below COND_LIMIT.
-    Its solves write to the buffers of the _Grid."""
+    Its solves write to the buffers of the operator."""
 
-    def __init__(self, c, grid):
-        self.c, self.grid = c, grid
+    def __init__(self, operator, c, start=None):
         coeff = c.interior
-        k = grid.coarse_modes
+        k = operator._coarse_modes
         c_bar = 0.5 * (coeff.min() + coeff.max())
-        shifted = grid.eigen_sums + c_bar
+        shifted = operator._eigen_sums + c_bar
         # The coarse modes are solved exactly; an infinite shift zeroes them.
         shifted[:k, :k] = np.inf
         if not shifted.min() > 0.0:
@@ -213,8 +166,9 @@ class _System:
                 'linear system is not positive definite for {}: lambda_min + c_bar = '
                 '{:.3g}'.format(_range_text(c), shifted.min()), parameter=c)
         # (Q^T C Q)[(a, a'), (b, b')] = sum_ij c_ij S_ia S_ia' S_jb S_jb'.
-        coupling = (grid.mode_products.T @ coeff @ grid.mode_products).reshape(k, k, k, k)
-        galerkin = (np.diag(grid.eigen_sums[:k, :k].ravel())
+        products = operator._mode_products
+        coupling = (products.T @ coeff @ products).reshape(k, k, k, k)
+        galerkin = (np.diag(operator._eigen_sums[:k, :k].ravel())
                     + coupling.transpose(0, 2, 1, 3).reshape(k * k, k * k))
         try:
             lower = np.linalg.cholesky(galerkin)
@@ -230,22 +184,32 @@ class _System:
                 'Galerkin matrix on the lowest {} x {} sine modes'.format(
                     _range_text(c), k, k), parameter=c)
         coarse_inverse = np.linalg.inv(galerkin)
-        coarse_inverse = 0.5 * (coarse_inverse + coarse_inverse.T)
-        self.inverse_eigenvalues = np.divide(1.0, shifted, out=shifted).astype(np.float32)
-        self.coarse_inverse = coarse_inverse.astype(np.float32)
+        coarse_inverse = (0.5 * (coarse_inverse + coarse_inverse.T)).astype(np.float32)
+        inverse_eigenvalues = np.divide(1.0, shifted, out=shifted).astype(np.float32)
         # The row sums of |L(c)|, in the scratch array of the solves.
-        row_sums = np.add(coeff, 4.0 / c.h ** 2, out=grid.scratch)
+        row_sums = np.add(coeff, 4.0 / c.h ** 2, out=operator._scratch)
         np.abs(row_sums, out=row_sums)
-        row_sums += grid.neighbor_sums
-        self.norm = float(row_sums.max())
+        row_sums += operator._neighbor_sums
+        vars(self).update(operator=operator, c=c, inverse_eigenvalues=inverse_eigenvalues,
+                          coarse_inverse=coarse_inverse, norm=float(row_sums.max()))
+        values = operator.data.g.values.copy()
+        values[1:-1, 1:-1] = self.solve(operator._rhs,
+                                        None if start is None else start.u.interior)
+        vars(self)['u'] = GridFunction._adopt(values)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError('cannot assign to field {!r}'.format(name))
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError('cannot delete field {!r}'.format(name))
 
     def precondition(self, r, out):
         """The two-level preconditioner applied to r by four float32 matmuls
         in the sine basis, with the inverse Galerkin matrix on the coarse
         modes. Written into the float64 array `out` and returned."""
-        grid = self.grid
-        basis, k = grid.basis, grid.coarse_modes
-        first, second = grid.spectral
+        operator = self.operator
+        basis, k = operator._basis, operator._coarse_modes
+        first, second = operator._spectral
         np.copyto(first, r, casting='same_kind')
         spectral = np.matmul(np.matmul(basis, first, out=second), basis, out=first)
         scaled = np.multiply(spectral, self.inverse_eigenvalues, out=second)
@@ -268,23 +232,23 @@ class _System:
         zero: a farther start leaves its rounding error in x, and the zero
         start overwrites it. A start so far that its residual norm
         overflows fails that test quietly. Every intermediate array is a
-        buffer of the _Grid; only the returned x is new.
+        buffer of the operator; only the returned x is new.
         """
         if start is not None and start.shape != rhs.shape:
             raise ValueError('start grid has interior {}, data grid needs {}'.format(
                 start.shape, rhs.shape))
-        c, grid = self.c, self.grid
+        c, operator = self.c, self.operator
         h2 = c.h ** 2
         matrix_norm = h2 * self.norm
-        scratch = grid.scratch
+        scratch = operator._scratch
         # CG runs on rhs scaled by a power of two (exactly) to entries below
         # one, so the residuals stay in float32 range whatever the size of rhs.
         rhs_scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(rhs, out=scratch)))[1]))
-        rhs = np.divide(rhs, rhs_scale, out=grid.rhs)
+        rhs = np.divide(rhs, rhs_scale, out=operator._scaled_rhs)
         rhs_norm = _euclidean_norm(rhs)
-        diagonal = np.multiply(c.interior, h2, out=grid.diagonal)
+        diagonal = np.multiply(c.interior, h2, out=operator._diagonal)
         diagonal += 4.0
-        solution, residual = grid.solution, grid.residual
+        solution, residual = operator._solution, operator._residual
         if start is not None:
             with np.errstate(over='ignore', invalid='ignore'):
                 np.divide(start, rhs_scale, out=solution)
@@ -294,7 +258,7 @@ class _System:
         if start is None or not warm_norm < rhs_norm:
             solution.fill(0.0)
             np.copyto(residual, rhs)
-        direction, image, z = grid.direction, grid.image, grid.z
+        direction, image, z = operator._direction, operator._image, operator._z
         rz = None
         for _ in range(CG_MAX_ITERS):
             if _euclidean_norm(residual) <= CG_STOP_FRACTION * BACKWARD_TOL * (
@@ -334,19 +298,6 @@ class _System:
         return rhs_scale * solution
 
 
-def _boundary_rhs(data):
-    # h^2 f with the Dirichlet elimination: neighbors on the boundary ring
-    # move to the right-hand side of h^2 L(c) u, as g itself.
-    f = data.f
-    g = data.g.values
-    rhs = f.h ** 2 * f.interior
-    rhs[0, :] += g[0, 1:-1]
-    rhs[-1, :] += g[-1, 1:-1]
-    rhs[:, 0] += g[1:-1, 0]
-    rhs[:, -1] += g[1:-1, -1]
-    return rhs
-
-
 class EllipticOperator:
     """The forward map c -> u of the elliptic problem, evaluated by `linearize`.
 
@@ -357,13 +308,53 @@ class EllipticOperator:
     ----------
     data : BvpData
         Source and Dirichlet data shared by all evaluations.
+
+    Built once from the data: the right-hand side of the forward solve, the
+    float32 sine basis S, the eigenvalues lambda_j + lambda_k of the 2-D
+    -laplace_h, the number K of coarse modes per axis, the 1-D mode products
+    S_ia S_ia' of the K x K coarse modes, the row sums of |L(c)| off the
+    diagonal, all read-only, and the arrays CG writes to: the scaled
+    right-hand side, the stencil diagonal 4 + h^2 c, the solution and its
+    residual, the direction, its image, the preconditioned residual z, a
+    scratch array and the two float32 arrays of the preconditioner apply.
+    Nothing a solve reads from them was left by an earlier solve.
     """
 
     def __init__(self, data):
         self.data = data
-        self._rhs = _boundary_rhs(data)
-        self._rhs.setflags(write=False)
-        self._grid = _Grid(data.f.n_interior)
+        f, g = data.f, data.g.values
+        n, h = f.n_interior, f.h
+        # h^2 f with the Dirichlet elimination: neighbors on the boundary ring
+        # move to the right-hand side of h^2 L(c) u, as g itself.
+        self._rhs = h ** 2 * f.interior
+        self._rhs[0, :] += g[0, 1:-1]
+        self._rhs[-1, :] += g[-1, 1:-1]
+        self._rhs[:, 0] += g[1:-1, 0]
+        self._rhs[:, -1] += g[1:-1, -1]
+        j = np.arange(1, n + 1)
+        # sin(pi m / (N+1)) with m = jk reduced mod 2(N+1) keeps the argument
+        # small and the basis exactly symmetric.
+        basis = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(j, j) % (2 * (n + 1)))
+                                                / (n + 1))
+        eigenvalues = (4.0 / h ** 2) * np.sin(0.5 * np.pi * j / (n + 1)) ** 2
+        self._eigen_sums = eigenvalues[:, None] + eigenvalues[None, :]
+        self._basis = basis.astype(np.float32)
+        self._coarse_modes = k = min(COARSE_MODES, n)
+        self._mode_products = (basis[:, :k, None] * basis[:, None, :k]).reshape(n, k * k)
+        # 1/h^2 per interior neighbor.
+        axis = np.minimum(np.arange(n), 1) + np.minimum(np.arange(n)[::-1], 1)
+        self._neighbor_sums = (axis[:, None] + axis[None, :]) / h ** 2
+        for array in (self._rhs, self._eigen_sums, self._basis, self._mode_products,
+                      self._neighbor_sums):
+            array.setflags(write=False)
+
+        def grid(dtype=float):
+            return np.empty((n, n), dtype=dtype)
+
+        self._scaled_rhs, self._diagonal, self._solution, self._residual = (
+            grid(), grid(), grid(), grid())
+        self._direction, self._image, self._z, self._scratch = grid(), grid(), grid(), grid()
+        self._spectral = grid(np.float32), grid(np.float32)
 
     def _check_grid(self, f, name):
         if f.values.shape != self.data.f.values.shape:
@@ -375,11 +366,7 @@ class EllipticOperator:
         ring of the data, warm-started from the u of a `start` state;
         returns the state for F, F', F'*."""
         self._check_grid(c, 'parameter')
-        system = _System(c, self._grid)
-        values = self.data.g.values.copy()
-        values[1:-1, 1:-1] = system.solve(self._rhs,
-                                          None if start is None else start.u.interior)
-        return OperatorState(c=c, u=GridFunction._adopt(values), system=system)
+        return OperatorState(self, c, start)
 
     def derivative(self, state, direction, start=None):
         """Directional derivative F'(c) applied to `direction`.
@@ -390,7 +377,7 @@ class EllipticOperator:
         """
         self._check_grid(direction, 'direction')
         rhs = (direction.values * state.u.values)[1:-1, 1:-1] * -state.c.h ** 2
-        return GridFunction.from_interior(state.system.solve(
+        return GridFunction.from_interior(state.solve(
             rhs, None if start is None else start.interior))
 
     def adjoint(self, state, w):
@@ -401,7 +388,7 @@ class EllipticOperator:
         """
         self._check_grid(w, 'codomain vector')
         values = np.zeros_like(state.u.values)
-        values[1:-1, 1:-1] = state.system.solve(w.interior * state.c.h ** 2)
+        values[1:-1, 1:-1] = state.solve(w.interior * state.c.h ** 2)
         # -(u * lifted) is (-u) * lifted bit for bit, signed zeros included.
         values *= state.u.values
         return GridFunction._adopt(np.negative(values, out=values))

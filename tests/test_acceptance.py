@@ -404,8 +404,8 @@ def benchmark_pass(request):
     inner_objective = bregman_geometry._dual_objective
     stops = {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(elliptic_operator._System, 'precondition',
-                      counted('applies', elliptic_operator._System.precondition))
+        patch.setattr(elliptic_operator.OperatorState, 'precondition',
+                      counted('applies', elliptic_operator.OperatorState.precondition))
         patch.setattr(elliptic_operator, '_stencil',
                       counted('stencils', elliptic_operator._stencil))
         patch.setattr(bregman_geometry, '_minimize',

@@ -12,6 +12,7 @@ genuine truncation error exhibiting second-order convergence.
 
 import dataclasses
 import re
+import types
 import warnings
 
 import numpy as np
@@ -105,7 +106,7 @@ def test_cg_solve_matches_dense_solve():
 
         def solve(b):
             # CG takes the right-hand side of h^2 L(c) x = h^2 b.
-            return state.system.solve(c.h ** 2 * b)
+            return state.solve(c.h ** 2 * b)
 
         solution = solve(rhs).ravel()
         matrix = dense_matrix(c)
@@ -162,7 +163,7 @@ def dense_preconditioner(state):
     for k in range(n * n):
         unit = np.zeros(n * n)
         unit[k] = 1.0
-        columns.append(state.system.precondition(unit.reshape(n, n),
+        columns.append(state.precondition(unit.reshape(n, n),
                                                  np.empty((n, n))).ravel())
     return np.array(columns).T
 
@@ -315,15 +316,31 @@ def test_adjoint_one_node_hand_value():
     assert np.all(result.values[0, :] == 0.0)
 
 
+def with_solution(state, u):
+    # The state with `u` in place of its solution, as far as the derivative,
+    # the adjoint and norm_estimate see it: they read only c, u and the
+    # solves, and the forward solve reads only the u of its start.
+    return types.SimpleNamespace(c=state.c, u=u, solve=state.solve)
+
+
+def test_a_state_is_immutable():
+    _, state = make_linearization(5)
+    for name in ('c', 'u', 'norm', 'solve', 'other'):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(state, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(state, name)
+
+
 def test_operator_norm_estimate_properties():
     op, state = make_linearization(10)
     first = op.norm_estimate(state)
     second = op.norm_estimate(state)
     assert first == second
     assert first > 0.0
-    doubled_state = dataclasses.replace(state, u=2.0 * state.u)
+    doubled_state = with_solution(state, 2.0 * state.u)
     assert op.norm_estimate(doubled_state) == pytest.approx(2.0 * first, rel=1e-12)
-    zero_state = dataclasses.replace(state, u=GridFunction.zeros(10))
+    zero_state = with_solution(state, GridFunction.zeros(10))
     with warnings.catch_warnings():
         warnings.simplefilter('error')
         assert op.norm_estimate(zero_state) == 0.0
@@ -360,7 +377,7 @@ def test_norm_estimate_from_sign_start_handles_a_sign_changing_state():
     interior = state.u.interior.copy()
     assert (interior > 0.0).any() and (interior < 0.0).any()
     interior[2, :] = 0.0
-    state = dataclasses.replace(state, u=GridFunction.from_interior(interior))
+    state = with_solution(state, GridFunction.from_interior(interior))
     assert op.norm_estimate(state) == pytest.approx(dense_jacobian_norm(op, state),
                                                     rel=1e-12)
 
@@ -400,17 +417,16 @@ def test_preconditioner_apply_equals_the_allocating_formula_bitwise(n):
     # grid, which hold NaN beforehand; the bits are those of the formula
     # with a new array per operation.
     op, state = random_operator(np.random.default_rng(45), n, 0.5, 4.0)
-    system = state.system
     r = np.random.default_rng(46).standard_normal((n, n))
-    basis, k = op._grid.basis, min(elliptic_operator.COARSE_MODES, n)
+    basis, k = op._basis, min(elliptic_operator.COARSE_MODES, n)
     spectral = basis @ r.astype(np.float32) @ basis
-    scaled = spectral * system.inverse_eigenvalues
-    scaled[:k, :k] = (system.coarse_inverse @ spectral[:k, :k].ravel()).reshape(k, k)
+    scaled = spectral * state.inverse_eigenvalues
+    scaled[:k, :k] = (state.coarse_inverse @ spectral[:k, :k].ravel()).reshape(k, k)
     expected = (basis @ scaled @ basis).astype(float)
     out = np.full((n, n), np.nan)
-    for work in op._grid.spectral:
+    for work in op._spectral:
         work.fill(np.nan)
-    assert system.precondition(r, out) is out
+    assert state.precondition(r, out) is out
     assert same_bits(out, expected)
 
 
@@ -432,13 +448,13 @@ def test_cg_preconditions_once_per_iteration(monkeypatch):
         solves.append({name: counts[name] - before[name] for name in counts})
         return result
 
-    system = elliptic_operator._System
-    solve = system.solve
-    monkeypatch.setattr(system, 'precondition',
-                        counting('preconditioner', system.precondition))
+    state_type = elliptic_operator.OperatorState
+    solve = state_type.solve
+    monkeypatch.setattr(state_type, 'precondition',
+                        counting('preconditioner', state_type.precondition))
     monkeypatch.setattr(elliptic_operator, '_stencil',
                         counting('stencil', elliptic_operator._stencil))
-    monkeypatch.setattr(system, 'solve', recorded)
+    monkeypatch.setattr(state_type, 'solve', recorded)
     op, state = make_linearization(12)
     rng = np.random.default_rng(38)
     op.derivative(state, random_interior(rng, 12))
@@ -457,8 +473,8 @@ def test_small_grids_solve_in_at_most_three_applies(monkeypatch):
     # With every mode coarse the float32 preconditioner is the inverse of
     # L(c) to about 1e-7, so each CG iteration gains about seven digits.
     applies = []
-    inner_apply = elliptic_operator._System.precondition
-    inner_solve = elliptic_operator._System.solve
+    inner_apply = elliptic_operator.OperatorState.precondition
+    inner_solve = elliptic_operator.OperatorState.solve
 
     def counting(*args):
         applies[-1] += 1
@@ -468,8 +484,8 @@ def test_small_grids_solve_in_at_most_three_applies(monkeypatch):
         applies.append(0)
         return inner_solve(*args)
 
-    monkeypatch.setattr(elliptic_operator._System, 'precondition', counting)
-    monkeypatch.setattr(elliptic_operator._System, 'solve', recorded)
+    monkeypatch.setattr(elliptic_operator.OperatorState, 'precondition', counting)
+    monkeypatch.setattr(elliptic_operator.OperatorState, 'solve', recorded)
     rng = np.random.default_rng(40)
     for n in range(1, elliptic_operator.COARSE_MODES + 1):
         for low, high in ((0.5, 4.0), (0.0, 1e4)):
@@ -494,7 +510,7 @@ def backward_error(op, state, x=None, rhs=None):
     x = state.u.interior if x is None else x
     rhs = op._rhs if rhs is None else rhs
     residual = stencil(state.c, x) - rhs
-    scale = state.c.h ** 2 * state.system.norm
+    scale = state.c.h ** 2 * state.norm
     return np.linalg.norm(residual) / (scale * np.linalg.norm(x) + np.linalg.norm(rhs))
 
 
@@ -507,7 +523,7 @@ def test_warm_forward_solve_meets_the_cold_bound_and_agrees_with_it():
     assert backward_error(op, warm) <= bound
     # The two solutions differ by no more than the two bounds allow.
     gap = stencil(c1, warm.u.interior - cold.u.interior)
-    scale = (c1.h ** 2 * cold.system.norm * np.linalg.norm(cold.u.interior)
+    scale = (c1.h ** 2 * cold.norm * np.linalg.norm(cold.u.interior)
              + np.linalg.norm(op._rhs))
     assert np.linalg.norm(gap) <= 2.0 * bound * scale
     np.testing.assert_array_equal(warm.u.values[0], cold.u.values[0])
@@ -521,13 +537,13 @@ def test_warm_derivative_solve_meets_the_cold_bound_and_agrees_with_it(monkeypat
     direction = c1 - c0
     misfit = state.u - op.linearize(c0).u
     applies = []
-    inner = elliptic_operator._System.precondition
+    inner = elliptic_operator.OperatorState.precondition
 
     def counting(*args):
         applies[-1] += 1
         return inner(*args)
 
-    monkeypatch.setattr(elliptic_operator._System, 'precondition', counting)
+    monkeypatch.setattr(elliptic_operator.OperatorState, 'precondition', counting)
     results = []
     for start in (None, misfit):
         applies.append(0)
@@ -538,7 +554,7 @@ def test_warm_derivative_solve_meets_the_cold_bound_and_agrees_with_it(monkeypat
     assert backward_error(op, state, cold, rhs) <= bound
     assert backward_error(op, state, warm, rhs) <= bound
     gap = stencil(c1, warm - cold)
-    scale = c1.h ** 2 * state.system.norm * np.linalg.norm(cold) + np.linalg.norm(rhs)
+    scale = c1.h ** 2 * state.norm * np.linalg.norm(cold) + np.linalg.norm(rhs)
     assert np.linalg.norm(gap) <= 2.0 * bound * scale
     assert applies[1] < applies[0]
 
@@ -589,7 +605,7 @@ def test_far_start_still_converges(factor):
     # derivative solve treats the misfit F(c1) - F(c0), so scaled, alike.
     op, (c0, c1) = benchmark_parameters(40, 1)
     start = op.linearize(c0)
-    far = dataclasses.replace(start, u=factor * start.u)
+    far = with_solution(start, factor * start.u)
     cold = op.linearize(c1)
     far_misfit = factor * (cold.u - start.u)
     with warnings.catch_warnings():
@@ -606,13 +622,13 @@ def test_warm_starts_save_preconditioner_applies(monkeypatch):
     # chain saves iterations in every solve after the first.
     op, parameters = benchmark_parameters(40, 3)
     applies = []
-    inner = elliptic_operator._System.precondition
+    inner = elliptic_operator.OperatorState.precondition
 
     def counting(*args):
         applies[-1] += 1
         return inner(*args)
 
-    monkeypatch.setattr(elliptic_operator._System, 'precondition', counting)
+    monkeypatch.setattr(elliptic_operator.OperatorState, 'precondition', counting)
 
     def chain(warm):
         counts, state = [], None
@@ -629,9 +645,9 @@ def test_warm_starts_save_preconditioner_applies(monkeypatch):
 
 
 def workspace_arrays(op):
-    # Every array the solves of the operator write to: the writable arrays
-    # of its grid (those that depend only on N are read-only).
-    return [array for item in vars(op._grid).values()
+    # Every array the solves of the operator write to: its writable arrays
+    # (those built from the data are read-only).
+    return [array for item in vars(op).values()
             for array in (item if isinstance(item, tuple) else (item,))
             if isinstance(array, np.ndarray) and array.flags.writeable]
 
@@ -643,8 +659,7 @@ def returned_arrays(*results):
         if isinstance(result, GridFunction):
             arrays.append(result.values)
         else:
-            arrays += [result.u.values, result.system.inverse_eigenvalues,
-                       result.system.coarse_inverse]
+            arrays += [result.u.values, result.inverse_eigenvalues, result.coarse_inverse]
     return arrays
 
 
@@ -712,10 +727,10 @@ def test_solve_error_reports_the_residual_of_the_unscaled_system(monkeypatch):
     _, state = random_operator(rng, 7, 0.5, 4.0)
     h2 = state.c.h ** 2
     rhs = h2 * rng.standard_normal((7, 7))
-    x = state.system.solve(rhs)
+    x = state.solve(rhs)
     monkeypatch.setattr(elliptic_operator, 'COND_LIMIT', 0.0)
     with pytest.raises(LinearSolveError, match='ill-conditioned') as info:
-        state.system.solve(rhs)
+        state.solve(rhs)
     reported = float(re.search(r'residual ([^,]+),', str(info.value)).group(1))
     residual = np.linalg.norm(stencil(state.c, x) - rhs) / h2
     assert residual > 0.0
