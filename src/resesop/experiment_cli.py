@@ -4,9 +4,11 @@ The benchmark reconstructs the reaction coefficient c of -Lap u + c u = f on
 the unit square from a closed-form pair (u, c): data are synthesized on a
 fine nodal grid, optionally perturbed by calibrated noise, resampled onto a
 coarser reconstruction grid, and fed to the single- or two-direction solver.
-Because the source term f comes from the continuous Laplacian and the data
-grid differs from the reconstruction grid, the discrete problem carries
-genuine discretization error instead of an inverse crime.
+The source term f comes from the continuous Laplacian and the data grid
+differs from the reconstruction grid, yet the discrete problem carries no
+discretization error: the five-point stencil is exact on the biquadratic
+state and the cubic restriction reproduces it, so exact data equal the
+discrete forward map at the true coefficient to rounding.
 
 The module doubles as the command line entry point with subcommands
 
@@ -23,6 +25,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -46,6 +49,7 @@ from .sesop_solver import (
     SolverFailure,
     StopReason,
     TruthMonitor,
+    _require_integers,
     build_stripe,
     run,
 )
@@ -184,7 +188,8 @@ class ExperimentConfig(SolverConfig):
     seed : int
         Seed >= 0 of the noise generator.
     output_path : str, optional
-        JSON report path; a CSV of the series is written alongside.
+        JSON report path; a CSV of the series is written alongside, at the
+        path with its extension, if any, replaced by .csv.
     """
 
     n_data: int = 50
@@ -194,6 +199,7 @@ class ExperimentConfig(SolverConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        _require_integers(self, ('n_data', 'n_recon', 'seed'))
         if self.n_recon < 2 or self.n_data < self.n_recon:
             raise ValueError('grids must satisfy n_data >= n_recon >= 2')
         if self.seed < 0:
@@ -298,9 +304,7 @@ def run_experiment(cfg):
                 final_rel_error)
     if cfg.output_path:
         report.write_json(cfg.output_path)
-        stem = cfg.output_path.rsplit('.', 1)[0] if '.' in cfg.output_path \
-            else cfg.output_path
-        report.write_csv(stem + '.csv')
+        report.write_csv(os.path.splitext(cfg.output_path)[0] + '.csv')
     return report
 
 

@@ -39,6 +39,7 @@ Other record fields come from monitors attached to `run`, such as
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -114,6 +115,15 @@ class SolverFailure(RuntimeError):
         self.iterate = iterate
 
 
+def _require_integers(config, names):
+    # A count or seed given as a float or a bool would fail only later, in
+    # range, np.linspace or SeedSequence, with a bare TypeError.
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError('{} must be an integer, got {!r}'.format(name, value))
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Settings of the outer iteration; the defaults are the benchmark's.
@@ -172,6 +182,7 @@ class SolverConfig:
             raise ValueError('noise level must be >= 0')
         if not self.residual_tol > 0:
             raise ValueError('residual tolerance must be positive')
+        _require_integers(self, ('max_outer',))
         if self.max_outer < 1:
             raise ValueError('max_outer must be >= 1')
 
@@ -276,11 +287,12 @@ def build_stripe(op, state, x, residual, cfg):
 class TruthMonitor:
     """Monitor of `run` that compares the iterates with a known truth.
 
-    Every record gets the relative error and the Bregman distance to the
-    truth; a step record also whether the truth lies inside the stripe,
-    else the tangential-cone ratio with one WARNING per violation, and after
-    a two-plane step the cosine between the two directions. `op` follows the
-    operator protocol of `run`; F(truth) is the `u` of `linearize(truth)`.
+    Every record gets the relative error, None for a zero truth, and the
+    Bregman distance to the truth; a step record also whether the truth
+    lies inside the stripe, else the tangential-cone ratio with one WARNING
+    per violation, and after a two-plane step the cosine between the two
+    directions. `op` follows the operator protocol of `run`; F(truth) is the
+    `u` of `linearize(truth)`.
     """
 
     def __init__(self, op, truth, cfg):
@@ -292,7 +304,8 @@ class TruthMonitor:
     def __call__(self, n, state, x, stripe=None, previous=None):
         space_x = self.space_x
         error = x - self.truth
-        fields = dict(rel_error=weighted_norm(error, space_x) / self.truth_norm,
+        fields = dict(rel_error=(None if self.truth_norm == 0.0
+                                 else weighted_norm(error, space_x) / self.truth_norm),
                       bregman_to_truth=bregman_distance(x, self.truth, space_x))
         if stripe is None:
             return fields

@@ -486,11 +486,30 @@ def test_criterion_9_stripe_containment_monitor(containment_reports, caplog):
             fraction, len(logged)))
 
 
-def test_criterion_10_step_certificate_bounds_the_descent():
+def _step_certificate(records):
     # Three-point inequality of Bregman projections: for every z in the
     # target set of step n, D(x_{n+1}, z) <= D(x_n, z) - D(x_n, x_{n+1}).
     # The truth is in that set when it lies inside the stripe of step n and,
-    # after a two-plane step, inside the previous stripe too.
+    # after a two-plane step, inside the previous stripe too. Returns the
+    # steps with the truth in their target set, the violations among them
+    # and the smallest ratio of the descent to D(x_n, x_{n+1}).
+    counted = violations = 0
+    smallest = np.inf
+    for k, (now, after) in enumerate(zip(records, records[1:])):
+        in_target = now.truth_inside and (
+            now.step_class != StepClass.TWO_PLANE_CORRECTION
+            or records[k - 1].truth_inside)
+        if not in_target:
+            continue
+        counted += 1
+        decrease = now.bregman_to_truth - after.bregman_to_truth
+        violations += decrease < (now.step_distance - 1e-9 * (1.0 + now.bregman_to_truth))
+        if now.step_distance > 0.0:
+            smallest = min(smallest, decrease / now.step_distance)
+    return counted, violations, smallest
+
+
+def test_criterion_10_step_certificate_bounds_the_descent():
     counted = violations = runs = other_stops = 0
     smallest = np.inf
     for r in (1.2, 1.5, 2.0, 3.0, 6.0):
@@ -500,24 +519,36 @@ def test_criterion_10_step_certificate_bounds_the_descent():
                     method=method, delta=5e-4, r=r, seed=7 + 1_000_003 * draw))
                 runs += 1
                 other_stops += report.stop_reason != StopReason.DISCREPANCY
-                records = report.records
-                for k, (now, after) in enumerate(zip(records, records[1:])):
-                    in_target = now.truth_inside and (
-                        now.step_class != StepClass.TWO_PLANE_CORRECTION
-                        or records[k - 1].truth_inside)
-                    if not in_target:
-                        continue
-                    counted += 1
-                    decrease = now.bregman_to_truth - after.bregman_to_truth
-                    violations += decrease < (now.step_distance
-                                              - 1e-9 * (1.0 + now.bregman_to_truth))
-                    if now.step_distance > 0.0:
-                        smallest = min(smallest, decrease / now.step_distance)
+                steps, failed, ratio = _step_certificate(report.records)
+                counted += steps
+                violations += failed
+                smallest = min(smallest, ratio)
     ok = violations == 0 and other_stops == 0 and counted > 0
     assert _verdict('criterion 10: step certificate bounds the descent', ok,
                     '{} runs, {} other stops, {} steps, {} violations, '
                     'smallest ratio {:.3g}'.format(runs, other_stops, counted,
                                                    violations, smallest))
+
+
+@pytest.mark.parametrize('method, delta, r, gauge', [
+    ('A', 0.0, 1.5, 2.0), ('B', 0.0, 1.5, 2.0), ('B', 0.0, 3.0, 2.0),
+    ('B', 5e-4, 1.5, 2.0), ('A', 5e-4, 1.2, 3.0), ('B', 5e-4, 3.0, 1.5)])
+def test_a_gauge_other_than_r_stops_in_the_band_with_the_certificate(method, delta, r, gauge):
+    # With the gauge q of the parameter-space duality map apart from r, the
+    # projections are Bregman projections of (1/q)||x||^q and criterion 10's
+    # certificate still holds; the error need not fall monotonically (see
+    # `SolverConfig.p_gauge`), so only the stop, the band and the
+    # certificate are checked.
+    report = run_experiment(ExperimentConfig(method=method, delta=delta, r=r,
+                                             p_gauge=gauge, seed=7))
+    steps, violations, _ = _step_certificate(report.records)
+    ok = (report.stop_reason == (StopReason.DISCREPANCY if delta
+                                 else StopReason.RESIDUAL_TOLERANCE)
+          and report.final_rel_error <= 0.15 and steps > 0 and violations == 0)
+    assert _verdict('gauge {} with r {}: {} on {} data'.format(
+        gauge, r, method, 'noisy' if delta else 'exact'), ok,
+        '{}, {} it / {:.2%}, {} steps, {} violations'.format(
+            report.stop_reason, report.n_star, report.final_rel_error, steps, violations))
 
 
 class _AffineOracle:

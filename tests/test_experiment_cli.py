@@ -5,6 +5,7 @@ and the command line surface."""
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -58,12 +59,17 @@ class TestSynthTruth:
             np.testing.assert_allclose(diff[sl], 0.0, atol=1e-14)
         assert np.max(np.abs(diff)) > 0.1
 
-    def test_fields_satisfy_the_discrete_problem(self):
-        # the exact state is biquadratic, so the stencil reproduces it
-        truth = synth_truth(24)
+    @pytest.mark.parametrize('n', [24, 40, 160])
+    def test_fields_satisfy_the_discrete_problem(self, n):
+        # The exact state is biquadratic, so the five-point stencil and the
+        # cubic restriction reproduce it: the benchmark's exact data, from
+        # the 1.25 times finer grid, equal the discrete forward map at the
+        # true coefficient to rounding and carry no discretization error.
+        truth = synth_truth(n)
         solved = EllipticOperator(BvpData(f=truth.f, g=truth.g)).linearize(truth.c).u
-        np.testing.assert_allclose(solved.values, truth.u.values,
-                                   rtol=0.0, atol=1e-10)
+        data = restrict(synth_truth(5 * n // 4).u, n)
+        for expected in (truth.u, data):
+            np.testing.assert_allclose(solved.values, expected.values, rtol=0.0, atol=1e-10)
 
     def test_too_small_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -193,6 +199,21 @@ class TestExperimentConfig:
             with pytest.raises(ValueError, match='^{} must be finite, got inf$'.format(name)):
                 ExperimentConfig(**{name: float('inf')})
 
+    @pytest.mark.parametrize('fields', [
+        {'max_outer': 2.5}, {'max_outer': 2.0}, {'max_outer': True},
+        {'n_recon': 40.0, 'n_data': 50}, {'n_data': 50.5}, {'n_data': True},
+        {'seed': 7.5, 'delta': 5e-4}, {'seed': False}, {'seed': '7'}])
+    def test_non_integral_counts_and_seeds_refused_by_name(self, fields):
+        # Refused when the configuration is built, not with a bare TypeError
+        # from range, np.linspace or SeedSequence inside run_experiment.
+        name = next(iter(fields))
+        message = '{} must be an integer, got {!r}'.format(name, fields[name])
+        with pytest.raises(ValueError, match='^{}$'.format(re.escape(message))):
+            ExperimentConfig(**fields)
+        if name == 'max_outer':
+            with pytest.raises(ValueError, match='^max_outer must be an integer'):
+                SolverConfig(**fields)
+
     def test_gauge_defaults_to_the_norm_exponent(self):
         assert ExperimentConfig().gauge == 1.5
         assert ExperimentConfig(p_gauge=2.0).gauge == 2.0
@@ -313,6 +334,20 @@ class TestReports:
         assert step_class == record.step_class
         # the stopping record carries no step
         assert lines[-1].endswith(',')
+
+    @pytest.mark.parametrize('out, csv', [('runs.v2/report', 'runs.v2/report.csv'),
+                                          ('runs.v2/report.json', 'runs.v2/report.csv'),
+                                          ('.hidden', '.hidden.csv')])
+    def test_csv_is_written_beside_the_json(self, tmp_path, monkeypatch, out, csv):
+        # The CSV path is the report path with its extension, if any,
+        # replaced: a dot in a directory name or a leading dot is no
+        # extension.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / 'runs.v2').mkdir()
+        run_experiment(ExperimentConfig(n_data=8, n_recon=6, max_outer=3, output_path=out))
+        written = sorted(path.relative_to(tmp_path).as_posix()
+                         for path in tmp_path.rglob('*') if path.is_file())
+        assert written == sorted([out, csv])
 
     def test_same_configuration_reproduces_the_run(self, small_report):
         cfg = small_report.config

@@ -639,6 +639,23 @@ def test_run_on_small_elliptic_instance():
     assert descent_monitor(result.records) == []
 
 
+def test_a_zero_truth_records_no_relative_error():
+    # ||x_true|| = 0 leaves the relative error undefined: it is recorded as
+    # None, and the run keeps its records and the bare run's stop.
+    truth = synth_truth(8)
+    op = EllipticOperator(BvpData(truth.f, truth.g))
+    zero = GridFunction.zeros(8)
+    y = op.linearize(zero).u
+    cfg = SolverConfig(method='B')
+    bare = run(op, y, truth.c0, cfg)
+    monitored = monitored_run(op, y, truth.c0, cfg, zero)
+    assert (monitored.stop_reason, monitored.n_star) == (
+        bare.stop_reason, bare.n_star) == (StopReason.RESIDUAL_TOLERANCE, 13)
+    assert monitored.iterate == bare.iterate
+    assert all(rec.rel_error is None and rec.bregman_to_truth is not None
+               for rec in monitored.records)
+
+
 @pytest.mark.parametrize('r', [1.1, 1.2, 1.3, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize('method', ['A', 'B'])
 def test_a_zero_start_reaches_the_residual_tolerance(method, r):
