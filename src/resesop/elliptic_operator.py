@@ -24,7 +24,7 @@ preconditioner.
 
 What depends only on N, the sine basis, the eigenvalues of -laplace_h, the
 mode products of the Galerkin matrix and the arrays that CG writes to, each
-operator builds once for the grid of its data. What depends on c, c_bar,
+operator builds once for the grid of f and g. What depends on c, c_bar,
 the shifted inverse eigenvalues, the inverse Galerkin matrix and the norm
 of L(c), the state that `linearize` returns sets up once per parameter;
 F, the derivative and the adjoint solve with that state:
@@ -44,14 +44,13 @@ operator share its CG buffers, and one operator must not solve from two
 threads at once.
 """
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 
 from .lp_spaces import GridFunction, _euclidean_norm
 
 __all__ = [
-    'BvpData',
     'OperatorState',
     'EllipticOperator',
     'LinearSolveError',
@@ -85,27 +84,6 @@ class LinearSolveError(RuntimeError):
     def __init__(self, message, parameter=None):
         super().__init__(message)
         self.parameter = parameter
-
-
-@dataclass(frozen=True)
-class BvpData:
-    """Source term and Dirichlet data of the boundary value problem.
-
-    Parameters
-    ----------
-    f : GridFunction
-        Source, used on the interior nodes.
-    g : GridFunction
-        Dirichlet values; only the boundary ring is used.
-    """
-
-    f: GridFunction
-    g: GridFunction
-
-    def __post_init__(self):
-        if self.f.values.shape != self.g.values.shape:
-            raise ValueError('source and boundary grids differ: {} vs {}'.format(
-                self.f.values.shape, self.g.values.shape))
 
 
 def _stencil(diagonal, v, out, scratch):
@@ -192,7 +170,7 @@ class OperatorState:
         row_sums += operator._neighbor_sums
         vars(self).update(operator=operator, c=c, inverse_eigenvalues=inverse_eigenvalues,
                           coarse_inverse=coarse_inverse, norm=float(row_sums.max()))
-        values = operator.data.g.values.copy()
+        values = operator._dirichlet.copy()
         values[1:-1, 1:-1] = self.solve(operator._rhs,
                                         None if start is None else start.u.interior)
         vars(self)['u'] = GridFunction._adopt(values)
@@ -306,10 +284,13 @@ class EllipticOperator:
 
     Parameters
     ----------
-    data : BvpData
-        Source and Dirichlet data shared by all evaluations.
+    f : GridFunction
+        Source, used on the interior nodes.
+    g : GridFunction
+        Dirichlet values on the grid of f; only the boundary ring is used.
 
-    Built once from the data: the right-hand side of the forward solve, the
+    Built once from f and g: the right-hand side of the forward solve, the
+    Dirichlet values that every u takes on the boundary ring, the
     float32 sine basis S, the eigenvalues lambda_j + lambda_k of the 2-D
     -laplace_h, the number K of coarse modes per axis, the 1-D mode products
     S_ia S_ia' of the K x K coarse modes, the row sums of |L(c)| off the
@@ -320,9 +301,11 @@ class EllipticOperator:
     Nothing a solve reads from them was left by an earlier solve.
     """
 
-    def __init__(self, data):
-        self.data = data
-        f, g = data.f, data.g.values
+    def __init__(self, f, g):
+        if f.values.shape != g.values.shape:
+            raise ValueError('source and boundary grids differ: {} vs {}'.format(
+                f.values.shape, g.values.shape))
+        self._dirichlet = g = g.values
         n, h = f.n_interior, f.h
         # h^2 f with the Dirichlet elimination: neighbors on the boundary ring
         # move to the right-hand side of h^2 L(c) u, as g itself.
@@ -357,13 +340,13 @@ class EllipticOperator:
         self._spectral = grid(np.float32), grid(np.float32)
 
     def _check_grid(self, f, name):
-        if f.values.shape != self.data.f.values.shape:
+        if f.values.shape != self._dirichlet.shape:
             raise ValueError('{} grid {} does not match data grid {}'.format(
-                name, f.values.shape, self.data.f.values.shape))
+                name, f.values.shape, self._dirichlet.shape))
 
     def linearize(self, c, start=None):
         """Set up L(c) once and solve it for u = F(c), with the Dirichlet
-        ring of the data, warm-started from the u of a `start` state;
+        ring of g, warm-started from the u of a `start` state;
         returns the state for F, F', F'*."""
         self._check_grid(c, 'parameter')
         return OperatorState(self, c, start)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bregman_geometry import StripeSide, classify
-from .elliptic_operator import BvpData, EllipticOperator
+from .elliptic_operator import EllipticOperator
 from .lp_spaces import (
     GridFunction,
     SpaceSpec,
@@ -247,9 +247,10 @@ class ExperimentReport:
         return cls(config=config, records=records, **payload)
 
     def write_json(self, path):
+        # The text first: a report that cannot be serialized leaves the file alone.
+        text = self.to_json() + '\n'
         with open(path, 'w') as handle:
-            handle.write(self.to_json())
-            handle.write('\n')
+            handle.write(text)
 
     def write_csv(self, path):
         with open(path, 'w', newline='') as handle:
@@ -277,7 +278,7 @@ def run_experiment(cfg):
     y = restrict(add_noise(synth_truth(cfg.n_data).u, cfg.delta, cfg.s, cfg.seed),
                  cfg.n_recon)
     coarse = synth_truth(cfg.n_recon)
-    op = EllipticOperator(BvpData(f=coarse.f, g=coarse.g))
+    op = EllipticOperator(coarse.f, coarse.g)
     logger.info('method %s, delta=%g, data grid %d, reconstruction grid %d',
                 cfg.method, cfg.delta, cfg.n_data, cfg.n_recon)
     try:
@@ -428,7 +429,7 @@ def _cmd_check(args):
     ok &= _check_line('restriction reproduces the exact state',
                       restrict_err <= 1e-12, 'max error {:.3g}'.format(restrict_err))
 
-    op = EllipticOperator(BvpData(f=truth.f, g=truth.g))
+    op = EllipticOperator(truth.f, truth.g)
     state = op.linearize(truth.c)
     direction = GridFunction.from_interior(
         rng.standard_normal((cfg.n_recon, cfg.n_recon)))

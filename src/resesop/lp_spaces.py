@@ -328,8 +328,9 @@ def bregman_distance(x, x_new, space):
         D(x, x_new) = (1/q) ||x_new||^q + (1/q*) ||x||^q - <J_q(x), x_new>.
 
     Nonnegative with D(x, x) = 0; in the Hilbert case (r = q = 2) it equals
-    (1/2) ||x - x_new||^2. Tiny values of either sign below a relative
-    rounding threshold are clamped to exactly 0.
+    (1/2) ||x - x_new||^2. Values of either sign at most BREGMAN_CLAMP times
+    ||x||^q + ||x_new||^q, rounding where the exact distance is 0, are
+    clamped to exactly 0; the threshold scales with x and x_new as D does.
 
     Parameters
     ----------
@@ -343,7 +344,7 @@ def bregman_distance(x, x_new, space):
     norm_new = weighted_norm(x_new, space)
     d = (norm_new ** q / q + norm_x ** q / q_conj
          - dual_pairing(duality_map(x, space), x_new))
-    scale = 1.0 + norm_x ** q + norm_new ** q
+    scale = norm_x ** q + norm_new ** q
     if abs(d) <= BREGMAN_CLAMP * scale:
         return 0.0
     return d

@@ -117,11 +117,14 @@ class SolverFailure(RuntimeError):
 
 def _require_integers(config, names):
     # A count or seed given as a float or a bool would fail only later, in
-    # range, np.linspace or SeedSequence, with a bare TypeError.
+    # range, np.linspace or SeedSequence, with a bare TypeError. Any other
+    # integral value, such as a numpy integer, is stored as an int, which
+    # the JSON report can write.
     for name in names:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError('{} must be an integer, got {!r}'.format(name, value))
+        object.__setattr__(config, name, int(value))
 
 
 @dataclass(frozen=True)

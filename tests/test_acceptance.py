@@ -19,8 +19,8 @@ from resesop.bregman_geometry import (
     project_intersection,
     project_two_stage,
 )
-from resesop.elliptic_operator import BvpData, EllipticOperator
-from resesop.experiment_cli import ExperimentConfig, run_experiment, synth_truth
+from resesop.elliptic_operator import EllipticOperator
+from resesop.experiment_cli import ExperimentConfig, add_noise, run_experiment, synth_truth
 from resesop.lp_spaces import (
     GridFunction,
     SpaceSpec,
@@ -258,15 +258,13 @@ def test_criterion_5_operator_checks():
         # constant and affine states are reproduced through the stencil
         for u_exact in (GridFunction(np.ones_like(xg)),
                         GridFunction(1.0 + 2.0 * xg - 0.5 * yg)):
-            data = BvpData(f=GridFunction(c.values * u_exact.values),
-                           g=u_exact)
-            solved = EllipticOperator(data).linearize(c).u
+            solved = EllipticOperator(GridFunction(c.values * u_exact.values),
+                                      u_exact).linearize(c).u
             worst_exact = max(worst_exact,
                               float(np.max(np.abs(solved.values - u_exact.values))))
 
-        data = BvpData(f=GridFunction(np.ones_like(xg)),
-                       g=GridFunction(np.zeros_like(xg)))
-        op = EllipticOperator(data)
+        op = EllipticOperator(GridFunction(np.ones_like(xg)),
+                              GridFunction(np.zeros_like(xg)))
         state = op.linearize(c)
         for _ in range(34):
             direction = GridFunction.from_interior(rng.standard_normal((n, n)))
@@ -570,6 +568,38 @@ class _AffineOracle:
         return self.op.adjoint(self.truth_state, w)
 
 
+class _CompositionOracle:
+    """F(x) = g(A x) with g(s) = s + eps sigma sin(s / sigma) pointwise,
+    sigma = 0.05, and A = (-laplace_h + I)^{-1}, dense on the n x n interior,
+    with a zero boundary ring. g' = 1 + eps cos(s / sigma) lies in
+    [1 - eps, 1 + eps], so |g(a) - g(b) - g'(a)(a - b)| <= 2 eps |a - b|
+    <= (2 eps / (1 - eps)) |g(a) - g(b)|: the tangential-cone condition holds
+    with c_tc = 2 eps / (1 - eps) in every weighted Ls norm."""
+
+    sigma = 0.05
+
+    def __init__(self, n, eps):
+        second = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) * (n + 1) ** 2
+        laplace = np.kron(second, np.eye(n)) + np.kron(np.eye(n), second)
+        self.inverse = np.linalg.inv(laplace + np.eye(n * n))
+        self.n, self.eps = n, eps
+
+    def _apply(self, interior):
+        return (self.inverse @ interior.ravel()).reshape(self.n, self.n)
+
+    def linearize(self, x, start=None):
+        s = self._apply(x.interior)
+        return SimpleNamespace(
+            u=GridFunction.from_interior(s + self.eps * self.sigma * np.sin(s / self.sigma)),
+            slope=1.0 + self.eps * np.cos(s / self.sigma))
+
+    def derivative(self, state, direction, start=None):
+        return GridFunction.from_interior(state.slope * self._apply(direction.interior))
+
+    def adjoint(self, state, w):
+        return GridFunction.from_interior(self._apply(state.slope * w.interior))
+
+
 def test_criterion_11_exact_affine_oracle(monkeypatch):
     # With an affine operator and exact data every stripe has width zero and
     # holds the truth. In L2 x L2 method A is then minimal-error steepest
@@ -578,7 +608,7 @@ def test_criterion_11_exact_affine_oracle(monkeypatch):
     # G_jk = <u_j*, u_k*>, and every step, one- or two-plane, meets Bregman's
     # Pythagoras: D(x_n, c) - D(x_{n+1}, c) = D(x_n, x_{n+1}).
     truth = synth_truth(40)
-    oracle = _AffineOracle(EllipticOperator(BvpData(f=truth.f, g=truth.g)), truth.c)
+    oracle = _AffineOracle(EllipticOperator(truth.f, truth.g), truth.c)
     y = oracle.linearize(truth.c).u
     hilbert = SpaceSpec(2.0, 2.0)
     hilbert_two_plane = []
@@ -633,3 +663,62 @@ def test_criterion_11_exact_affine_oracle(monkeypatch):
                     'over {} two-plane steps, worst Gram gap {:.2e} over {} in '
                     'L2'.format(descent_gap, worst_pythagoras, two_plane_steps,
                                 worst_gram, len(hilbert_two_plane)))
+
+
+def test_criterion_12_composition_operator_with_a_provable_cone_constant():
+    # On _CompositionOracle at c_tc = 2 eps / (1 - eps), the constant it
+    # provably has, the truth lies inside every stripe, every noisy run stops
+    # by the discrepancy principle, the error falls with delta and method B
+    # stops no later than A on every draw. At eps 0.1 with c_tc 0.001 far
+    # below that bound the truth leaves some stripes, and every measured
+    # cone ratio is within the bound. Criterion 10's certificate holds in
+    # every run. The exact-data runs at the bound may end at their budget
+    # (ROADMAP item 15), so their stop reason is not checked.
+    n = 16
+    coords = np.linspace(0.0, 1.0, n + 2)[1:-1]
+    x, y = coords[:, None], coords[None, :]
+    truth = GridFunction.from_interior(
+        np.sin(np.pi * x) * np.sin(np.pi * y)
+        + 2.0 * np.exp(-((x - 0.3) ** 2 + (y - 0.6) ** 2) / 0.01))
+    noise_levels = (1e-3, 1e-4, 1e-5)
+    bounds, results = {}, {}
+    for eps in (0.003, 0.03, 0.1):
+        op = _CompositionOracle(n, eps)
+        bounds[eps] = bound = 2.0 * eps / (1.0 - eps)
+        exact = op.linearize(truth).u
+        for delta in (0.0,) + (noise_levels if eps < 0.1 else ()):
+            for draw in range(2 if delta else 1):
+                data = add_noise(exact, delta, 2.0, 7 + 1_000_003 * draw)
+                for method in 'AB':
+                    cfg = SolverConfig(method=method, delta=delta, r=1.5, s=2.0,
+                                       cone_constant=bound if eps < 0.1 else 0.001,
+                                       residual_tol=1e-6, max_outer=300)
+                    results[eps, delta, draw, method] = run(
+                        op, data, GridFunction.zeros(n), cfg,
+                        monitors=[TruthMonitor(op, truth, cfg)])
+
+    outside = sum(rec.truth_inside is False for (eps, *_), result in results.items()
+                  for rec in result.records if eps < 0.1)
+    ratios = [rec.cone_ratio / bounds[eps] for (eps, *_), result in results.items()
+              for rec in result.records if rec.cone_ratio is not None]
+    noisy = {key: result for key, result in results.items() if key[1] > 0.0}
+    other_stops = sum(result.stop_reason != StopReason.DISCREPANCY
+                      for result in noisy.values())
+    errors_fall = all(
+        np.median([noisy[eps, high, draw, method].records[-1].rel_error for draw in range(2)])
+        > np.median([noisy[eps, low, draw, method].records[-1].rel_error
+                     for draw in range(2)])
+        for eps in (0.003, 0.03) for method in 'AB'
+        for high, low in zip(noise_levels, noise_levels[1:]))
+    b_no_later = all(result.n_star <= noisy[eps, delta, draw, 'A'].n_star
+                     for (eps, delta, draw, method), result in noisy.items() if method == 'B')
+    certificates = [_step_certificate(result.records) for result in results.values()]
+    steps = sum(counted for counted, _, _ in certificates)
+    violations = sum(failed for _, failed, _ in certificates)
+    ok = (outside == 0 and ratios and max(ratios) <= 1.0 and other_stops == 0
+          and errors_fall and b_no_later and steps > 0 and violations == 0)
+    assert _verdict('criterion 12: operator with a provable cone constant', ok,
+                    '{} runs, {} stripes missed the truth, worst cone ratio {:.3g} of '
+                    'its bound, {} other stops, {} certified steps, {} violations'.format(
+                        len(results), outside, max(ratios, default=np.nan), other_stops,
+                        steps, violations))

@@ -19,11 +19,7 @@ import numpy as np
 import pytest
 
 from resesop import elliptic_operator
-from resesop.elliptic_operator import (
-    BvpData,
-    EllipticOperator,
-    LinearSolveError,
-)
+from resesop.elliptic_operator import EllipticOperator, LinearSolveError
 from resesop.experiment_cli import restrict, synth_truth
 from resesop.lp_spaces import GridFunction, SpaceSpec, dual_pairing, duality_map, weighted_norm
 
@@ -60,9 +56,8 @@ def dense_matrix(c):
 def random_operator(rng, n, low, high):
     # An operator on random data and the state of a parameter c ~ U(low, high).
     c = GridFunction(rng.uniform(low, high, (n + 2, n + 2)))
-    data = BvpData(f=GridFunction(rng.standard_normal((n + 2, n + 2))),
-                   g=GridFunction(rng.standard_normal((n + 2, n + 2))))
-    op = EllipticOperator(data)
+    op = EllipticOperator(GridFunction(rng.standard_normal((n + 2, n + 2))),
+                          GridFunction(rng.standard_normal((n + 2, n + 2))))
     return op, op.linearize(c)
 
 
@@ -134,9 +129,9 @@ def test_indefinite_parameter_raises():
     h = 1.0 / (n + 1)
     lam = 2.0 * (4.0 / h ** 2) * np.sin(np.pi * h / 2.0) ** 2
     c = GridFunction.full(n, -3.0 * lam)
-    data = BvpData(f=GridFunction.full(n, 1.0), g=GridFunction.zeros(n))
+    op = EllipticOperator(GridFunction.full(n, 1.0), GridFunction.zeros(n))
     with pytest.raises(LinearSolveError) as info:
-        EllipticOperator(data).linearize(c)
+        op.linearize(c)
     assert 'parameter' in str(info.value)
     assert info.value.parameter is c
 
@@ -150,9 +145,9 @@ def test_indefinite_galerkin_block_raises():
     values = np.full((n + 2, n + 2), -3.0 * lam)
     values[1, 1] = 200.0
     c = GridFunction(values)
-    data = BvpData(f=GridFunction.full(n, 1.0), g=GridFunction.zeros(n))
+    op = EllipticOperator(GridFunction.full(n, 1.0), GridFunction.zeros(n))
     with pytest.raises(LinearSolveError, match='Galerkin matrix') as info:
-        EllipticOperator(data).linearize(c)
+        op.linearize(c)
     assert info.value.parameter is c
 
 
@@ -185,8 +180,8 @@ def test_preconditioner_is_symmetric_positive_definite(n, low, high):
 
 def test_solve_forward_constant_one():
     n = 6
-    data = BvpData(f=GridFunction.zeros(n), g=GridFunction.full(n, 1.0))
-    u = EllipticOperator(data).linearize(GridFunction.zeros(n)).u
+    op = EllipticOperator(GridFunction.zeros(n), GridFunction.full(n, 1.0))
+    u = op.linearize(GridFunction.zeros(n)).u
     np.testing.assert_allclose(u.values, 1.0, atol=1e-13)
 
 
@@ -194,8 +189,7 @@ def test_solve_forward_affine_exact():
     # The stencil annihilates affine functions, so u = x + y is exact.
     n = 7
     truth = nodal(lambda x, y: x + y, n)
-    data = BvpData(f=GridFunction.zeros(n), g=truth)
-    u = EllipticOperator(data).linearize(GridFunction.zeros(n)).u
+    u = EllipticOperator(GridFunction.zeros(n), truth).linearize(GridFunction.zeros(n)).u
     np.testing.assert_allclose(u.values, truth.values, atol=1e-12)
 
 
@@ -203,20 +197,21 @@ def test_solve_forward_constant_solution_with_reaction():
     rng = np.random.default_rng(30)
     n = 5
     c = GridFunction(rng.uniform(0.5, 3.0, (n + 2, n + 2)))
-    data = BvpData(f=GridFunction(c.values.copy()), g=GridFunction.full(n, 1.0))
-    u = EllipticOperator(data).linearize(c).u
+    op = EllipticOperator(GridFunction(c.values.copy()), GridFunction.full(n, 1.0))
+    u = op.linearize(c).u
     np.testing.assert_allclose(u.values, 1.0, atol=1e-12)
 
 
 def test_solve_forward_shape_mismatch():
-    data = BvpData(f=GridFunction.zeros(3), g=GridFunction.zeros(3))
+    op = EllipticOperator(GridFunction.zeros(3), GridFunction.zeros(3))
     with pytest.raises(ValueError):
-        EllipticOperator(data).linearize(GridFunction.zeros(4))
+        op.linearize(GridFunction.zeros(4))
 
 
-def test_bvp_data_shape_validation():
-    with pytest.raises(ValueError):
-        BvpData(f=GridFunction.zeros(3), g=GridFunction.zeros(4))
+def test_source_and_boundary_grids_must_match():
+    with pytest.raises(ValueError, match=r'source and boundary grids differ: \(5, 5\) vs '
+                                         r'\(6, 6\)'):
+        EllipticOperator(f=GridFunction.zeros(3), g=GridFunction.zeros(4))
 
 
 def test_quadratic_per_variable_solution_is_exact():
@@ -227,7 +222,7 @@ def test_quadratic_per_variable_solution_is_exact():
         lap = nodal(lambda x, y: 32.0 * (x * (1.0 - x) + y * (1.0 - y)), n)
         c = nodal(lambda x, y: 2.0 + x + 0.5 * y * y, n)
         f = GridFunction(-lap.values + c.values * u_true.values)
-        u = EllipticOperator(BvpData(f=f, g=u_true)).linearize(c).u
+        u = EllipticOperator(f, u_true).linearize(c).u
         space = SpaceSpec(2.0, 2.0)
         assert weighted_norm(u - u_true, space) <= 1e-12
 
@@ -239,7 +234,7 @@ def test_second_order_grid_convergence_on_trig_solution():
         u_true = nodal(lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y), n)
         c = nodal(lambda x, y: 2.0 + x * y, n)
         f = GridFunction((2.0 * np.pi ** 2 + c.values) * u_true.values)
-        u = EllipticOperator(BvpData(f=f, g=u_true)).linearize(c).u
+        u = EllipticOperator(f, u_true).linearize(c).u
         space = SpaceSpec(2.0, 2.0)
         errors.append(weighted_norm(u - u_true, space))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
@@ -252,7 +247,7 @@ def make_linearization(n, seed=31):
     c = GridFunction(rng.uniform(1.0, 3.0, (n + 2, n + 2)))
     f = nodal(lambda x, y: 1.0 + x + y, n)
     g = GridFunction.full(n, 1.0)
-    op = EllipticOperator(BvpData(f=f, g=g))
+    op = EllipticOperator(f, g)
     return op, op.linearize(c)
 
 
@@ -306,8 +301,7 @@ def test_adjoint_pairing_identity():
 def test_adjoint_one_node_hand_value():
     # N=1, c=0: L = [16], so F'(c)* w has the single interior value
     # -u0 * w0 / 16.
-    data = BvpData(f=GridFunction.full(1, 3.0), g=GridFunction.full(1, 1.0))
-    op = EllipticOperator(data)
+    op = EllipticOperator(GridFunction.full(1, 3.0), GridFunction.full(1, 1.0))
     state = op.linearize(GridFunction.zeros(1))
     u0 = state.u.values[1, 1]
     w = GridFunction.from_interior(np.array([[2.0]]))
@@ -372,7 +366,7 @@ def test_norm_estimate_from_sign_start_handles_a_sign_changing_state():
     rng = np.random.default_rng(36)
     c = GridFunction(rng.uniform(0.5, 2.0, (n + 2, n + 2)))
     f = nodal(lambda x, y: np.sin(3.0 * np.pi * x) * np.cos(2.0 * np.pi * y), n)
-    op = EllipticOperator(BvpData(f=f, g=GridFunction.zeros(n)))
+    op = EllipticOperator(f, GridFunction.zeros(n))
     state = op.linearize(c)
     interior = state.u.interior.copy()
     assert (interior > 0.0).any() and (interior < 0.0).any()
@@ -500,7 +494,7 @@ def benchmark_parameters(n, steps):
     # The operator of the benchmark at n_recon = n and parameters on the
     # segment from the starting guess towards the truth, like iterates.
     truth = synth_truth(n)
-    op = EllipticOperator(BvpData(f=truth.f, g=truth.g))
+    op = EllipticOperator(truth.f, truth.g)
     return op, [truth.c0 + (k / steps) * (truth.c - truth.c0) for k in range(steps + 1)]
 
 
@@ -571,7 +565,7 @@ def test_start_from_another_grid_is_rejected():
 def test_argument_from_another_grid_is_rejected():
     # Both messages name both grids. A one-node codomain vector would
     # otherwise be broadcast over the interior of the 8 x 8 operator.
-    op = EllipticOperator(BvpData(f=GridFunction.full(8, 1.0), g=GridFunction.zeros(8)))
+    op = EllipticOperator(GridFunction.full(8, 1.0), GridFunction.zeros(8))
     state = op.linearize(GridFunction.full(8, 1.0))
     other = GridFunction.full(1, 2.0)
     with pytest.raises(ValueError, match=r'direction grid \(3, 3\) does not match data '
@@ -590,7 +584,8 @@ def test_a_later_set_up_leaves_an_earlier_state_alone():
     w = random_interior(np.random.default_rng(48), 40)
     first = op.linearize(c0)
     op.linearize(c1)
-    fresh = EllipticOperator(op.data)
+    truth = synth_truth(40)
+    fresh = EllipticOperator(truth.f, truth.g)
     reference = fresh.linearize(c0)
     assert same_bits(op.derivative(first, c1 - c0).values,
                      fresh.derivative(reference, c1 - c0).values)
@@ -671,7 +666,8 @@ def test_workspace_reuse_is_not_observable(monkeypatch):
     # every workspace array was filled with NaN.
     op, (c0, c1) = benchmark_parameters(40, 1)
     w = random_interior(np.random.default_rng(47), 40)
-    fresh = EllipticOperator(op.data)
+    truth = synth_truth(40)
+    fresh = EllipticOperator(truth.f, truth.g)
     reference = fresh.linearize(c1)
     expected = [reference.u.values, fresh.derivative(reference, c1 - c0).values,
                 fresh.adjoint(reference, w).values]
@@ -714,7 +710,7 @@ def test_discrete_maximum_principle():
     c = GridFunction(rng.uniform(0.0, 2.0, (n + 2, n + 2)))
     f = GridFunction(rng.uniform(0.0, 1.0, (n + 2, n + 2)))
     g = GridFunction(rng.uniform(0.0, 1.0, (n + 2, n + 2)))
-    u = EllipticOperator(BvpData(f=f, g=g)).linearize(c).u
+    u = EllipticOperator(f, g).linearize(c).u
     assert np.all(u.values >= -1e-13)
 
 
@@ -746,9 +742,9 @@ def test_singular_parameter_raises():
     h = 1.0 / (n + 1)
     lam = 2.0 * (4.0 / h ** 2) * np.sin(np.pi * h / 2.0) ** 2
     c = GridFunction.full(n, -lam)
-    data = BvpData(f=GridFunction.full(n, 1.0), g=GridFunction.zeros(n))
+    op = EllipticOperator(GridFunction.full(n, 1.0), GridFunction.zeros(n))
     with pytest.raises(LinearSolveError) as info:
-        EllipticOperator(data).linearize(c)
+        op.linearize(c)
     assert 'parameter' in str(info.value)
     assert 'Galerkin matrix' in str(info.value)
 
@@ -759,7 +755,7 @@ def test_fine_grid_adjoint_solve_is_accepted():
     # gate must judge the backward error instead.
     truth = synth_truth(320)
     y = restrict(synth_truth(400).u, 320)
-    op = EllipticOperator(BvpData(f=truth.f, g=truth.g))
+    op = EllipticOperator(truth.f, truth.g)
     state = op.linearize(truth.c0)
     w = duality_map(state.u - y, SpaceSpec(5.0, 2.0))
     u_star = op.adjoint(state, w)

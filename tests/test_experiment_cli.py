@@ -15,7 +15,7 @@ import pytest
 
 import resesop
 from resesop import experiment_cli
-from resesop.elliptic_operator import BvpData, EllipticOperator
+from resesop.elliptic_operator import EllipticOperator
 from resesop.experiment_cli import (
     ExperimentConfig,
     ExperimentReport,
@@ -66,7 +66,7 @@ class TestSynthTruth:
         # the 1.25 times finer grid, equal the discrete forward map at the
         # true coefficient to rounding and carry no discretization error.
         truth = synth_truth(n)
-        solved = EllipticOperator(BvpData(f=truth.f, g=truth.g)).linearize(truth.c).u
+        solved = EllipticOperator(truth.f, truth.g).linearize(truth.c).u
         data = restrict(synth_truth(5 * n // 4).u, n)
         for expected in (truth.u, data):
             np.testing.assert_allclose(solved.values, expected.values, rtol=0.0, atol=1e-10)
@@ -348,6 +348,26 @@ class TestReports:
         written = sorted(path.relative_to(tmp_path).as_posix()
                          for path in tmp_path.rglob('*') if path.is_file())
         assert written == sorted([out, csv])
+
+    def test_report_of_a_config_with_numpy_integers_round_trips(self, tmp_path):
+        # Integral numpy values are stored as ints, which the report can write.
+        path = tmp_path / 'report.json'
+        report = run_experiment(ExperimentConfig(
+            n_data=np.int64(10), n_recon=np.int32(8), delta=5e-4, seed=np.uint8(7),
+            max_outer=np.int64(3), output_path=str(path)))
+        cfg = report.config
+        assert {type(value) for value in (cfg.n_data, cfg.n_recon, cfg.seed,
+                                          cfg.max_outer)} == {int}
+        assert ExperimentReport.from_json(path.read_text()) == report
+
+    def test_a_report_that_cannot_be_serialized_leaves_the_file_alone(
+            self, small_report, tmp_path):
+        path = tmp_path / 'report.json'
+        path.write_text('an earlier report\n')
+        broken = dataclasses.replace(small_report, n_star=np.int64(small_report.n_star))
+        with pytest.raises(TypeError):
+            broken.write_json(path)
+        assert path.read_text() == 'an earlier report\n'
 
     def test_same_configuration_reproduces_the_run(self, small_report):
         cfg = small_report.config

@@ -276,6 +276,20 @@ def test_bregman_distance_identity_of_indiscernibles():
         assert bregman_distance(x, y, space) > 0.0
 
 
+def test_bregman_distance_clamp_is_relative():
+    # For x_new = 2x the distance has the closed form
+    # ||x||^q (2^q / q + 1 / q* - 2); at ||x||^q ~ 4e-14 it is about 8.6e-15,
+    # far below an absolute 1e-12 yet far above the rounding of its terms.
+    x = GridFunction.full(8, 1e-9)
+    space = SpaceSpec(1.5, 1.5)
+    q = space.gauge_exponent
+    q_conj = conjugate_exponent(q)
+    expected = weighted_norm(x, space) ** q * (2.0 ** q / q + 1.0 / q_conj - 2.0)
+    assert bregman_distance(x, 2.0 * x, space) == pytest.approx(expected, rel=1e-9, abs=0.0)
+    zero = GridFunction.zeros(8)
+    assert bregman_distance(zero, zero, space) == 0.0
+
+
 def test_bregman_distance_hilbert_case():
     rng = np.random.default_rng(8)
     x = random_grid(rng)

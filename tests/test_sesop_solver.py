@@ -16,7 +16,7 @@ import pytest
 
 from resesop import bregman_geometry, sesop_solver
 from resesop.bregman_geometry import Stripe, project_two_stage
-from resesop.elliptic_operator import BvpData, EllipticOperator, LinearSolveError
+from resesop.elliptic_operator import EllipticOperator, LinearSolveError
 from resesop.experiment_cli import (
     ExperimentConfig,
     add_noise,
@@ -627,7 +627,7 @@ def test_run_on_small_elliptic_instance():
     truth = GridFunction(2.0 + xg * (1.0 - xg) * np.sin(np.pi * yg))
     f = GridFunction.full(n, 5.0)
     g = GridFunction.full(n, 1.0)
-    op = EllipticOperator(BvpData(f=f, g=g))
+    op = EllipticOperator(f, g)
     y = op.linearize(truth).u
     x0 = GridFunction.full(n, 2.0)
     cfg = SolverConfig(r=1.5, s=5.0, p_gauge=1.5, cone_constant=0.01,
@@ -643,7 +643,7 @@ def test_a_zero_truth_records_no_relative_error():
     # ||x_true|| = 0 leaves the relative error undefined: it is recorded as
     # None, and the run keeps its records and the bare run's stop.
     truth = synth_truth(8)
-    op = EllipticOperator(BvpData(truth.f, truth.g))
+    op = EllipticOperator(truth.f, truth.g)
     zero = GridFunction.zeros(8)
     y = op.linearize(zero).u
     cfg = SolverConfig(method='B')
@@ -663,7 +663,7 @@ def test_a_zero_start_reaches_the_residual_tolerance(method, r):
     # power whose Hessian vanishes at t = 0; at r <= 1.2 a gradient step from
     # there could not reach its minimizer, and the run failed at step 0.
     truth = synth_truth(40)
-    op = EllipticOperator(BvpData(truth.f, truth.g))
+    op = EllipticOperator(truth.f, truth.g)
     result = run(op, truth.u, GridFunction.zeros(40), SolverConfig(method=method, r=r))
     assert result.stop_reason == StopReason.RESIDUAL_TOLERANCE
 
@@ -675,7 +675,7 @@ def suite40_instance(method, delta):
     y = restrict(add_noise(synth_truth(cfg.n_data).u, cfg.delta, cfg.s, cfg.seed),
                  cfg.n_recon)
     coarse = synth_truth(cfg.n_recon)
-    return EllipticOperator(BvpData(f=coarse.f, g=coarse.g)), y, coarse.c0, coarse.c, cfg
+    return EllipticOperator(coarse.f, coarse.g), y, coarse.c0, coarse.c, cfg
 
 
 @pytest.mark.parametrize('delta', [0.0, 5e-4])
