@@ -105,7 +105,7 @@ class ConvergenceError(RuntimeError):
 
 
 class GeometryError(RuntimeError):
-    """The requested target set is empty or inconsistent."""
+    """The requested target set is empty or inconsistent, or no stripe exists."""
 
 
 def classify(x, stripe):

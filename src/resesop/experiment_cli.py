@@ -49,7 +49,6 @@ from .sesop_solver import (
     SolverFailure,
     StopReason,
     TruthMonitor,
-    _require_integers,
     build_stripe,
     run,
 )
@@ -199,7 +198,6 @@ class ExperimentConfig(SolverConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        _require_integers(self, ('n_data', 'n_recon', 'seed'))
         if self.n_recon < 2 or self.n_data < self.n_recon:
             raise ValueError('grids must satisfy n_data >= n_recon >= 2')
         if self.seed < 0:
@@ -334,7 +332,11 @@ def read_config_file(path):
                 raise ValueError('{}:{}: expected key = value'.format(path, line_no))
             if key not in _CONFIG_CASTS:
                 raise ValueError('{}:{}: unknown key {!r}'.format(path, line_no, key))
-            values[key] = _CONFIG_CASTS[key](raw.strip())
+            try:
+                values[key] = _CONFIG_CASTS[key](raw.strip())
+            except ValueError as exc:
+                raise ValueError('{}:{}: invalid value for {!r}: {}'.format(
+                    path, line_no, key, exc)) from None
     return values
 
 

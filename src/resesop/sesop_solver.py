@@ -37,9 +37,11 @@ Other record fields come from monitors attached to `run`, such as
 `TruthMonitor`, which compares the iterates with a known solution.
 """
 
+import dataclasses
 import logging
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass
 
@@ -70,11 +72,9 @@ __all__ = [
     'StepClass',
     'StopReason',
     'SolverFailure',
-    'DegenerateDirectionError',
     'TruthMonitor',
     'build_stripe',
     'run',
-    'descent_monitor',
 ]
 
 logger = logging.getLogger(__name__)
@@ -83,8 +83,6 @@ logger = logging.getLogger(__name__)
 # number of consecutive stagnant iterations that aborts the run.
 STAGNATION_TOL = 1e-14
 STAGNATION_LIMIT = 3
-# Projection coefficients above this magnitude are logged as suspicious.
-COEFFICIENT_WARN = 1e6
 
 
 class StepClass:
@@ -102,10 +100,6 @@ class StopReason:
     FAILED = 'failed'
 
 
-class DegenerateDirectionError(RuntimeError):
-    """The adjoint mapped the residual direction to zero; no stripe exists."""
-
-
 class SolverFailure(RuntimeError):
     """A run aborted; carries the records collected so far and the iterate."""
 
@@ -115,16 +109,31 @@ class SolverFailure(RuntimeError):
         self.iterate = iterate
 
 
-def _require_integers(config, names):
-    # A count or seed given as a float or a bool would fail only later, in
-    # range, np.linspace or SeedSequence, with a bare TypeError. Any other
-    # integral value, such as a numpy integer, is stored as an int, which
-    # the JSON report can write.
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError('{} must be an integer, got {!r}'.format(name, value))
-        object.__setattr__(config, name, int(value))
+def _store_declared_types(config):
+    # Every field is stored as its declared type: the JSON report writes
+    # only ints, floats and strs, and a numpy float32 noise level would make
+    # the stripe widths and the stop threshold float32. A bool, a string in
+    # a number field or any other kind is refused here, by name, not later
+    # with a bare TypeError. A None default stays None.
+    for field in dataclasses.fields(config):
+        name, value = field.name, getattr(config, field.name)
+        if value is None and field.default is None:
+            continue
+        if field.type is str:
+            if not isinstance(value, (str, os.PathLike)):
+                raise ValueError('{} must be a string or path, got {!r}'.format(name, value))
+            value = os.fspath(value)
+        elif field.type is int:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError('{} must be an integer, got {!r}'.format(name, value))
+            value = int(value)
+        else:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError('{} must be a real number, got {!r}'.format(name, value))
+            value = float(value)
+            if not math.isfinite(value):
+                raise ValueError('{} must be finite, got {}'.format(name, value))
+        object.__setattr__(config, name, value)
 
 
 @dataclass(frozen=True)
@@ -166,12 +175,9 @@ class SolverConfig:
     p_gauge: float = None
 
     def __post_init__(self):
+        _store_declared_types(self)
         if self.method not in ('A', 'B'):
             raise ValueError("method must be 'A' or 'B'")
-        for name in ('r', 's', 'p_gauge', 'delta', 'tau_factor', 'residual_tol'):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError('{} must be finite, got {}'.format(name, value))
         if not self.r > 1 or not self.s > 1:
             raise ValueError('space exponents must exceed 1')
         if self.p_gauge is not None and not self.p_gauge > 1:
@@ -185,7 +191,6 @@ class SolverConfig:
             raise ValueError('noise level must be >= 0')
         if not self.residual_tol > 0:
             raise ValueError('residual tolerance must be positive')
-        _require_integers(self, ('max_outer',))
         if self.max_outer < 1:
             raise ValueError('max_outer must be >= 1')
 
@@ -272,14 +277,14 @@ def build_stripe(op, state, x, residual, cfg):
 
     Raises
     ------
-    DegenerateDirectionError
-        When the adjoint image of w vanishes.
+    GeometryError
+        When the adjoint image of w vanishes: no stripe exists.
     """
     space_y = cfg.data_space
     w = duality_map(residual, space_y)
     u_star = op.adjoint(state, w)
     if not np.any(u_star.values):
-        raise DegenerateDirectionError('adjoint image of the residual direction is zero')
+        raise GeometryError('adjoint image of the residual direction is zero')
     alpha = dual_pairing(u_star, x) - dual_pairing(w, residual)
     res_norm = weighted_norm(residual, space_y)
     w_norm = weighted_norm(w, space_y.dual())
@@ -392,8 +397,6 @@ def run(op, y, x0, cfg, monitors=()):
                         'iterate is not strictly above its stripe (margin {:.3g}); '
                         'the stopping rule should have fired'.format(margin))
                 x_next, t = project_two_stage(x, stripe, prev_stripe, space_x)
-                if max(abs(v) for v in t) > COEFFICIENT_WARN:
-                    logger.warning('projection coefficients %s unusually large at n=%d', t, n)
                 # One coefficient per plane: two mean the previous stripe corrected the step.
                 corrected_by = None if len(t) == 1 else prev_stripe
                 fields = dict(
@@ -429,23 +432,6 @@ def run(op, y, x0, cfg, monitors=()):
             if cfg.method == 'B':
                 prev_stripe = stripe
             x = x_next
-    except (LinearSolveError, ConvergenceError, GeometryError,
-            DegenerateDirectionError) as exc:
+    except (LinearSolveError, ConvergenceError, GeometryError) as exc:
         raise SolverFailure(str(exc), records=records, iterate=x) from exc
     raise AssertionError('unreachable: loop must return')
-
-
-def descent_monitor(records):
-    """Check the recorded Bregman distances to the truth for monotone decay.
-
-    Returns a list of (n, previous, current) triples where the distance
-    increased beyond the rounding allowance.
-    """
-    violations = []
-    for before, after in zip(records, records[1:]):
-        if before.bregman_to_truth is None or after.bregman_to_truth is None:
-            continue
-        allowance = 1e-9 * (1.0 + abs(before.bregman_to_truth))
-        if after.bregman_to_truth > before.bregman_to_truth + allowance:
-            violations.append((after.n, before.bregman_to_truth, after.bregman_to_truth))
-    return violations

@@ -214,6 +214,27 @@ class TestExperimentConfig:
             with pytest.raises(ValueError, match='^max_outer must be an integer'):
                 SolverConfig(**fields)
 
+    @pytest.mark.parametrize('fields, kind', [
+        ({'delta': True}, 'a real number'), ({'tau_factor': False}, 'a real number'),
+        ({'r': '1.5'}, 'a real number'), ({'p_gauge': '2'}, 'a real number'),
+        ({'delta': None}, 'a real number'), ({'method': 1}, 'a string or path'),
+        ({'output_path': b'report.json'}, 'a string or path')])
+    def test_bools_and_strings_in_other_fields_refused_by_name(self, fields, kind):
+        name = next(iter(fields))
+        message = '{} must be {}, got {!r}'.format(name, kind, fields[name])
+        with pytest.raises(ValueError, match='^{}$'.format(re.escape(message))):
+            ExperimentConfig(**fields)
+
+    def test_fields_are_stored_as_their_declared_types(self, tmp_path):
+        cfg = ExperimentConfig(delta=np.float32(5e-4), r=np.float64(2.0), cone_constant=0,
+                               max_outer=np.int16(9), output_path=tmp_path / 'a.json')
+        assert cfg == ExperimentConfig(delta=float(np.float32(5e-4)), r=2.0,
+                                       cone_constant=0.0, max_outer=9,
+                                       output_path=str(tmp_path / 'a.json'))
+        assert all(type(getattr(cfg, field.name)) is field.type
+                   for field in dataclasses.fields(cfg) if field.name != 'p_gauge')
+        assert cfg.p_gauge is None
+
     def test_gauge_defaults_to_the_norm_exponent(self):
         assert ExperimentConfig().gauge == 1.5
         assert ExperimentConfig(p_gauge=2.0).gauge == 2.0
@@ -360,6 +381,26 @@ class TestReports:
                                           cfg.max_outer)} == {int}
         assert ExperimentReport.from_json(path.read_text()) == report
 
+    def test_a_float32_noise_level_runs_as_its_float_value(self):
+        # Stored as a float, the level keeps the stripe widths and the stop
+        # threshold in double precision, and the report can be written.
+        runs = [run_experiment(ExperimentConfig(n_data=10, n_recon=8, max_outer=3, seed=7,
+                                                delta=delta))
+                for delta in (np.float32(5e-4), float(np.float32(5e-4)))]
+        single, double = (dataclasses.replace(
+            report, wall_time=0.0,
+            records=tuple(dataclasses.replace(rec, wall_time=0.0) for rec in report.records))
+            for report in runs)
+        assert single == double
+        assert ExperimentReport.from_json(runs[0].to_json()) == runs[0]
+
+    def test_a_path_as_report_path_writes_both_files(self, tmp_path):
+        report = run_experiment(ExperimentConfig(n_data=8, n_recon=6, max_outer=3,
+                                                 output_path=tmp_path / 'report.json'))
+        assert sorted(path.name for path in tmp_path.iterdir()) == ['report.csv',
+                                                                    'report.json']
+        assert ExperimentReport.from_json((tmp_path / 'report.json').read_text()) == report
+
     def test_a_report_that_cannot_be_serialized_leaves_the_file_alone(
             self, small_report, tmp_path):
         path = tmp_path / 'report.json'
@@ -420,6 +461,19 @@ class TestConfigFile:
         garbage.write_text('just words\n')
         with pytest.raises(ValueError):
             read_config_file(garbage)
+
+    @pytest.mark.parametrize('line, error', [
+        ('delta = abc', "invalid value for 'delta': could not convert string to float: 'abc'"),
+        ('max_outer = 1e3', "invalid value for 'max_outer': invalid literal for int() "
+                            "with base 10: '1e3'")])
+    def test_a_bad_value_names_its_file_line_and_key(self, tmp_path, capsys, line, error):
+        path = tmp_path / 'bench.cfg'
+        path.write_text('# benchmark setup\nmethod = B\n' + line + '\n')
+        message = '{}:3: {}'.format(path, error)
+        with pytest.raises(ValueError, match='^{}$'.format(re.escape(message))):
+            read_config_file(path)
+        assert main(['check', '--config', str(path)]) == 2
+        assert capsys.readouterr().err == 'error: {}\n'.format(message)
 
     def test_command_line_overrides_file_values(self, tmp_path, capsys):
         path = tmp_path / 'bench.cfg'

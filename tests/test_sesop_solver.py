@@ -33,7 +33,6 @@ from resesop.lp_spaces import (
     weighted_norm,
 )
 from resesop.sesop_solver import (
-    DegenerateDirectionError,
     IterationRecord,
     SolverConfig,
     SolverFailure,
@@ -41,7 +40,6 @@ from resesop.sesop_solver import (
     StopReason,
     TruthMonitor,
     build_stripe,
-    descent_monitor,
     run,
 )
 
@@ -157,7 +155,7 @@ def test_build_stripe_degenerate_direction():
     op = LinearStub(np.zeros((n * n, n * n)), GridFunction.zeros(n))
     x = GridFunction.full(n, 1.0)
     state = op.linearize(x)
-    with pytest.raises(DegenerateDirectionError):
+    with pytest.raises(bregman_geometry.GeometryError, match='adjoint image .* is zero'):
         build_stripe(op, state, x, state.u - GridFunction.zeros(n), hilbert_config())
 
 
@@ -557,20 +555,6 @@ def test_a_null_step_at_zero_counts_as_stagnant(monkeypatch):
     assert result.n_star == 3 and len(result.records) == 3
 
 
-def test_run_warns_on_huge_coefficients(caplog):
-    class TinyAdjointStub(LinearStub):
-        def adjoint(self, state, w):
-            return 1e-9 * super().adjoint(state, w)
-
-    n = 3
-    op = TinyAdjointStub(np.eye(n * n), GridFunction.zeros(n))
-    truth = GridFunction.from_interior(np.random.default_rng(50).standard_normal((n, n)))
-    with caplog.at_level(logging.WARNING, logger='resesop.sesop_solver'):
-        run(op, op.linearize(truth).u, GridFunction.zeros(n),
-            hilbert_config(residual_tol=1e-10, max_outer=5))
-    assert any('unusually large' in rec.message for rec in caplog.records)
-
-
 def test_cone_warning_formats_an_undefined_ratio(caplog):
     # Started at the truth with data the truth does not explain, F(x) =
     # F(truth): the truth lies above the stripe and the cone ratio has a
@@ -606,19 +590,6 @@ def test_cone_ratio_starts_its_derivative_solve_from_the_misfit():
     assert start == misfit and np.any(misfit.values)
 
 
-def test_descent_monitor_flags_increases():
-    def record(n, value):
-        return IterationRecord(n=n, residual_norm=1.0, bregman_to_truth=value)
-
-    clean = [record(0, 3.0), record(1, 2.0), record(2, 2.0 + 1e-12)]
-    assert descent_monitor(clean) == []
-    dirty = [record(0, 3.0), record(1, 3.5), record(2, 1.0)]
-    violations = descent_monitor(dirty)
-    assert violations == [(1, 3.0, 3.5)]
-    sparse = [record(0, 3.0), IterationRecord(n=1, residual_norm=1.0), record(2, 2.9)]
-    assert descent_monitor(sparse) == []
-
-
 def test_run_on_small_elliptic_instance():
     # End-to-end smoke test on the real operator with self-generated data.
     n = 8
@@ -636,7 +607,9 @@ def test_run_on_small_elliptic_instance():
     assert result.stop_reason == StopReason.RESIDUAL_TOLERANCE
     assert result.records[-1].rel_error < result.records[0].rel_error
     assert all(rec.above_margin > 0.0 for rec in result.records[:-1])
-    assert descent_monitor(result.records) == []
+    distances = [rec.bregman_to_truth for rec in result.records]
+    assert all(later <= earlier + 1e-9 * (1.0 + earlier)
+               for earlier, later in zip(distances, distances[1:]))
 
 
 def test_a_zero_truth_records_no_relative_error():
