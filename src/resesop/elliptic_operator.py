@@ -202,7 +202,8 @@ class OperatorState:
         CG runs on h^2 L(c) x = h^2 b, whose stencil needs no divide, so
         `rhs` is h^2 b and the gates scale the norm of L(c) by h^2; the
         preconditioner, which approximates L(c)^{-1}, is used as it is,
-        since preconditioned CG does not depend on its scale. Each iteration first tests the recursive residual and only then
+        since preconditioned CG does not depend on its scale. Each
+        iteration first tests the recursive residual and only then
         preconditions it, so a solve of k iterations applies the
         preconditioner k times and the stencil k + 1 times (the last for the
         true residual), k + 2 times from a start. CG starts from `start`

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman_geometry import StripeSide, classify
-from .elliptic_operator import EllipticOperator
+from .bregman_geometry import EPS, StripeSide, classify
+from .elliptic_operator import BACKWARD_TOL, EllipticOperator
 from .lp_spaces import (
     GridFunction,
     SpaceSpec,
@@ -320,6 +320,11 @@ def read_config_file(path):
     Blank lines and '#' comments are ignored; keys must be ExperimentConfig
     fields. Returns a plain dict suitable for ExperimentConfig(**...).
     """
+    return {key: value for key, (_, value) in _config_lines(path).items()}
+
+
+def _config_lines(path):
+    # key -> (line number, value); a repeated key keeps its last line.
     values = {}
     with open(path) as handle:
         for line_no, line in enumerate(handle, 1):
@@ -333,7 +338,7 @@ def read_config_file(path):
             if key not in _CONFIG_CASTS:
                 raise ValueError('{}:{}: unknown key {!r}'.format(path, line_no, key))
             try:
-                values[key] = _CONFIG_CASTS[key](raw.strip())
+                values[key] = line_no, _CONFIG_CASTS[key](raw.strip())
             except ValueError as exc:
                 raise ValueError('{}:{}: invalid value for {!r}: {}'.format(
                     path, line_no, key, exc)) from None
@@ -341,14 +346,39 @@ def read_config_file(path):
 
 
 def _config_from_args(args):
-    settings = {}
-    if args.config:
-        settings.update(read_config_file(args.config))
+    flags = {}
     for field in _CONFIG_CASTS:
         value = getattr(args, _FLAG_NAMES.get(field, field), None)
         if value is not None:
-            settings[field] = value
-    return ExperimentConfig(**settings)
+            flags[field] = value
+    lines = _config_lines(args.config) if args.config else {}
+    # A flag overrides the file, so only the keys it leaves can be at fault.
+    read = {key: entry for key, entry in lines.items() if key not in flags}
+    try:
+        return ExperimentConfig(**{key: value for key, (_, value) in read.items()}, **flags)
+    except ValueError as refusal:
+        _place_refusal(refusal, args.config, read)
+        raise
+
+
+def _place_refusal(refusal, path, read):
+    """Raise `refusal` again with its place in the file when the keys `read`
+    from it produce it without the flags: one key alone names its line, the
+    keys together name the file."""
+    def refuses(values):
+        try:
+            ExperimentConfig(**values)
+        except ValueError as exc:
+            return str(exc) == str(refusal)
+        return False
+
+    for key, (line_no, value) in read.items():
+        if refuses({key: value}):
+            raise ValueError('{}:{}: invalid value for {!r}: {}'.format(
+                path, line_no, key, refusal)) from None
+    if len(read) > 1 and refuses({key: value for key, (_, value) in read.items()}):
+        raise ValueError('{}: keys {} refused together: {}'.format(
+            path, ', '.join(map(repr, read)), refusal)) from None
 
 
 def _add_config_flags(parser):
@@ -409,8 +439,15 @@ def _cmd_check(args):
     pairing_err = abs(dual_pairing(jf, f) - norm ** cfg.gauge)
     ok &= _check_line('duality pairing identity', pairing_err <= 1e-10 * norm ** cfg.gauge)
     back = inverse_duality_map(jf, space)
+    # f comes back through powers of its entries and of two norms, with the
+    # rounded exponents r - 1, r* - 1, q - r and q* - r*: a few eps times the
+    # exponents and their conjugates, of the largest entry.
+    dual = space.dual()
+    growth = ((space.norm_exponent + dual.norm_exponent)
+              * (space.gauge_exponent + dual.gauge_exponent))
+    round_trip_err = float(np.max(np.abs(back.values - f.values)))
     ok &= _check_line('duality map round trip',
-                      float(np.max(np.abs(back.values - f.values))) <= 1e-10 * norm)
+                      round_trip_err <= 8.0 * EPS * growth * np.max(np.abs(f.values)))
     other = GridFunction(rng.standard_normal((9, 9)))
     ok &= _check_line('Bregman distance nonnegative',
                       bregman_distance(f, other, space) >= 0.0
@@ -425,21 +462,39 @@ def _cmd_check(args):
     calib = abs(weighted_norm(noise, space_y) - 5e-4)
     ok &= _check_line('noise calibration', calib <= 1e-14 * 5e-4)
 
-    coarse = restrict(synth_truth(cfg.n_data).u, cfg.n_recon)
+    data = synth_truth(cfg.n_data).u
+    coarse = restrict(data, cfg.n_recon)
     restrict_err = float(np.max(np.abs(coarse.values - truth.u.values)))
-    # Cubic restriction reproduces the state, quadratic per axis, to rounding.
+    # Cubic restriction reproduces the state, quadratic per axis, to rounding:
+    # a few eps of the largest weighted sum over the 4 x 4 data nodes, since
+    # u = 1 + quartic cancels to zero from terms of size 1.
+    weights = np.abs(_interpolation_rows(cfg.n_data, cfg.n_recon))
+    restrict_scale = float(np.max(weights @ np.abs(data.values) @ weights.T))
     ok &= _check_line('restriction reproduces the exact state',
-                      restrict_err <= 1e-12, 'max error {:.3g}'.format(restrict_err))
+                      restrict_err <= 16.0 * EPS * restrict_scale,
+                      'max error {:.3g}'.format(restrict_err))
 
     op = EllipticOperator(truth.f, truth.g)
     state = op.linearize(truth.c)
     direction = GridFunction.from_interior(
         rng.standard_normal((cfg.n_recon, cfg.n_recon)))
     w = GridFunction.from_interior(rng.standard_normal((cfg.n_recon, cfg.n_recon)))
-    lhs = dual_pairing(w, op.derivative(state, direction))
-    rhs = dual_pairing(op.adjoint(state, w), direction)
-    ok &= _check_line('derivative/adjoint pairing',
-                      abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs)))
+    image, dual_image = op.derivative(state, direction), op.adjoint(state, w)
+    lhs = dual_pairing(w, image)
+    rhs = dual_pairing(dual_image, direction)
+    # Both solves are accepted at backward error BACKWARD_TOL, which leaves
+    # |lhs - rhs| <= 4 BACKWARD_TOL kappa ||w|| ||F'(c) d|| in the weighted
+    # 2-norm, kappa a bound on the condition number of L(c) from Gershgorin
+    # and the smallest eigenvalue of -laplace_h; each pairing sums over every
+    # node.
+    c, h = truth.c.interior, truth.c.h
+    kappa = ((8.0 / h ** 2 + np.max(np.abs(c)))
+             / (8.0 * np.sin(np.pi * h / 2.0) ** 2 / h ** 2 + np.min(c)))
+    l2 = SpaceSpec(2.0, 2.0)
+    scale = (weighted_norm(w, l2) * weighted_norm(image, l2)
+             + weighted_norm(dual_image, l2) * weighted_norm(direction, l2))
+    ok &= _check_line('derivative/adjoint pairing', abs(lhs - rhs) <= (
+        4.0 * BACKWARD_TOL * kappa + w.values.size * EPS) * scale)
 
     side = classify(truth.c0, _starting_stripe(op, truth, cfg))
     ok &= _check_line('starting iterate above its stripe',

@@ -20,7 +20,13 @@ from resesop.bregman_geometry import (
     project_two_stage,
 )
 from resesop.elliptic_operator import EllipticOperator
-from resesop.experiment_cli import ExperimentConfig, add_noise, run_experiment, synth_truth
+from resesop.experiment_cli import (
+    ExperimentConfig,
+    add_noise,
+    restrict,
+    run_experiment,
+    synth_truth,
+)
 from resesop.lp_spaces import (
     GridFunction,
     SpaceSpec,
@@ -735,3 +741,37 @@ def test_criterion_12_composition_operator_with_a_provable_cone_constant():
                     'steps, {} violations'.format(
                         pairing_gap, len(results), outside, max(ratios, default=np.nan),
                         other_stops, steps, violations))
+
+
+@pytest.mark.parametrize('delta', [0.0, 5e-4])
+@pytest.mark.parametrize('method', ['A', 'B'])
+def test_criterion_13_transposed_inputs_give_transposed_iterates(method, delta):
+    # The unit square, the five-point stencil and the sine-basis
+    # preconditioner are symmetric under swapping x and y, so transposing
+    # f, g, y and x0 transposes every iterate. The two runs round
+    # differently, so the iterates agree to 1e-10 relative, not bit for bit.
+    def transposed(grid):
+        return GridFunction(np.ascontiguousarray(grid.values.T))
+
+    cfg = ExperimentConfig(method=method, delta=delta, seed=7)
+    truth = synth_truth(cfg.n_recon)
+    y = restrict(add_noise(synth_truth(cfg.n_data).u, delta, cfg.s, cfg.seed), cfg.n_recon)
+    runs = []
+    for flip in (lambda grid: grid, transposed):
+        iterates = []
+
+        def keep(n, state, x, stripe, previous):
+            iterates.append(x.values)
+            return {}
+
+        op = EllipticOperator(flip(truth.f), flip(truth.g))
+        result = run(op, flip(y), flip(truth.c0), cfg, monitors=[keep])
+        runs.append((result.n_star, result.stop_reason, iterates))
+    (n_star, stop, plain), (n_star_t, stop_t, flipped) = runs
+    gap = max(np.max(np.abs(x_t.T - x)) / np.max(np.abs(x))
+              for x, x_t in zip(plain, flipped))
+    ok = ((n_star, stop) == (n_star_t, stop_t) and len(plain) == len(flipped)
+          and gap <= 1e-10)
+    assert _verdict('criterion 13: transposed inputs, {} delta={:g}'.format(method, delta),
+                    ok, 'n* {} / {}, {} / {}, worst iterate gap {:.2e}'.format(
+                        n_star, n_star_t, stop, stop_t, gap))

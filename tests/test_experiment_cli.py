@@ -475,6 +475,43 @@ class TestConfigFile:
         assert main(['check', '--config', str(path)]) == 2
         assert capsys.readouterr().err == 'error: {}\n'.format(message)
 
+    @pytest.mark.parametrize('line, error', [
+        ('delta = -1', "invalid value for 'delta': noise level must be >= 0"),
+        ('method = b', "invalid value for 'method': method must be 'A' or 'B'"),
+        ('n_recon = 60', "invalid value for 'n_recon': grids must satisfy "
+                         "n_data >= n_recon >= 2")])
+    def test_a_refused_value_names_its_file_line_and_key(self, tmp_path, capsys, line,
+                                                         error):
+        # The value parses, so only ExperimentConfig refuses it.
+        path = tmp_path / 'bench.cfg'
+        path.write_text('# benchmark setup\nseed = 5\n' + line + '\n')
+        assert main(['check', '--config', str(path)]) == 2
+        assert capsys.readouterr().err == 'error: {}:3: {}\n'.format(path, error)
+
+    def test_a_joint_refusal_names_the_file_and_its_keys(self, tmp_path, capsys):
+        # Either grid size alone passes against the other's default.
+        path = tmp_path / 'grids.cfg'
+        path.write_text('n_data = 45\nn_recon = 48\n')
+        assert main(['check', '--config', str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: {}: keys 'n_data', 'n_recon' refused together: grids must "
+            "satisfy n_data >= n_recon >= 2\n".format(path))
+
+    def test_a_refusal_the_file_does_not_produce_is_not_placed_in_it(self, tmp_path,
+                                                                      capsys):
+        # A flag overrides a refused file value, and its own refusal, or one
+        # it makes with a valid file value, does not name the file.
+        path = tmp_path / 'bench.cfg'
+        path.write_text('delta = -1\nn_recon = 12\n')
+        assert main(['check', '--config', str(path), '--delta', '0',
+                     '--n-data', '12']) == 0
+        capsys.readouterr()
+        for flags, error in ((['--tau-factor', '0.5'], 'tau factor must exceed 1'),
+                             (['--n-data', '10'], 'grids must satisfy n_data >= '
+                                                  'n_recon >= 2')):
+            assert main(['check', '--config', str(path), '--delta', '0'] + flags) == 2
+            assert capsys.readouterr().err == 'error: {}\n'.format(error)
+
     def test_command_line_overrides_file_values(self, tmp_path, capsys):
         path = tmp_path / 'bench.cfg'
         path.write_text('method = B\nn_data = 16\nn_recon = 12\n'
@@ -570,7 +607,7 @@ class TestCommandLine:
     def test_check_battery_bounds_the_cubic_restriction_on_coarse_grids(
             self, n_data, n_recon, capsys):
         # The exact state is quadratic per axis, so its cubic restriction
-        # meets the 1e-12 bound even on grids of a few nodes.
+        # meets the rounding bound even on grids of a few nodes.
         assert main(['check', '--n-data', str(n_data), '--n-recon', str(n_recon)]) == 0
         assert 'FAIL' not in capsys.readouterr().out
 
@@ -588,7 +625,7 @@ class TestCommandLine:
     def test_check_battery_detects_a_restriction_error_beyond_its_bound(
             self, monkeypatch, capsys):
         # Cubic restriction reproduces the state to rounding, so the check
-        # allows 1e-12; an offset of 2e-3 breaks that.
+        # allows a few eps of the data; an offset of 2e-3 breaks that.
         def offset(data, n_to):
             return restrict(data, n_to) + GridFunction.full(n_to, 2e-3)
 
@@ -596,6 +633,19 @@ class TestCommandLine:
         assert main(['check']) == 1
         failed = [line for line in capsys.readouterr().out.splitlines() if 'FAIL' in line]
         assert len(failed) == 1 and failed[0].startswith('restriction')
+
+    def test_check_battery_detects_an_adjoint_off_by_a_millionth(self, monkeypatch, capsys):
+        # Two solves at the operator's backward tolerance leave a pairing gap
+        # far below 1e-6 of the pairing; the fixed 1e-10 (1 + |lhs|) allowed it.
+        adjoint = EllipticOperator.adjoint
+
+        def scaled(self, state, w):
+            return (1.0 + 1e-6) * adjoint(self, state, w)
+
+        monkeypatch.setattr(EllipticOperator, 'adjoint', scaled)
+        assert main(['check']) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if 'FAIL' in line]
+        assert len(failed) == 1 and failed[0].startswith('derivative/adjoint')
 
     def test_check_battery_detects_a_miscalibrated_noise_field(self, monkeypatch, capsys):
         def scaled(u, delta, exponent, seed):

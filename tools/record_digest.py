@@ -8,10 +8,6 @@ stopping indices n* and one SHA-256 over the repr of every report and
 record field except `wall_time`. repr round-trips a float exactly and keeps
 the sign of zero, so two revisions with equal digests produced equal
 reports. It exits 1, with the reason on stderr, when a run fails.
-
-`report_digest` is that field rule; importing this module runs nothing and
-imports neither numpy nor resesop, so tools/ab_compare.py digests the
-reports of any source tree with it.
 """
 
 import dataclasses
