@@ -488,6 +488,18 @@ class TestConfigFile:
         assert main(['check', '--config', str(path)]) == 2
         assert capsys.readouterr().err == 'error: {}:3: {}\n'.format(path, error)
 
+    def test_a_repeated_key_is_placed_at_its_last_line(self, tmp_path, capsys):
+        # The last assignment of a key is the one read, so it alone is placed.
+        path = tmp_path / 'bench.cfg'
+        path.write_text('delta = -1\nseed = 5\ndelta = 0\n')
+        assert main(['check', '--config', str(path)]) == 0
+        capsys.readouterr()
+        path.write_text('delta = 0\nseed = 5\ndelta = -1\n')
+        assert main(['check', '--config', str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: {}:3: invalid value for 'delta': noise level must be >= 0\n"
+            .format(path))
+
     def test_a_joint_refusal_names_the_file_and_its_keys(self, tmp_path, capsys):
         # Either grid size alone passes against the other's default.
         path = tmp_path / 'grids.cfg'
@@ -647,6 +659,29 @@ class TestCommandLine:
         failed = [line for line in capsys.readouterr().out.splitlines() if 'FAIL' in line]
         assert len(failed) == 1 and failed[0].startswith('derivative/adjoint')
 
+    def test_check_battery_detects_a_duality_round_trip_error_beyond_its_bound(
+            self, monkeypatch, capsys):
+        # The round trip returns f to a few eps; the fixed 1e-10 ||f|| allowed
+        # a relative error of 1e-12.
+        inverse = experiment_cli.inverse_duality_map
+
+        def scaled(jf, space):
+            return inverse(jf, space) * (1.0 + 1e-12)
+
+        monkeypatch.setattr(experiment_cli, 'inverse_duality_map', scaled)
+        assert main(['check']) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if 'FAIL' in line]
+        assert len(failed) == 1 and failed[0].startswith('duality map round trip')
+
+    @pytest.mark.parametrize('r, gauge', [('1.1', '1.1'), ('1.2', '3'), ('8', '8')])
+    def test_check_battery_round_trip_bound_grows_with_the_exponents(
+            self, r, gauge, capsys):
+        # The round trip's rounding grows with r, r*, q and q*; its bound
+        # follows them, so valid exponents away from 2 pass on every seed.
+        for seed in range(10):
+            assert main(['check', '--r', r, '--gauge', gauge, '--seed', str(seed)]) == 0
+            assert 'FAIL' not in capsys.readouterr().out
+
     def test_check_battery_detects_a_miscalibrated_noise_field(self, monkeypatch, capsys):
         def scaled(u, delta, exponent, seed):
             return add_noise(u, delta * (1.0 + 1e-12), exponent, seed)
@@ -674,6 +709,21 @@ class TestCommandLine:
         for delta in ('0', '5e-4'):
             assert main(['run', '--seed', '-1', '--delta', delta]) == 2
             assert capsys.readouterr().err.splitlines() == ['error: seed must be >= 0']
+
+
+    def test_module_entry_point_places_a_refused_config_value(self, tmp_path):
+        # `python -m resesop` reports the refusal with the file, line and key.
+        env = dict(os.environ, PYTHONPATH=str(Path(resesop.__file__).resolve().parents[1]))
+        path = tmp_path / 'refused.cfg'
+        for line, key in (('delta = -1', 'delta'), ('method = b', 'method')):
+            path.write_text(line + '\n')
+            proc = subprocess.run([sys.executable, '-m', 'resesop', 'check', '--config',
+                                   str(path)], capture_output=True, text=True, env=env,
+                                  timeout=300, check=False)
+            assert proc.returncode == 2
+            assert proc.stdout == ''
+            assert proc.stderr.startswith(
+                "error: {}:1: invalid value for {!r}: ".format(path, key))
 
 
 class TestLogging:
