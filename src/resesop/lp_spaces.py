@@ -9,7 +9,8 @@ identities of the gauge-q duality mapping hold exactly on the grid:
     <J_q(f), f> = ||f||^q,    ||J_q(f)||_* = ||f||^(q - 1),
 
 where ||.||_* is the norm with the conjugate exponent on the same grid, and
-J_2 on a space with norm exponent 2 is the identity.
+J_2 on a space with norm exponent 2 returns the values of f, its zeros
+unsigned.
 
 A space is fixed by its two exponents, the norm exponent r and the gauge q
 of J_q; the weight belongs to the grid, so every function here takes h
@@ -147,20 +148,12 @@ class GridFunction:
             return NotImplemented
         return GridFunction._adopt(self.values - other.values)
 
-    def __neg__(self):
-        return GridFunction._adopt(-self.values)
-
     def __mul__(self, scalar):
         if not isinstance(scalar, numbers.Real):
             return NotImplemented
         return GridFunction._adopt(self.values * float(scalar))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if not isinstance(scalar, numbers.Real):
-            return NotImplemented
-        return GridFunction._adopt(self.values / float(scalar))
 
 
 @dataclass(frozen=True)
@@ -219,12 +212,9 @@ def weighted_norm(f, space):
     key = ('norm', p)
     norm = f._memo.get(key)
     if norm is None:
-        if p == 2.0:
-            norm = f.h * _euclidean_norm(f.values)
-        else:
-            powers = np.abs(f.values)
-            powers **= p
-            norm = f.h ** (2.0 / p) * float(powers.sum()) ** (1.0 / p)
+        powers = np.abs(f.values)
+        powers **= p
+        norm = f.h ** (2.0 / p) * float(powers.sum()) ** (1.0 / p)
         f._memo[key] = norm
     return norm
 
@@ -261,8 +251,7 @@ def duality_map(f, space):
     -------
     GridFunction
         Dual vector on the same grid; pair it with ``space.dual()``. It is
-        stored on `f`, keyed by the exponents, except where it is `f` itself
-        (r = q = 2).
+        stored on `f`, keyed by the exponents.
 
     Raises
     ------
@@ -281,8 +270,6 @@ def duality_map(f, space):
         # there); max |f| = max(max f, -min f), without an array.
         peak = max(values.max(), -values.min())
         vanishes = peak < 1.0 and peak ** r == 0.0
-        if r == 2.0 and not vanishes:
-            return f  # the identity: storing f on itself would be a cycle
     else:
         norm = weighted_norm(f, space)
         if not math.isfinite(norm):

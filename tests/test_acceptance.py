@@ -142,7 +142,7 @@ def _qp_two_stage_oracle(x, stripe, previous, space):
     # previous upper and lower bounds (the latter two are never both active)
     constraints = ((stripe.u_star, stripe.alpha + stripe.xi),
                    (previous.u_star, previous.alpha + previous.xi),
-                   (-previous.u_star, -(previous.alpha - previous.xi)))
+                   (previous.u_star * -1.0, -(previous.alpha - previous.xi)))
     best = None
     for active in ((), (0,), (1,), (2,), (0, 1), (0, 2)):
         us = [constraints[k][0] for k in active]
@@ -775,3 +775,36 @@ def test_criterion_13_transposed_inputs_give_transposed_iterates(method, delta):
     assert _verdict('criterion 13: transposed inputs, {} delta={:g}'.format(method, delta),
                     ok, 'n* {} / {}, {} / {}, worst iterate gap {:.2e}'.format(
                         n_star, n_star_t, stop, stop_t, gap))
+
+
+def test_criterion_14_noise_levels_and_search_directions():
+    # The paper's two claims across noise levels, on five noise draws per
+    # level: each run stops by the discrepancy principle with criterion 10's
+    # certificate, the median error falls strictly with delta for each
+    # method (regularization), and two search directions never take more
+    # iterations than one on the same draw.
+    deltas, draws = (3e-3, 1e-3, 3e-4, 1e-4), range(5)
+    reports = {(delta, method, draw): run_experiment(ExperimentConfig(
+        method=method, delta=delta, seed=7 + 1_000_003 * draw, n_recon=40, n_data=50))
+        for delta in deltas for method in 'AB' for draw in draws}
+    other_stops = sum(report.stop_reason != StopReason.DISCREPANCY
+                      for report in reports.values())
+    medians = {method: [np.median([reports[delta, method, draw].final_rel_error
+                                   for draw in draws]) for delta in deltas]
+               for method in 'AB'}
+    falling = all(coarse > fine for errors in medians.values()
+                  for coarse, fine in zip(errors, errors[1:]))
+    b_slower = sum(reports[delta, 'B', draw].n_star > reports[delta, 'A', draw].n_star
+                   for delta in deltas for draw in draws)
+    certificates = [_step_certificate(report.records) for report in reports.values()]
+    steps = sum(counted for counted, _, _ in certificates)
+    violations = sum(failed for _, failed, _ in certificates)
+    ok = (other_stops == 0 and falling and b_slower == 0 and steps > 0
+          and violations == 0)
+    assert _verdict('criterion 14: noise levels, A and B', ok,
+                    '{} runs, {} other stops, median errors A {} / B {}, '
+                    'B slower on {} draws, {} steps, {} violations'.format(
+                        len(reports), other_stops,
+                        ' '.join('{:.1%}'.format(e) for e in medians['A']),
+                        ' '.join('{:.1%}'.format(e) for e in medians['B']),
+                        b_slower, steps, violations))

@@ -604,7 +604,7 @@ def test_project_two_stage_hilbert_kkt_oracle():
         x_new, t = project_two_stage(x, stripe, previous, space)
         planes_used.add(len(t))
         halves = [(u1, stripe.alpha + stripe.xi), (u2, previous.alpha + previous.xi),
-                  (-u2, previous.xi - previous.alpha)]
+                  (u2 * -1.0, previous.xi - previous.alpha)]
         oracle = kkt_halfspace_oracle(x, halves, space, masks=(0, 1, 2, 4, 3, 5))
         np.testing.assert_allclose(x_new.values, oracle.values, rtol=1e-8, atol=1e-8)
     assert planes_used == {1, 2}  # both stages exercised

@@ -21,13 +21,18 @@ from resesop.experiment_cli import (
     ExperimentReport,
     add_noise,
     main,
-    read_config_file,
     restrict,
     run_experiment,
     synth_truth,
 )
 from resesop.lp_spaces import GridFunction, SpaceSpec, weighted_norm
-from resesop.sesop_solver import IterationRecord, SolverConfig, SolverFailure, StopReason
+from resesop.sesop_solver import (
+    IterationRecord,
+    SolveResult,
+    SolverConfig,
+    SolverFailure,
+    StopReason,
+)
 
 
 def nodal(func, n):
@@ -433,14 +438,41 @@ class TestReports:
         assert report.records == ()
         assert report.final_residual is None
 
+    def test_a_zero_final_residual_is_logged_as_zero(self, monkeypatch, caplog):
+        # A residual of exactly 0.0 is a value, not a missing record.
+        def solved(op, y, x0, cfg, monitors=()):
+            record = IterationRecord(n=0, residual_norm=0.0, rel_error=0.0)
+            return SolveResult(iterate=x0, records=(record,),
+                               stop_reason=StopReason.RESIDUAL_TOLERANCE, n_star=0)
+
+        monkeypatch.setattr(experiment_cli, 'run', solved)
+        with caplog.at_level('INFO', logger='resesop.experiment_cli'):
+            report = run_experiment(ExperimentConfig(n_data=8, n_recon=6))
+        assert report.final_residual == 0.0
+        assert caplog.messages[-1] == (
+            'stop "residual_tolerance" at n*=0, residual 0, relative error 0.0')
+
     def test_benchmark_run_lands_in_the_expected_band(self, exact_report_a):
         assert exact_report_a.stop_reason == StopReason.RESIDUAL_TOLERANCE
         assert 14 <= exact_report_a.n_star <= 41
         assert exact_report_a.final_rel_error <= 0.15
 
 
+def config_read_by_check(path, monkeypatch):
+    # The configuration `resesop check --config path` would run.
+    seen = []
+
+    def record(args):
+        seen.append(experiment_cli._config_from_args(args))
+        return 0
+
+    monkeypatch.setattr(experiment_cli, '_cmd_check', record)
+    assert main(['check', '--config', str(path)]) == 0
+    return seen[0]
+
+
 class TestConfigFile:
-    def test_parse_types_comments_and_blanks(self, tmp_path):
+    def test_parse_types_comments_and_blanks(self, tmp_path, monkeypatch):
         path = tmp_path / 'bench.cfg'
         path.write_text(
             '# benchmark setup\n'
@@ -449,18 +481,18 @@ class TestConfigFile:
             'n_recon = 12   # coarse grid\n'
             '\n'
             'seed = 5\n')
-        values = read_config_file(path)
-        assert values == {'method': 'B', 'delta': 5e-4, 'n_recon': 12, 'seed': 5}
+        assert config_read_by_check(path, monkeypatch) == ExperimentConfig(
+            method='B', delta=5e-4, n_recon=12, seed=5)
 
-    def test_unknown_keys_and_garbage_rejected(self, tmp_path):
+    def test_unknown_keys_and_garbage_rejected(self, tmp_path, capsys):
         bad_key = tmp_path / 'bad.cfg'
         bad_key.write_text('colour = blue\n')
-        with pytest.raises(ValueError):
-            read_config_file(bad_key)
+        assert main(['check', '--config', str(bad_key)]) == 2
+        assert capsys.readouterr().err == "error: {}:1: unknown key 'colour'\n".format(bad_key)
         garbage = tmp_path / 'garbage.cfg'
         garbage.write_text('just words\n')
-        with pytest.raises(ValueError):
-            read_config_file(garbage)
+        assert main(['check', '--config', str(garbage)]) == 2
+        assert capsys.readouterr().err == 'error: {}:1: expected key = value\n'.format(garbage)
 
     @pytest.mark.parametrize('line, error', [
         ('delta = abc', "invalid value for 'delta': could not convert string to float: 'abc'"),
@@ -469,11 +501,8 @@ class TestConfigFile:
     def test_a_bad_value_names_its_file_line_and_key(self, tmp_path, capsys, line, error):
         path = tmp_path / 'bench.cfg'
         path.write_text('# benchmark setup\nmethod = B\n' + line + '\n')
-        message = '{}:3: {}'.format(path, error)
-        with pytest.raises(ValueError, match='^{}$'.format(re.escape(message))):
-            read_config_file(path)
         assert main(['check', '--config', str(path)]) == 2
-        assert capsys.readouterr().err == 'error: {}\n'.format(message)
+        assert capsys.readouterr().err == 'error: {}:3: {}\n'.format(path, error)
 
     @pytest.mark.parametrize('line, error', [
         ('delta = -1', "invalid value for 'delta': noise level must be >= 0"),
@@ -672,6 +701,34 @@ class TestCommandLine:
         assert main(['check']) == 1
         failed = [line for line in capsys.readouterr().out.splitlines() if 'FAIL' in line]
         assert len(failed) == 1 and failed[0].startswith('duality map round trip')
+
+    def test_check_battery_skips_entries_whose_image_underflows(self, monkeypatch, capsys):
+        # At r = 100 the entry 1.8e-4 of seed 8's field maps to |f|^99 = 0,
+        # which no inverse map can return to 1.8e-4; only that entry is skipped.
+        flags = ['check', '--r', '100', '--seed', '8']
+        assert main(flags) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert ('duality map round trip                       PASS (images skipped for '
+                'underflow: 1)') in lines
+        assert 'FAIL' not in '\n'.join(lines)
+        # The other entries are still judged: the bound at r = 100 is 1.8e-11
+        # of max|f|, and a relative error of 1e-9 breaks it.
+        inverse = experiment_cli.inverse_duality_map
+        monkeypatch.setattr(experiment_cli, 'inverse_duality_map',
+                            lambda jf, space: inverse(jf, space) * (1.0 + 1e-9))
+        assert main(flags) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if 'FAIL' in line]
+        assert len(failed) == 1 and failed[0].startswith('duality map round trip')
+
+    def test_check_battery_judges_every_entry_with_a_normal_image(self, capsys):
+        # At r = 1.001 and gauge 6 every image is near 0.38, a normal double,
+        # so nothing is skipped; the inverse map's norm, with exponent
+        # r* = 1001, underflows to 0 and the whole field comes back as 0,
+        # which the round trip still reports.
+        assert main(['check', '--r', '1.001', '--gauge', '6', '--seed', '1']) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if 'FAIL' in line]
+        assert failed == ['duality map round trip                       FAIL (images skipped '
+                          'for underflow: 0)']
 
     @pytest.mark.parametrize('r, gauge', [('1.1', '1.1'), ('1.2', '3'), ('8', '8')])
     def test_check_battery_round_trip_bound_grows_with_the_exponents(

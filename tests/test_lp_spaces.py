@@ -87,7 +87,7 @@ def test_fresh_arrays_are_adopted_without_a_copy_but_with_every_check():
             GridFunction._adopt(bad)
     # What the package builds from fresh arrays is as read-only as the rest.
     f = GridFunction.full(2, 1.5)
-    built = (f + f, f - f, -f, 2.0 * f, f / 2.0,
+    built = (f + f, f - f, 2.0 * f, f * -1.0,
              GridFunction.from_interior(np.ones((2, 2))),
              duality_map(f, SpaceSpec(3.0, 2.0)))
     for grid in built:
@@ -103,10 +103,9 @@ def test_grid_function_arithmetic():
     g = random_grid(rng, n=3)
     np.testing.assert_allclose((f + g).values, f.values + g.values)
     np.testing.assert_allclose((f - g).values, f.values - g.values)
-    np.testing.assert_allclose((-f).values, -f.values)
     np.testing.assert_allclose((2.5 * f).values, 2.5 * f.values)
     np.testing.assert_allclose((f * 2.5).values, 2.5 * f.values)
-    np.testing.assert_allclose((f / 4.0).values, f.values / 4.0)
+    assert np.array_equal((f * -1.0).values, -f.values)
     assert f == GridFunction(f.values.copy())
     assert not f == g
 
@@ -204,10 +203,14 @@ def test_duality_map_defining_identities():
 
 
 def test_duality_map_hilbert_identity():
+    # J_2 on L^2 returns the values of f, a signed zero as +0.
     rng = np.random.default_rng(3)
-    f = random_grid(rng)
-    space = SpaceSpec(2.0, 2.0)
-    assert duality_map(f, space) is f
+    values = rng.standard_normal((6, 6))
+    values[2, 3] = -0.0
+    f = GridFunction(values)
+    image = duality_map(f, SpaceSpec(2.0, 2.0))
+    assert image == f
+    assert not np.signbit(image.values[2, 3])
 
 
 def test_duality_map_zero_convention():
@@ -319,8 +322,6 @@ def test_duality_maps_round_trip_and_send_zero_to_zero_on_every_grid(r, q):
 
 def allocating_norm(v, p, h):
     # The formula of the weighted norm, one new array per operation.
-    if p == 2.0:
-        return h * np.linalg.norm(v)
     return h ** (2.0 / p) * float((np.abs(v) ** p).sum()) ** (1.0 / p)
 
 
@@ -352,11 +353,8 @@ def test_in_place_maps_equal_the_allocating_formula_bitwise(r, q):
     f = GridFunction(v.reshape(12, 12))
     assert f.h == 1.0 / 11.0
     space = SpaceSpec(r, q)
-    if r == q == 2.0:
-        assert duality_map(f, space) is f
-    else:
-        assert same_bits(duality_map(f, space).values,
-                         allocating_duality_map(v, r, q, f.h).reshape(12, 12))
+    assert same_bits(duality_map(f, space).values,
+                     allocating_duality_map(v, r, q, f.h).reshape(12, 12))
     assert weighted_norm(f, space) == allocating_norm(v, r, f.h)
 
 
@@ -365,7 +363,7 @@ def test_norm_and_duality_map_are_stored_on_the_grid_function():
     # returns the stored object, and a value planted in the store comes back
     # unchanged. The dual space is another key.
     f = random_grid(np.random.default_rng(43), scale=2.0)
-    for r, q in [(1.5, 2.0), (5.0, 2.0), (3.0, 3.0), (1.5, 1.5)]:
+    for r, q in [(1.5, 2.0), (5.0, 2.0), (3.0, 3.0), (1.5, 1.5), (2.0, 2.0)]:
         space = SpaceSpec(r, q)
         norm, image = weighted_norm(f, space), duality_map(f, space)
         assert norm == allocating_norm(f.values, r, f.h)
