@@ -415,14 +415,27 @@ def _check_line(label, passed, detail=''):
     return bool(passed)
 
 
+def _unit_field(rng, space):
+    """A random 9 x 9 grid function of unit norm in `space`.
+
+    The duality and Bregman identities are homogeneous, so the gates take
+    fields of unit norm, and every norm they form, to the powers r, r*, q
+    and q*, stays inside double range; a largest entry of 1 first keeps the
+    norm of the draw itself finite.
+    """
+    values = rng.standard_normal((9, 9))
+    field = GridFunction(values / np.max(np.abs(values)))
+    return field * (1.0 / weighted_norm(field, space))
+
+
 def _cmd_check(args):
     """Fast invariant battery on the configured spaces and grids."""
     cfg = _config_from_args(args)
     rng = np.random.default_rng(cfg.seed)
     ok = True
 
-    f = GridFunction(rng.standard_normal((9, 9)))
     space = cfg.parameter_space
+    f = _unit_field(rng, space)
     jf = duality_map(f, space)
     norm = weighted_norm(f, space)
     pairing_err = abs(dual_pairing(jf, f) - norm ** cfg.gauge)
@@ -441,7 +454,7 @@ def _cmd_check(args):
     ok &= _check_line('duality map round trip',
                       round_trip_err <= 8.0 * EPS * growth * np.max(np.abs(f.values)),
                       'images skipped for underflow: {}'.format(np.count_nonzero(~judged)))
-    other = GridFunction(rng.standard_normal((9, 9)))
+    other = _unit_field(rng, space)
     ok &= _check_line('Bregman distance nonnegative',
                       bregman_distance(f, other, space) >= 0.0
                       and bregman_distance(f, f, space) == 0.0)

@@ -10,7 +10,8 @@ identities of the gauge-q duality mapping hold exactly on the grid:
 
 where ||.||_* is the norm with the conjugate exponent on the same grid, and
 J_2 on a space with norm exponent 2 returns the values of f, its zeros
-unsigned.
+unsigned. A gauge q other than the norm exponent r scales by ||f||^(q - r),
+so a nonzero f whose norm underflows to 0 or overflows is refused.
 
 A space is fixed by its two exponents, the norm exponent r and the gauge q
 of J_q; the weight belongs to the grid, so every function here takes h
@@ -256,7 +257,8 @@ def duality_map(f, space):
     Raises
     ------
     ValueError
-        Where the image overflows, or ||f|| with q != r.
+        Where the image overflows, or, for q != r and f != 0, where ||f||
+        underflows to 0 or overflows.
     """
     r, q = space.norm_exponent, space.gauge_exponent
     key = ('dual', r, q)
@@ -264,29 +266,19 @@ def duality_map(f, space):
     if image is not None:
         return image
     values = f.values
-    if q == r:
-        # The norm is 0 exactly when every |f_ij|^r underflows, that is when
-        # (max |f|)^r does, which needs max |f| < 1 (the power cannot overflow
-        # there); max |f| = max(max f, -min f), without an array.
-        peak = max(values.max(), -values.min())
-        vanishes = peak < 1.0 and peak ** r == 0.0
-    else:
-        norm = weighted_norm(f, space)
-        if not math.isfinite(norm):
-            raise ValueError('the norm of the grid function overflows')
-        vanishes = norm == 0.0
+    # |f|^(r-1) sign(f), with the power and the sign applied in place:
+    # sign(f) is 0 at f = 0 and at -0.0, where |f|^(r-1) is 0 already,
+    # so only negative entries change; x * -1 is -x exactly, also at 0.
     g = np.abs(values)
-    if vanishes:
-        g.fill(0.0)
-    else:
-        # |f|^(r-1) sign(f), with the power and the sign applied in place:
-        # sign(f) is 0 at f = 0 and at -0.0, where |f|^(r-1) is 0 already,
-        # so only negative entries change; x * -1 is -x exactly, also at 0.
-        g **= r - 1.0
-        np.negative(g, out=g, where=values < 0.0)
-        if q != r:
-            # A numpy float: an overflow gives inf, which _adopt refuses.
-            g *= np.float64(norm) ** (q - r)
+    g **= r - 1.0
+    np.negative(g, out=g, where=values < 0.0)
+    if q != r and values.any():
+        norm = weighted_norm(f, space)
+        if not 0.0 < norm < math.inf:
+            raise ValueError('the norm of the grid function {}'.format(
+                'underflows' if norm == 0.0 else 'overflows'))
+        # A numpy float: an overflow gives inf, which _adopt refuses.
+        g *= np.float64(norm) ** (q - r)
     image = f._memo[key] = GridFunction._adopt(g)
     return image
 

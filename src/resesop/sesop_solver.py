@@ -84,6 +84,10 @@ logger = logging.getLogger(__name__)
 STAGNATION_TOL = 1e-14
 STAGNATION_LIMIT = 3
 
+# The record fields that `run` itself writes, which no monitor may return.
+_METHOD_FIELDS = frozenset(('n', 'residual_norm', 't_params', 'stripe_widths', 'step_class',
+                            'wall_time', 'above_margin', 'step_distance'))
+
 
 class StepClass:
     """Kind of update an iteration performed."""
@@ -361,7 +365,9 @@ def run(op, y, x0, cfg, monitors=()):
         fields of record n, for x = x_n and its state: `stripe` is None exactly
         at the stopping record, `previous` the stripe a two-plane step met or
         None. A monitor keeping state n gets state n + 1 at the next call.
-        Its failures end the run as the method's do.
+        Its failures end the run as the method's do. Monitors only observe:
+        a field the method writes, or one an earlier monitor returned for
+        the same record, raises ValueError.
 
     Returns
     -------
@@ -407,7 +413,13 @@ def run(op, y, x0, cfg, monitors=()):
                                 else StepClass.TWO_PLANE_CORRECTION),
                     above_margin=margin, step_distance=bregman_distance(x, x_next, space_x))
             for monitor in monitors:
-                fields.update(monitor(n, state, x, stripe, corrected_by))
+                for key, value in monitor(n, state, x, stripe, corrected_by).items():
+                    if key in _METHOD_FIELDS or key in fields:
+                        raise ValueError(
+                            'a monitor returned {!r} for record {}, a field {}'.format(
+                                key, n, 'of the method' if key in _METHOD_FIELDS
+                                else 'an earlier monitor returned'))
+                    fields[key] = value
             records.append(IterationRecord(n=n, residual_norm=res_norm,
                                            wall_time=time.perf_counter() - tic, **fields))
             if stop:

@@ -703,8 +703,9 @@ class TestCommandLine:
         assert len(failed) == 1 and failed[0].startswith('duality map round trip')
 
     def test_check_battery_skips_entries_whose_image_underflows(self, monkeypatch, capsys):
-        # At r = 100 the entry 1.8e-4 of seed 8's field maps to |f|^99 = 0,
-        # which no inverse map can return to 1.8e-4; only that entry is skipped.
+        # At r = 100 the entry 7.4e-5 of seed 8's unit-norm field maps to
+        # |f|^99 = 0, which no inverse map can return to 7.4e-5; only that
+        # entry is skipped.
         flags = ['check', '--r', '100', '--seed', '8']
         assert main(flags) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -721,20 +722,26 @@ class TestCommandLine:
         assert len(failed) == 1 and failed[0].startswith('duality map round trip')
 
     def test_check_battery_judges_every_entry_with_a_normal_image(self, capsys):
-        # At r = 1.001 and gauge 6 every image is near 0.38, a normal double,
-        # so nothing is skipped; the inverse map's norm, with exponent
-        # r* = 1001, underflows to 0 and the whole field comes back as 0,
-        # which the round trip still reports.
-        assert main(['check', '--r', '1.001', '--gauge', '6', '--seed', '1']) == 1
-        failed = [line for line in capsys.readouterr().out.splitlines() if 'FAIL' in line]
-        assert failed == ['duality map round trip                       FAIL (images skipped '
-                          'for underflow: 0)']
+        # At r = 1.001 every image is near 1, a normal double, so nothing is
+        # skipped. The inverse map has r* = 1001, and on the raw draw its
+        # norm underflowed (the field came back as 0 and the round trip
+        # failed) or overflowed (exit 2); on a field of unit norm it is 1.
+        for gauge, seed in [('6', '1'), ('6', '8'), ('10', '1'), ('10', '7'),
+                            ('10', '8'), ('10', '10'), ('10', '11')]:
+            assert main(['check', '--r', '1.001', '--gauge', gauge, '--seed', seed]) == 0
+            captured = capsys.readouterr()
+            assert ('duality map round trip                       PASS (images skipped '
+                    'for underflow: 0)') in captured.out.splitlines()
+            assert 'FAIL' not in captured.out and captured.err == ''
 
-    @pytest.mark.parametrize('r, gauge', [('1.1', '1.1'), ('1.2', '3'), ('8', '8')])
+    @pytest.mark.parametrize('r, gauge', [('1.1', '1.1'), ('1.2', '3'), ('8', '8'),
+                                          ('1000', '2')])
     def test_check_battery_round_trip_bound_grows_with_the_exponents(
             self, r, gauge, capsys):
         # The round trip's rounding grows with r, r*, q and q*; its bound
         # follows them, so valid exponents away from 2 pass on every seed.
+        # At r = 1000 the norms of the raw draws overflowed; the battery's
+        # fields have a largest entry of 1 before they are scaled to unit norm.
         for seed in range(10):
             assert main(['check', '--r', r, '--gauge', gauge, '--seed', str(seed)]) == 0
             assert 'FAIL' not in capsys.readouterr().out

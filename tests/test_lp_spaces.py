@@ -214,10 +214,15 @@ def test_duality_map_hilbert_identity():
 
 
 def test_duality_map_zero_convention():
-    z = GridFunction.zeros(4)
-    for r, q in EXPONENT_PAIRS + [(3.0, 2.0)]:  # includes gauge < norm exponent
-        g = duality_map(z, SpaceSpec(r, q))
-        assert np.all(g.values == 0.0)
+    # |0|^(r-1) = 0, so J_q(0) = 0 needs no factor ||f||^(q - r): the map
+    # takes no norm at q = r or at q on either side of r, where the norm
+    # of an all-zero grid would read as underflow, and -0.0 maps to +0.0.
+    for value in (0.0, -0.0):
+        for r, q in EXPONENT_PAIRS + [(3.0, 2.0), (1001.0, 1.2)]:
+            z = GridFunction.full(4, value)
+            g = duality_map(z, SpaceSpec(r, q))
+            assert np.all(g.values == 0.0) and not np.signbit(g.values).any()
+            assert ('norm', r) not in z._memo
 
 
 def test_inverse_duality_map_round_trip():
@@ -380,9 +385,8 @@ def test_norm_and_duality_map_are_stored_on_the_grid_function():
 
 
 def test_duality_map_sends_underflowing_grids_to_zero():
-    # With q = r the map takes no norm; the zero test (max |f|)^r == 0
-    # holds exactly when the norm would be 0, so a subnormal grid still
-    # maps to zeros.
+    # With q = r the map takes no norm, and each |f|^(r-1) of a subnormal
+    # grid underflows to 0, the nearest double to its value.
     tiny = GridFunction.full(4, 1e-310)
     space = SpaceSpec(3.0, 3.0)
     assert weighted_norm(tiny, space) == 0.0
@@ -403,3 +407,22 @@ def test_duality_map_with_an_overflowing_norm_is_refused():
             with pytest.raises(ValueError):
                 duality_map(huge, SpaceSpec(6.0, q))
     assert np.isfinite(duality_map(huge, SpaceSpec(6.0, 6.0)).values).all()
+
+
+def test_hilbert_duality_map_keeps_a_tiny_nonzero_field():
+    # J_2 on L^2 returns the values of f however small they are; only the
+    # norm, which it does not take, would underflow.
+    tiny = GridFunction.full(4, 1e-200)
+    assert weighted_norm(tiny, SpaceSpec(2.0, 2.0)) == 0.0
+    assert np.all(duality_map(tiny, SpaceSpec(2.0, 2.0)).values == 1e-200)
+
+
+def test_duality_map_with_an_underflowing_norm_is_refused():
+    # At r = 1001 the sum of |f|^r of an O(1) field underflows, so for q != r
+    # the factor ||f||^(q - r) is undefined; returning zeros would send a
+    # nonzero field to the image of 0.
+    field = GridFunction.full(4, 0.1)
+    with pytest.raises(ValueError, match='the norm of the grid function underflows'):
+        duality_map(field, SpaceSpec(1001.0, 1.2))
+    assert ('dual', 1001.0, 1.2) not in field._memo
+

@@ -518,6 +518,39 @@ def test_a_monitor_failure_ends_the_run_with_the_records_so_far():
     assert isinstance(info.value.__cause__, LinearSolveError)
 
 
+def overwriting_monitor(n, state, x, stripe=None, previous=None):
+    return {'step_distance': -1.0, 't_params': ('overwritten',)}
+
+
+def index_monitor(n, state, x, stripe=None, previous=None):
+    return {'n': n + 1}
+
+
+def relative_error_monitor(n, state, x, stripe=None, previous=None):
+    return {'rel_error': 0.5}
+
+
+@pytest.mark.parametrize('monitors, key, owner', [
+    ([overwriting_monitor], 'step_distance', 'of the method'),
+    ([index_monitor], 'n', 'of the method'),
+    ([relative_error_monitor, relative_error_monitor], 'rel_error',
+     'an earlier monitor returned'),
+], ids=['method-fields', 'index', 'repeated-key'])
+def test_a_monitor_may_not_overwrite_a_field(monitors, key, owner):
+    # Monitors only observe: a method field, or a key an earlier monitor
+    # returned for the same record, would silently replace what the record
+    # holds (or, for n, end the run with a bare TypeError).
+    rng = np.random.default_rng(49)
+    n = 3
+    op = LinearStub(np.eye(n * n) + 0.1 * rng.standard_normal((n * n, n * n)),
+                    GridFunction.zeros(n))
+    truth = GridFunction.from_interior(rng.standard_normal((n, n)))
+    message = "a monitor returned '{}' for record 0, a field {}".format(key, owner)
+    with pytest.raises(ValueError, match=message):
+        run(op, op.linearize(truth).u, GridFunction.zeros(n), hilbert_config(residual_tol=1e-13),
+            monitors=monitors)
+
+
 def test_run_stagnation_guard():
     class FrozenStub(LinearStub):
         """Constant forward map with an enormous reported derivative."""
