@@ -35,7 +35,6 @@ correction.
 import logging
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -49,10 +48,8 @@ from .lp_spaces import (
 
 __all__ = [
     'Stripe',
-    'StripeSide',
     'ConvergenceError',
     'GeometryError',
-    'classify',
     'project_intersection',
     'project_two_stage',
 ]
@@ -68,13 +65,6 @@ GRAD_TOL = 1e-12
 MAX_NEWTON_ITERS = 200
 BACKTRACK_STEPS = [0.5 ** i for i in range(60)]  # Armijo trial steps 1, ..., 2^-59
 EPS = np.finfo(float).eps  # a Hessian with condition number >= 1/EPS is singular
-
-
-class StripeSide(Enum):
-    """Position of a point relative to a stripe."""
-    ABOVE = 'above'
-    INSIDE = 'inside'
-    BELOW = 'below'
 
 
 @dataclass(frozen=True)
@@ -94,6 +84,17 @@ class Stripe:
         if self.xi < 0:
             raise ValueError('stripe half width must be >= 0, got {}'.format(self.xi))
 
+    def violated_bound(self, x):
+        """The offset of the bounding hyperplane that x violates: alpha + xi
+        for x above the stripe, alpha - xi for x below it, None for x inside
+        (the boundary is closed)."""
+        value = dual_pairing(self.u_star, x)
+        if value > self.alpha + self.xi:
+            return self.alpha + self.xi
+        if value < self.alpha - self.xi:
+            return self.alpha - self.xi
+        return None
+
 
 class ConvergenceError(RuntimeError):
     """Inner minimization failed; carries the last iterate for diagnosis."""
@@ -106,16 +107,6 @@ class ConvergenceError(RuntimeError):
 
 class GeometryError(RuntimeError):
     """The requested target set is empty or inconsistent, or no stripe exists."""
-
-
-def classify(x, stripe):
-    """Locate x relative to a stripe: ABOVE, INSIDE (boundary closed) or BELOW."""
-    value = dual_pairing(stripe.u_star, x)
-    if value > stripe.alpha + stripe.xi:
-        return StripeSide.ABOVE
-    if value < stripe.alpha - stripe.xi:
-        return StripeSide.BELOW
-    return StripeSide.INSIDE
 
 
 def _newton_step(hessian, grad):
@@ -429,14 +420,12 @@ def project_two_stage(x, stripe, previous, space):
         stage one sufficed, two after stage two.
     """
     x_first, t_first = x, 0.0
-    side = classify(x, stripe)
-    if side is not StripeSide.INSIDE:
-        bound = stripe.alpha + (stripe.xi if side is StripeSide.ABOVE else -stripe.xi)
+    bound = stripe.violated_bound(x)
+    if bound is not None:
         x_first, (t_first,) = project_intersection(x, [(stripe.u_star, bound)], space)
-    side = StripeSide.INSIDE if previous is None else classify(x_first, previous)
-    if side is StripeSide.INSIDE:
+    bound = None if previous is None else previous.violated_bound(x_first)
+    if bound is None:
         return x_first, (float(t_first),)
-    bound = previous.alpha + (previous.xi if side is StripeSide.ABOVE else -previous.xi)
     planes = [(stripe.u_star, stripe.alpha + stripe.xi), (previous.u_star, bound)]
     x_new, t = project_intersection(x, planes, space, t_init=[t_first, 0.0])
     return x_new, tuple(float(v) for v in t)

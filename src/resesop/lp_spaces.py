@@ -10,8 +10,10 @@ identities of the gauge-q duality mapping hold exactly on the grid:
 
 where ||.||_* is the norm with the conjugate exponent on the same grid, and
 J_2 on a space with norm exponent 2 returns the values of f, its zeros
-unsigned. A gauge q other than the norm exponent r scales by ||f||^(q - r),
-so a nonzero f whose norm underflows to 0 or overflows is refused.
+unsigned. Norms are exact over the double range: a nonzero f whose sum of
+|f_ij|^p leaves the normal range is measured relative to its largest entry.
+A duality image is formed wherever a double can hold it; only an image
+outside that range is refused, with FloatingPointError.
 
 A space is fixed by its two exponents, the norm exponent r and the gauge q
 of J_q; the weight belongs to the grid, so every function here takes h
@@ -39,6 +41,8 @@ __all__ = [
     'bregman_distance',
 ]
 
+# The smallest positive normal double.
+TINY = np.finfo(float).tiny
 # Relative clamp threshold for Bregman distances: rounding can produce tiny
 # values of either sign where the exact distance is 0.
 BREGMAN_CLAMP = 1e-12
@@ -207,15 +211,29 @@ def weighted_norm(f, space):
     space : SpaceSpec
         Supplies p = norm_exponent.
 
-    The norm is stored on `f`, keyed by p.
+    Where the sum of |f_ij|^p overflows or leaves the normal range below
+    and f is nonzero, the norm is taken relative to the largest |f_ij|, as
+    peak * (h^2 * sum_ij (|f_ij| / peak)^p)^(1/p): so a nonzero f has a
+    positive norm wherever a double can hold it. The norm is stored on `f`,
+    keyed by p.
     """
     p = space.norm_exponent
     key = ('norm', p)
     norm = f._memo.get(key)
     if norm is None:
-        powers = np.abs(f.values)
-        powers **= p
-        norm = f.h ** (2.0 / p) * float(powers.sum()) ** (1.0 / p)
+        values = f.values
+        with np.errstate(over='ignore', under='ignore'):
+            powers = np.abs(values)
+            powers **= p
+            total = float(powers.sum())
+            if TINY <= total < math.inf or not values.any():
+                norm = f.h ** (2.0 / p) * total ** (1.0 / p)
+            else:
+                np.abs(values, out=powers)
+                peak = float(powers.max())
+                powers /= peak
+                powers **= p
+                norm = peak * (f.h ** 2 * float(powers.sum())) ** (1.0 / p)
         f._memo[key] = norm
     return norm
 
@@ -254,11 +272,15 @@ def duality_map(f, space):
         Dual vector on the same grid; pair it with ``space.dual()``. It is
         stored on `f`, keyed by the exponents.
 
+    For q != r the map scales |f|^(r - 1) by ||f||^(q - r) where that
+    factor is a normal double and the power did not overflow; elsewhere it
+    forms ||f||^(q - 1) * (|f| / ||f||)^(r - 1) * sign(f), whose factors
+    stay in range wherever the image does.
+
     Raises
     ------
-    ValueError
-        Where the image overflows, or, for q != r and f != 0, where ||f||
-        underflows to 0 or overflows.
+    FloatingPointError
+        Where an entry of the image overflows.
     """
     r, q = space.norm_exponent, space.gauge_exponent
     key = ('dual', r, q)
@@ -266,20 +288,30 @@ def duality_map(f, space):
     if image is not None:
         return image
     values = f.values
-    # |f|^(r-1) sign(f), with the power and the sign applied in place:
-    # sign(f) is 0 at f = 0 and at -0.0, where |f|^(r-1) is 0 already,
-    # so only negative entries change; x * -1 is -x exactly, also at 0.
-    g = np.abs(values)
-    g **= r - 1.0
+    # Numpy floats and arrays: an overflow gives inf, or nan where it meets
+    # a zero, and _adopt refuses either; an underflow rounds as it should.
+    with np.errstate(all='ignore'):
+        g = np.abs(values)
+        g **= r - 1.0
+        if q != r and values.any():
+            norm = np.float64(weighted_norm(f, space))
+            factor = norm ** (q - r)
+            if TINY <= factor < math.inf and np.isfinite(g).all():
+                g *= factor
+            else:
+                np.abs(values, out=g)
+                g /= norm
+                g **= r - 1.0
+                g *= norm ** (q - 1.0)
+    # The sign in place: sign(f) is 0 at f = 0 and at -0.0, where the
+    # power is 0 already, so only negative entries change; x * -1 is -x
+    # exactly, also at 0.
     np.negative(g, out=g, where=values < 0.0)
-    if q != r and values.any():
-        norm = weighted_norm(f, space)
-        if not 0.0 < norm < math.inf:
-            raise ValueError('the norm of the grid function {}'.format(
-                'underflows' if norm == 0.0 else 'overflows'))
-        # A numpy float: an overflow gives inf, which _adopt refuses.
-        g *= np.float64(norm) ** (q - r)
-    image = f._memo[key] = GridFunction._adopt(g)
+    try:
+        image = GridFunction._adopt(g)
+    except ValueError as exc:
+        raise FloatingPointError('the duality image of the grid function overflows') from exc
+    f._memo[key] = image
     return image
 
 

@@ -51,8 +51,6 @@ from .bregman_geometry import (
     ConvergenceError,
     GeometryError,
     Stripe,
-    StripeSide,
-    classify,
     project_two_stage,
 )
 from .elliptic_operator import LinearSolveError
@@ -327,7 +325,7 @@ class TruthMonitor:
                      * weighted_norm(lifted, space_x))
             fields['direction_cosine'] = (None if denom == 0.0 else
                                           abs(dual_pairing(stripe.u_star, lifted)) / denom)
-        fields['truth_inside'] = classify(self.truth, stripe) is StripeSide.INSIDE
+        fields['truth_inside'] = stripe.violated_bound(self.truth) is None
         if not fields['truth_inside']:
             if self.truth_image is None:
                 self.truth_image = self.op.linearize(self.truth).u
@@ -378,8 +376,8 @@ def run(op, y, x0, cfg, monitors=()):
     Raises
     ------
     SolverFailure
-        On linear-solve, projection or geometry failures; carries the
-        records collected so far.
+        On linear-solve, projection or geometry failures, or a duality image
+        beyond the double range; carries the records collected so far.
     """
     space_x, space_y = cfg.parameter_space, cfg.data_space
     threshold = cfg.stop_threshold
@@ -444,6 +442,6 @@ def run(op, y, x0, cfg, monitors=()):
             if cfg.method == 'B':
                 prev_stripe = stripe
             x = x_next
-    except (LinearSolveError, ConvergenceError, GeometryError) as exc:
+    except (LinearSolveError, ConvergenceError, GeometryError, FloatingPointError) as exc:
         raise SolverFailure(str(exc), records=records, iterate=x) from exc
     raise AssertionError('unreachable: loop must return')

@@ -19,10 +19,8 @@ from resesop import bregman_geometry
 from resesop.bregman_geometry import (
     ConvergenceError,
     Stripe,
-    StripeSide,
     _dual_objective,
     _newton_step,
-    classify,
     project_intersection,
     project_two_stage,
 )
@@ -91,16 +89,16 @@ def affine_member(rng, planes, space, n):
     return GridFunction(values)
 
 
-def test_classify_boundary_cases():
+def test_violated_bound_boundary_cases():
     # N=1 grid, weight 1/4: constant functions give dyadic pairings, so the
     # stripe boundary comparisons below are exact in floating point.
     u = GridFunction.full(1, 1.0)
     stripe = Stripe(u, 2.0, 0.25)
     assert dual_pairing(u, GridFunction.full(1, 1.0)) == 2.25
-    assert classify(GridFunction.full(1, 1.0), stripe) is StripeSide.INSIDE
-    assert classify(GridFunction.full(1, 8.0 / 9.0), stripe) is StripeSide.INSIDE
-    assert classify(GridFunction.full(1, 2.0), stripe) is StripeSide.ABOVE
-    assert classify(GridFunction.zeros(1), stripe) is StripeSide.BELOW
+    assert stripe.violated_bound(GridFunction.full(1, 1.0)) is None
+    assert stripe.violated_bound(GridFunction.full(1, 8.0 / 9.0)) is None
+    assert stripe.violated_bound(GridFunction.full(1, 2.0)) == 2.25
+    assert stripe.violated_bound(GridFunction.zeros(1)) == 1.75
 
 
 def test_stripe_validation():

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 
 import resesop
 from resesop import experiment_cli
+from resesop.bregman_geometry import Stripe
 from resesop.elliptic_operator import EllipticOperator
 from resesop.experiment_cli import (
     ExperimentConfig,
@@ -25,7 +27,7 @@ from resesop.experiment_cli import (
     run_experiment,
     synth_truth,
 )
-from resesop.lp_spaces import GridFunction, SpaceSpec, weighted_norm
+from resesop.lp_spaces import GridFunction, SpaceSpec, dual_pairing, weighted_norm
 from resesop.sesop_solver import (
     IterationRecord,
     SolveResult,
@@ -438,6 +440,24 @@ class TestReports:
         assert report.records == ()
         assert report.final_residual is None
 
+    @pytest.mark.parametrize('s', [150.0, 100.0])
+    def test_a_large_data_exponent_stops_at_a_positive_residual(self, s):
+        # At s = 150 the sum of |R|^s of a residual below 1 underflows, and at
+        # s = 100 the factor ||R||^(2 - s) of its duality map overflows.
+        report = run_experiment(ExperimentConfig(s=s))
+        assert report.stop_reason == StopReason.RESIDUAL_TOLERANCE
+        assert report.final_residual > 0.0
+        assert report.final_rel_error <= 0.15
+
+    def test_a_duality_image_that_overflows_fails_the_run(self):
+        # At r = q = 1000 the image |c|^999 of the starting iterate, whose
+        # entries are about 3, exceeds every double.
+        with warnings.catch_warnings():
+            warnings.simplefilter('error')
+            report = run_experiment(ExperimentConfig(r=1000.0))
+        assert report.stop_reason == StopReason.FAILED
+        assert 'the duality image of the grid function overflows' in report.detail
+
     def test_a_zero_final_residual_is_logged_as_zero(self, monkeypatch, caplog):
         # A residual of exactly 0.0 is a value, not a missing record.
         def solved(op, y, x0, cfg, monitors=()):
@@ -630,6 +650,11 @@ class TestCommandLine:
         assert (tmp_path / 'failed.csv').read_text().splitlines() == [
             'n,residual,rel_error,step_class']
 
+    def test_run_exits_1_when_the_duality_image_overflows(self, capsys):
+        assert main(['run', '--r', '1000']) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            'method A delta=0: stop failed at n*=0, residual n/a, relative error n/a']
+
     def test_check_battery_passes_on_the_default_setup(self, capsys):
         code = main(['check', '--n-data', '16', '--n-recon', '12'])
         assert code == 0
@@ -674,6 +699,22 @@ class TestCommandLine:
         assert main(['check']) == 1
         failed = [line for line in capsys.readouterr().out.splitlines() if 'FAIL' in line]
         assert len(failed) == 1 and failed[0].startswith('restriction')
+
+    @pytest.mark.parametrize('offset', [0.0, 1.0])
+    def test_check_battery_fails_a_start_on_or_below_a_zero_width_stripe(
+            self, monkeypatch, capsys, offset):
+        # A stripe of width 0 has one bound, which a start on it does not
+        # violate and a start below it does; the check must fail both.
+        build = experiment_cli.build_stripe
+
+        def hyperplane(op, state, x, residual, cfg):
+            stripe = build(op, state, x, residual, cfg)
+            return Stripe(stripe.u_star, dual_pairing(stripe.u_star, x) + offset, 0.0)
+
+        monkeypatch.setattr(experiment_cli, 'build_stripe', hyperplane)
+        assert main(['check']) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if 'FAIL' in line]
+        assert failed == ['{:<44s} FAIL'.format('starting iterate above its stripe')]
 
     def test_check_battery_detects_an_adjoint_off_by_a_millionth(self, monkeypatch, capsys):
         # Two solves at the operator's backward tolerance leave a pairing gap

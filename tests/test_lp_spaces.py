@@ -6,6 +6,7 @@ evaluate both sides of the defining equations independently.
 
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -386,43 +387,70 @@ def test_norm_and_duality_map_are_stored_on_the_grid_function():
 
 def test_duality_map_sends_underflowing_grids_to_zero():
     # With q = r the map takes no norm, and each |f|^(r-1) of a subnormal
-    # grid underflows to 0, the nearest double to its value.
+    # grid underflows to 0, the nearest double to its value. The norm,
+    # taken relative to the largest entry, does not: 36 nodes of weight 1/25.
     tiny = GridFunction.full(4, 1e-310)
     space = SpaceSpec(3.0, 3.0)
-    assert weighted_norm(tiny, space) == 0.0
+    assert weighted_norm(tiny, space) / 1e-310 == pytest.approx(1.44 ** (1.0 / 3.0), rel=1e-13)
     assert duality_map(tiny, space) == GridFunction.zeros(4)
     # A grid whose cube does not underflow is mapped by the power map.
     small = GridFunction.full(4, 1e-100)
     assert np.all(duality_map(small, space).values == 1e-200)
 
 
-def test_duality_map_with_an_overflowing_norm_is_refused():
-    # For q != r the image scales with ||f||^(q - r); where that norm
-    # overflows, a finite image (inf^(q - r) = 0 for q < r) would be wrong,
-    # so the map raises. With q = r it takes no norm, and |f|^(r-1) is finite:
-    # it raises no overflow warning either, which the suite makes an error.
-    huge = GridFunction.full(1, 1e60)  # |f|^6 overflows, |f|^5 does not
-    with np.errstate(over='ignore'):
-        for q in (2.0, 8.0):
-            with pytest.raises(ValueError):
-                duality_map(huge, SpaceSpec(6.0, q))
+def test_duality_map_refuses_only_an_image_that_overflows():
+    # |f|^6 overflows, |f|^5 does not, and ||f|| = 1.5^(1/3) 1e60. At q = 2
+    # the image ||f||^(-4) |f|^5 is finite; at q = 8 it is ||f||^2 |f|^5,
+    # about 1e420, which no double holds. With q = r the map takes no norm.
+    huge = GridFunction.full(1, 1e60)
+    image = duality_map(huge, SpaceSpec(6.0, 2.0))
+    assert np.isfinite(image.values).all()
+    assert dual_pairing(image, huge) == pytest.approx(
+        weighted_norm(huge, SpaceSpec(6.0, 2.0)) ** 2, rel=1e-13)
+    with pytest.raises(FloatingPointError, match='the duality image of the grid function '
+                                                 'overflows'):
+        duality_map(huge, SpaceSpec(6.0, 8.0))
+    assert ('dual', 6.0, 8.0) not in huge._memo
     assert np.isfinite(duality_map(huge, SpaceSpec(6.0, 6.0)).values).all()
 
 
 def test_hilbert_duality_map_keeps_a_tiny_nonzero_field():
-    # J_2 on L^2 returns the values of f however small they are; only the
-    # norm, which it does not take, would underflow.
+    # J_2 on L^2 returns the values of f however small they are; the norm,
+    # whose sum of squares underflows, is sqrt(36 / 25) times them.
     tiny = GridFunction.full(4, 1e-200)
-    assert weighted_norm(tiny, SpaceSpec(2.0, 2.0)) == 0.0
+    assert weighted_norm(tiny, SpaceSpec(2.0, 2.0)) / 1e-200 == pytest.approx(1.2, rel=1e-15)
     assert np.all(duality_map(tiny, SpaceSpec(2.0, 2.0)).values == 1e-200)
 
 
-def test_duality_map_with_an_underflowing_norm_is_refused():
-    # At r = 1001 the sum of |f|^r of an O(1) field underflows, so for q != r
-    # the factor ||f||^(q - r) is undefined; returning zeros would send a
-    # nonzero field to the image of 0.
-    field = GridFunction.full(4, 0.1)
-    with pytest.raises(ValueError, match='the norm of the grid function underflows'):
-        duality_map(field, SpaceSpec(1001.0, 1.2))
-    assert ('dual', 1001.0, 1.2) not in field._memo
+@pytest.mark.parametrize('value, r, q', [(0.1, 1001.0, 1.2), (200.0, 150.0, 20.0)])
+def test_a_representable_duality_image_is_formed(value, r, q):
+    # At r = 1001 the sum of |f|^r of an O(1) field underflows and, for
+    # q = 1.2, the factor ||f||^(q - r) overflows. At r = 150, 200^149
+    # overflows while ||f||^(q - r) is a normal double. Either image is
+    # finite, about 0.44 and 4e43, and is formed as
+    # ||f||^(q - 1) (|f| / ||f||)^(r - 1).
+    field = GridFunction.full(4, value)
+    space = SpaceSpec(r, q)
+    image = duality_map(field, space)
+    assert np.isfinite(image.values).all() and np.all(image.values > 0.0)
+    assert dual_pairing(image, field) == pytest.approx(weighted_norm(field, space) ** q,
+                                                       rel=1e-12)
+    assert field._memo[('dual', r, q)] is image
+
+
+@pytest.mark.parametrize('p', [3.0, 150.0, 1001.0])
+@pytest.mark.parametrize('value', [1e-310, 2e-108, 1e-3, 0.1, 1e200])
+def test_weighted_norm_matches_a_high_precision_reference(p, value):
+    # Where the sum of |f|^p underflows, is subnormal (the cubes of 2e-108)
+    # or overflows (1e200), the norm is taken relative to the largest entry;
+    # it stays positive and exact.
+    rng = np.random.default_rng(5)
+    for f in (GridFunction.full(4, value),
+              GridFunction(value * rng.uniform(0.5, 1.0, (6, 6)))):
+        norm = weighted_norm(f, SpaceSpec(p, 2.0))
+        with mpmath.workdps(50):
+            total = mpmath.fsum(abs(mpmath.mpf(float(v))) ** p for v in f.values.ravel())
+            reference = mpmath.mpf(f.h) ** (mpmath.mpf(2) / p) * total ** (1 / mpmath.mpf(p))
+            assert norm > 0.0
+            assert abs(mpmath.mpf(norm) - reference) <= 1e-13 * reference
 
