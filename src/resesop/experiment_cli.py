@@ -67,8 +67,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 CSV_HEADER = ('n', 'residual', 'rel_error', 'step_class')
-# Record keys of reports older than `step_distance`; from_json drops them.
-RETIRED_RECORD_KEYS = ('decrease_surrogate', 'gamma')
 
 
 @dataclass(frozen=True)
@@ -204,9 +202,10 @@ class ExperimentReport:
     """Result of one experiment run.
 
     Serializes to JSON via to_json/from_json without loss; write_csv emits
-    the per-iteration series for external plotting. from_json also reads
-    older reports: it drops only the RETIRED_RECORD_KEYS and a config key
-    'restriction' that holds 'cubic', the one restriction left.
+    the per-iteration series for plotting. from_json reads older reports:
+    a record key that `IterationRecord` does not declare goes into the
+    record's diagnostics, and a config key 'restriction' that holds
+    'cubic', the one restriction left, is dropped.
     """
 
     config: ExperimentConfig
@@ -231,13 +230,15 @@ class ExperimentReport:
             raise ValueError("report uses the removed option restriction = {!r}; only "
                              "'cubic' is supported".format(restriction))
         config = ExperimentConfig(**config)
-        records = tuple(
-            IterationRecord(**dict({key: value for key, value in entry.items()
-                                    if key not in RETIRED_RECORD_KEYS},
-                                   t_params=tuple(entry['t_params']),
-                                   stripe_widths=tuple(entry['stripe_widths'])))
-            for entry in payload.pop('records'))
-        return cls(config=config, records=records, **payload)
+        records = []
+        for entry in payload.pop('records'):
+            diagnostics = entry.pop('diagnostics', {})
+            for key in [key for key in entry if key not in IterationRecord.__dataclass_fields__]:
+                diagnostics[key] = entry.pop(key)
+            entry.update(t_params=tuple(entry['t_params']),
+                         stripe_widths=tuple(entry['stripe_widths']))
+            records.append(IterationRecord(diagnostics=diagnostics, **entry))
+        return cls(config=config, records=tuple(records), **payload)
 
     def write_json(self, path):
         # The text first: a report that cannot be serialized leaves the file alone.
@@ -253,7 +254,7 @@ class ExperimentReport:
                 writer.writerow([
                     rec.n,
                     repr(rec.residual_norm),
-                    '' if rec.rel_error is None else repr(rec.rel_error),
+                    '' if getattr(rec, 'rel_error', None) is None else repr(rec.rel_error),
                     rec.step_class or '',
                 ])
 

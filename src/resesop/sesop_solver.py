@@ -33,8 +33,8 @@ Each step records its Bregman step distance D(x_n, x_{n+1}): by the
 three-point inequality of Bregman projections (Schoepfer, Louis & Schuster
 2006), D(x_{n+1}, z) <= D(x_n, z) - D(x_n, x_{n+1}) for every z in the
 target set of the step, which holds every solution the stripes contain.
-Other record fields come from monitors attached to `run`, such as
-`TruthMonitor`, which compares the iterates with a known solution.
+Everything else a record holds comes from monitors attached to `run`, such
+as `TruthMonitor`, which compares the iterates with a known solution.
 """
 
 import dataclasses
@@ -81,10 +81,6 @@ logger = logging.getLogger(__name__)
 # number of consecutive stagnant iterations that aborts the run.
 STAGNATION_TOL = 1e-14
 STAGNATION_LIMIT = 3
-
-# The record fields that `run` itself writes, which no monitor may return.
-_METHOD_FIELDS = frozenset(('n', 'residual_norm', 't_params', 'stripe_widths', 'step_class',
-                            'wall_time', 'above_margin', 'step_distance'))
 
 
 class StepClass:
@@ -228,34 +224,36 @@ class IterationRecord:
 
     The record written at the stopping index has no step fields (empty
     coefficient tuple, step_class None). step_distance is the Bregman
-    distance D(x_n, x_{n+1}) of the step. A `TruthMonitor` attached to `run`
-    fills rel_error, bregman_to_truth and truth_inside, cone_ratio when the
-    truth fell outside the stripe and direction_cosine after a two-plane
-    step; without one they are None.
+    distance D(x_n, x_{n+1}) of the step. `diagnostics` holds what the
+    monitors of `run` returned; each key reads as an attribute.
     """
 
     n: int
     residual_norm: float
-    rel_error: float = None
     t_params: tuple = ()
     stripe_widths: tuple = ()
     step_class: str = None
     wall_time: float = 0.0
-    bregman_to_truth: float = None
     above_margin: float = None
     step_distance: float = None
-    truth_inside: bool = None
-    cone_ratio: float = None
-    direction_cosine: float = None
+    diagnostics: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
         if self.residual_norm < 0:
             raise ValueError('residual norm must be >= 0')
 
+    def __getattr__(self, name):
+        # Through vars: pickle and deepcopy look names up before diagnostics is set.
+        try:
+            return vars(self)['diagnostics'][name]
+        except KeyError:
+            raise AttributeError('the record has no field {!r}'.format(name)) from None
+
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Final iterate with the full iteration log."""
+    """Final iterate with the full iteration log; after stagnation the
+    last record is that of x_{n_star - 1}, and the iterate has none."""
 
     iterate: object
     records: tuple
@@ -297,12 +295,12 @@ def build_stripe(op, state, x, residual, cfg):
 class TruthMonitor:
     """Monitor of `run` that compares the iterates with a known truth.
 
-    Every record gets the relative error, None for a zero truth, and the
-    Bregman distance to the truth; a step record also whether the truth
-    lies inside the stripe, else the tangential-cone ratio with one WARNING
-    per violation, and after a two-plane step the cosine between the two
-    directions. `op` follows the operator protocol of `run`; F(truth) is the
-    `u` of `linearize(truth)`.
+    Every record gets five fields, None where one does not apply: the
+    relative error and the Bregman distance to the truth; on a step whether
+    the truth lies inside the stripe, else the tangential-cone ratio with
+    one WARNING per violation, and after a two-plane step the cosine between
+    the two directions. `op` follows the operator protocol of `run`;
+    F(truth) is the `u` of `linearize(truth)`.
     """
 
     def __init__(self, op, truth, cfg):
@@ -316,7 +314,8 @@ class TruthMonitor:
         error = x - self.truth
         fields = dict(rel_error=(None if self.truth_norm == 0.0
                                  else weighted_norm(error, space_x) / self.truth_norm),
-                      bregman_to_truth=bregman_distance(x, self.truth, space_x))
+                      bregman_to_truth=bregman_distance(x, self.truth, space_x),
+                      truth_inside=None, cone_ratio=None, direction_cosine=None)
         if stripe is None:
             return fields
         if previous is not None:
@@ -359,19 +358,19 @@ def run(op, y, x0, cfg, monitors=()):
         Starting parameter.
     cfg : SolverConfig
     monitors : sequence of callables
-        `monitor(n, state, x, stripe, previous)` returns a dict of further
-        fields of record n, for x = x_n and its state: `stripe` is None exactly
-        at the stopping record, `previous` the stripe a two-plane step met or
-        None. A monitor keeping state n gets state n + 1 at the next call.
-        Its failures end the run as the method's do. Monitors only observe:
-        a field the method writes, or one an earlier monitor returned for
-        the same record, raises ValueError.
+        `monitor(n, state, x, stripe, previous)` returns a dict of the
+        diagnostics of record n, for x = x_n and its state: `stripe` is None
+        exactly at the stopping record, `previous` the stripe a two-plane
+        step met or None. A monitor keeping state n gets state n + 1 at the
+        next call. Its failures end the run as the method's do. A declared
+        record field, or a key an earlier monitor returned, raises ValueError.
 
     Returns
     -------
     SolveResult
         n_star is the stopping index; records hold one entry per evaluated
-        iterate, the last one without step fields.
+        iterate, the last one without step fields, but after stagnation the
+        last is that of x_{n_star - 1}, and the iterate x_{n_star} has none.
 
     Raises
     ------
@@ -392,7 +391,7 @@ def run(op, y, x0, cfg, monitors=()):
             residual = state.u - y
             res_norm = weighted_norm(residual, space_y)
             stop = res_norm <= threshold or n == cfg.max_outer
-            fields, stripe, corrected_by = {}, None, None
+            fields, diagnostics, stripe, corrected_by = {}, {}, None, None
             if not stop:
                 stripe = build_stripe(op, state, x, residual, cfg)
                 margin = dual_pairing(stripe.u_star, x) - (stripe.alpha + stripe.xi)
@@ -412,13 +411,13 @@ def run(op, y, x0, cfg, monitors=()):
                     above_margin=margin, step_distance=bregman_distance(x, x_next, space_x))
             for monitor in monitors:
                 for key, value in monitor(n, state, x, stripe, corrected_by).items():
-                    if key in _METHOD_FIELDS or key in fields:
+                    if key in IterationRecord.__dataclass_fields__ or key in diagnostics:
                         raise ValueError(
                             'a monitor returned {!r} for record {}, a field {}'.format(
-                                key, n, 'of the method' if key in _METHOD_FIELDS
-                                else 'an earlier monitor returned'))
-                    fields[key] = value
-            records.append(IterationRecord(n=n, residual_norm=res_norm,
+                                key, n, 'an earlier monitor returned' if key in diagnostics
+                                else 'of the method'))
+                    diagnostics[key] = value
+            records.append(IterationRecord(n=n, residual_norm=res_norm, diagnostics=diagnostics,
                                            wall_time=time.perf_counter() - tic, **fields))
             if stop:
                 reason = (StopReason.NOT_CONVERGED if res_norm > threshold

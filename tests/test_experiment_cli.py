@@ -277,22 +277,23 @@ class TestReports:
     def test_json_text_is_that_of_the_asdict_formula(self):
         # The report serializes its fields in place with the same bytes as
         # json.dumps of dataclasses.asdict, on None, bools, tuples, floats,
-        # strings and the nested config.
+        # strings, the nested config and the records' diagnostics.
         config = ExperimentConfig(method='B', delta=5e-4, seed=3, p_gauge=None,
                                   output_path='out.json')
         records = (
-            IterationRecord(n=0, residual_norm=0.25, rel_error=0.5, t_params=(1.5, -0.0),
+            IterationRecord(n=0, residual_norm=0.25, t_params=(1.5, -0.0),
                             stripe_widths=(1e-300, 2.0), step_class='two_plane',
-                            truth_inside=True, cone_ratio=float('inf')),
-            IterationRecord(n=1, residual_norm=1e-3, truth_inside=False))
+                            diagnostics=dict(rel_error=0.5, truth_inside=True,
+                                             cone_ratio=float('inf'))),
+            IterationRecord(n=1, residual_norm=1e-3, diagnostics=dict(truth_inside=False)))
         report = ExperimentReport(config=config, n_star=1, stop_reason=StopReason.DISCREPANCY,
                                   detail='a "quoted" detail', wall_time=0.125,
                                   final_residual=1e-3, final_rel_error=None, records=records)
         assert report.to_json() == json.dumps(dataclasses.asdict(report), indent=2)
 
     def test_report_written_before_the_step_certificate_still_parses(self):
-        # A report of the code that recorded the decrease surrogate and gamma
-        # and had no step distance.
+        # A report of the code that recorded the decrease surrogate and gamma,
+        # had no step distance and wrote the monitor fields flat.
         old = json.dumps({
             'config': dict(dataclasses.asdict(ExperimentConfig(
                 method='B', n_data=3, n_recon=2, max_outer=1))),
@@ -320,15 +321,23 @@ class TestReports:
         report = ExperimentReport.from_json(old)
         first = report.records[0]
         assert first.t_params == (1854.7709168024955,)
-        assert first.cone_ratio == 0.019981267561644728
         assert first.step_distance is None
+        # Every key the record does not declare, the retired ones too, lands
+        # in its diagnostics and reads as an attribute.
+        assert (first.rel_error, first.truth_inside, first.cone_ratio,
+                first.decrease_surrogate, first.direction_cosine) == (
+            0.05495326390399985, False, 0.019981267561644728, 0.18616892110259514, None)
+        assert first.diagnostics == dict(
+            rel_error=0.05495326390399985, bregman_to_truth=0.012581049880468598,
+            truth_inside=False, cone_ratio=0.019981267561644728,
+            decrease_surrogate=0.18616892110259514, direction_cosine=None, gamma=None)
         rewritten = json.loads(report.to_json())
-        assert all('decrease_surrogate' not in entry and 'gamma' not in entry
-                   and 'step_distance' in entry for entry in rewritten['records'])
+        assert all('step_distance' in entry and 'rel_error' not in entry
+                   and 'gamma' in entry['diagnostics'] for entry in rewritten['records'])
         assert ExperimentReport.from_json(report.to_json()) == report
-        # Only the two retired keys are dropped; any other unknown key fails.
+        # An unknown config key is still refused.
         payload = json.loads(old)
-        payload['records'][1]['surrogate'] = None
+        payload['config']['surrogate'] = None
         with pytest.raises(TypeError, match='surrogate'):
             ExperimentReport.from_json(json.dumps(payload))
 
@@ -362,6 +371,14 @@ class TestReports:
         assert step_class == record.step_class
         # the stopping record carries no step
         assert lines[-1].endswith(',')
+
+    def test_csv_of_records_without_a_truth_monitor_leaves_the_error_empty(
+            self, small_report, tmp_path):
+        records = tuple(dataclasses.replace(rec, diagnostics={}) for rec in small_report.records)
+        csv_path = tmp_path / 'bare.csv'
+        dataclasses.replace(small_report, records=records).write_csv(csv_path)
+        rows = [line.split(',') for line in csv_path.read_text().splitlines()[1:]]
+        assert [rel_error for _, _, rel_error, _ in rows] == [''] * len(records)
 
     @pytest.mark.parametrize('out, csv', [('runs.v2/report', 'runs.v2/report.csv'),
                                           ('runs.v2/report.json', 'runs.v2/report.csv'),
@@ -461,7 +478,7 @@ class TestReports:
     def test_a_zero_final_residual_is_logged_as_zero(self, monkeypatch, caplog):
         # A residual of exactly 0.0 is a value, not a missing record.
         def solved(op, y, x0, cfg, monitors=()):
-            record = IterationRecord(n=0, residual_norm=0.0, rel_error=0.0)
+            record = IterationRecord(n=0, residual_norm=0.0, diagnostics=dict(rel_error=0.0))
             return SolveResult(iterate=x0, records=(record,),
                                stop_reason=StopReason.RESIDUAL_TOLERANCE, n_star=0)
 

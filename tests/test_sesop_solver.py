@@ -8,8 +8,11 @@ small elliptic instance; the benchmark behaviors live with the experiment
 tests.
 """
 
+import copy
 import dataclasses
 import logging
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from resesop.bregman_geometry import Stripe, project_two_stage
 from resesop.elliptic_operator import EllipticOperator, LinearSolveError
 from resesop.experiment_cli import (
     ExperimentConfig,
+    ExperimentReport,
     add_noise,
     restrict,
     run_experiment,
@@ -117,6 +121,29 @@ def test_solver_config_gauge_default():
 def test_iteration_record_validation():
     with pytest.raises(ValueError):
         IterationRecord(n=0, residual_norm=-1.0)
+
+
+def test_iteration_record_declares_only_the_method_fields():
+    assert [field.name for field in dataclasses.fields(IterationRecord)] == [
+        'n', 'residual_norm', 't_params', 'stripe_widths', 'step_class', 'wall_time',
+        'above_margin', 'step_distance', 'diagnostics']
+    record = IterationRecord(n=0, residual_norm=1.0, diagnostics={'rel_error': 0.25})
+    assert record.rel_error == 0.25
+    with pytest.raises(AttributeError, match="'cone_ratio'"):
+        record.cone_ratio
+    assert getattr(record, 'cone_ratio', None) is None
+
+
+def test_records_pickle_and_deep_copy():
+    # Both look names up on an instance whose diagnostics are not yet set.
+    record = IterationRecord(n=2, residual_norm=0.5, t_params=(1.0, -2.0),
+                             stripe_widths=(0.1, 0.2), step_class=StepClass.TWO_PLANE_CORRECTION,
+                             wall_time=0.01, above_margin=0.3, step_distance=0.4,
+                             diagnostics={'rel_error': 0.25, 'truth_inside': False})
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert copied == record
+        assert copied.diagnostics is not record.diagnostics
+        assert copied.truth_inside is False
 
 
 def test_build_stripe_formulas():
@@ -325,10 +352,7 @@ def test_bare_core_needs_only_linearize_and_adjoint():
         rec.step_distance for rec in monitored.records]
     assert all(rec.step_distance > 0.0 for rec in bare.records[:-1])
     assert any(rec.step_class == StepClass.TWO_PLANE_CORRECTION for rec in bare.records)
-    diagnostics = ('rel_error', 'bregman_to_truth', 'truth_inside', 'cone_ratio',
-                   'direction_cosine')
-    assert all(getattr(rec, name) is None
-               for rec in bare.records for name in diagnostics)
+    assert all(rec.diagnostics == {} for rec in bare.records)
 
 
 def test_run_starts_each_linearization_from_the_previous_state():
@@ -700,7 +724,7 @@ def test_truth_monitor_leaves_the_method_unchanged_on_the_reference_operator(met
                  'above_margin', 'step_distance'):
         assert [getattr(rec, name) for rec in bare.records] == [
             getattr(rec, name) for rec in monitored.records], name
-    assert all(rec.rel_error is None for rec in bare.records)
+    assert all(rec.diagnostics == {} for rec in bare.records)
     assert all(rec.rel_error is not None for rec in monitored.records)
 
 
@@ -737,7 +761,8 @@ def test_run_and_the_truth_monitor_need_only_the_three_method_protocol():
 
 def test_a_truth_free_monitor_attaches_without_changes_to_run():
     # The cosine between the two directions of a two-plane step needs no
-    # truth; a monitor computes it from the stripes run hands over.
+    # truth; a monitor computes it from the stripes run hands over and
+    # returns it under a key that no code of the package declares.
     calls = []
 
     def cosine_monitor(n, state, x, stripe=None, previous=None):
@@ -747,7 +772,7 @@ def test_a_truth_free_monitor_attaches_without_changes_to_run():
         space = cfg.parameter_space
         lifted = inverse_duality_map(previous.u_star, space)
         denom = weighted_norm(stripe.u_star, space.dual()) * weighted_norm(lifted, space)
-        return {'direction_cosine': abs(dual_pairing(stripe.u_star, lifted)) / denom}
+        return {'cosine': abs(dual_pairing(stripe.u_star, lifted)) / denom}
 
     op, y, x0, truth, cfg = suite40_instance('B', 0.0)
     result = run(op, y, x0, cfg, monitors=[cosine_monitor])
@@ -761,12 +786,20 @@ def test_a_truth_free_monitor_attaches_without_changes_to_run():
     # the last state sees both ends of the step between them.
     assert all(state.c is x for _, state, x, _, _ in calls)
     assert len({id(state) for _, state, *_ in calls}) == len(calls)
-    assert all((rec.direction_cosine is not None) == step for rec, step in zip(records, two_plane))
+    assert all(('cosine' in rec.diagnostics) == step for rec, step in zip(records, two_plane))
     op, y, x0, truth, cfg = suite40_instance('B', 0.0)
     monitored = monitored_run(op, y, x0, cfg, truth)
-    assert [rec.direction_cosine for rec in records] == [
-        rec.direction_cosine for rec in monitored.records]
-    assert all(rec.rel_error is None for rec in records)
+    assert [rec.cosine for rec in records if 'cosine' in rec.diagnostics] == [
+        rec.direction_cosine for rec in monitored.records if rec.direction_cosine is not None]
+    assert all(set(rec.diagnostics) <= {'cosine'} for rec in records)
+    # The new key survives the report's round trip.
+    report = ExperimentReport(config=ExperimentConfig(method='B'), n_star=result.n_star,
+                              stop_reason=result.stop_reason, detail='', wall_time=0.0,
+                              final_residual=records[-1].residual_norm,
+                              final_rel_error=None, records=records)
+    assert ExperimentReport.from_json(report.to_json()) == report
+    # ... and the solver's source names no such key.
+    assert "'cosine'" not in Path(sesop_solver.__file__).read_text()
 
 
 def test_two_direction_run_with_singular_dual_weights():
